@@ -130,15 +130,37 @@ def parse_window(spec: str, group) -> Box:
     return Box(lows, highs)
 
 
+# Digits per chunk of decimal_text, far below CPython's int->str limit
+# (4300 digits by default since 3.11), which the program never lifts.
+DECIMAL_CHUNK = 1000
+
+
+def decimal_text(n: int) -> str:
+    """Exact decimal text of an int of any size, the same as str(n).
+
+    Ints past the int->str digit limit are split into DECIMAL_CHUNK-digit
+    chunks by repeated divmod, each printed zero-padded."""
+    chunk = 10**DECIMAL_CHUNK
+    if -chunk < n < chunk:
+        return str(n)
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    parts = []
+    while n >= chunk:
+        n, r = divmod(n, chunk)
+        parts.append(f"{r:0{DECIMAL_CHUNK}d}")
+    parts.append(str(n))
+    return sign + "".join(reversed(parts))
+
+
 def _to_jsonable(obj):
     if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
+        return f"{decimal_text(obj.numerator)}/{decimal_text(obj.denominator)}"
     if isinstance(obj, dict):
         return {k: _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_to_jsonable(v) for v in obj]
     if isinstance(obj, int) and abs(obj) >= 2**63:
-        return str(obj)  # decimal string for arbitrary-precision values
+        return decimal_text(obj)  # decimal string for arbitrary-precision values
     if hasattr(obj, "__dataclass_fields__"):
         return {k: _to_jsonable(getattr(obj, k)) for k in obj.__dataclass_fields__}
     return obj
@@ -244,20 +266,11 @@ def cmd_window(args) -> int:
     params = load_config(args.config, args)
     cfg = Construction(params)
     box = parse_window(args.window, cfg.group)
-    kind = args.what
-    values = dict(cfg.window(box, kind))
-    lines = []
-    if cfg.group.rank == 1:
-        row = " ".join(render_value(values[(x,)]) for x in range(box.lows[0], box.highs[0] + 1))
-        lines.append(row)
-    else:
-        for x in range(box.lows[0], box.highs[0] + 1):
-            lines.append(
-                " ".join(
-                    render_value(values[(x, y)])
-                    for y in range(box.lows[1], box.highs[1] + 1)
-                )
-            )
+    # cells come in Box.cells() order, so each run of `width` cells is one
+    # printed row (the whole window on Z, one first coordinate on Z^2)
+    texts = [render_value(v) for _, v in cfg.window(box, args.what)]
+    width = box.highs[-1] - box.lows[-1] + 1
+    lines = [" ".join(texts[i:i + width]) for i in range(0, len(texts), width)]
     emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -2,7 +2,8 @@
 
 The engine plans a tower of construction levels over a nested tiling
 schedule and evaluates the resulting configuration lazily, one coordinate
-at a time, with arbitrary-precision arithmetic throughout.
+at a time or one window box tile by tile, with arbitrary-precision
+arithmetic throughout.
 
 Level words.  ``V_1`` is the seed word on the level-1 tile: a fixed star
 cell set of density just above ``rho``, hash elsewhere.  For n >= 2, ``V_n``
@@ -143,13 +144,15 @@ class BuildParams:
 
 @dataclass(frozen=True)
 class LevelPlan:
-    """One construction level: its schedule level, tile box and star count."""
+    """One construction level: its schedule level, tile box, star count and
+    tile periods (kept here so evaluation never goes back to the schedule)."""
 
     n: int
     sched_level: int
     box: Box
     volume: int
     stars: int  # star count of the level word V_n
+    periods: tuple  # grid periods of the level's tiling, one per axis
 
 
 @dataclass(frozen=True)
@@ -228,6 +231,40 @@ def _lex_at(index: int, lows: tuple, highs: tuple) -> tuple:
     return tuple(out)
 
 
+def _split(lvl: "LevelPlan", lows: tuple, highs: tuple):
+    """The tiles of a level meeting the box [lows, highs].
+
+    Returns (j, piece lows, piece highs) per tile, the piece in the tile's
+    own coordinates, in lexicographic tile order, and the piece widths along
+    the last axis.  One division per axis, however far out the box lies.
+    """
+    axes = []
+    for lo, hi, tlo, thi, q in zip(lows, highs, lvl.box.lows, lvl.box.highs, lvl.periods):
+        axes.append([
+            (j, max(lo - j * q, tlo), min(hi - j * q, thi))
+            for j in range((lo - tlo) // q, (hi - tlo) // q + 1)
+        ])
+    pieces = [tuple(zip(*combo)) for combo in itertools.product(*axes)]
+    return pieces, [hi - lo + 1 for _, lo, hi in axes[-1]]
+
+
+def _stitch(widths: list, parts: list) -> list:
+    """Row-major cells of a box from the row-major cells of its tile pieces.
+
+    Consecutive runs of len(widths) pieces share their rows, so each output
+    row is their rows side by side.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    out = []
+    for first in range(0, len(parts), len(widths)):
+        group = parts[first:first + len(widths)]
+        for r in range(len(group[0]) // widths[0]):
+            for part, w in zip(group, widths):
+                out += part[r * w:(r + 1) * w]
+    return out
+
+
 def _exact_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if r:
@@ -268,7 +305,7 @@ class Construction:
         s1 = self._target_stars(vol1)
         if s1 > vol1:
             raise CapacityError("rho too close to 1 for the seed tile")
-        self.levels[1] = LevelPlan(1, 1, box1, vol1, s1)
+        self.levels[1] = LevelPlan(1, 1, box1, vol1, s1, sched.periods(1))
         cells = itertools.islice(box1.cells(), s1)
         self.seed_stars = tuple(cells)  # lexicographically first cells
         self._seed_set = frozenset(self.seed_stars)
@@ -297,7 +334,7 @@ class Construction:
         sched = self.schedule
         rho = self.rho
         fine = self.levels[n]
-        q = sched.periods(fine.sched_level)
+        q = fine.periods
         net = self.params.nets[n - 1]
         radix = net.size
         code, code_exact, approximate = self._code_count(n, fine.stars, radix)
@@ -327,8 +364,16 @@ class Construction:
         n_cand = 1
         for lo, hi in zip(cand_lo, cand_hi):
             n_cand *= hi - lo + 1
-        assert n_cand == sched.volume(host) // fine.volume
-        assert n_cand > code
+        # The checks below raise rather than assert so that they survive
+        # python -O; their messages name levels only, since the counts can
+        # have more digits than int->str converts.
+        if n_cand != sched.volume(host) // fine.volume:
+            raise ScheduleError(
+                f"step {n + 1}: the level-{n} tile range of host level {host} "
+                "disagrees with its volume"
+            )
+        if n_cand <= code:
+            raise CapacityError(f"step {n + 1}: host level {host} cannot hold the code block")
         zeros = (0,) * self.group.rank
         e_lexrank = _count_lex_below(zeros, cand_lo, cand_hi)
         link_j = self._cand_at_raw(code, cand_lo, cand_hi, e_lexrank)
@@ -340,7 +385,8 @@ class Construction:
         shift = self._link_shift_through(n - 1)
         anchor = self.group.mul(g_n, self.group.mul(shift, link_center))
         per_tile = fine.stars - (rho.numerator * fine.volume) // rho.denominator
-        assert per_tile >= 1
+        if per_tile < 1:
+            raise CapacityError(f"level {n} has no star above its density floor to thin")
         # The host zone is never thinned, so its surplus stars over rho must
         # fit under the sandwich ceiling no matter how large the next level
         # is; when rho*|S_n| is an integer this bound does not improve with
@@ -405,13 +451,17 @@ class Construction:
             net=net,
             radix=radix,
         )
-        self.levels[n + 1] = LevelPlan(n + 1, m, box_next, box_m.volume, target)
+        self.levels[n + 1] = LevelPlan(n + 1, m, box_next, box_m.volume, target, sched.periods(m))
         # Density sandwich: rho < stars/volume <= rho + 1/volume, exactly.
-        assert rho < Fraction(target, box_m.volume) <= rho + Fraction(1, box_m.volume)
-        assert box_next.contains_box(host_box) and host_box.contains_box(fine.box)
+        if not rho < Fraction(target, box_m.volume) <= rho + Fraction(1, box_m.volume):
+            raise CapacityError(f"level {n + 1}: star count outside the density sandwich")
+        if not (box_next.contains_box(host_box) and host_box.contains_box(fine.box)):
+            raise ScheduleError(
+                f"step {n + 1}: level-{n + 1} tile, host box and level-{n} tile are not nested"
+            )
 
     def _tile_jrange(self, fine: LevelPlan, outer: Box):
-        q = self.schedule.periods(fine.sched_level)
+        q = fine.periods
         lo = tuple(
             _exact_div(outer.lows[i] - fine.box.lows[i], q[i])
             for i in range(self.group.rank)
@@ -439,8 +489,7 @@ class Construction:
 
     def _cand_at(self, step: StepPlan, rank: int) -> Element:
         j = self._cand_at_raw(rank, step.cand_lo, step.cand_hi, step.e_lexrank)
-        q = self.schedule.periods(self.levels[step.n].sched_level)
-        return tuple(jj * qq for jj, qq in zip(j, q))
+        return tuple(jj * qq for jj, qq in zip(j, self.levels[step.n].periods))
 
     def _coded_before(self, step: StepPlan, lex_count: int) -> int:
         """How many code tiles sit lexicographically before a given rank."""
@@ -469,14 +518,13 @@ class Construction:
 
     # -- resolvers -----------------------------------------------------------
 
-    def _grid_center(self, sched_level: int, g: Element) -> Element:
-        box = self.schedule.level_box(sched_level)
-        q = self.schedule.periods(sched_level)
-        return tuple(qq * ((x - lo) // qq) for x, lo, qq in zip(g, box.lows, q))
+    def _grid_center(self, n: int, g: Element) -> Element:
+        """Center of the level-n tile containing g."""
+        lvl = self.levels[n]
+        return tuple(qq * ((x - lo) // qq) for x, lo, qq in zip(g, lvl.box.lows, lvl.periods))
 
     def _jvec(self, n: int, center: Element) -> tuple:
-        q = self.schedule.periods(self.levels[n].sched_level)
-        return tuple(c // qq for c, qq in zip(center, q))
+        return tuple(c // qq for c, qq in zip(center, self.levels[n].periods))
 
     # -- the level words -----------------------------------------------------
 
@@ -499,7 +547,7 @@ class Construction:
         if pos in step.host_box:
             val = self._coded(n - 1, pos)
         else:
-            c = self._grid_center(self.levels[n - 1].sched_level, pos)
+            c = self._grid_center(n - 1, pos)
             rel = tuple(x - y for x, y in zip(pos, c))
             val = self._word(n - 1, rel)
             if val is STAR:
@@ -523,7 +571,7 @@ class Construction:
 
     def _coded(self, n: int, g: Element):
         step = self.steps[n]
-        c = self._grid_center(self.levels[n].sched_level, g)
+        c = self._grid_center(n, g)
         rel = tuple(x - y for x, y in zip(g, c))
         rank = self._cand_rank(step, self._jvec(n, c))
         if rank < step.code_count and self._word(n, rel) is STAR:
@@ -553,7 +601,7 @@ class Construction:
             return cached
         step = self.steps[n - 1]
         fine = self.levels[n - 1]
-        c = self._grid_center(fine.sched_level, pos)
+        c = self._grid_center(n - 1, pos)
         rel = tuple(x - y for x, y in zip(pos, c))
         j = self._jvec(n - 1, c)
         lb_cand = _count_lex_below(j, step.cand_lo, step.cand_hi)
@@ -591,7 +639,7 @@ class Construction:
             if g in self.levels[n].box:
                 return self._coded(n, g)
         top = self.params.depth + 1
-        c = self._grid_center(self.levels[top].sched_level, g)
+        c = self._grid_center(top, g)
         val = self._word(top, tuple(x - y for x, y in zip(g, c)))
         if val is STAR:
             raise DepthError(f"value at {g} is not determined at depth {self.params.depth}")
@@ -605,11 +653,37 @@ class Construction:
         return val
 
     def window(self, cells, kind: str = "w") -> list:
-        """Evaluate over a window; returns [(g, value)] in iteration order."""
+        """Evaluate over a window; returns [(g, value)] in iteration order.
+
+        ``kind`` "w" gives ``eval_w`` values, anything else ``eval_x``
+        values.  A ``Box`` is evaluated tile by tile (``_TileWalk``) in
+        ``Box.cells()`` order; any other iterable cell by cell.  Both raise
+        the same ``DepthError`` for the first undetermined cell.
+        """
         if isinstance(cells, Box):
-            cells = cells.cells()
+            return self._window_box(cells, kind)
         fn = self.eval_w if kind == "w" else self.eval_x
         return [(tuple(g), fn(g)) for g in cells]
+
+    def _window_box(self, box: Box, kind: str) -> list:
+        # eval_w(g) is the top level word at g's offset in its top-level
+        # tile: inside the level-n tile (n <= depth) both descend to the
+        # coded word of step n through code tile 0 at every level above.
+        if box.rank != self.group.rank:
+            raise ValueError("element rank mismatch")
+        cells = box.cells()  # the pointwise path's size guard
+        top = self.params.depth + 1
+        walk = _TileWalk(self)
+        pieces, widths = _split(self.levels[top], box.lows, box.highs)
+        values = _stitch(widths, [walk.values(top, lo, hi, False)[0] for _, lo, hi in pieces])
+        out = list(zip(cells, values))
+        if STAR in values:
+            g = out[values.index(STAR)][0]
+            raise DepthError(f"value at {g} is not determined at depth {self.params.depth}")
+        if kind != "w":
+            base = self.params.cube.basepoint
+            out = [(g, base if v is HASH else v) for g, v in out]
+        return out
 
     def star_positions(self, n: int) -> list:
         """Stars of V_n in canonical rank order (materializes the tile)."""
@@ -701,8 +775,7 @@ class Construction:
                 break
             if all(cl <= x <= ch for x, cl, ch in zip(j, step1.cand_lo, step1.cand_hi)):
                 continue  # host zone is never thinned
-            q = self.schedule.periods(1)
-            c = tuple(jj * qq for jj, qq in zip(j, q))
+            c = tuple(jj * qq for jj, qq in zip(j, self.levels[1].periods))
             budget = self.levels[1].stars - floor1
             for a in self.seed_stars:
                 if total <= target or budget == 0:
@@ -768,6 +841,88 @@ class Construction:
             "levels": levels,
             "steps": steps,
         }
+
+
+class _TileWalk:
+    """One tile-by-tile evaluation of a window, level by level.
+
+    ``values(n, lows, highs, ranks)`` gives the level word V_n on a box in
+    level-n tile coordinates, row-major, and with ``ranks`` also each cell's
+    star rank: the number of stars of V_n before it in canonical order, as
+    ``Construction._stars_below`` counts them.  Each level-(n-1) tile that
+    meets the box is resolved once (host or thinning zone, code index, shed
+    count, rank offset) and its cells come from the level below.  Whole
+    tiles of a level all carry the same word, so pieces repeat; the memo
+    that shares them belongs to the walk, never to the construction, and
+    holds only pieces of one window.
+    """
+
+    def __init__(self, cfg: Construction):
+        self.cfg = cfg
+        self.memo: dict = {}
+
+    def values(self, n: int, lows: tuple, highs: tuple, ranks: bool) -> tuple:
+        key = (n, lows, highs)
+        hit = self.memo.get(key)
+        if hit is not None and (hit[1] is not None or not ranks):
+            return hit
+        if n == 1:
+            out = self._seed(lows, highs)
+        else:
+            pieces, widths = _split(self.cfg.levels[n - 1], lows, highs)
+            parts = [self._tile(n, j, lo, hi, ranks) for j, lo, hi in pieces]
+            vals = _stitch(widths, [p[0] for p in parts])
+            out = (vals, _stitch(widths, [p[1] for p in parts]) if ranks else None)
+        self.memo[key] = out
+        return out
+
+    def _seed(self, lows: tuple, highs: tuple) -> tuple:
+        """V_1 and its star ranks: the seed stars are the first cells of
+        the level-1 tile in lexicographic order, so a cell's lexicographic
+        index is its rank until the stars run out."""
+        box, stars = self.cfg.levels[1].box, self.cfg.levels[1].stars
+        width = highs[-1] - lows[-1] + 1
+        vals, rks = [], []
+        for lead in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows[:-1], highs[:-1]))):
+            start = _count_lex_below(lead + (lows[-1],), box.lows, box.highs)
+            row = range(start, start + width)
+            vals += [STAR if i < stars else HASH for i in row]
+            rks += [i if i < stars else stars for i in row]
+        return vals, rks
+
+    def _tile(self, n: int, j: tuple, lows: tuple, highs: tuple, ranks: bool) -> tuple:
+        """V_n on the part of level-(n-1) tile j inside the box: the tile's
+        word with its code digits written over the stars (code tiles) or
+        its first ``shed`` stars turned to hashes (thinned tiles)."""
+        cfg = self.cfg
+        step, fine = cfg.steps[n - 1], cfg.levels[n - 1]
+        host = all(lo <= x <= hi for x, lo, hi in zip(j, step.cand_lo, step.cand_hi))
+        code = cfg._cand_rank(step, j) if host else step.code_count
+        coded = code < step.code_count
+        lb_cand = _count_lex_below(j, step.cand_lo, step.cand_hi)
+        lb_thin = _count_lex_below(j, step.tile_lo, step.tile_hi) - lb_cand
+        shed = 0 if host else cfg._shed_of(step, lb_thin)
+        vals, sub = self.values(n - 1, lows, highs, ranks or coded or shed > 0)
+        if coded:
+            points = []  # net points of the code index's base-radix digits, lowest first
+            while code:
+                code, d = divmod(code, step.radix)
+                points.append(step.net.point_at(d))
+            zero = step.net.point_at(0)
+            last = fine.stars - 1  # a star of rank p takes the digit of radix**(last - p)
+            vals = [
+                (points[last - p] if last - p < len(points) else zero) if v is STAR else v
+                for v, p in zip(vals, sub)
+            ]
+        elif shed:
+            vals = [HASH if v is STAR and p < shed else v for v, p in zip(vals, sub)]
+        if not ranks:
+            return vals, None
+        off = (lb_cand - cfg._coded_before(step, lb_cand)) * fine.stars
+        off += lb_thin * fine.stars - cfg._shed_first(step, lb_thin)
+        if coded:
+            return vals, [off] * len(vals)
+        return vals, [off + (p - shed if p > shed else 0) for p in sub]
 
 
 def plan(params: BuildParams) -> Construction:

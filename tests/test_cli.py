@@ -1,9 +1,13 @@
+import contextlib
 import json
+import random
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from meandim.cli import main, parse_mode, parse_window
+from meandim.cli import DECIMAL_CHUNK, decimal_text, main, parse_mode, parse_window
 from meandim.groups import Z, Z2
 
 TOY = """\
@@ -185,3 +189,64 @@ def test_checked_in_config_runs(capsys):
     code, out, _ = run(capsys, "build", "--config", str(cfg))
     assert code == 0
     assert "levels[1].stars = 163" in out
+
+
+def test_window_undetermined_cell_exit_and_message(config, capsys):
+    code, out, err = run(capsys, "window", "--config", config, "--window", "[-200,200]")
+    assert code == 1 and out == ""
+    assert err == "error: DepthError: value at (-200,) is not determined at depth 2\n"
+
+
+@contextlib.contextmanager
+def int_str_limit_lifted():
+    """Lift CPython's int->str digit limit (3.11+, 3.10.7+) for one block."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_build_json_prints_huge_ints(tmp_path, capsys):
+    # Z^2 depth 2 reaches level boxes with over 4300-digit coordinates
+    path = tmp_path / "z2.cfg"
+    path.write_text(
+        TOY.replace("group = Z", "group = Z2").replace("seed_b = 2", "seed_b = 1")
+    )
+    code, out, err = run(capsys, "build", "--config", str(path), "--format", "json")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    top = report["levels"][-1]
+    assert isinstance(top["volume"], str) and len(top["volume"]) > 4300
+    with int_str_limit_lifted():
+        (lows, highs) = ([int(x) for x in side] for side in top["box"])
+        volume = 1
+        for lo, hi in zip(lows, highs):
+            volume *= hi - lo + 1
+        assert top["volume"] == str(volume)
+
+
+# random ints of up to 66,439 bits, i.e. up to 20,000 decimal digits
+big_ints = st.builds(
+    lambda bits, seed, negative: (-1) ** negative * random.Random(seed).getrandbits(bits),
+    st.integers(1, 66_439),
+    st.integers(0, 2**32),
+    st.booleans(),
+)
+
+
+@given(big_ints | st.integers())
+@example(10**DECIMAL_CHUNK - 1)
+@example(10**DECIMAL_CHUNK)
+@example(-(10 ** (2 * DECIMAL_CHUNK)))
+@example(10**4300 + 7)
+@settings(max_examples=60, deadline=None)
+def test_decimal_text_matches_str(n):
+    text = decimal_text(n)
+    with int_str_limit_lifted():
+        assert text == str(n) and int(text) == n

@@ -397,3 +397,119 @@ def test_group_rank_mismatch(toy_cfg):
 def test_window_accepts_box(toy_cfg):
     vals = toy_cfg.window(Box((-8,), (8,)), "w")
     assert len(vals) == 17 and vals[0][0] == (-8,)
+
+
+def test_plan_invariant_breaks_raise_meandim_errors(monkeypatch):
+    # the plan checks are raises, not asserts, so python -O keeps them
+    from meandim import MeandimError
+
+    real = Construction._target_stars
+
+    def one_short(self, volume):
+        # right for the seed tile, one star short (density exactly rho) above
+        return real(self, volume) - (volume != self.params.schedule.volume(1))
+
+    monkeypatch.setattr(Construction, "_target_stars", one_short)
+    with pytest.raises(MeandimError, match="density sandwich"):
+        make_toy()
+
+
+# -- tile-batched windows against the pointwise evaluator ---------------------
+
+
+def window_or_error(cfg, cells, kind):
+    """cfg.window on a Box (batched) or a cell list (pointwise), with a
+    DepthError turned into a comparable value."""
+    try:
+        return cfg.window(cells, kind)
+    except DepthError as exc:
+        return ("DepthError", str(exc))
+
+
+def assert_batched_matches_pointwise(cfg, box):
+    for kind in ("w", "x"):
+        batched = window_or_error(cfg, box, kind)
+        pointwise = window_or_error(cfg, list(box.cells()), kind)
+        assert batched == pointwise, (box, kind)
+
+
+@pytest.fixture(scope="module")
+def deep_capped_cfg():
+    return make_toy(depth=3, mode="capped", cap=4096)
+
+
+@pytest.fixture(scope="module")
+def z2_cfgs():
+    sched = generate_interval_schedule(1, 1, 3, group=Z2)
+    return {
+        depth: Construction(BuildParams.toy(sched, Fraction(1, 2), dim=1, depth=depth))
+        for depth in (1, 2)
+    }
+
+
+@st.composite
+def windows_near_edges(draw, cfg, max_side):
+    """A box within a few cells of some level-tile edge (top level included),
+    often shifted by a multiple of the top period out to about 10**80.
+
+    Levels whose coordinates run to thousands of digits (Z^2 at depth 2) are
+    left out: a Box that large cannot even be printed when a case fails."""
+    printable = [lvl for lvl in cfg.levels.values() if lvl.volume < 10**200]
+    lvl = draw(st.sampled_from(printable))
+    top = cfg.levels[cfg.params.depth + 1]
+    lows, highs = [], []
+    for axis in range(cfg.group.rank):
+        edge = draw(st.sampled_from([lvl.box.lows[axis], lvl.box.highs[axis], 0]))
+        lo = edge + draw(st.integers(-max_side, max_side))
+        lows.append(lo)
+        highs.append(lo + draw(st.integers(0, max_side - 1)))
+    k = 0
+    if top in printable:
+        k = draw(st.sampled_from([0, 0, 1, -3, 10**80 // top.periods[0] + 7]))
+    shift = tuple(k * q for q in top.periods)
+    return Box(tuple(x + s for x, s in zip(lows, shift)), tuple(x + s for x, s in zip(highs, shift)))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_batched_window_matches_pointwise_z_exact(toy_cfg, data):
+    assert_batched_matches_pointwise(toy_cfg, data.draw(windows_near_edges(toy_cfg, 40)))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_batched_window_matches_pointwise_z_capped(deep_capped_cfg, data):
+    cfg = deep_capped_cfg
+    assert_batched_matches_pointwise(cfg, data.draw(windows_near_edges(cfg, 40)))
+
+
+@given(st.data(), st.sampled_from([1, 2]))
+@settings(max_examples=30, deadline=None)
+def test_batched_window_matches_pointwise_z2(z2_cfgs, data, depth):
+    cfg = z2_cfgs[depth]
+    assert_batched_matches_pointwise(cfg, data.draw(windows_near_edges(cfg, 9)))
+
+
+def test_batched_window_leaves_memos_empty():
+    cfg = make_toy(depth=3, mode="capped", cap=4096)
+    far = 10**80 // cfg.levels[4].periods[0] * cfg.levels[4].periods[0]
+    for lo in (-3000, far - 3000):
+        assert len(cfg.window(Box((lo,), (lo + 6000,)))) == 6001
+    assert cfg._word_memo == {} and cfg._rank_memo == {}
+
+
+def test_tile_walk_words_and_ranks_match_pointwise(toy_cfg, deep_capped_cfg, z2_cfgs):
+    from meandim.construction import _TileWalk
+
+    cases = [
+        (toy_cfg, 2, toy_cfg.levels[2].box),
+        (toy_cfg, 3, Box((-700,), (500,))),
+        (deep_capped_cfg, 3, Box((-900,), (-100,))),
+        (deep_capped_cfg, 4, Box((-300,), (300,))),
+        (z2_cfgs[1], 2, Box((-40, -121), (-20, -90))),
+        (z2_cfgs[2], 2, Box((100, -30), (121, -10))),
+    ]
+    for cfg, n, box in cases:
+        words, ranks = _TileWalk(cfg).values(n, box.lows, box.highs, True)
+        assert words == [cfg._word(n, g) for g in box.cells()], (n, box)
+        assert ranks == [cfg._stars_below(n, g) for g in box.cells()], (n, box)
