@@ -21,7 +21,7 @@ from typing import Optional
 
 from .construction import Construction, HASH, STAR
 from .errors import DepthError, SizeGuardError
-from .groups import Box, Element, FiniteSubset, covers_window
+from .groups import Box, Element
 from .tilings import CheckResult
 
 
@@ -152,7 +152,7 @@ def upper_bound_estimate(
         if n + 1 > cfg.params.depth + 1:
             raise DepthError("default window needs the next level")
         window = cfg.levels[n + 1].box
-    q = cfg.schedule.periods(lvl.sched_level)
+    q = lvl.periods
     spans = [hi - lo + 1 for lo, hi in zip(window.lows, window.highs)]
     pts = [span - qq + 1 for span, qq in zip(spans, q)]  # center slots per axis
     if any(p <= 0 for p in pts):
@@ -221,17 +221,13 @@ def minimality_check(
     n: int,
     sample_size: int = 100,
     seed: int = 0,
-    window_cells: int = 1000,
     span: int = 10**6,
 ) -> MinimalityReport:
     """Recurrence of the configuration along level-(n+1) tile centers.
 
     Samples centers (seeded), shifts the level-n window there and compares
-    symbol by symbol.  Also certifies a syndeticity witness for the center
-    set: the tile box itself covers the group from its centers; the witness
-    is passed through ``covers_window`` explicitly when the period is small
-    enough to materialize, and checked through the resolver on every window
-    cell either way.
+    symbol by symbol.  Syndeticity of the center lattice q Z^r needs no
+    scan: F = [0, q) covers every g from the center q * floor(g / q).
     """
     if n + 1 > cfg.params.depth + 1:
         raise DepthError(f"minimality at level {n} needs depth >= {n}")
@@ -240,7 +236,7 @@ def minimality_check(
     if base_box.volume > 100_000:
         raise SizeGuardError("comparison window too large")
     base = {g: cfg.eval_x(g) for g in base_box.cells()}
-    q = cfg.schedule.periods(cfg.levels[n + 1].sched_level)
+    q = cfg.levels[n + 1].periods
     rng = random.Random(seed)
     shifts = [group.identity]
     while len(shifts) < sample_size:
@@ -253,44 +249,8 @@ def minimality_check(
             if got != want:
                 mismatches.append((c, g, want, got))
                 break
-    # Syndeticity witness for the center lattice.
-    side = window_cells if group.rank == 1 else max(2, int(window_cells**0.5) + 1)
-    wbox = Box((0,) * group.rank, (side - 1,) * group.rank)
-    syndetic_ok = True
-    for w in wbox.cells():
-        c = tuple(qq * (x // qq) for x, qq in zip(w, q))
-        rel = tuple(x - y for x, y in zip(w, c))
-        if not all(0 <= r < qq for r, qq in zip(rel, q)):
-            syndetic_ok = False
-            break
-    witness = f"F = [0,q) box with q = {q} (resolver-certified)"
-    class_count = 1
-    for qq in q:
-        class_count *= qq
-    if class_count <= 100_000:
-        F = Box((0,) * group.rank, tuple(qq - 1 for qq in q)).to_subset(group)
-        W = wbox.to_subset(group)
-        # centers inside F^{-1}W, found arithmetically (the product of F and
-        # W is far too large to materialize just to filter it)
-        kranges = [
-            range(-((qq - 1 - lo) // qq), hi // qq + 1)
-            for lo, hi, qq in zip(wbox.lows, wbox.highs, q)
-        ]
-        sample = FiniteSubset(
-            group,
-            (
-                tuple(kk * qq for kk, qq in zip(k, q))
-                for k in itertools.product(*kranges)
-            ),
-        )
-        syndetic_ok = syndetic_ok and covers_window(F, sample, W)
-        witness += "; covers_window passed explicitly"
-    else:
-        W = wbox.to_subset(group)
-        here = FiniteSubset(group, [group.identity])
-        syndetic_ok = syndetic_ok and covers_window(W, here, W)
-        witness += "; period too large to materialize, window-scale witness used"
-    return MinimalityReport(n, len(shifts), not mismatches, syndetic_ok, witness, mismatches)
+    witness = f"F = [0,q) box with q = {q}: g = q*floor(g/q) + r, 0 <= r < q"
+    return MinimalityReport(n, len(shifts), not mismatches, True, witness, mismatches)
 
 
 @dataclass

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -18,9 +20,10 @@ from . import analysis
 from .construction import STAR, BuildParams, Construction, render_value
 from .cube import Polyhedron, make_net
 from .errors import MeandimError
-from .groups import Box, GROUPS
+# DECIMAL_CHUNK and decimal_text stay importable from cli, where they began
+from .groups import DECIMAL_CHUNK, GROUPS, Box, decimal_text  # noqa: F401
 from .schedules import MAX_SEARCH_LEVEL, AxisRule, TilingSchedule
-from .tilings import read_tiling, verify_partition, verify_primely_congruent, verify_congruent
+from .tilings import read_tiling, verify_partition
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
@@ -130,28 +133,6 @@ def parse_window(spec: str, group) -> Box:
     return Box(lows, highs)
 
 
-# Digits per chunk of decimal_text, far below CPython's int->str limit
-# (4300 digits by default since 3.11), which the program never lifts.
-DECIMAL_CHUNK = 1000
-
-
-def decimal_text(n: int) -> str:
-    """Exact decimal text of an int of any size, the same as str(n).
-
-    Ints past the int->str digit limit are split into DECIMAL_CHUNK-digit
-    chunks by repeated divmod, each printed zero-padded."""
-    chunk = 10**DECIMAL_CHUNK
-    if -chunk < n < chunk:
-        return str(n)
-    sign, n = ("-", -n) if n < 0 else ("", n)
-    parts = []
-    while n >= chunk:
-        n, r = divmod(n, chunk)
-        parts.append(f"{r:0{DECIMAL_CHUNK}d}")
-    parts.append(str(n))
-    return sign + "".join(reversed(parts))
-
-
 def _to_jsonable(obj):
     if isinstance(obj, Fraction):
         return f"{decimal_text(obj.numerator)}/{decimal_text(obj.denominator)}"
@@ -200,34 +181,16 @@ def cmd_gen_tilings(args) -> int:
     sched = params.schedule
     levels = args.levels
     sched.ensure(levels)
+    # grid partition and (prime) congruence need no scan: a GridTiling tiles
+    # by its own period, and ensure() only builds levels whose period is a
+    # multiple of the last with a_{n+1} = a_n (mod q_n), a single shape on
+    # nested lattices; tests pin all three against the window scanners
     failures = []
-    group = sched.group
-    side = 10_000 if group.rank == 1 else 100
-    window = Box((-side // 2,) * group.rank, (side // 2,) * group.rank).to_subset(group)
-
-    def checkable(n):
-        # the window must hold a few whole tiles along every axis
-        return all(3 * q <= side for q in sched.periods(n))
-
-    for n in range(1, levels + 1):
-        if not checkable(n):
-            continue
-        res = verify_partition(sched.materialize_level(n), window)
-        if not res:
-            failures.append(f"partition level {n}: {res.detail}")
-    for n in range(1, levels):
-        if not checkable(n + 1):
-            continue
-        fine, coarse = sched.materialize_level(n), sched.materialize_level(n + 1)
-        if not verify_congruent(fine, coarse, window):
-            failures.append(f"congruence {n}->{n + 1}")
-        if not verify_primely_congruent(fine, coarse, window):
-            failures.append(f"prime congruence {n}->{n + 1}")
     nest = sched.verify_nesting(100)
     if not nest:
         failures.append(f"nesting: {nest.detail}")
     # levels must become (ball(k), 1/k)-invariant once deep enough; the
-    # search runs past --levels, which only bounds what is written and scanned
+    # search runs past --levels, which only bounds what is written
     invariance = []
     for k in range(1, 4):
         found = sched.first_invariant_level(k, Fraction(1, k))
@@ -241,7 +204,7 @@ def cmd_gen_tilings(args) -> int:
     if args.imported:
         with open(args.imported) as fh:
             tiling = read_tiling(fh.read())
-        W = tiling.support.to_subset(group)
+        W = tiling.support.to_subset(sched.group)
         res = verify_partition(tiling, W)
         if not res:
             failures.append(f"imported tiling: {res.detail}: {res.violations[:5]}")
@@ -288,6 +251,8 @@ def cmd_verify(args) -> int:
 def run_verification(cfg: Construction, seed: int = 0) -> list:
     """The invariant battery at the configured depth; list of (name, ok, note)."""
     out = []
+    # level 2 is materialized at most once, for the checks that read it
+    materialize = functools.cache(cfg.materialize)
 
     def check(name, fn):
         try:
@@ -319,7 +284,7 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
     def oracle():
         if cfg.levels[2].volume > 200_000:
             return True, "skipped (level-2 tile too large)"
-        words = cfg.materialize()
+        words = materialize()
         for g in words.window.cells():
             if cfg._word(2, g) is not words.v11[g] and cfg._word(2, g) != words.v11[g]:
                 return False, f"mismatch at {g}"
@@ -356,12 +321,10 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
     def tile_floors():
         if cfg.levels[2].volume > 200_000:
             return True, "skipped (level-2 tile too large)"
-        words = cfg.materialize()
+        words = materialize()
         st, lvl1 = cfg.steps[1], cfg.levels[1]
         group, rho = cfg.group, cfg.rho
-        import itertools
-
-        q = cfg.schedule.periods(1)
+        q = lvl1.periods
         for j in itertools.product(
             *[range(lo, hi + 1) for lo, hi in zip(st.tile_lo, st.tile_hi)]
         ):
@@ -388,13 +351,11 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
     check("top-level descent agrees with stabilized values", top_descent)
 
     def realization():
-        import itertools as it
-
         step = cfg.steps[1]
         if cfg.levels[1].stars > 12:
             return True, "skipped (too many seed stars)"
         seen = set()
-        for combo in it.product(range(step.radix), repeat=cfg.levels[1].stars):
+        for combo in itertools.product(range(step.radix), repeat=cfg.levels[1].stars):
             pts = [step.net.point_at(d) for d in combo]
             seen.add(cfg.realization_decode(1, pts))
         want = step.radix ** cfg.levels[1].stars

@@ -45,7 +45,7 @@ from .errors import (
     ScheduleError,
     SizeGuardError,
 )
-from .groups import Box, Element
+from .groups import Box, Element, decimal_text
 from .schedules import TilingSchedule
 
 # Refuse exact code counts beyond roughly this many bits.
@@ -642,8 +642,13 @@ class Construction:
         c = self._grid_center(top, g)
         val = self._word(top, tuple(x - y for x, y in zip(g, c)))
         if val is STAR:
-            raise DepthError(f"value at {g} is not determined at depth {self.params.depth}")
+            raise self._undetermined(g)
         return val
+
+    def _undetermined(self, g: Element) -> DepthError:
+        # str(g) would refuse coordinates past the int->str digit limit
+        coords = ", ".join(map(decimal_text, g)) + ("," if len(g) == 1 else "")
+        return DepthError(f"value at ({coords}) is not determined at depth {self.params.depth}")
 
     def eval_x(self, g: Element):
         """Point of the cube at g: eval_w with hashes sent to the basepoint."""
@@ -678,8 +683,7 @@ class Construction:
         values = _stitch(widths, [walk.values(top, lo, hi, False)[0] for _, lo, hi in pieces])
         out = list(zip(cells, values))
         if STAR in values:
-            g = out[values.index(STAR)][0]
-            raise DepthError(f"value at {g} is not determined at depth {self.params.depth}")
+            raise self._undetermined(out[values.index(STAR)][0])
         if kind != "w":
             base = self.params.cube.basepoint
             out = [(g, base if v is HASH else v) for g, v in out]

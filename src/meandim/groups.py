@@ -25,6 +25,28 @@ Element = tuple  # tuple of ints, length == group rank
 CELL_GUARD = 2_000_000
 
 
+# Digits per chunk of decimal_text, far below CPython's int->str limit
+# (4300 digits by default since 3.11), which the program never lifts.
+DECIMAL_CHUNK = 1000
+
+
+def decimal_text(n: int) -> str:
+    """Exact decimal text of an int of any size, the same as str(n).
+
+    Ints past the int->str digit limit are split into DECIMAL_CHUNK-digit
+    chunks by repeated divmod, each printed zero-padded."""
+    chunk = 10**DECIMAL_CHUNK
+    if -chunk < n < chunk:
+        return str(n)
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    parts = []
+    while n >= chunk:
+        n, r = divmod(n, chunk)
+        parts.append(f"{r:0{DECIMAL_CHUNK}d}")
+    parts.append(str(n))
+    return sign + "".join(reversed(parts))
+
+
 class LatticeGroup:
     """The group Z^rank under coordinatewise addition."""
 
@@ -273,7 +295,9 @@ class Box:
         return hash((self.lows, self.highs))
 
     def __repr__(self) -> str:
-        spans = "x".join(f"[{lo},{hi}]" for lo, hi in zip(self.lows, self.highs))
+        spans = "x".join(
+            f"[{decimal_text(lo)},{decimal_text(hi)}]" for lo, hi in zip(self.lows, self.highs)
+        )
         return f"Box({spans})"
 
     def contains_box(self, other: "Box") -> bool:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import ScheduleError
-from .groups import Box, GROUPS, LatticeGroup, Z, is_invariant
+from .groups import Box, GROUPS, LatticeGroup, Z, decimal_text, is_invariant
 from .tilings import CheckResult, GridTiling
 
 BALANCES = ("centered", "left", "right")
@@ -197,8 +197,8 @@ class TilingSchedule:
             lines.append(f"axis{ax}.seed_a = {rule.seed_a}")
             lines.append(f"axis{ax}.seed_b = {rule.seed_b}")
             lines.append(f"axis{ax}.growth = " + " ".join(str(g) for g in rule.growth))
-            lines.append(f"axis{ax}.a = " + " ".join(str(v) for v in self._a[ax][:n]))
-            lines.append(f"axis{ax}.b = " + " ".join(str(v) for v in self._b[ax][:n]))
+            lines.append(f"axis{ax}.a = " + " ".join(map(decimal_text, self._a[ax][:n])))
+            lines.append(f"axis{ax}.b = " + " ".join(map(decimal_text, self._b[ax][:n])))
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -230,8 +230,9 @@ class TilingSchedule:
             for key, arr in (("a", sched._a[ax]), ("b", sched._b[ax])):
                 stored = kv.get(f"axis{ax}.{key}")
                 if stored is not None:
-                    got = [int(t) for t in stored.split()]
-                    if got != arr[: len(got)]:
+                    # compared as text: int() refuses tokens past the int->str limit
+                    got = stored.split()
+                    if got != [decimal_text(v) for v in arr[: len(got)]]:
                         raise ScheduleError(f"stored axis{ax}.{key} array is inconsistent")
         return sched
 

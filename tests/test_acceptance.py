@@ -147,7 +147,7 @@ def test_criterion_6_minimality(toys):
     ok = True
     for key, cfg in toys.items():
         for n in (1, 2):
-            rep = minimality_check(cfg, n, sample_size=100, seed=7, window_cells=1000)
+            rep = minimality_check(cfg, n, sample_size=100, seed=7)
             ok &= rep.recurrence_ok and rep.syndetic_ok and rep.sampled == 100
     # the small-period witness also passes the set-level covering check
     cfg = next(iter(toys.values()))

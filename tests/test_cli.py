@@ -250,3 +250,23 @@ def test_decimal_text_matches_str(n):
     text = decimal_text(n)
     with int_str_limit_lifted():
         assert text == str(n) and int(text) == n
+
+
+def test_gen_tilings_prints_huge_schedule_arrays(tmp_path, capsys):
+    # growth 10^100 puts level-45 ends past 4300 digits
+    path = tmp_path / "huge.cfg"
+    path.write_text(TOY.replace("growth = 3", f"growth = {10**100}"))
+    out_path = tmp_path / "schedule.txt"
+    code, out, err = run(
+        capsys, "gen-tilings", "--config", str(path), "--levels", "45", "--out", str(out_path)
+    )
+    assert code == 0 and err == "" and "checks failed = 0" in out
+    from meandim import TilingSchedule
+
+    text = out_path.read_text()
+    sched = TilingSchedule.parse(text)
+    assert sched.serialize(45) == text
+    box = sched.level_box(45)
+    assert len(decimal_text(box.highs[0])) > 4300
+    with int_str_limit_lifted():
+        assert repr(box) == f"Box([{box.lows[0]},{box.highs[0]}])"

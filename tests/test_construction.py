@@ -20,6 +20,7 @@ from meandim import (
 )
 from meandim.groups import Box
 from tests.conftest import make_toy
+from tests.test_cli import int_str_limit_lifted
 
 
 def values_equal(a, b):
@@ -513,3 +514,18 @@ def test_tile_walk_words_and_ranks_match_pointwise(toy_cfg, deep_capped_cfg, z2_
         words, ranks = _TileWalk(cfg).values(n, box.lows, box.highs, True)
         assert words == [cfg._word(n, g) for g in box.cells()], (n, box)
         assert ranks == [cfg._stars_below(n, g) for g in box.cells()], (n, box)
+
+
+def test_depth_error_names_huge_coordinates(toy_cfg):
+    # (-200,) is undetermined at depth 2 (see the CLI window test); so is
+    # every translate of it by a top-level period
+    q = toy_cfg.levels[3].periods[0]
+    g = (-200 + (10**4400 // q) * q,)
+    for evaluate in (
+        lambda: toy_cfg.eval_w(g),
+        lambda: toy_cfg.window(Box(g, (g[0] + 1,))),
+    ):
+        with pytest.raises(DepthError) as info:
+            evaluate()
+        with int_str_limit_lifted():
+            assert str(info.value) == f"value at {g} is not determined at depth 2"

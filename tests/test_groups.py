@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,32 @@ def test_covers_window():
     assert covers_window(FiniteSubset(Z, [(0,)]), W, W)
     F_short = FiniteSubset.interval(0, 2)
     assert not covers_window(F_short, S, W)  # residue 3 mod 4 stays uncovered
+
+
+@given(
+    rank=st.sampled_from([1, 2]),
+    q=st.lists(st.integers(1, 9), min_size=2, max_size=2),
+    lows=st.lists(st.integers(-20, 20), min_size=2, max_size=2),
+    sides=st.lists(st.integers(1, 30), min_size=2, max_size=2),
+)
+@settings(max_examples=60, deadline=None)
+def test_covers_window_lattice_centers(rank, q, lows, sides):
+    # minimality_check's closed-form syndeticity: F = [0, q) covers every g
+    # from the center q * floor(g / q), so the centers in F^{-1}W cover W
+    group = Z if rank == 1 else Z2
+    q, lows = q[:rank], lows[:rank]
+    highs = [lo + s - 1 for lo, s in zip(lows, sides)]
+    F = Box((0,) * rank, [p - 1 for p in q]).to_subset(group)
+    W = Box(lows, highs).to_subset(group)
+    centers = FiniteSubset(
+        group,
+        itertools.product(
+            *[range(-((p - 1 - lo) // p) * p, hi + 1, p) for lo, hi, p in zip(lows, highs, q)]
+        ),
+    )
+    lattice = [c for c in F.inverse().product(W) if all(x % p == 0 for x, p in zip(c, q))]
+    assert centers.elements == tuple(lattice)
+    assert covers_window(F, centers, W)
 
 
 def test_set_product_and_inverse():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from meandim import (
     FiniteSubset,
@@ -14,6 +15,8 @@ from meandim import (
     verify_partition,
     verify_primely_congruent,
 )
+from meandim.groups import Box
+from meandim.schedules import BALANCES
 
 
 def test_balanced_growth_values():
@@ -60,13 +63,41 @@ def test_materialize_level_resolver():
         assert verify_partition(t, W).ok
 
 
-def test_consecutive_levels_primely_congruent():
-    s = generate_interval_schedule(1, 2, 3)
-    for n in range(1, 4):
+@given(
+    seed_a=st.integers(0, 3),
+    seed_b=st.integers(0, 3),
+    growth=st.lists(st.integers(2, 5), min_size=1, max_size=3),
+    balance=st.sampled_from(BALANCES),
+    group=st.sampled_from([Z, Z2]),
+)
+@example(seed_a=1, seed_b=2, growth=[3, 3, 3], balance="centered", group=Z)
+@settings(max_examples=60, deadline=None)
+def test_consecutive_levels_primely_congruent(seed_a, seed_b, growth, balance, group):
+    # gen-tilings skips these scans: ensure() makes every level pair
+    # congruent and primely congruent; the scanners are the oracle here
+    assume(seed_a + seed_b >= 1)
+    s = generate_interval_schedule(seed_a, seed_b, growth, balance, group=group)
+    checked = 0
+    for n in range(1, len(growth) + 2):
+        q, qn = s.periods(n), s.periods(n + 1)
+        a, an = s.level_box(n).lows, s.level_box(n + 1).lows
+        assert all(y % x == 0 for x, y in zip(q, qn))
+        assert all((x - y) % p == 0 for x, y, p in zip(a, an, q))
+        # two whole coarse tiles side by side: every coarse tile meeting W
+        # is complete, and prime congruence compares two decompositions
+        box = s.level_box(n + 1)
+        W = Box(box.lows, (box.highs[0] + qn[0],) + box.highs[1:])
+        # the partition scan costs about |W| * |fine tile| steps
+        if W.volume > 10_000 or W.volume * s.volume(n) > 200_000:
+            continue
+        W = W.to_subset(group)
         fine, coarse = s.materialize_level(n), s.materialize_level(n + 1)
-        W = FiniteSubset.interval(-3 * s.volume(n + 1), 3 * s.volume(n + 1))
+        assert verify_partition(fine, W).ok
         assert verify_congruent(fine, coarse, W).ok
-        assert verify_primely_congruent(fine, coarse, W).ok
+        res = verify_primely_congruent(fine, coarse, W)
+        assert res.ok and res.detail == "checked=2"
+        checked += 1
+    assert checked  # levels 1 -> 2 always fit
 
 
 def test_invariance_profile_doubling():
