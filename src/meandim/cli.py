@@ -19,14 +19,17 @@ from fractions import Fraction
 from . import analysis
 from .construction import STAR, BuildParams, Construction, render_value
 from .cube import Polyhedron, make_net
-from .errors import MeandimError
+from .errors import MeandimError, ScheduleError
 # DECIMAL_CHUNK and decimal_text stay importable from cli, where they began
 from .groups import DECIMAL_CHUNK, GROUPS, Box, decimal_text  # noqa: F401
-from .schedules import MAX_SEARCH_LEVEL, AxisRule, TilingSchedule
+from .schedules import BALANCES, MAX_SEARCH_LEVEL, AxisRule, TilingSchedule
 from .tilings import read_tiling, verify_partition
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
+# config numbers longer than this are refused; it is CPython's default
+# int/str digit limit, past which int() itself would fail
+MAX_LITERAL_CHARS = 4300
 
 
 class CliError(Exception):
@@ -35,11 +38,28 @@ class CliError(Exception):
         self.code = code
 
 
+def _literal(text: str, name: str) -> str:
+    if len(text) > MAX_LITERAL_CHARS:
+        raise CliError(
+            f"field {name!r}: a literal of {len(text)} characters is longer "
+            f"than {MAX_LITERAL_CHARS}"
+        )
+    return text
+
+
 def _fraction(text: str, name: str) -> Fraction:
     try:
-        return Fraction(text)
+        return Fraction(_literal(text, name))
     except (ValueError, ZeroDivisionError):
         raise CliError(f"field {name!r}: {text!r} is not a rational")
+
+
+def _int(section, name: str, fallback: int) -> int:
+    text = section.get(name, str(fallback))
+    try:
+        return int(_literal(text, name))
+    except ValueError:
+        raise CliError(f"field {name!r}: {text!r} is not an integer")
 
 
 def load_config(path: str, overrides) -> BuildParams:
@@ -57,29 +77,49 @@ def load_config(path: str, overrides) -> BuildParams:
     rho = _fraction(exp.get("rho", ""), "rho")
     if not 0 < rho < 1:
         raise CliError(f"field 'rho': {rho} outside (0,1)")
-    dim = exp.getint("dim", fallback=1)
-    depth = overrides.depth if overrides.depth is not None else exp.getint("depth", fallback=2)
+    dim = _int(exp, "dim", 1)
+    if dim < 1:
+        raise CliError(f"field 'dim': {dim} is below 1")
+    depth = overrides.depth if overrides.depth is not None else _int(exp, "depth", 2)
     mode_text = overrides.mode if overrides.mode else exp.get("mode", "exact")
     mode, cap = parse_mode(mode_text)
-    seed = overrides.seed if overrides.seed is not None else exp.getint("seed", fallback=0)
+    seed = overrides.seed if overrides.seed is not None else _int(exp, "seed", 0)
 
     sched_sec = parser["schedule"] if parser.has_section("schedule") else {}
     balance = sched_sec.get("balance", "centered")
+    if balance not in BALANCES:
+        raise CliError(f"field 'balance': {balance!r} is not one of {', '.join(BALANCES)}")
     rules = []
+    growth_keys = []
     for ax in range(group.rank):
         suffix = "" if ax == 0 else str(ax + 1)
-        a = int(sched_sec.get(f"seed_a{suffix}", sched_sec.get("seed_a", "1")))
-        b = int(sched_sec.get(f"seed_b{suffix}", sched_sec.get("seed_b", "2")))
-        growth = sched_sec.get(f"growth{suffix}", sched_sec.get("growth", "3"))
-        rules.append(AxisRule.make(a, b, growth.split()))
+        # an axis without its own suffixed field reads the unsuffixed one
+        name = {k: k + suffix if k + suffix in sched_sec else k for k in ("seed_a", "seed_b", "growth")}
+        a = _int(sched_sec, name["seed_a"], 1)
+        b = _int(sched_sec, name["seed_b"], 2)
+        growth_keys.append(name["growth"])
+        growth = [_fraction(g, name["growth"]) for g in sched_sec.get(name["growth"], "3").split()]
+        try:
+            rules.append(AxisRule.make(a, b, growth))
+        except ScheduleError as exc:
+            field = f"{name['seed_a']}/{name['seed_b']}" if growth else name["growth"]
+            raise CliError(f"field {field!r}: {exc}")
     schedule = TilingSchedule(group, tuple(rules), balance)
+    try:
+        # level len(growth) + 1 uses every multiplier; it costs one power per axis
+        schedule.ensure(max(len(r.growth) for r in rules) + 1)
+    except ScheduleError as exc:
+        raise CliError(f"field {'/'.join(dict.fromkeys(growth_keys))!r}: {exc}")
 
     deltas = []
     if parser.has_section("nets"):
         for n in range(1, depth + 1):
             key = f"delta{n}"
             if key in parser["nets"]:
-                deltas.append(_fraction(parser["nets"][key], key))
+                delta = _fraction(parser["nets"][key], key)
+                if not 0 < delta <= 1:
+                    raise CliError(f"field {key!r}: {delta} outside (0,1]")
+                deltas.append(delta)
     if not deltas:
         deltas.append(Fraction(1, 2))
     while len(deltas) < depth:
@@ -394,6 +434,16 @@ def cmd_mdim(args) -> int:
     return 0 if rep.gaps_monotone and rep.brackets_contain_target else CHECK_ERROR
 
 
+def _levels_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"levels are 1-based, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="meandim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -408,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen-tilings", help="generate and verify a tiling schedule")
     common(sp)
-    sp.add_argument("--levels", type=int, default=5)
+    sp.add_argument("--levels", type=_levels_arg, default=5)
     sp.add_argument("--imported", default=None, help="explicit tiling file to verify")
     sp.set_defaults(fn=cmd_gen_tilings)
 

@@ -12,6 +12,10 @@ centers q_n Z.  Extension rules enforce, by construction:
   grow without bound, so the levels exhaust the group;
 * the shape itself is a tile at every level (center 0).
 
+Past its prefix a growth rule repeats one multiplier m, so from the last
+prefix level p on, q_n = q_p * m^(n-p) and the ends a_n, b_n are geometric
+sums: any level costs one big-int power per axis, however deep.
+
 Z^2 schedules are axis products of Z schedules.
 """
 
@@ -56,7 +60,7 @@ class AxisRule:
 
 
 class TilingSchedule:
-    """Lazily extended hierarchy of grid tilings, one per level (1-based)."""
+    """Hierarchy of grid tilings, one per level (1-based), computed on demand."""
 
     def __init__(self, group: LatticeGroup, rules: Sequence[AxisRule], balance: str = "centered"):
         if len(rules) != group.rank:
@@ -66,66 +70,110 @@ class TilingSchedule:
         self.group = group
         self.rules = tuple(rules)
         self.balance = balance
-        self._a = [[r.seed_a] for r in rules]
-        self._b = [[r.seed_b] for r in rules]
+        # levels 1..len(growth) are built step by step, per axis as (a_n, b_n);
+        # deeper levels follow from the last of them in closed form
+        self._prefix_len = max(len(r.growth) for r in self.rules)
+        self._prefix = [[(r.seed_a, r.seed_b)] for r in self.rules]
+        self._top = 1  # deepest level asked for
+        self._levels = {}  # level -> (box, periods, volume), for the levels asked for
 
     def __repr__(self) -> str:
         return f"TilingSchedule({self.group}, levels={self.levels_built}, balance={self.balance})"
 
     @property
     def levels_built(self) -> int:
-        return len(self._a[0])
+        return self._top
 
-    def _left_blocks(self, m: int, level: int) -> int:
+    def _step(self, ax: int, lvl: int) -> tuple:
+        """(a, b) of level lvl + 1 on axis ax, from prefix level lvl; checks
+        the multiplier that step uses."""
+        a, b = self._prefix[ax][lvl - 1]
+        q = a + b + 1
+        m = self.rules[ax].multiplier(lvl)
+        # q * m is an integer multiple of q exactly when m is an integer
+        if m.denominator != 1:
+            try:
+                period = float(q * m)
+            except OverflowError:  # past 1e308 the exact fraction is shown
+                period = q * m
+            raise ScheduleError(
+                f"level {lvl + 1} axis {ax}: period {period} is not an integer multiple of {q}"
+            )
+        if m < 2:
+            raise ScheduleError(f"level {lvl + 1} axis {ax}: multiplier must be >= 2")
+        m = int(m)
+        # j of the m - 1 new blocks go left; centered even multipliers put
+        # the extra block left at odd levels and right at even ones
         if self.balance == "left":
-            return m - 1
-        if self.balance == "right":
-            return 0
-        # centered; for even multipliers alternate the heavier side per level
-        if m % 2 == 1:
-            return (m - 1) // 2
-        return m // 2 - 1 + (level % 2)
+            j = m - 1
+        elif self.balance == "right":
+            j = 0
+        else:
+            j = (m - 1) // 2 + (lvl % 2 if m % 2 == 0 else 0)
+        return a + j * q, b + (m - 1 - j) * q
 
     def ensure(self, n: int) -> None:
+        """Make level n available; each multiplier is checked at the first
+        level that uses it, so level len(growth) + 1 checks them all."""
         if n < 1:
             raise ScheduleError("levels are 1-based")
-        while self.levels_built < n:
-            lvl = self.levels_built  # extending from this level to lvl+1
-            for ax, rule in enumerate(self.rules):
-                a, b = self._a[ax][-1], self._b[ax][-1]
-                q = a + b + 1
-                m_frac = rule.multiplier(lvl)
-                next_q = q * m_frac
-                if next_q.denominator != 1 or int(next_q) % q != 0:
-                    raise ScheduleError(
-                        f"level {lvl + 1} axis {ax}: period {float(next_q)} "
-                        f"is not an integer multiple of {q}"
-                    )
-                m = int(m_frac)
-                if m < 2:
-                    raise ScheduleError(f"level {lvl + 1} axis {ax}: multiplier must be >= 2")
-                j = self._left_blocks(m, lvl)
-                self._a[ax].append(a + j * q)
-                self._b[ax].append(b + (m - 1 - j) * q)
+        if n <= self._top:
+            return
+        p = self._prefix_len
+        for lvl in range(self._top, min(n, p + 1)):
+            ends = [self._step(ax, lvl) for ax in range(self.group.rank)]
+            if lvl < p:  # the step to level p + 1 only checks the repeated multiplier
+                for ax, e in enumerate(ends):
+                    self._prefix[ax].append(e)
+            self._top = lvl + 1
+        self._top = n
+
+    def _ends(self, ax: int, n: int) -> tuple:
+        """(a_n, b_n) on axis ax; level n must be ensured."""
+        p = self._prefix_len
+        a, b = self._prefix[ax][min(n, p) - 1]
+        if n <= p:
+            return a, b
+        q = a + b + 1
+        m = int(self.rules[ax].growth[-1])
+        k = n - p
+        mk = m**k
+        g = q * (mk - 1) // (m - 1)  # q_p + q_{p+1} + ... + q_{n-1}
+        # the steps from level p on add the blocks _step would, each step's
+        # q_L = q_p * m^(L-p) summed as a geometric series
+        if self.balance == "left":
+            return a + (m - 1) * g, b
+        if self.balance == "right":
+            return a, b + (m - 1) * g
+        half = (m - 1) // 2 * g
+        if m % 2 == 1:
+            return a + half, b + half
+        # even m: one more block on the left at odd levels, on the right at
+        # even ones; the odd levels L = p + i have i = s, s + 2, ... < k, so
+        # the left gets q_p * (m^s + m^(s+2) + ...) = q_p * (m^t - m^s) / (m^2 - 1)
+        # with t the first exponent >= k of the same parity as s
+        s = (p + 1) % 2
+        m_t = mk * m if (k - s) % 2 else mk
+        left = q * (m_t - m**s) // (m * m - 1)
+        return a + half + left, b + half + g - left
+
+    def _level(self, n: int) -> tuple:
+        got = self._levels.get(n)
+        if got is None:
+            self.ensure(n)
+            ends = [self._ends(ax, n) for ax in range(self.group.rank)]
+            box = Box(tuple(-a for a, _ in ends), tuple(b for _, b in ends))
+            got = self._levels[n] = (box, tuple(a + b + 1 for a, b in ends), box.volume)
+        return got
 
     def level_box(self, n: int) -> Box:
-        self.ensure(n)
-        return Box(
-            tuple(-self._a[ax][n - 1] for ax in range(self.group.rank)),
-            tuple(self._b[ax][n - 1] for ax in range(self.group.rank)),
-        )
+        return self._level(n)[0]
 
     def periods(self, n: int) -> tuple:
-        self.ensure(n)
-        return tuple(
-            self._a[ax][n - 1] + self._b[ax][n - 1] + 1 for ax in range(self.group.rank)
-        )
+        return self._level(n)[1]
 
     def volume(self, n: int) -> int:
-        v = 1
-        for q in self.periods(n):
-            v *= q
-        return v
+        return self._level(n)[2]
 
     def materialize_level(self, n: int) -> GridTiling:
         box = self.level_box(n)
@@ -162,12 +210,9 @@ class TilingSchedule:
         return None
 
     def verify_nesting(self, N: int, max_level: int = MAX_SEARCH_LEVEL) -> CheckResult:
-        """Check the S_n chain and that g_1..g_N are covered by some level."""
-        self.ensure(min(max_level, 2))
-        chain_to = min(max_level, max(self.levels_built, 8))
-        for n in range(1, chain_to):
-            if not self.level_box(n + 1).contains_box(self.level_box(n)):
-                return CheckResult(False, f"level {n + 1} does not contain level {n}", [n])
+        """Check that g_1..g_N are covered by some level.  S_n is inside
+        S_{n+1} by construction: each step adds j*q_n to a_n and
+        (m-1-j)*q_n to b_n with 0 <= j <= m-1."""
         worst = 0
         it = self.group.spiral()
         for i in range(1, N + 1):
@@ -197,9 +242,16 @@ class TilingSchedule:
             lines.append(f"axis{ax}.seed_a = {rule.seed_a}")
             lines.append(f"axis{ax}.seed_b = {rule.seed_b}")
             lines.append(f"axis{ax}.growth = " + " ".join(str(g) for g in rule.growth))
-            lines.append(f"axis{ax}.a = " + " ".join(map(decimal_text, self._a[ax][:n])))
-            lines.append(f"axis{ax}.b = " + " ".join(map(decimal_text, self._b[ax][:n])))
+            a, b = self._arrays(ax, n)
+            lines.append(f"axis{ax}.a = " + " ".join(a))
+            lines.append(f"axis{ax}.b = " + " ".join(b))
         return "\n".join(lines) + "\n"
+
+    def _arrays(self, ax: int, n: int) -> tuple:
+        """a_1..a_n and b_1..b_n of axis ax as decimal text (level n ensured);
+        not memoized, a written schedule can be thousands of levels deep."""
+        ends = [self._ends(ax, k) for k in range(1, n + 1)]
+        return [decimal_text(a) for a, _ in ends], [decimal_text(b) for _, b in ends]
 
     @staticmethod
     def parse(text: str) -> "TilingSchedule":
@@ -227,12 +279,12 @@ class TilingSchedule:
         sched = TilingSchedule(group, rules, balance)
         sched.ensure(levels)
         for ax in range(group.rank):
-            for key, arr in (("a", sched._a[ax]), ("b", sched._b[ax])):
+            for key, arr in zip("ab", sched._arrays(ax, levels)):
                 stored = kv.get(f"axis{ax}.{key}")
                 if stored is not None:
                     # compared as text: int() refuses tokens past the int->str limit
                     got = stored.split()
-                    if got != [decimal_text(v) for v in arr[: len(got)]]:
+                    if got != arr[: len(got)]:
                         raise ScheduleError(f"stored axis{ax}.{key} array is inconsistent")
         return sched
 

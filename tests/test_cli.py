@@ -184,6 +184,40 @@ def test_out_file(config, tmp_path, capsys):
     assert len(target.read_text().split()) == 6
 
 
+CONFIG_ERRORS = [
+    ("dim = 1", "dim = abc", "'dim'"),
+    ("delta1 = 1/2", "delta1 = 0", "'delta1'"),
+    ("growth = 3", "growth = 5/2", "is not an integer multiple"),
+    ("growth = 3", "growth = 1", "multiplier must be >= 2"),
+    ("seed_a = 1", "seed_a = -1", "'seed_a/seed_b'"),
+    ("balance = centered", "balance = middle", "'balance'"),
+    ("growth = 3", "growth = 1" + "0" * 5000, "'growth'"),
+    ("seed_a = 1", "seed_a = 1" + "0" * 5000, "'seed_a'"),
+    ("growth = 3", "growth = 1" + "0" * 400 + "1/3", "is not an integer multiple of 4"),
+]
+
+
+@pytest.mark.parametrize(
+    "old,new,message", CONFIG_ERRORS, ids=[new[:16] for _, new, _ in CONFIG_ERRORS]
+)
+def test_config_errors_exit_2_without_traceback(tmp_path, capsys, old, new, message):
+    text = (Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg").read_text()
+    assert text.count(f"\n{old}\n") == 1
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+    code, out, err = run(capsys, "build", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: field '") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("levels", ["0", "-3"])
+def test_gen_tilings_levels_below_one_is_usage_error(config, capsys, levels):
+    code, out, err = run(capsys, "gen-tilings", "--config", config, "--levels", levels)
+    assert code == 2 and out == ""
+    assert "argument --levels: levels are 1-based" in err
+
+
 def test_checked_in_config_runs(capsys):
     cfg = Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg"
     code, out, _ = run(capsys, "build", "--config", str(cfg))

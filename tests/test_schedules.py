@@ -1,9 +1,13 @@
+import dataclasses
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from meandim import (
+    Construction,
     FiniteSubset,
     ScheduleError,
     TilingSchedule,
@@ -15,8 +19,47 @@ from meandim import (
     verify_partition,
     verify_primely_congruent,
 )
+from meandim.cli import load_config
 from meandim.groups import Box
-from meandim.schedules import BALANCES
+from meandim.schedules import BALANCES, AxisRule
+
+
+class RecurrenceSchedule(TilingSchedule):
+    """The step-by-step schedule the closed form replaced: every level up to
+    the deepest one asked for is appended, one multiplier at a time."""
+
+    def __init__(self, group, rules, balance="centered"):
+        super().__init__(group, rules, balance)
+        self._a = [[r.seed_a] for r in self.rules]
+        self._b = [[r.seed_b] for r in self.rules]
+
+    def _extend(self, n):
+        while len(self._a[0]) < n:
+            lvl = len(self._a[0])
+            for ax, rule in enumerate(self.rules):
+                a, b = self._a[ax][-1], self._b[ax][-1]
+                q = a + b + 1
+                m = int(rule.multiplier(lvl))
+                if self.balance == "left":
+                    j = m - 1
+                elif self.balance == "right":
+                    j = 0
+                elif m % 2 == 1:
+                    j = (m - 1) // 2
+                else:
+                    j = m // 2 - 1 + lvl % 2
+                self._a[ax].append(a + j * q)
+                self._b[ax].append(b + (m - 1 - j) * q)
+
+    def level_box(self, n):
+        self._extend(n)
+        rank = self.group.rank
+        return Box(tuple(-self._a[ax][n - 1] for ax in range(rank)),
+                   tuple(self._b[ax][n - 1] for ax in range(rank)))
+
+    def periods(self, n):
+        box = self.level_box(n)
+        return tuple(hi - lo + 1 for lo, hi in zip(box.lows, box.highs))
 
 
 def test_balanced_growth_values():
@@ -98,6 +141,57 @@ def test_consecutive_levels_primely_congruent(seed_a, seed_b, growth, balance, g
         assert res.ok and res.detail == "checked=2"
         checked += 1
     assert checked  # levels 1 -> 2 always fit
+
+
+@given(
+    seed_a=st.integers(0, 3),
+    seed_b=st.integers(0, 3),
+    growth=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+    balance=st.sampled_from(BALANCES),
+    group=st.sampled_from([Z, Z2]),
+    deep=st.integers(2900, 3100),
+)
+@example(seed_a=1, seed_b=1, growth=[2], balance="centered", group=Z2, deep=3001)
+@example(seed_a=0, seed_b=1, growth=[3, 4], balance="centered", group=Z, deep=3000)
+@settings(max_examples=60, deadline=None)
+def test_closed_form_levels_match_recurrence(seed_a, seed_b, growth, balance, group, deep):
+    assume(seed_a + seed_b >= 1)
+    s = generate_interval_schedule(seed_a, seed_b, growth, balance, group=group)
+    oracle = RecurrenceSchedule(group, s.rules, balance)
+    # deepest first: nothing the closed form computes may lean on shallower calls
+    for n in [deep, *range(1, 41)]:
+        assert s.level_box(n) == oracle.level_box(n)
+        assert s.periods(n) == oracle.periods(n)
+        assert s.level_box(n + 1).contains_box(s.level_box(n))
+    assert s.levels_built == deep + 1
+
+
+def test_closed_form_plan_matches_recurrence_plan():
+    # the Z^2 depth-2 plan reaches level 14,774 of the schedule
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "toy-z2.cfg"
+    params = load_config(str(path), SimpleNamespace(depth=2, mode=None, seed=None))
+    sched = params.schedule
+    oracle = RecurrenceSchedule(sched.group, sched.rules, sched.balance)
+    closed = Construction(params)
+    stepped = Construction(dataclasses.replace(params, schedule=oracle))
+    assert closed.plan_report() == stepped.plan_report()
+    assert closed.steps[2].host_level == 14_768 and closed.levels[3].sched_level == 14_774
+
+
+def test_deep_level_checks_multipliers_first():
+    # asking for a deep level first still fails at the first level that
+    # uses a bad multiplier, and leaves the schedule usable below it
+    s = generate_interval_schedule(1, 2, [3, Fraction(5, 2)])
+    with pytest.raises(ScheduleError, match="^level 3 axis 0: period 30.0 is not an integer multiple of 12$"):
+        s.level_box(5000)
+    assert s.levels_built == 2
+    assert s.level_box(2) == Box((-5,), (6,))
+    rules = (AxisRule.make(1, 1, 3), AxisRule.make(1, 1, [2, 1]))
+    s = TilingSchedule(Z2, rules)
+    with pytest.raises(ScheduleError, match="^level 3 axis 1: multiplier must be >= 2$"):
+        s.ensure(3)
+    with pytest.raises(ScheduleError, match="levels are 1-based"):
+        s.ensure(0)
 
 
 def test_invariance_profile_doubling():
