@@ -2,7 +2,7 @@
 
 Everything here is exact: densities and bound estimates are Fractions,
 window comparisons are symbol-by-symbol equality, and the free-coordinate
-sets are queried through the pointwise evaluator rather than materialized.
+sets are read from tile walks of the level words rather than materialized.
 
 The dimension bounds are certified window estimates along the
 construction's own Folner windows, not suprema over all Folner sequences.
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .construction import Construction, HASH, STAR
+from .construction import MATERIALIZE_GUARD, Construction, HASH, STAR
 from .errors import DepthError, SizeGuardError
 from .groups import Box, Element
 from .tilings import CheckResult
@@ -68,7 +68,15 @@ class FreeSet:
         h = self.cfg.group.mul(tuple(g), self.shift)
         if h not in self.cfg.levels[self.n + 1].box:
             return False
-        return self.cfg._word(self.n + 1, h) is STAR
+        return self.cfg.level_values(self.n + 1, Box(h, h))[0][0] is STAR
+
+    def members(self, box: Box) -> list:
+        """Membership of each cell of a box that pulls back into the
+        level-(n+1) tile, in ``Box.cells()`` order, from one tile walk."""
+        if self.n == 0:
+            return [False] * box.volume
+        moved = box.translate(self.shift)
+        return [v is STAR for v in self.cfg.level_values(self.n + 1, moved)[0]]
 
     @property
     def density(self) -> Fraction:
@@ -91,21 +99,25 @@ def free_set(cfg: Construction, n: int) -> FreeSet:
 
 
 def verify_free_nesting(cfg: Construction, n: int) -> CheckResult:
-    """Exact set inclusion J_{n-1} within J_n (exhaustive when enumerable)."""
+    """Exact set inclusion J_{n-1} within J_n (exhaustive when enumerable).
+
+    J_{n-1} lies in its follower box, so two walks of that box decide it:
+    V_n on the level-n tile and V_{n+1} on the level-n link tile of step n.
+    """
     if n < 1:
         raise ValueError("nesting starts at n = 1")
     smaller = FreeSet(cfg, n - 1)
     larger = FreeSet(cfg, n)
     if smaller.n == 0:
         return CheckResult(True, "J_0 is empty")
-    try:
-        elems = smaller.elements()
-    except SizeGuardError:
+    box = smaller.window_box
+    if box.volume > MATERIALIZE_GUARD:
         return CheckResult(None, f"J_{n-1} too large to enumerate")
-    missing = [g for g in elems if g not in larger]
+    inner, outer = smaller.members(box), larger.members(box)
+    missing = [g for g, a, b in zip(box.cells(), inner, outer) if a and not b]
     if missing:
         return CheckResult(False, f"J_{n-1} not within J_{n}", missing[:10])
-    return CheckResult(True, f"all {len(elems)} elements of J_{n-1} lie in J_{n}")
+    return CheckResult(True, f"all {sum(inner)} elements of J_{n-1} lie in J_{n}")
 
 
 def lower_bound_estimate(cfg: Construction, n: int) -> Fraction:
@@ -235,7 +247,8 @@ def minimality_check(
     base_box = cfg.levels[n].box
     if base_box.volume > 100_000:
         raise SizeGuardError("comparison window too large")
-    base = {g: cfg.eval_x(g) for g in base_box.cells()}
+    cells = list(base_box.cells())
+    base = [v for _, v in cfg.window(base_box, "x")]
     q = cfg.levels[n + 1].periods
     rng = random.Random(seed)
     shifts = [group.identity]
@@ -244,11 +257,10 @@ def minimality_check(
         shifts.append(tuple(kk * qq for kk, qq in zip(k, q)))
     mismatches = []
     for c in shifts:
-        for g, want in base.items():
-            got = cfg.eval_x(group.mul(g, c))
-            if got != want:
-                mismatches.append((c, g, want, got))
-                break
+        got = [v for _, v in cfg.window(base_box.translate(c), "x")]
+        if got != base:
+            i = next(i for i, (want, have) in enumerate(zip(base, got)) if want != have)
+            mismatches.append((c, cells[i], base[i], got[i]))
     witness = f"F = [0,q) box with q = {q}: g = q*floor(g/q) + r, 0 <= r < q"
     return MinimalityReport(n, len(shifts), not mismatches, True, witness, mismatches)
 

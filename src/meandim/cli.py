@@ -9,6 +9,7 @@ deterministic for a fixed config (sampling is seeded from it).
 from __future__ import annotations
 
 import argparse
+import collections
 import configparser
 import functools
 import itertools
@@ -291,8 +292,15 @@ def cmd_verify(args) -> int:
 def run_verification(cfg: Construction, seed: int = 0) -> list:
     """The invariant battery at the configured depth; list of (name, ok, note)."""
     out = []
+    lvl2 = cfg.levels[2]
     # level 2 is materialized at most once, for the checks that read it
     materialize = functools.cache(cfg.materialize)
+
+    @functools.cache
+    def literal_v2():
+        """The literal level-2 word in Box.cells() order."""
+        v11 = materialize().v11
+        return [v11[g] for g in lvl2.box.cells()]
 
     def check(name, fn):
         try:
@@ -313,42 +321,41 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
     check("density sandwich", sandwich)
 
     def no_star():
-        box = cfg.levels[min(2, cfg.params.depth + 1)].box
-        if box.volume > 50_000:
-            box = cfg.levels[1].box
-        bad = [g for g, v in cfg.window(box, "w") if v is STAR]
-        return (not bad), f"{box.volume} cells"
+        # depth d determines the whole level-d tile; the window raises a
+        # DepthError at its first star
+        box = cfg.levels[min(2, cfg.params.depth)].box
+        cfg.window(box, "w")
+        return True, f"{box.volume} cells"
 
     check("no star in the limit", no_star)
 
     def oracle():
-        if cfg.levels[2].volume > 200_000:
+        if lvl2.volume > 200_000:
             return True, "skipped (level-2 tile too large)"
-        words = materialize()
-        for g in words.window.cells():
-            if cfg._word(2, g) is not words.v11[g] and cfg._word(2, g) != words.v11[g]:
-                return False, f"mismatch at {g}"
-        if words.stable is not None:
-            for g in words.window.cells():
-                if cfg.eval_w(g) != words.stable[g]:
+        walked, _ = cfg.level_values(2, lvl2.box)
+        bad = _first_mismatch(lvl2.box.cells(), walked, literal_v2())
+        if bad is not None:
+            return False, f"mismatch at {bad}"
+        stable = materialize().stable
+        if stable is not None:
+            for g, v in cfg.window(lvl2.box, "w"):
+                if v != stable[g]:
                     return False, f"stabilized mismatch at {g}"
-        return True, f"{words.window.volume} cells"
+        return True, f"{lvl2.volume} cells"
 
     check("evaluator equals literal materialization", oracle)
 
     def linking():
         if cfg.params.depth < 2:
             return True, "needs depth >= 2, skipped"
-        h = cfg.steps[2].link_center
-        box = cfg.levels[2].box
-        if box.volume > 50_000:
-            return True, "skipped (window too large)"
-        for pos in box.cells():
-            lhs = cfg._word(3, cfg.group.mul(pos, h))
-            rhs = cfg._word(2, pos)
-            if lhs is not rhs and lhs != rhs:
-                return False, f"mismatch at {pos}"
-        return True, f"{box.volume} cells"
+        if lvl2.volume > 200_000:
+            return True, "skipped (level-2 tile too large)"
+        # V_3 on the link tile against the literal V_2
+        walked, _ = cfg.level_values(3, lvl2.box.translate(cfg.steps[2].link_center))
+        bad = _first_mismatch(lvl2.box.cells(), walked, literal_v2())
+        if bad is not None:
+            return False, f"mismatch at {bad}"
+        return True, f"{lvl2.volume} cells"
 
     check("level words reappear at the link tile", linking)
 
@@ -359,33 +366,40 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
     check("free set nesting", nesting)
 
     def tile_floors():
-        if cfg.levels[2].volume > 200_000:
+        if lvl2.volume > 200_000:
             return True, "skipped (level-2 tile too large)"
-        words = materialize()
         st, lvl1 = cfg.steps[1], cfg.levels[1]
-        group, rho = cfg.group, cfg.rho
         q = lvl1.periods
+        # one pass over the literal word counts the stars of each level-1
+        # tile; the tile index of a cell is (x - low) // q on every axis
+        tile_of = itertools.product(*[
+            [(x - lo) // qq for x in range(blo, bhi + 1)]
+            for lo, qq, blo, bhi in zip(lvl1.box.lows, q, lvl2.box.lows, lvl2.box.highs)
+        ])
+        stars = collections.Counter(
+            itertools.compress(tile_of, [v is STAR for v in literal_v2()])
+        )
+        # stars / |S_1| > rho - 1/|S_1|, in integers
+        den, need = cfg.rho.denominator, cfg.rho.numerator * lvl1.volume - cfg.rho.denominator
         for j in itertools.product(
             *[range(lo, hi + 1) for lo, hi in zip(st.tile_lo, st.tile_hi)]
         ):
             if all(cl <= x <= ch for x, cl, ch in zip(j, st.cand_lo, st.cand_hi)):
                 continue
-            c = tuple(jj * qq for jj, qq in zip(j, q))
-            stars = sum(1 for s in lvl1.box.cells() if words.v11[group.mul(s, c)] is STAR)
-            if not Fraction(stars, lvl1.volume) > rho - Fraction(1, lvl1.volume):
+            if not stars[j] * den > need:
+                c = tuple(jj * qq for jj, qq in zip(j, q))
                 return False, f"tile at {c} thinned below its floor"
         return True, "every thinned tile stays above its floor"
 
     check("per-tile density floors", tile_floors)
 
     def top_descent():
+        # the walk down from the top level against the pointwise evaluator
         box = cfg.levels[1].box
-        top = cfg.params.depth + 1
-        for g in box.cells():
-            via_top = cfg._word(top, g)
-            direct = cfg.eval_w(g)
-            if via_top is not direct and via_top != direct:
-                return False, f"mismatch at {g}"
+        via_top, _ = cfg.level_values(cfg.params.depth + 1, box)
+        bad = _first_mismatch(box.cells(), via_top, [cfg.eval_w(g) for g in box.cells()])
+        if bad is not None:
+            return False, f"mismatch at {bad}"
         return True, f"{box.volume} cells"
 
     check("top-level descent agrees with stabilized values", top_descent)
@@ -417,6 +431,13 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
     check("minimality diagnostic (level 1)", minimal)
 
     return out
+
+
+def _first_mismatch(cells, got: list, want: list):
+    """The first cell whose values differ between two aligned lists, or None."""
+    if got == want:
+        return None
+    return next(g for g, a, b in zip(cells, got, want) if a != b)
 
 
 def cmd_mdim(args) -> int:

@@ -265,6 +265,12 @@ def _stitch(widths: list, parts: list) -> list:
     return out
 
 
+def _fraction_text(x: Fraction) -> str:
+    """str(x), for numerators and denominators past the int->str digit limit."""
+    text = decimal_text(x.numerator)
+    return text if x.denominator == 1 else f"{text}/{decimal_text(x.denominator)}"
+
+
 def _exact_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if r:
@@ -275,9 +281,9 @@ def _exact_div(a: int, b: int) -> int:
 class Construction:
     """A fully planned construction with a lazy pointwise evaluator.
 
-    Plans are immutable after construction and evaluation is pure, so
-    instances are safe to share across threads: the memo caches only ever
-    receive the same value for the same key.
+    Plans are immutable after construction and evaluation keeps no state,
+    so instances are safe to share across threads and hold no memory that
+    grows with what they have evaluated.
     """
 
     def __init__(self, params: BuildParams):
@@ -287,8 +293,6 @@ class Construction:
         self.rho = params.rho
         self.levels: dict = {}
         self.steps: dict = {}
-        self._word_memo: dict = {}
-        self._rank_memo: dict = {}
         self._plan()
 
     # -- planning ----------------------------------------------------------
@@ -395,8 +399,9 @@ class Construction:
         host_ceiling = rho * host_box.volume + 1
         if rho * fine.volume == (rho.numerator * fine.volume) // rho.denominator and surplus > host_ceiling:
             raise CapacityError(
-                f"step {n + 1}: the {n_cand - code} uncoded host tiles hold "
-                f"{surplus} stars, over the sandwich ceiling {host_ceiling}; "
+                f"step {n + 1}: the {decimal_text(n_cand - code)} uncoded host tiles hold "
+                f"{decimal_text(surplus)} stars, over the sandwich ceiling "
+                f"{_fraction_text(host_ceiling)}; "
                 "the schedule jumps too coarsely past the code block"
             )
         m = host + 1
@@ -539,26 +544,20 @@ class Construction:
     def _word(self, n: int, pos: Element):
         if n == 1:
             return STAR if pos in self._seed_set else HASH
-        key = (n, pos)
-        cached = self._word_memo.get(key)
-        if cached is not None:
-            return cached
         step = self.steps[n - 1]
         if pos in step.host_box:
-            val = self._coded(n - 1, pos)
-        else:
-            c = self._grid_center(n - 1, pos)
-            rel = tuple(x - y for x, y in zip(pos, c))
-            val = self._word(n - 1, rel)
-            if val is STAR:
-                j = self._jvec(n - 1, c)
-                rank = _count_lex_below(j, step.tile_lo, step.tile_hi) - _count_lex_below(
-                    j, step.cand_lo, step.cand_hi
-                )
-                shed = self._shed_of(step, rank)
-                if shed and self._stars_below(n - 1, rel) < shed:
-                    val = HASH
-        self._word_memo[key] = val
+            return self._coded(n - 1, pos)
+        c = self._grid_center(n - 1, pos)
+        rel = tuple(x - y for x, y in zip(pos, c))
+        val = self._word(n - 1, rel)
+        if val is STAR:
+            j = self._jvec(n - 1, c)
+            rank = _count_lex_below(j, step.tile_lo, step.tile_hi) - _count_lex_below(
+                j, step.cand_lo, step.cand_hi
+            )
+            shed = self._shed_of(step, rank)
+            if shed and self._stars_below(n - 1, rel) < shed:
+                return HASH
         return val
 
     def coded_word(self, n: int, g: Element):
@@ -595,10 +594,6 @@ class Construction:
         """
         if n == 1:
             return bisect_left(self.seed_stars, pos)
-        key = (n, pos)
-        cached = self._rank_memo.get(key)
-        if cached is not None:
-            return cached
         step = self.steps[n - 1]
         fine = self.levels[n - 1]
         c = self._grid_center(n - 1, pos)
@@ -615,7 +610,6 @@ class Construction:
             shed = self._shed_of(step, lb_thin)
             within = self._stars_below(n - 1, rel) - shed
             total += within if within > 0 else 0
-        self._rank_memo[key] = total
         return total
 
     # -- public evaluation ---------------------------------------------------
@@ -689,14 +683,25 @@ class Construction:
             out = [(g, base if v is HASH else v) for g, v in out]
         return out
 
+    def level_values(self, n: int, box: Box, ranks: bool = False) -> tuple:
+        """V_n on a box inside the level-n tile, in ``Box.cells()`` order,
+        from one tile walk; with ``ranks`` also each cell's star rank (the
+        stars of V_n before it in canonical order), else None."""
+        if not 1 <= n <= self.params.depth + 1:
+            raise DepthError(f"level {n} not planned")
+        if not self.levels[n].box.contains_box(box):
+            raise ValueError(f"{box} outside the level-{n} tile")
+        box.cells()  # the cell guard
+        return _TileWalk(self).values(n, box.lows, box.highs, ranks)
+
     def star_positions(self, n: int) -> list:
-        """Stars of V_n in canonical rank order (materializes the tile)."""
-        lvl = self.levels[n]
-        if lvl.volume > MATERIALIZE_GUARD:
+        """Stars of V_n in canonical rank order (walks the whole tile)."""
+        box = self.levels[n].box
+        if box.volume > MATERIALIZE_GUARD:
             raise SizeGuardError(f"level-{n} tile too large to scan")
-        out = [pos for pos in lvl.box.cells() if self._word(n, pos) is STAR]
-        out.sort(key=lambda p: self._stars_below(n, p))
-        return out
+        values, ranks = self.level_values(n, box, ranks=True)
+        stars = sorted((r, g) for g, v, r in zip(box.cells(), values, ranks) if v is STAR)
+        return [g for _, g in stars]
 
     def link_shift(self, n: int) -> Element:
         """Product of the link centers of steps 1..n."""
@@ -756,11 +761,17 @@ class Construction:
             raise SizeGuardError(f"level-2 tile has {lvl2.volume} cells, over the bound")
         step1 = self.steps[1]
         group = self.group
-        w1 = {}
-        for g in lvl2.box.cells():
-            c = self._grid_center(1, g)
-            rel = tuple(x - y for x, y in zip(g, c))
-            w1[g] = STAR if rel in self._seed_set else HASH
+        tiles = [  # (j, center) of every level-1 tile of the level-2 tile
+            (j, tuple(jj * qq for jj, qq in zip(j, self.levels[1].periods)))
+            for j in itertools.product(
+                *[range(lo, hi + 1) for lo, hi in zip(step1.tile_lo, step1.tile_hi)]
+            )
+        ]
+        # W_1: the seed stars written into each of those tiles
+        w1 = dict.fromkeys(lvl2.box.cells(), HASH)
+        for _, c in tiles:
+            for a in self.seed_stars:
+                w1[group.mul(a, c)] = STAR
         coded = {g: w1[g] for g in step1.host_box.cells()}
         for k in range(step1.code_count):
             c = self._cand_at(step1, k)
@@ -772,14 +783,11 @@ class Construction:
         total = sum(1 for v in v11.values() if v is STAR)
         target = lvl2.stars
         floor1 = self.levels[1].stars - step1.thin_per_tile
-        for j in itertools.product(
-            *[range(lo, hi + 1) for lo, hi in zip(step1.tile_lo, step1.tile_hi)]
-        ):
+        for j, c in tiles:
             if total <= target:
                 break
             if all(cl <= x <= ch for x, cl, ch in zip(j, step1.cand_lo, step1.cand_hi)):
                 continue  # host zone is never thinned
-            c = tuple(jj * qq for jj, qq in zip(j, self.levels[1].periods))
             budget = self.levels[1].stars - floor1
             for a in self.seed_stars:
                 if total <= target or budget == 0:

@@ -13,6 +13,7 @@ All densities are exact ``Fraction`` values; no floating point.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterable, Iterator
@@ -68,7 +69,7 @@ class LatticeGroup:
         return tuple(coords)
 
     def mul(self, a: Element, b: Element) -> Element:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inv(self, a: Element) -> Element:
         return tuple(-x for x in a)

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from meandim import HASH, BuildParams, Construction, Polyhedron, generate_interval_schedule
+from meandim import HASH, STAR, BuildParams, Construction, Polyhedron, generate_interval_schedule
 from meandim.analysis import (
+    FreeSet,
     densities,
     free_set,
     lower_bound_estimate,
@@ -54,6 +55,41 @@ def test_free_set_nesting(toy_cfg):
     assert verify_free_nesting(toy_cfg, 1).ok  # J_0 empty
     res = verify_free_nesting(toy_cfg, 2)
     assert res.ok is True
+
+
+def test_free_set_members_match_pointwise(toy_cfg):
+    # the walked membership of a box against the pointwise level word
+    def pointwise(fs, box):
+        moved = (toy_cfg.group.mul(g, fs.shift) for g in box.cells())
+        return [toy_cfg._word(fs.n + 1, h) is STAR for h in moved]
+
+    for n in (1, 2):
+        fs = free_set(toy_cfg, n)
+        w = fs.window_box
+        for lo in (w.lows[0], w.lows[0] + 100, w.highs[0] - 60):
+            box = Box((lo,), (lo + 60,))
+            assert fs.members(box) == pointwise(fs, box), (n, box)
+        with pytest.raises(ValueError):
+            fs.members(Box((w.lows[0] - 1,), (w.lows[0] + 60,)))
+    J1 = free_set(toy_cfg, 1)
+    assert J1.members(J1.window_box) == pointwise(J1, J1.window_box)
+
+
+def test_free_set_nesting_names_a_missing_element(toy_cfg, monkeypatch):
+    # J_2 on the follower box of level 1 is exactly J_1; dropping its first
+    # element from J_2 must fail the check and name that element
+    real = FreeSet.members
+
+    def dropped(self, box):
+        out = list(real(self, box))
+        if self.n == 2:
+            out[out.index(True)] = False
+        return out
+
+    monkeypatch.setattr(FreeSet, "members", dropped)
+    res = verify_free_nesting(toy_cfg, 2)
+    assert res.ok is False and res.detail == "J_1 not within J_2"
+    assert res.violations == [min(free_set(toy_cfg, 1).elements())]
 
 
 def test_free_set_restrict(toy_cfg):
@@ -165,15 +201,13 @@ def test_minimality_mutation_detected_directly(toy_cfg, monkeypatch):
             return 7
 
     monkeypatch.setattr(analysis_mod.random, "Random", Rigged)
-    original = type(toy_cfg).eval_x
+    original = type(toy_cfg).window
     victim = (q * 7 + 1,)
 
-    def corrupted(self, g):
-        if tuple(g) == victim:
-            return (Fraction(9, 10),)
-        return original(self, g)
+    def corrupted(self, cells, kind="w"):
+        return [(g, (Fraction(9, 10),) if g == victim else v) for g, v in original(self, cells, kind)]
 
-    monkeypatch.setattr(type(toy_cfg), "eval_x", corrupted)
+    monkeypatch.setattr(type(toy_cfg), "window", corrupted)
     rep = minimality_check(toy_cfg, 1, sample_size=2, seed=0)
     assert not rep.recurrence_ok
     assert rep.mismatches and rep.mismatches[0][0] == (q * 7,)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 import random
@@ -304,3 +305,57 @@ def test_gen_tilings_prints_huge_schedule_arrays(tmp_path, capsys):
     assert len(decimal_text(box.highs[0])) > 4300
     with int_str_limit_lifted():
         assert repr(box) == f"Box([{box.lows[0]},{box.highs[0]}])"
+
+
+def test_verify_depth_1_on_checked_in_config(capsys):
+    # depth 1 determines the level-1 tile only; the star check walks that one
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg"
+    code, out, err = run(capsys, "verify", "--config", str(cfg), "--depth", "1")
+    assert code == 0 and err == ""
+    assert "PASS no star in the limit: 4 cells" in out.splitlines()
+    assert "FAIL" not in out
+
+
+def test_capacity_error_prints_huge_counts(tmp_path, capsys):
+    # a 10^5000 multiplier puts the host surplus and the sandwich ceiling past
+    # the int->str digit limit; the message prints them in full
+    text = (Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg").read_text()
+    path = tmp_path / "huge.cfg"
+    path.write_text(text.replace("\ngrowth = 3\n", "\ngrowth = 1e5000\n"))
+    code, out, err = run(capsys, "build", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: CapacityError: step 2: the ") and err.endswith("code block\n")
+    assert "Traceback" not in err
+    surplus = err.split(" tiles hold ")[1].split(" stars")[0]
+    ceiling = err.split("sandwich ceiling ")[1].split(";")[0]
+    with int_str_limit_lifted():
+        assert int(surplus) > int(ceiling) > 10**5000
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_planted_literal_mismatch_fails_oracle_and_linking(monkeypatch, depth):
+    from fractions import Fraction
+
+    from meandim import HASH, Construction, cli
+
+    cfg_path = Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg"
+    flags = argparse.Namespace(depth=depth, mode=None, seed=None)
+    cfg = Construction(cli.load_config(str(cfg_path), flags))
+    real = Construction.materialize
+    words = real(cfg)
+    victim = next(g for g in words.window.cells() if words.v11[g] is HASH and g[0] > 0)
+
+    def planted(self, *args, **kwargs):
+        out = real(self, *args, **kwargs)
+        out.v11[victim] = (Fraction(9, 10),)  # one cell that no net holds
+        return out
+
+    monkeypatch.setattr(Construction, "materialize", planted)
+    rows = {name: (ok, note) for name, ok, note in cli.run_verification(cfg, 7)}
+    failed = {name for name, (ok, _) in rows.items() if not ok}
+    want = {"evaluator equals literal materialization"}
+    if depth >= 2:
+        want.add("level words reappear at the link tile")
+    assert failed == want
+    for name in want:
+        assert rows[name][1] == f"mismatch at {victim}"

@@ -491,12 +491,20 @@ def test_batched_window_matches_pointwise_z2(z2_cfgs, data, depth):
     assert_batched_matches_pointwise(cfg, data.draw(windows_near_edges(cfg, 9)))
 
 
-def test_batched_window_leaves_memos_empty():
+def test_evaluation_keeps_no_state_on_the_construction():
+    # evaluator memory is bounded by the window: batched windows, pointwise
+    # cells and star ranking leave the construction as it was planned
     cfg = make_toy(depth=3, mode="capped", cap=4096)
+    planned = dict(vars(cfg))
+    sizes = {name: len(v) for name, v in planned.items() if hasattr(v, "__len__")}
     far = 10**80 // cfg.levels[4].periods[0] * cfg.levels[4].periods[0]
     for lo in (-3000, far - 3000):
-        assert len(cfg.window(Box((lo,), (lo + 6000,)))) == 6001
-    assert cfg._word_memo == {} and cfg._rank_memo == {}
+        box = Box((lo,), (lo + 6000,))
+        assert len(cfg.window(box)) == 6001
+        assert cfg.window(list(box.cells())[:300]) == cfg.window(Box((lo,), (lo + 299,)))
+    cfg.star_positions(2)
+    assert vars(cfg) == planned
+    assert {name: len(planned[name]) for name in sizes} == sizes
 
 
 def test_tile_walk_words_and_ranks_match_pointwise(toy_cfg, deep_capped_cfg, z2_cfgs):
@@ -529,3 +537,38 @@ def test_depth_error_names_huge_coordinates(toy_cfg):
             evaluate()
         with int_str_limit_lifted():
             assert str(info.value) == f"value at {g} is not determined at depth 2"
+
+
+def pointwise_star_order(cfg, n):
+    """The stars of V_n sorted by their pointwise rank, the walk's oracle."""
+    box = cfg.levels[n].box
+    stars = [g for g in box.cells() if cfg._word(n, g) is STAR]
+    return sorted(stars, key=lambda g: cfg._stars_below(n, g))
+
+
+@pytest.fixture(scope="module")
+def z2_star_orders(z2_cfgs):
+    """The pointwise order of the level-2 stars per depth (about 0.7 s each)."""
+    return {depth: pointwise_star_order(cfg, 2) for depth, cfg in z2_cfgs.items()}
+
+
+@given(
+    st.sampled_from(["Z", "Z capped", "Z2"]),
+    st.integers(0, 3),
+    st.integers(1, 3),
+    st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]),
+    st.integers(1, 2),
+)
+@settings(max_examples=30, deadline=None)
+def test_star_positions_follow_pointwise_rank_order(
+    z2_cfgs, z2_star_orders, case, seed_a, seed_b, rho, n
+):
+    if case == "Z2":
+        # the only small feasible Z^2 toy; depth n, level 2 (59,049 cells)
+        assert z2_cfgs[n].star_positions(2) == z2_star_orders[n]
+        return
+    flags = {"depth": 3, "mode": "capped", "cap": 4096} if case == "Z capped" else {}
+    cfg = make_toy(seed_a, seed_b, rho, **flags)
+    stars = cfg.star_positions(n)
+    assert len(stars) == cfg.levels[n].stars
+    assert stars == pointwise_star_order(cfg, n)
