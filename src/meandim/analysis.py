@@ -247,8 +247,7 @@ def minimality_check(
     base_box = cfg.levels[n].box
     if base_box.volume > 100_000:
         raise SizeGuardError("comparison window too large")
-    cells = list(base_box.cells())
-    base = [v for _, v in cfg.window(base_box, "x")]
+    base = cfg.window_values(base_box, "x")
     q = cfg.levels[n + 1].periods
     rng = random.Random(seed)
     shifts = [group.identity]
@@ -257,10 +256,13 @@ def minimality_check(
         shifts.append(tuple(kk * qq for kk, qq in zip(k, q)))
     mismatches = []
     for c in shifts:
-        got = [v for _, v in cfg.window(base_box.translate(c), "x")]
+        got = cfg.window_values(base_box.translate(c), "x")
         if got != base:
-            i = next(i for i, (want, have) in enumerate(zip(base, got)) if want != have)
-            mismatches.append((c, cells[i], base[i], got[i]))
+            i, g = next(
+                (i, g) for i, (g, want, have) in enumerate(zip(base_box.cells(), base, got))
+                if want != have
+            )
+            mismatches.append((c, g, base[i], got[i]))
     witness = f"F = [0,q) box with q = {q}: g = q*floor(g/q) + r, 0 <= r < q"
     return MinimalityReport(n, len(shifts), not mismatches, True, witness, mismatches)
 

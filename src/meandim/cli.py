@@ -18,11 +18,11 @@ import sys
 from fractions import Fraction
 
 from . import analysis
-from .construction import STAR, BuildParams, Construction, render_value
+from .construction import HASH, STAR, BuildParams, Construction, render_value
 from .cube import Polyhedron, make_net
-from .errors import MeandimError, ScheduleError
+from .errors import DepthError, MeandimError, ScheduleError
 # DECIMAL_CHUNK and decimal_text stay importable from cli, where they began
-from .groups import DECIMAL_CHUNK, GROUPS, Box, decimal_text  # noqa: F401
+from .groups import DECIMAL_CHUNK, GROUPS, Box, decimal_text, fraction_text  # noqa: F401
 from .schedules import BALANCES, MAX_SEARCH_LEVEL, AxisRule, TilingSchedule
 from .tilings import read_tiling, verify_partition
 
@@ -77,7 +77,7 @@ def load_config(path: str, overrides) -> BuildParams:
         raise CliError(f"field 'group': unknown group {exp.get('group')!r}")
     rho = _fraction(exp.get("rho", ""), "rho")
     if not 0 < rho < 1:
-        raise CliError(f"field 'rho': {rho} outside (0,1)")
+        raise CliError(f"field 'rho': {fraction_text(rho)} outside (0,1)")
     dim = _int(exp, "dim", 1)
     if dim < 1:
         raise CliError(f"field 'dim': {dim} is below 1")
@@ -119,7 +119,7 @@ def load_config(path: str, overrides) -> BuildParams:
             if key in parser["nets"]:
                 delta = _fraction(parser["nets"][key], key)
                 if not 0 < delta <= 1:
-                    raise CliError(f"field {key!r}: {delta} outside (0,1]")
+                    raise CliError(f"field {key!r}: {fraction_text(delta)} outside (0,1]")
                 deltas.append(delta)
     if not deltas:
         deltas.append(Fraction(1, 2))
@@ -270,12 +270,26 @@ def cmd_window(args) -> int:
     params = load_config(args.config, args)
     cfg = Construction(params)
     box = parse_window(args.window, cfg.group)
-    # cells come in Box.cells() order, so each run of `width` cells is one
+    # the walk's values, a STAR at each cell the depth leaves undetermined
+    values = cfg._walk_box(box)
+    # render each distinct value object once: every value stays alive in the
+    # list, so no id repeats (hashing the Fraction tuples would cost about as
+    # much as rendering them)
+    ids = list(map(id, values))
+    shown = {key: render_value(v) for key, v in dict(zip(ids, values)).items()}
+    undetermined = id(STAR) in shown
+    shown[id(STAR)] = "?"
+    if args.what == "x":
+        shown[id(HASH)] = render_value(cfg.params.cube.basepoint)
+    # values come in Box.cells() order, so each run of `width` of them is one
     # printed row (the whole window on Z, one first coordinate on Z^2)
-    texts = [render_value(v) for _, v in cfg.window(box, args.what)]
+    texts = list(map(shown.__getitem__, ids))
     width = box.highs[-1] - box.lows[-1] + 1
     lines = [" ".join(texts[i:i + width]) for i in range(0, len(texts), width)]
     emit("\n".join(lines) + "\n", args.out)
+    if undetermined:
+        first = cfg._undetermined_in(box, values)
+        raise DepthError(f"{first} ({ids.count(id(STAR))} of {len(ids)} cells shown as ?)")
     return 0
 
 
@@ -324,7 +338,7 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
         # depth d determines the whole level-d tile; the window raises a
         # DepthError at its first star
         box = cfg.levels[min(2, cfg.params.depth)].box
-        cfg.window(box, "w")
+        cfg.window_values(box, "w")
         return True, f"{box.volume} cells"
 
     check("no star in the limit", no_star)
@@ -338,9 +352,10 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
             return False, f"mismatch at {bad}"
         stable = materialize().stable
         if stable is not None:
-            for g, v in cfg.window(lvl2.box, "w"):
-                if v != stable[g]:
-                    return False, f"stabilized mismatch at {g}"
+            want = [stable[g] for g in lvl2.box.cells()]
+            bad = _first_mismatch(lvl2.box.cells(), cfg.window_values(lvl2.box, "w"), want)
+            if bad is not None:
+                return False, f"stabilized mismatch at {bad}"
         return True, f"{lvl2.volume} cells"
 
     check("evaluator equals literal materialization", oracle)

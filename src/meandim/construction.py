@@ -45,7 +45,7 @@ from .errors import (
     ScheduleError,
     SizeGuardError,
 )
-from .groups import Box, Element, decimal_text
+from .groups import Box, Element, decimal_text, fraction_text
 from .schedules import TilingSchedule
 
 # Refuse exact code counts beyond roughly this many bits.
@@ -265,12 +265,6 @@ def _stitch(widths: list, parts: list) -> list:
     return out
 
 
-def _fraction_text(x: Fraction) -> str:
-    """str(x), for numerators and denominators past the int->str digit limit."""
-    text = decimal_text(x.numerator)
-    return text if x.denominator == 1 else f"{text}/{decimal_text(x.denominator)}"
-
-
 def _exact_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if r:
@@ -401,7 +395,7 @@ class Construction:
             raise CapacityError(
                 f"step {n + 1}: the {decimal_text(n_cand - code)} uncoded host tiles hold "
                 f"{decimal_text(surplus)} stars, over the sandwich ceiling "
-                f"{_fraction_text(host_ceiling)}; "
+                f"{fraction_text(host_ceiling)}; "
                 "the schedule jumps too coarsely past the code block"
             )
         m = host + 1
@@ -655,33 +649,47 @@ class Construction:
         """Evaluate over a window; returns [(g, value)] in iteration order.
 
         ``kind`` "w" gives ``eval_w`` values, anything else ``eval_x``
-        values.  A ``Box`` is evaluated tile by tile (``_TileWalk``) in
+        values.  A ``Box`` is evaluated tile by tile (``window_values``) in
         ``Box.cells()`` order; any other iterable cell by cell.  Both raise
         the same ``DepthError`` for the first undetermined cell.
         """
         if isinstance(cells, Box):
-            return self._window_box(cells, kind)
+            return list(zip(cells.cells(), self.window_values(cells, kind)))
         fn = self.eval_w if kind == "w" else self.eval_x
         return [(tuple(g), fn(g)) for g in cells]
 
-    def _window_box(self, box: Box, kind: str) -> list:
-        # eval_w(g) is the top level word at g's offset in its top-level
-        # tile: inside the level-n tile (n <= depth) both descend to the
-        # coded word of step n through code tile 0 at every level above.
+    def window_values(self, box: Box, kind: str = "w") -> list:
+        """The values of ``window(box, kind)`` alone, in ``Box.cells()``
+        order, from one tile walk; no cell tuples are built.  Raises the
+        same ``DepthError`` for the first undetermined cell."""
+        values = self._walk_box(box)
+        if STAR in values:
+            raise self._undetermined_in(box, values)
+        if kind != "w":
+            base = self.params.cube.basepoint
+            values = [base if v is HASH else v for v in values]
+        return values
+
+    def _walk_box(self, box: Box) -> list:
+        """V_top on a box in ``Box.cells()`` order, with a STAR at every cell
+        the planned depth leaves undetermined.
+
+        eval_w(g) is the top level word at g's offset in its top-level tile:
+        inside the level-n tile (n <= depth) both descend to the coded word
+        of step n through code tile 0 at every level above.
+        """
         if box.rank != self.group.rank:
             raise ValueError("element rank mismatch")
-        cells = box.cells()  # the pointwise path's size guard
+        box.cells()  # the pointwise path's size guard
         top = self.params.depth + 1
         walk = _TileWalk(self)
         pieces, widths = _split(self.levels[top], box.lows, box.highs)
-        values = _stitch(widths, [walk.values(top, lo, hi, False)[0] for _, lo, hi in pieces])
-        out = list(zip(cells, values))
-        if STAR in values:
-            raise self._undetermined(out[values.index(STAR)][0])
-        if kind != "w":
-            base = self.params.cube.basepoint
-            out = [(g, base if v is HASH else v) for g, v in out]
-        return out
+        return _stitch(widths, [walk.values(top, lo, hi, False)[0] for _, lo, hi in pieces])
+
+    def _undetermined_in(self, box: Box, values: list) -> DepthError:
+        """The DepthError for the first STAR of ``_walk_box(box)``; its cell
+        comes from its index, so no cell is built before the error."""
+        return self._undetermined(_lex_at(values.index(STAR), box.lows, box.highs))
 
     def level_values(self, n: int, box: Box, ranks: bool = False) -> tuple:
         """V_n on a box inside the level-n tile, in ``Box.cells()`` order,
@@ -864,14 +872,24 @@ class _TileWalk:
     ``Construction._stars_below`` counts them.  Each level-(n-1) tile that
     meets the box is resolved once (host or thinning zone, code index, shed
     count, rank offset) and its cells come from the level below.  Whole
-    tiles of a level all carry the same word, so pieces repeat; the memo
-    that shares them belongs to the walk, never to the construction, and
-    holds only pieces of one window.
+    tiles of a level all carry the same word, so pieces repeat; the memos
+    that share them and the net points belong to the walk, never to the
+    construction, and hold only what one window uses.
     """
 
     def __init__(self, cfg: Construction):
         self.cfg = cfg
         self.memo: dict = {}
+        self.points: dict = {}  # (step, digit) -> net point
+
+    def _point(self, step: StepPlan, d: int) -> tuple:
+        """Net point d of a step's net, one object per walk: equal values of
+        a window are then one object, which ``meandim window`` renders once."""
+        key = (step.n, d)
+        point = self.points.get(key)
+        if point is None:
+            point = self.points[key] = step.net.point_at(d)
+        return point
 
     def values(self, n: int, lows: tuple, highs: tuple, ranks: bool) -> tuple:
         key = (n, lows, highs)
@@ -919,11 +937,13 @@ class _TileWalk:
             points = []  # net points of the code index's base-radix digits, lowest first
             while code:
                 code, d = divmod(code, step.radix)
-                points.append(step.net.point_at(d))
-            zero = step.net.point_at(0)
-            last = fine.stars - 1  # a star of rank p takes the digit of radix**(last - p)
+                points.append(self._point(step, d))
+            zero = self._point(step, 0)
+            # a star of rank p takes the digit of radix**(last - p); the ranks
+            # below `lead` fall past the top digit and take zero
+            last, lead = fine.stars - 1, fine.stars - len(points)
             vals = [
-                (points[last - p] if last - p < len(points) else zero) if v is STAR else v
+                (points[last - p] if p >= lead else zero) if v is STAR else v
                 for v, p in zip(vals, sub)
             ]
         elif shed:

@@ -48,6 +48,13 @@ def decimal_text(n: int) -> str:
     return sign + "".join(reversed(parts))
 
 
+def fraction_text(x) -> str:
+    """str(x) of a Fraction, for numerators and denominators past the
+    int->str digit limit."""
+    text = decimal_text(x.numerator)
+    return text if x.denominator == 1 else f"{text}/{decimal_text(x.denominator)}"
+
+
 class LatticeGroup:
     """The group Z^rank under coordinatewise addition."""
 

@@ -201,13 +201,14 @@ def test_minimality_mutation_detected_directly(toy_cfg, monkeypatch):
             return 7
 
     monkeypatch.setattr(analysis_mod.random, "Random", Rigged)
-    original = type(toy_cfg).window
+    original = type(toy_cfg).window_values
     victim = (q * 7 + 1,)
 
-    def corrupted(self, cells, kind="w"):
-        return [(g, (Fraction(9, 10),) if g == victim else v) for g, v in original(self, cells, kind)]
+    def corrupted(self, box, kind="w"):
+        values = original(self, box, kind)
+        return [(Fraction(9, 10),) if g == victim else v for g, v in zip(box.cells(), values)]
 
-    monkeypatch.setattr(type(toy_cfg), "window", corrupted)
+    monkeypatch.setattr(type(toy_cfg), "window_values", corrupted)
     rep = minimality_check(toy_cfg, 1, sample_size=2, seed=0)
     assert not rep.recurrence_ok
     assert rep.mismatches and rep.mismatches[0][0] == (q * 7,)

@@ -1,15 +1,22 @@
 import argparse
 import contextlib
+import hashlib
+import io
 import json
 import random
+import re
 import sys
+import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from meandim.cli import DECIMAL_CHUNK, decimal_text, main, parse_mode, parse_window
-from meandim.groups import Z, Z2
+from meandim.cli import DECIMAL_CHUNK, decimal_text, load_config, main, parse_mode, parse_window
+from meandim.construction import Construction, render_value
+from meandim.errors import DepthError
+from meandim.groups import Box, Z, Z2
 
 TOY = """\
 [experiment]
@@ -227,9 +234,59 @@ def test_checked_in_config_runs(capsys):
 
 
 def test_window_undetermined_cell_exit_and_message(config, capsys):
+    # a partially determined window prints every cell, '?' where the depth
+    # leaves the value open, and still exits 1 naming the first such cell
     code, out, err = run(capsys, "window", "--config", config, "--window", "[-200,200]")
-    assert code == 1 and out == ""
-    assert err == "error: DepthError: value at (-200,) is not determined at depth 2\n"
+    assert code == 1
+    texts = out.split()
+    assert len(texts) == 401 and out.count("\n") == 1
+    cfg = Construction(load_config(config, argparse.Namespace(depth=None, mode=None, seed=None)))
+    for g, text in zip(range(-200, 201), texts):
+        try:
+            want = render_value(cfg.eval_w((g,)))
+        except DepthError:
+            want = "?"
+        assert text == want, g
+    unknown = texts.count("?")
+    assert 0 < unknown < 401 and texts[0] == "?"
+    assert err == (
+        "error: DepthError: value at (-200,) is not determined at depth 2 "
+        f"({unknown} of 401 cells shown as ?)\n"
+    )
+    with pytest.raises(DepthError, match=r"^value at \(-200,\) is not determined at depth 2$"):
+        cfg.window_values(Box((-200,), (200,)))
+
+
+# sha256 of stdout and the exit code of `window` runs, recorded at commit
+# fda1859, before windows were printed from value lists; the eval-deep-z
+# pair is the benchmark's seed-1 window near 0 and its shift past 10**80
+FAR_WINDOW = (
+    "[100000000000000000000000000000000000000000000000000001075506492646844534185916595,"
+    "100000000000000000000000000000000000000000000000000001075506492646844534185956595]"
+)
+GOLDEN_WINDOWS = [
+    ("eval-deep-z-near", "configs/toy-z.cfg",
+     ("--depth", "3", "--mode", "capped:4096", "--window", "[-20621,19379]"),
+     "d7518d2bff7b2d89ae44a1c441cef26679c5750b3714439c4cd2b4c8bf6003af"),
+    ("eval-deep-z-far", "configs/toy-z.cfg",
+     ("--depth", "3", "--mode", "capped:4096", "--window", FAR_WINDOW),
+     "d7518d2bff7b2d89ae44a1c441cef26679c5750b3714439c4cd2b4c8bf6003af"),
+    ("z2-depth2", "perfbench/toy-z2.cfg",
+     ("--depth", "2", "--window", "[-40,40]x[-40,40]"),
+     "5b6eb74dda1d5adc81e2874a8e854a2883d2ecc72d896ff147d3710d2e4ded65"),
+    ("toy-z-x", "configs/toy-z.cfg",
+     ("--window", "[-12,12]", "--what", "x"),
+     "c8c5e8c77bc0e0f59dc172e0ad47d4e17f29700af78386e22c68df7c9ee9c6b8"),
+]
+
+
+@pytest.mark.parametrize("config_path,flags,digest", [g[1:] for g in GOLDEN_WINDOWS],
+                         ids=[g[0] for g in GOLDEN_WINDOWS])
+def test_window_output_is_byte_identical_to_golden(capsys, config_path, flags, digest):
+    path = Path(__file__).resolve().parents[1] / config_path
+    code, out, err = run(capsys, "window", "--config", str(path), *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @contextlib.contextmanager
@@ -359,3 +416,73 @@ def test_planted_literal_mismatch_fails_oracle_and_linking(monkeypatch, depth):
     assert failed == want
     for name in want:
         assert rows[name][1] == f"mismatch at {victim}"
+
+
+def test_planted_stable_mismatch_fails_the_oracle(monkeypatch):
+    from fractions import Fraction
+
+    from meandim import HASH, cli
+
+    cfg_path = Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg"
+    cfg = Construction(cli.load_config(str(cfg_path), argparse.Namespace(depth=2, mode=None, seed=None)))
+    real = Construction.materialize
+    words = real(cfg)
+    victim = next(g for g in words.window.cells() if words.stable[g] is HASH and g[0] > 0)
+
+    def planted(self, *args, **kwargs):
+        out = real(self, *args, **kwargs)
+        out.stable[victim] = (Fraction(9, 10),)
+        return out
+
+    monkeypatch.setattr(Construction, "materialize", planted)
+    rows = {name: (ok, note) for name, ok, note in cli.run_verification(cfg, 7)}
+    assert rows["evaluator equals literal materialization"] == (False, f"stabilized mismatch at {victim}")
+
+
+# -- mutated configs: exit codes hold and output is deterministic -------------
+
+MUTATION_BASES = [
+    (Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg", "[-3,3]"),
+    (Path(__file__).resolve().parents[1] / "perfbench" / "toy-z2.cfg", "[-3,3]x[-3,3]"),
+]
+# (config, window, line number) of every field line of the base configs
+MUTATION_FIELDS = [
+    (path, window, i)
+    for path, window in MUTATION_BASES
+    for i, line in enumerate(path.read_text().splitlines())
+    if re.match(r"\w+\s*=", line)
+]
+MUTATION_TOKENS = ["", "0", "-1", "1/0", "abc", "1e5000", "3 0", "1" * 5000, "capped:1"]
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def mutation_field(name):
+    return next(f for f in MUTATION_FIELDS if f[0].read_text().splitlines()[f[2]].startswith(name))
+
+
+# about 230 cases in all, 2 ms to 40 ms each; enough examples to try them all
+@given(st.sampled_from(MUTATION_FIELDS), st.sampled_from(MUTATION_TOKENS))
+@example(mutation_field("rho"), "1e5000")  # once a ValueError from str(Fraction)
+@example(mutation_field("growth"), "1e5000")  # once a CapacityError traceback
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+def test_mutated_config_exits_cleanly_and_deterministically(field, token):
+    # one field value of a checked-in config replaced by a hostile token; no
+    # token makes a depth past 2, so every run stays small
+    path, window, i = field
+    lines = path.read_text().splitlines()
+    lines[i] = f"{lines[i].split('=')[0].rstrip()} = {token}"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "mutated.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        for argv in (["build", "--config", str(cfg)],
+                     ["window", "--config", str(cfg), "--window", window]):
+            first = run_captured(argv)
+            assert first[0] in (0, 1, 2), (lines[i], argv[0], first)
+            assert "Traceback" not in first[2]
+            assert run_captured(argv) == first
