@@ -9,17 +9,17 @@ deterministic for a fixed config (sampling is seeded from it).
 from __future__ import annotations
 
 import argparse
-import collections
 import configparser
 import functools
 import itertools
 import json
+import operator
 import sys
 from fractions import Fraction
 
 from . import analysis
-from .construction import HASH, STAR, BuildParams, Construction, render_value
-from .cube import Polyhedron, make_net
+from .construction import HASH, MAX_NET_POINTS, STAR, BuildParams, Construction, render_value
+from .cube import Polyhedron, axis_points, make_net
 from .errors import DepthError, MeandimError, ScheduleError
 # DECIMAL_CHUNK and decimal_text stay importable from cli, where they began
 from .groups import DECIMAL_CHUNK, GROUPS, Box, decimal_text, fraction_text  # noqa: F401
@@ -123,15 +123,19 @@ def load_config(path: str, overrides) -> BuildParams:
                 deltas.append(delta)
     if not deltas:
         deltas.append(Fraction(1, 2))
-    while len(deltas) < depth:
-        deltas.append(deltas[-1] / 2)
-    nets = tuple(make_net(dim, d) for d in deltas[:depth])
+    nets = []
+    for n in range(1, depth + 1):
+        delta = deltas[n - 1] if n <= len(deltas) else delta / 2
+        # axis_points**dim > MAX_NET_POINTS, without the power of a huge dim
+        if axis_points(delta) ** min(dim, MAX_NET_POINTS.bit_length()) > MAX_NET_POINTS:
+            raise CliError(f"field 'delta{n}': {fraction_text(delta)} needs over {MAX_NET_POINTS} net points")
+        nets.append(make_net(dim, delta))
     try:
         params = BuildParams(
             schedule=schedule,
             rho=rho,
             cube=Polyhedron(dim),
-            nets=nets,
+            nets=tuple(nets),
             depth=depth,
             mode=mode,
             cap=cap,
@@ -312,9 +316,9 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
 
     @functools.cache
     def literal_v2():
-        """The literal level-2 word in Box.cells() order."""
-        v11 = materialize().v11
-        return [v11[g] for g in lvl2.box.cells()]
+        """The literal level-2 word in Box.cells() order, the order in which
+        ``materialize`` keys its dicts."""
+        return list(materialize().v11.values())
 
     def check(name, fn):
         try:
@@ -352,7 +356,7 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
             return False, f"mismatch at {bad}"
         stable = materialize().stable
         if stable is not None:
-            want = [stable[g] for g in lvl2.box.cells()]
+            want = list(stable.values())
             bad = _first_mismatch(lvl2.box.cells(), cfg.window_values(lvl2.box, "w"), want)
             if bad is not None:
                 return False, f"stabilized mismatch at {bad}"
@@ -384,26 +388,24 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
         if lvl2.volume > 200_000:
             return True, "skipped (level-2 tile too large)"
         st, lvl1 = cfg.steps[1], cfg.levels[1]
-        q = lvl1.periods
-        # one pass over the literal word counts the stars of each level-1
-        # tile; the tile index of a cell is (x - low) // q on every axis
-        tile_of = itertools.product(*[
+        q, across = lvl1.periods, st.tile_hi[-1] - st.tile_lo[-1] + 1
+        # stars per row of each level-1 tile (q[-1] cells) from a running count
+        # over the literal word, `across` tiles a row; then summed per tile
+        running = list(itertools.accumulate(map(operator.is_, literal_v2(), itertools.repeat(STAR)), initial=0))
+        per_row = list(map(operator.sub, running[q[-1]::q[-1]], running[::q[-1]]))
+        counts = {}  # leading tile index -> star count of each tile along the last axis
+        for r, lead in enumerate(itertools.product(*[  # the leading tile index of each row
             [(x - lo) // qq for x in range(blo, bhi + 1)]
-            for lo, qq, blo, bhi in zip(lvl1.box.lows, q, lvl2.box.lows, lvl2.box.highs)
-        ])
-        stars = collections.Counter(
-            itertools.compress(tile_of, [v is STAR for v in literal_v2()])
-        )
-        # stars / |S_1| > rho - 1/|S_1|, in integers
-        den, need = cfg.rho.denominator, cfg.rho.numerator * lvl1.volume - cfg.rho.denominator
-        for j in itertools.product(
-            *[range(lo, hi + 1) for lo, hi in zip(st.tile_lo, st.tile_hi)]
-        ):
-            if all(cl <= x <= ch for x, cl, ch in zip(j, st.cand_lo, st.cand_hi)):
-                continue
-            if not stars[j] * den > need:
-                c = tuple(jj * qq for jj, qq in zip(j, q))
-                return False, f"tile at {c} thinned below its floor"
+            for lo, qq, blo, bhi in zip(lvl1.box.lows[:-1], q[:-1], lvl2.box.lows[:-1], lvl2.box.highs[:-1])
+        ])):
+            row = per_row[r * across:(r + 1) * across]
+            counts[lead] = list(map(operator.add, counts[lead], row)) if lead in counts else row
+        # stars / |S_1| > rho - 1/|S_1|, in integers: stars above this
+        floor = (cfg.rho.numerator * lvl1.volume - cfg.rho.denominator) // cfg.rho.denominator
+        for lead, row in counts.items():  # in lexicographic order
+            for j in (lead + (st.tile_lo[-1] + k,) for k, c in enumerate(row) if c <= floor):
+                if not all(cl <= x <= ch for x, cl, ch in zip(j, st.cand_lo, st.cand_hi)):
+                    return False, f"tile at {tuple(jj * qq for jj, qq in zip(j, q))} thinned below its floor"
         return True, "every thinned tile stays above its floor"
 
     check("per-tile density floors", tile_floors)
@@ -480,7 +482,10 @@ def _levels_arg(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; it names each
+    command, and ``main`` looks up its ``cmd_*`` function when it runs."""
     p = argparse.ArgumentParser(prog="meandim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -496,36 +501,31 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--levels", type=_levels_arg, default=5)
     sp.add_argument("--imported", default=None, help="explicit tiling file to verify")
-    sp.set_defaults(fn=cmd_gen_tilings)
 
     sp = sub.add_parser("build", help="plan a construction and report it")
     common(sp)
-    sp.set_defaults(fn=cmd_build)
 
     sp = sub.add_parser("window", help="dump the configuration on a window")
     common(sp)
     sp.add_argument("--window", required=True, help="[a,b] or [a,b]x[c,d]")
     sp.add_argument("--what", choices=("w", "x"), default="w")
-    sp.set_defaults(fn=cmd_window)
 
     sp = sub.add_parser("verify", help="run the invariant battery")
     common(sp)
-    sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("mdim", help="mean-dimension bound report")
     common(sp)
-    sp.set_defaults(fn=cmd_mdim)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code

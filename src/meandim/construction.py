@@ -32,6 +32,7 @@ has no stars anywhere it is defined.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +51,9 @@ from .schedules import TilingSchedule
 
 # Refuse exact code counts beyond roughly this many bits.
 MAX_CODE_BITS = 1_000_000
+# Refuse nets (code alphabets) of more points: make_net builds each axis point,
+# about 20 us apiece, before any plan check; delta = 1/10**9 would take hours.
+MAX_NET_POINTS = 2**16
 # Give up scanning schedule levels beyond this index.
 MAX_SCHED_LEVEL = 100_000
 # Materialization bound, in cells.
@@ -180,6 +184,8 @@ class StepPlan:
     thin_rem: int
     net: Net
     radix: int
+    tile_strides: tuple  # _strides of the two j-ranges, for the tile walk
+    cand_strides: tuple
 
 
 @dataclass
@@ -196,73 +202,43 @@ class MaterializedWords:
 # -- box-lattice counting helpers -------------------------------------------
 
 
+def _strides(lows: tuple, highs: tuple) -> tuple:
+    """Per axis, how far one step along it moves in the box's lexicographic
+    order."""
+    out = [1]
+    for lo, hi in zip(lows[:0:-1], highs[:0:-1]):
+        out.append(out[-1] * (hi - lo + 1))
+    return tuple(reversed(out))
+
+
+def _line(lead: tuple, lows: tuple, highs: tuple, strides: tuple) -> tuple:
+    """``_count_lex_below`` along one line of the box: below lead + (x,) lie
+    base + clamp(x - lows[-1]) tuples when ``live`` (lead is inside the box),
+    and base for every x otherwise."""
+    base = 0
+    for x, lo, hi, stride in zip(lead, lows, highs, strides):
+        if not lo <= x <= hi:
+            return base + (stride * (hi - lo + 1) if x > hi else 0), False
+        base += (x - lo) * stride
+    return base, True
+
+
 def _count_lex_below(j: tuple, lows: tuple, highs: tuple) -> int:
     """Number of integer tuples in the box that are lexicographically < j."""
-    rank = len(lows)
-    suffix = [1] * (rank + 1)
-    for i in range(rank - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * (highs[i] - lows[i] + 1)
-    total = 0
-    for i in range(rank):
-        cnt = j[i] - lows[i]
-        if cnt < 0:
-            cnt = 0
-        size = highs[i] - lows[i] + 1
-        if cnt > size:
-            cnt = size
-        total += cnt * suffix[i + 1]
-        if not lows[i] <= j[i] <= highs[i]:
-            break
-    return total
+    base, live = _line(j[:-1], lows, highs, _strides(lows, highs))
+    return base + min(max(j[-1] - lows[-1], 0), highs[-1] - lows[-1] + 1) if live else base
 
 
 def _lex_at(index: int, lows: tuple, highs: tuple) -> tuple:
     """Inverse of the lexicographic rank within a box."""
-    rank = len(lows)
-    suffix = [1] * (rank + 1)
-    for i in range(rank - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * (highs[i] - lows[i] + 1)
-    if not 0 <= index < suffix[0]:
+    strides = _strides(lows, highs)
+    if not 0 <= index < strides[0] * (highs[0] - lows[0] + 1):
         raise ValueError("lexicographic index out of range")
     out = []
-    for i in range(rank):
-        d, index = divmod(index, suffix[i + 1])
-        out.append(lows[i] + d)
+    for lo, stride in zip(lows, strides):
+        d, index = divmod(index, stride)
+        out.append(lo + d)
     return tuple(out)
-
-
-def _split(lvl: "LevelPlan", lows: tuple, highs: tuple):
-    """The tiles of a level meeting the box [lows, highs].
-
-    Returns (j, piece lows, piece highs) per tile, the piece in the tile's
-    own coordinates, in lexicographic tile order, and the piece widths along
-    the last axis.  One division per axis, however far out the box lies.
-    """
-    axes = []
-    for lo, hi, tlo, thi, q in zip(lows, highs, lvl.box.lows, lvl.box.highs, lvl.periods):
-        axes.append([
-            (j, max(lo - j * q, tlo), min(hi - j * q, thi))
-            for j in range((lo - tlo) // q, (hi - tlo) // q + 1)
-        ])
-    pieces = [tuple(zip(*combo)) for combo in itertools.product(*axes)]
-    return pieces, [hi - lo + 1 for _, lo, hi in axes[-1]]
-
-
-def _stitch(widths: list, parts: list) -> list:
-    """Row-major cells of a box from the row-major cells of its tile pieces.
-
-    Consecutive runs of len(widths) pieces share their rows, so each output
-    row is their rows side by side.
-    """
-    if len(parts) == 1:
-        return parts[0]
-    out = []
-    for first in range(0, len(parts), len(widths)):
-        group = parts[first:first + len(widths)]
-        for r in range(len(group[0]) // widths[0]):
-            for part, w in zip(group, widths):
-                out += part[r * w:(r + 1) * w]
-    return out
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -380,7 +356,7 @@ class Construction:
         # Next level: first level satisfying the anchor, star-mass and
         # thinning-capacity requirements.
         g_n = self.group.enumerate_element(n)
-        shift = self._link_shift_through(n - 1)
+        shift = self.link_shift(n - 1)
         anchor = self.group.mul(g_n, self.group.mul(shift, link_center))
         per_tile = fine.stars - (rho.numerator * fine.volume) // rho.denominator
         if per_tile < 1:
@@ -449,6 +425,8 @@ class Construction:
             thin_rem=thin_rem,
             net=net,
             radix=radix,
+            tile_strides=_strides(tile_lo, tile_hi),
+            cand_strides=_strides(cand_lo, cand_hi),
         )
         self.levels[n + 1] = LevelPlan(n + 1, m, box_next, box_m.volume, target, sched.periods(m))
         # Density sandwich: rho < stars/volume <= rho + 1/volume, exactly.
@@ -527,14 +505,6 @@ class Construction:
 
     # -- the level words -----------------------------------------------------
 
-    def level_word(self, n: int, pos: Element):
-        """Value of the level word V_n at a position of the level-n tile."""
-        if not 1 <= n <= self.params.depth + 1:
-            raise DepthError(f"level {n} not planned")
-        if pos not in self.levels[n].box:
-            raise ValueError(f"{pos} outside the level-{n} tile")
-        return self._word(n, tuple(pos))
-
     def _word(self, n: int, pos: Element):
         if n == 1:
             return STAR if pos in self._seed_set else HASH
@@ -553,14 +523,6 @@ class Construction:
             if shed and self._stars_below(n - 1, rel) < shed:
                 return HASH
         return val
-
-    def coded_word(self, n: int, g: Element):
-        """Value of the coded word C_n at a position of the step-n host box."""
-        if n not in self.steps:
-            raise DepthError(f"step {n + 1} not planned")
-        if g not in self.steps[n].host_box:
-            raise ValueError(f"{g} outside the host box of step {n}")
-        return self._coded(n, tuple(g))
 
     def _coded(self, n: int, g: Element):
         step = self.steps[n]
@@ -680,11 +642,9 @@ class Construction:
         """
         if box.rank != self.group.rank:
             raise ValueError("element rank mismatch")
-        box.cells()  # the pointwise path's size guard
+        box.guard_cells()  # the pointwise path's size guard
         top = self.params.depth + 1
-        walk = _TileWalk(self)
-        pieces, widths = _split(self.levels[top], box.lows, box.highs)
-        return _stitch(widths, [walk.values(top, lo, hi, False)[0] for _, lo, hi in pieces])
+        return _TileWalk(self).lay(top, box.lows, box.highs, False, None)[0]
 
     def _undetermined_in(self, box: Box, values: list) -> DepthError:
         """The DepthError for the first STAR of ``_walk_box(box)``; its cell
@@ -699,7 +659,7 @@ class Construction:
             raise DepthError(f"level {n} not planned")
         if not self.levels[n].box.contains_box(box):
             raise ValueError(f"{box} outside the level-{n} tile")
-        box.cells()  # the cell guard
+        box.guard_cells()
         return _TileWalk(self).values(n, box.lows, box.highs, ranks)
 
     def star_positions(self, n: int) -> list:
@@ -713,9 +673,6 @@ class Construction:
 
     def link_shift(self, n: int) -> Element:
         """Product of the link centers of steps 1..n."""
-        return self._link_shift_through(n)
-
-    def _link_shift_through(self, n: int) -> Element:
         acc = self.group.identity
         for i in range(1, n + 1):
             acc = self.group.mul(acc, self.steps[i].link_center)
@@ -723,7 +680,7 @@ class Construction:
 
     def follower_box(self, n: int) -> Box:
         """The level-(n+1) tile pulled back along the link shifts (a Folner window)."""
-        shift = self.group.inv(self._link_shift_through(n))
+        shift = self.group.inv(self.link_shift(n))
         return self.levels[n + 1].box.translate(shift)
 
     # -- code decoding -------------------------------------------------------
@@ -868,18 +825,17 @@ class _TileWalk:
 
     ``values(n, lows, highs, ranks)`` gives the level word V_n on a box in
     level-n tile coordinates, row-major, and with ``ranks`` also each cell's
-    star rank: the number of stars of V_n before it in canonical order, as
-    ``Construction._stars_below`` counts them.  Each level-(n-1) tile that
-    meets the box is resolved once (host or thinning zone, code index, shed
-    count, rank offset) and its cells come from the level below.  Whole
-    tiles of a level all carry the same word, so pieces repeat; the memos
-    that share them and the net points belong to the walk, never to the
-    construction, and hold only what one window uses.
+    star rank (``Construction._stars_below``).  The level-(n-1) tiles that
+    meet the box come in runs of one class along the last axis (``_runs``),
+    each laid down row by row by repeating one piece of V_(n-1).  A code tile
+    patches the digit-0 template of its piece at its non-zero digits.  The
+    memos, templates and net points belong to the walk, not the construction.
     """
 
     def __init__(self, cfg: Construction):
         self.cfg = cfg
-        self.memo: dict = {}
+        self.memo: dict = {}  # (n, lows, highs, shed) -> (word, ranks or None)
+        self.templates: dict = {}  # (n, lows, highs) -> [digit-0 word, star index by rank]
         self.points: dict = {}  # (step, digit) -> net point
 
     def _point(self, step: StepPlan, d: int) -> tuple:
@@ -891,18 +847,21 @@ class _TileWalk:
             point = self.points[key] = step.net.point_at(d)
         return point
 
-    def values(self, n: int, lows: tuple, highs: tuple, ranks: bool) -> tuple:
-        key = (n, lows, highs)
+    def values(self, n: int, lows: tuple, highs: tuple, ranks: bool, shed: int = 0) -> tuple:
+        """With ``shed``, V_n with its first ``shed`` stars turned to hashes,
+        and each cell's rank among the stars left (a thinned tile's piece)."""
+        key = (n, lows, highs, shed)
         hit = self.memo.get(key)
         if hit is not None and (hit[1] is not None or not ranks):
             return hit
-        if n == 1:
+        if shed:
+            vals, sub = self.values(n, lows, highs, True)
+            out = ([HASH if v is STAR and p < shed else v for v, p in zip(vals, sub)],
+                   [p - shed if p > shed else 0 for p in sub])
+        elif n == 1:
             out = self._seed(lows, highs)
         else:
-            pieces, widths = _split(self.cfg.levels[n - 1], lows, highs)
-            parts = [self._tile(n, j, lo, hi, ranks) for j, lo, hi in pieces]
-            vals = _stitch(widths, [p[0] for p in parts])
-            out = (vals, _stitch(widths, [p[1] for p in parts]) if ranks else None)
+            out = self.lay(n - 1, lows, highs, ranks, self.cfg.steps[n - 1])
         self.memo[key] = out
         return out
 
@@ -920,41 +879,104 @@ class _TileWalk:
             rks += [i if i < stars else stars for i in row]
         return vals, rks
 
-    def _tile(self, n: int, j: tuple, lows: tuple, highs: tuple, ranks: bool) -> tuple:
-        """V_n on the part of level-(n-1) tile j inside the box: the tile's
-        word with its code digits written over the stars (code tiles) or
-        its first ``shed`` stars turned to hashes (thinned tiles)."""
-        cfg = self.cfg
-        step, fine = cfg.steps[n - 1], cfg.levels[n - 1]
-        host = all(lo <= x <= hi for x, lo, hi in zip(j, step.cand_lo, step.cand_hi))
-        code = cfg._cand_rank(step, j) if host else step.code_count
-        coded = code < step.code_count
-        lb_cand = _count_lex_below(j, step.cand_lo, step.cand_hi)
-        lb_thin = _count_lex_below(j, step.tile_lo, step.tile_hi) - lb_cand
-        shed = 0 if host else cfg._shed_of(step, lb_thin)
-        vals, sub = self.values(n - 1, lows, highs, ranks or coded or shed > 0)
-        if coded:
-            points = []  # net points of the code index's base-radix digits, lowest first
-            while code:
-                code, d = divmod(code, step.radix)
-                points.append(self._point(step, d))
+    def lay(self, m: int, lows: tuple, highs: tuple, ranks: bool, step: Optional[StepPlan]) -> tuple:
+        """Row-major cells of a box from the level-m tiles that meet it:
+        V_(m+1) on a box of its tile when ``step`` is step m, else copies of
+        V_m (a window's top level).  Each combination of leading-axis tile
+        pieces is a band, whose rows are the rows of its runs side by side."""
+        lvl = self.cfg.levels[m]
+        *lead_axes, last = [  # per axis: (j, piece lo, piece hi), in tile coordinates
+            [(j, max(lo - j * q, tlo), min(hi - j * q, thi)) for j in range((lo - tlo) // q, (hi - tlo) // q + 1)]
+            for lo, hi, tlo, thi, q in zip(lows, highs, lvl.box.lows, lvl.box.highs, lvl.periods)
+        ]
+        vals, rks = [], []
+        for band in itertools.product(*lead_axes):
+            lead, plows, phighs = (tuple(t) for t in zip(*band)) if band else ((), (), ())
+            nrows = math.prod(b - a + 1 for _, a, b in band)
+            # a band of one row (always on Z) goes straight to the output
+            rows = [vals] if nrows == 1 else [[] for _ in range(nrows)]
+            rank_rows = [rks] if nrows == 1 else [[] for _ in rows]
+            for s, e, code, shed, off in self._runs(step, lead, last[0][0], last[-1][0]):
+                _, plo, phi = last[s - last[0][0]]
+                w, key = phi - plo + 1, (m, plows + (plo,), phighs + (phi,))
+                if code is None:
+                    piece, sub = self.values(*key, ranks, shed)
+                else:  # code tiles come one to a run, and all their stars rank alike
+                    piece = self._coded(step, key, code)
+                    sub = [0] * len(piece)
+                gain = lvl.stars - shed  # the rank offset from one tile of a run to the next
+                for r, row in enumerate(rows):
+                    part = piece if nrows == 1 else piece[r * w:(r + 1) * w]
+                    row += part if e - s == 1 else part * (e - s)
+                    if ranks:
+                        part = sub if nrows == 1 else sub[r * w:(r + 1) * w]
+                        for t in range(e - s):
+                            rank_rows[r] += map((off + t * gain).__add__, part)
+            if nrows > 1:
+                for row in rows:
+                    vals += row
+                for row in rank_rows:
+                    rks += row
+        return vals, rks if ranks else None
+
+    def _runs(self, step: Optional[StepPlan], lead: tuple, ja: int, jb: int):
+        """Tiles ja..jb of a band in runs [s, e) of one class: (s, e, code
+        index or None, shed, rank offset of tile s).
+
+        A class changes only at the boundary pieces, the host edges, the end
+        of the code block, the identity tile and the thinning cut (thinning
+        rank ``thin_full``); the band's lexicographic line terms (``_line``)
+        place those cuts without visiting the tiles between them.
+        """
+        cuts = {ja, ja + 1, jb, jb + 1}
+        if step is not None:
+            cfg, stars = self.cfg, self.cfg.levels[step.n].stars
+            t_base, _ = _line(lead, step.tile_lo, step.tile_hi, step.tile_strides)
+            c_base, live = _line(lead, step.cand_lo, step.cand_hi, step.cand_strides)
+            t0, c0, c1, le = step.tile_lo[-1], step.cand_lo[-1], step.cand_hi[-1] + 1, step.e_lexrank
+            # the code tiles other than the identity rank below code_end in the host
+            code_end = step.code_count - (le >= step.code_count)
+            cut = step.thin_full + c_base - t_base + t0  # the thinning cut before the host
+            cuts |= {cut, cut + 1, cut + c1 - c0, cut + c1 - c0 + 1}
+            if live:
+                cuts |= {c0, c1, c0 + code_end - c_base, c0 + le - c_base, c0 + le - c_base + 1}
+        points = sorted(x for x in cuts if ja <= x <= jb + 1)
+        for s, e in zip(points, points[1:]):
+            if step is None:
+                yield s, e, None, 0, 0
+                continue
+            lc = c_base + min(max(s - c0, 0), c1 - c0) if live else c_base
+            lt = t_base + s - t0 - lc  # thinning-zone tiles before tile s
+            off = (lc - cfg._coded_before(step, lc)) * stars + lt * stars - cfg._shed_first(step, lt)
+            if not (live and c0 <= s < c1):
+                yield s, e, None, cfg._shed_of(step, lt), off
+            elif lc == le or lc < code_end:
+                for lr in range(lc, lc + e - s):  # the identity tile is code tile 0
+                    yield s + lr - lc, s + lr - lc + 1, 0 if lr == le else lr + (lr < le), 0, off
+            else:
+                yield s, e, None, 0, off
+
+    def _coded(self, step: StepPlan, key: tuple, code: int) -> list:
+        """V_(n+1) on a piece of code tile ``code``: the star of rank p takes
+        the net point of digit radix**(stars - 1 - p) of the code index."""
+        template = self.templates.get(key)
+        if template is None:
+            vals, _ = self.values(*key, True)
             zero = self._point(step, 0)
-            # a star of rank p takes the digit of radix**(last - p); the ranks
-            # below `lead` fall past the top digit and take zero
-            last, lead = fine.stars - 1, fine.stars - len(points)
-            vals = [
-                (points[last - p] if p >= lead else zero) if v is STAR else v
-                for v, p in zip(vals, sub)
-            ]
-        elif shed:
-            vals = [HASH if v is STAR and p < shed else v for v, p in zip(vals, sub)]
-        if not ranks:
-            return vals, None
-        off = (lb_cand - cfg._coded_before(step, lb_cand)) * fine.stars
-        off += lb_thin * fine.stars - cfg._shed_first(step, lb_thin)
-        if coded:
-            return vals, [off] * len(vals)
-        return vals, [off + (p - shed if p > shed else 0) for p in sub]
+            template = self.templates[key] = [[zero if v is STAR else v for v in vals], None]
+        out, p = template[0], self.cfg.levels[step.n].stars - 1
+        while code:
+            code, d = divmod(code, step.radix)
+            if d:
+                if template[1] is None:  # built only once a non-zero digit needs it
+                    vals, sub = self.values(*key, True)
+                    template[1] = {r: i for i, (v, r) in enumerate(zip(vals, sub)) if v is STAR}
+                i = template[1].get(p)
+                if i is not None:
+                    out = list(out) if out is template[0] else out
+                    out[i] = self._point(step, d)
+            p -= 1
+        return out
 
 
 def plan(params: BuildParams) -> Construction:

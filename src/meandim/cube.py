@@ -87,18 +87,23 @@ class Net:
         return self.dim == other.dim and set(other.axis) <= set(self.axis)
 
 
+def axis_points(delta) -> int:
+    """Points per axis of ``make_net(dim, delta)``: ceil(1/(2*delta)) + 1."""
+    return math.ceil(Fraction(1, 2 * Fraction(delta))) + 1
+
+
 def make_net(dim: int, delta) -> Net:
     """Axis grid with spacing 1/ceil(1/(2*delta)), endpoints included.
 
     Every point of the cube is then within sup-distance delta of a grid
-    point, and the point count is (ceil(1/(2*delta)) + 1)^dim.
+    point, and the point count is axis_points(delta)^dim.
     """
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
     if delta > 1:
         raise ValueError("delta must be at most 1")
-    k = math.ceil(Fraction(1, 2 * delta))
+    k = axis_points(delta) - 1
     axis = tuple(Fraction(j, k) for j in range(k + 1))
     return Net(dim, delta, axis)
 
@@ -115,12 +120,7 @@ def verify_dense(net: Net) -> bool:
     return all(b - a <= 2 * net.delta for a, b in zip(axis, axis[1:]))
 
 
-def halving_deltas(depth: int, first=Fraction(1, 2)) -> tuple:
-    """Default net schedule: delta_n = first / 2^(n-1), one per level."""
-    first = Fraction(first)
-    return tuple(first / 2**i for i in range(depth))
-
-
 def net_schedule(dim: int, depth: int, first=Fraction(1, 2)) -> tuple:
-    """Nets for the halving schedule; consecutive nets are nested by refinement."""
-    return tuple(make_net(dim, d) for d in halving_deltas(depth, first))
+    """Nets for the halving schedule delta_n = first / 2^(n-1), one per level;
+    consecutive nets are nested by refinement."""
+    return tuple(make_net(dim, Fraction(first) / 2**i) for i in range(depth))

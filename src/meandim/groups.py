@@ -335,10 +335,14 @@ class Box:
             tuple(hi + x for hi, x in zip(self.highs, g)),
         )
 
+    def guard_cells(self) -> None:
+        """Raise SizeGuardError if the box has more cells than CELL_GUARD."""
+        if self.volume > CELL_GUARD:
+            raise SizeGuardError(f"box of volume {decimal_text(self.volume)} exceeds the cell guard")
+
     def cells(self) -> Iterator[Element]:
         """Iterate cells in canonical (lexicographic) order; guarded."""
-        if self.volume > CELL_GUARD:
-            raise SizeGuardError(f"box of volume {self.volume} exceeds the cell guard")
+        self.guard_cells()
         ranges = [range(lo, hi + 1) for lo, hi in zip(self.lows, self.highs)]
         return iter_product(*ranges)
 

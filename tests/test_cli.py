@@ -202,6 +202,10 @@ CONFIG_ERRORS = [
     ("growth = 3", "growth = 1" + "0" * 5000, "'growth'"),
     ("seed_a = 1", "seed_a = 1" + "0" * 5000, "'seed_a'"),
     ("growth = 3", "growth = 1" + "0" * 400 + "1/3", "is not an integer multiple of 4"),
+    # refused before a single net point is built
+    ("delta1 = 1/2", "delta1 = 1/1000000000", "'delta1': 1/1000000000 needs over 65536 net points"),
+    ("delta2 = 1/4", "delta2 = 1/" + "7" * 4000, "'delta2'"),
+    ("dim = 1", "dim = 1" + "0" * 4000, "'delta1'"),
 ]
 
 
@@ -285,6 +289,28 @@ GOLDEN_WINDOWS = [
 def test_window_output_is_byte_identical_to_golden(capsys, config_path, flags, digest):
     path = Path(__file__).resolve().parents[1] / config_path
     code, out, err = run(capsys, "window", "--config", str(path), *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `verify` stdout, recorded at commit 82ae71f, before the tile walk
+# resolved its tiles in runs and the floors check counted stars by rows; each
+# run exits 0
+GOLDEN_VERIFY = [
+    ("toy-z-depth1", "configs/toy-z.cfg", "1",
+     "9f266b96986aebc0918ff1501d9701c55ad5528a1a4a51a90496e6e975d6c0e7"),
+    ("toy-z-depth2", "configs/toy-z.cfg", "2",
+     "ec845801804a11c7ac6307a6e009ce4a298b9d48e75b57fac9b0a3bb05cc8e1e"),
+    ("toy-z2-depth1", "perfbench/toy-z2.cfg", "1",
+     "0da06fac6e9e6b90acb066fae4eb2f21370f9887171b53259aab1645290b2c89"),
+]
+
+
+@pytest.mark.parametrize("config_path,depth,digest", [g[1:] for g in GOLDEN_VERIFY],
+                         ids=[g[0] for g in GOLDEN_VERIFY])
+def test_verify_output_is_byte_identical_to_golden(capsys, config_path, depth, digest):
+    path = Path(__file__).resolve().parents[1] / config_path
+    code, out, err = run(capsys, "verify", "--config", str(path), "--depth", depth)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -416,6 +442,30 @@ def test_planted_literal_mismatch_fails_oracle_and_linking(monkeypatch, depth):
     assert failed == want
     for name in want:
         assert rows[name][1] == f"mismatch at {victim}"
+
+
+@pytest.mark.parametrize("config_name", ["configs/toy-z.cfg", "perfbench/toy-z2.cfg"])
+def test_planted_thinned_tile_fails_the_floors(monkeypatch, config_name):
+    # every star of one thinning-zone level-1 tile of the literal V_2 turned
+    # to a hash: the first such tile after the host in lexicographic order
+    from meandim import HASH, STAR, cli
+
+    cfg_path = Path(__file__).resolve().parents[1] / config_name
+    cfg = Construction(cli.load_config(str(cfg_path), argparse.Namespace(depth=1, mode=None, seed=None)))
+    st, q = cfg.steps[1], cfg.levels[1].periods
+    center = tuple((hi + 1) * qq for hi, qq in zip(st.cand_hi, q))
+    victims = [cfg.group.mul(a, center) for a in cfg.seed_stars]
+    real = Construction.materialize
+
+    def planted(self, *args, **kwargs):
+        out = real(self, *args, **kwargs)
+        assert any(out.v11[g] is STAR for g in victims)
+        out.v11.update(dict.fromkeys(victims, HASH))
+        return out
+
+    monkeypatch.setattr(Construction, "materialize", planted)
+    rows = {name: (ok, note) for name, ok, note in cli.run_verification(cfg, 7)}
+    assert rows["per-tile density floors"] == (False, f"tile at {center} thinned below its floor")
 
 
 def test_planted_stable_mismatch_fails_the_oracle(monkeypatch):

@@ -75,6 +75,8 @@ def test_toy_plan_numbers(toy_cfg):
 
 def test_oracle_equivalence_words(matrix_cfg):
     words = matrix_cfg.materialize()
+    # verify reads the literal words in key order, which is Box.cells() order
+    assert list(words.v11) == list(words.stable) == list(words.window.cells())
     for g in words.window.cells():
         assert values_equal(matrix_cfg._word(2, g), words.v11[g])
     for g in matrix_cfg.steps[1].host_box.cells():
@@ -252,6 +254,7 @@ def test_z2_construction_oracle():
     sched = generate_interval_schedule(1, 1, 3, group=Z2)
     cfg = Construction(BuildParams.toy(sched, Fraction(1, 2), dim=1, depth=1))
     words = cfg.materialize()
+    assert list(words.v11) == list(words.window.cells())
     for g in words.window.cells():
         assert values_equal(cfg._word(2, g), words.v11[g])
     stars = cfg.star_positions(2)
@@ -451,24 +454,57 @@ def z2_cfgs():
     }
 
 
+def thinning_cut_tile(cfg, n):
+    """The level-n tile of thinning rank ``thin_full`` of step n (the one that
+    sheds ``thin_rem`` stars), in level-(n+1) coordinates; None if there is
+    none.  Thinning ranks grow with the lexicographic index, so bisect."""
+    from meandim.construction import _count_lex_below, _lex_at
+
+    step, lo, hi = cfg.steps[n], cfg.steps[n].tile_lo, cfg.steps[n].tile_hi
+    total = Box(lo, hi).volume
+    host = Box(step.cand_lo, step.cand_hi)
+    i, past = 0, total  # the first index of thinning rank thin_full or more
+    while i < past:
+        mid = (i + past) // 2
+        # the tiles before index mid, less the host tiles among them
+        if mid - _count_lex_below(_lex_at(mid, lo, hi), step.cand_lo, step.cand_hi) < step.thin_full:
+            i = mid + 1
+        else:
+            past = mid
+    while i < total and _lex_at(i, lo, hi) in host:
+        i += 1  # the host tiles share the thinning rank of the next tile after them
+    if i == total:
+        return None
+    center = tuple(j * q for j, q in zip(_lex_at(i, lo, hi), cfg.levels[n].periods))
+    return cfg.levels[n].box.translate(center)
+
+
+def edge_boxes(cfg):
+    """Level tiles, host boxes and thinning-cut tiles whose coordinates stay
+    printable: a Box with thousands of digits (Z^2 at depth 2) cannot even be
+    printed when a case fails."""
+    printable = [lvl.n for lvl in cfg.levels.values() if lvl.volume < 10**200]
+    boxes = [cfg.levels[n].box for n in printable]
+    for n in (n for n in printable if n + 1 in printable):
+        boxes += [cfg.steps[n].host_box, thinning_cut_tile(cfg, n)]
+    return [box for box in boxes if box is not None]
+
+
 @st.composite
 def windows_near_edges(draw, cfg, max_side):
-    """A box within a few cells of some level-tile edge (top level included),
-    often shifted by a multiple of the top period out to about 10**80.
-
-    Levels whose coordinates run to thousands of digits (Z^2 at depth 2) are
-    left out: a Box that large cannot even be printed when a case fails."""
-    printable = [lvl for lvl in cfg.levels.values() if lvl.volume < 10**200]
-    lvl = draw(st.sampled_from(printable))
+    """A box within a few cells of some edge of ``edge_boxes`` (the top
+    level tile included), often shifted by a multiple of the top period out
+    to about 10**80."""
+    edges = draw(st.sampled_from(edge_boxes(cfg)))
     top = cfg.levels[cfg.params.depth + 1]
     lows, highs = [], []
     for axis in range(cfg.group.rank):
-        edge = draw(st.sampled_from([lvl.box.lows[axis], lvl.box.highs[axis], 0]))
+        edge = draw(st.sampled_from([edges.lows[axis], edges.highs[axis], 0]))
         lo = edge + draw(st.integers(-max_side, max_side))
         lows.append(lo)
         highs.append(lo + draw(st.integers(0, max_side - 1)))
     k = 0
-    if top in printable:
+    if top.volume < 10**200:
         k = draw(st.sampled_from([0, 0, 1, -3, 10**80 // top.periods[0] + 7]))
     shift = tuple(k * q for q in top.periods)
     return Box(tuple(x + s for x, s in zip(lows, shift)), tuple(x + s for x, s in zip(highs, shift)))
@@ -521,9 +557,24 @@ def test_tile_walk_words_and_ranks_match_pointwise(toy_cfg, deep_capped_cfg, z2_
         (z2_cfgs[1], 2, Box((-40, -121), (-20, -90))),
         (z2_cfgs[2], 2, Box((100, -30), (121, -10))),
     ]
+    # boxes of V_(n+1) across each host edge and around each thinning-cut
+    # tile; the last two configs put their cut before the host
+    z2_early_cut = Construction(BuildParams.toy(
+        generate_interval_schedule(0, 1, 3, group=Z2), Fraction(1, 5), dim=1, depth=1))
+    for cfg in (toy_cfg, deep_capped_cfg, z2_cfgs[1], z2_cfgs[2], make_toy(0, 2), z2_early_cut):
+        for n in (n for n in cfg.steps if cfg.levels[n + 1].volume < 10**200):
+            outer, host = cfg.levels[n + 1].box, cfg.steps[n].host_box
+            cut = thinning_cut_tile(cfg, n)
+            for corner in (host.lows, host.highs) + ((cut.lows, cut.highs) if cut else ()):
+                lows = tuple(max(x - 6, lo) for x, lo in zip(corner, outer.lows))
+                highs = tuple(min(x + 6, hi) for x, hi in zip(corner, outer.highs))
+                cases.append((cfg, n + 1, Box(lows, highs)))
     for cfg, n, box in cases:
+        want = [cfg._word(n, g) for g in box.cells()]
+        words, ranks = _TileWalk(cfg).values(n, box.lows, box.highs, False)
+        assert (words, ranks) == (want, None), (n, box)
         words, ranks = _TileWalk(cfg).values(n, box.lows, box.highs, True)
-        assert words == [cfg._word(n, g) for g in box.cells()], (n, box)
+        assert words == want, (n, box)
         assert ranks == [cfg._stars_below(n, g) for g in box.cells()], (n, box)
 
 
