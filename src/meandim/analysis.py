@@ -209,7 +209,6 @@ def upper_bound_estimate(
         envelope_scaled=envelope * dim,
         exhaustive=exhaustive,
     )
-    assert est.free_fraction <= est.envelope_fraction
     return est
 
 

@@ -31,6 +31,10 @@ CHECK_ERROR = 1
 # config numbers longer than this are refused; it is CPython's default
 # int/str digit limit, past which int() itself would fail
 MAX_LITERAL_CHARS = 4300
+# the oracle, linking and per-tile floor checks of `verify` read the literal
+# level-2 word, a few dicts with one entry per cell; past this many cells they
+# are skipped rather than hold those dicts
+VERIFY_CELL_BOUND = 200_000
 
 
 class CliError(Exception):
@@ -348,7 +352,7 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
     check("no star in the limit", no_star)
 
     def oracle():
-        if lvl2.volume > 200_000:
+        if lvl2.volume > VERIFY_CELL_BOUND:
             return True, "skipped (level-2 tile too large)"
         walked, _ = cfg.level_values(2, lvl2.box)
         bad = _first_mismatch(lvl2.box.cells(), walked, literal_v2())
@@ -367,7 +371,7 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
     def linking():
         if cfg.params.depth < 2:
             return True, "needs depth >= 2, skipped"
-        if lvl2.volume > 200_000:
+        if lvl2.volume > VERIFY_CELL_BOUND:
             return True, "skipped (level-2 tile too large)"
         # V_3 on the link tile against the literal V_2
         walked, _ = cfg.level_values(3, lvl2.box.translate(cfg.steps[2].link_center))
@@ -385,7 +389,7 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
     check("free set nesting", nesting)
 
     def tile_floors():
-        if lvl2.volume > 200_000:
+        if lvl2.volume > VERIFY_CELL_BOUND:
             return True, "skipped (level-2 tile too large)"
         st, lvl1 = cfg.steps[1], cfg.levels[1]
         q, across = lvl1.periods, st.tile_hi[-1] - st.tile_lo[-1] + 1

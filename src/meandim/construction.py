@@ -11,10 +11,12 @@ lives on the level-n tile and is assembled from level n-1 in two zones:
 
 * the host zone: a designated sub-tile (a schedule level between n-1 and n,
   anchored at the tile center) carries the coded word ``C_{n-1}``;
-* the thinning zone: the remaining level-(n-1) tiles keep their words, with
-  stars greedily converted to hashes, never dropping any single tile below
-  its density floor, until the whole tile's star count reaches the target
-  floor(rho * volume) + 1.
+* the thinning zone: the remaining level-(n-1) tiles keep their words,
+  except that the first ``thin_total`` of them in lexicographic order turn
+  their first star into a hash.  Every level word has floor(rho * volume) + 1
+  stars, one above its density floor, so a tile can shed one star and no
+  more; ``thin_total`` is the count that brings the level-n tile to its own
+  floor(rho * volume) + 1 stars.
 
 The coded word ``C_n`` modifies ``V_n``-copies inside the host: the first
 ``code_count`` level-n tiles (identity first, then lexicographic center
@@ -178,10 +180,7 @@ class StepPlan:
     tile_lo: tuple  # per-axis j-range of level-n tiles inside the next box
     tile_hi: tuple
     n_out: int
-    thin_total: int
-    thin_per_tile: int
-    thin_full: int
-    thin_rem: int
+    thin_total: int  # the first thin_total thinning-zone tiles shed their first star
     net: Net
     radix: int
     tile_strides: tuple  # _strides of the two j-ranges, for the tile walk
@@ -273,7 +272,6 @@ class Construction:
 
     def _plan(self) -> None:
         sched = self.schedule
-        rho = self.rho
         box1 = sched.level_box(1)
         vol1 = box1.volume
         s1 = self._target_stars(vol1)
@@ -358,9 +356,6 @@ class Construction:
         g_n = self.group.enumerate_element(n)
         shift = self.link_shift(n - 1)
         anchor = self.group.mul(g_n, self.group.mul(shift, link_center))
-        per_tile = fine.stars - (rho.numerator * fine.volume) // rho.denominator
-        if per_tile < 1:
-            raise CapacityError(f"level {n} has no star above its density floor to thin")
         # The host zone is never thinned, so its surplus stars over rho must
         # fit under the sandwich ceiling no matter how large the next level
         # is; when rho*|S_n| is an integer this bound does not improve with
@@ -385,7 +380,9 @@ class Construction:
             ok_anchor = anchor in box_m
             ok_mass = fine.stars * n_out * rho.denominator > rho.numerator * box_m.volume
             thin_total = (n_cand - code) * fine.stars + n_out * fine.stars - target
-            ok_capacity = ok_mass and 0 <= thin_total <= n_out * per_tile
+            # each thinning-zone tile can shed one star; ok_mass makes
+            # stars * n_out at least target, so thin_total >= 0
+            ok_capacity = ok_mass and thin_total <= n_out
             if ok_anchor and ok_mass and ok_capacity:
                 break
             reason = (
@@ -402,7 +399,6 @@ class Construction:
 
         box_next = sched.level_box(m)
         tile_lo, tile_hi = self._tile_jrange(fine, box_next)
-        thin_full, thin_rem = divmod(thin_total, per_tile)
         self.steps[n] = StepPlan(
             n=n,
             host_level=host,
@@ -420,9 +416,6 @@ class Construction:
             tile_hi=tile_hi,
             n_out=n_out,
             thin_total=thin_total,
-            thin_per_tile=per_tile,
-            thin_full=thin_full,
-            thin_rem=thin_rem,
             net=net,
             radix=radix,
             tile_strides=_strides(tile_lo, tile_hi),
@@ -476,23 +469,6 @@ class Construction:
         extra = 1 if le < lex_count else 0
         return min(lex_count, R - 1) + extra
 
-    # -- thinning schedule ---------------------------------------------------
-
-    @staticmethod
-    def _shed_of(step: StepPlan, rank: int) -> int:
-        if rank < step.thin_full:
-            return step.thin_per_tile
-        if rank == step.thin_full:
-            return step.thin_rem
-        return 0
-
-    @staticmethod
-    def _shed_first(step: StepPlan, count: int) -> int:
-        shed = step.thin_per_tile * min(count, step.thin_full)
-        if count > step.thin_full:
-            shed += step.thin_rem
-        return shed
-
     # -- resolvers -----------------------------------------------------------
 
     def _grid_center(self, n: int, g: Element) -> Element:
@@ -519,9 +495,8 @@ class Construction:
             rank = _count_lex_below(j, step.tile_lo, step.tile_hi) - _count_lex_below(
                 j, step.cand_lo, step.cand_hi
             )
-            shed = self._shed_of(step, rank)
-            if shed and self._stars_below(n - 1, rel) < shed:
-                return HASH
+            if rank < step.thin_total and self._stars_below(n - 1, rel) == 0:
+                return HASH  # the first star of a thinned tile
         return val
 
     def _coded(self, n: int, g: Element):
@@ -558,14 +533,13 @@ class Construction:
         lb_cand = _count_lex_below(j, step.cand_lo, step.cand_hi)
         lb_thin = _count_lex_below(j, step.tile_lo, step.tile_hi) - lb_cand
         total = (lb_cand - self._coded_before(step, lb_cand)) * fine.stars
-        total += lb_thin * fine.stars - self._shed_first(step, lb_thin)
+        total += lb_thin * fine.stars - min(lb_thin, step.thin_total)
         if pos in step.host_box:
             if self._cand_rank(step, j) >= step.code_count:
                 total += self._stars_below(n - 1, rel)
         else:
-            shed = self._shed_of(step, lb_thin)
-            within = self._stars_below(n - 1, rel) - shed
-            total += within if within > 0 else 0
+            within = self._stars_below(n - 1, rel)
+            total += within - 1 if within and lb_thin < step.thin_total else within
         return total
 
     # -- public evaluation ---------------------------------------------------
@@ -747,7 +721,7 @@ class Construction:
         v11.update(coded)
         total = sum(1 for v in v11.values() if v is STAR)
         target = lvl2.stars
-        floor1 = self.levels[1].stars - step1.thin_per_tile
+        floor1 = (self.rho.numerator * self.levels[1].volume) // self.rho.denominator
         for j, c in tiles:
             if total <= target:
                 break
@@ -800,9 +774,11 @@ class Construction:
                     "approximate": st.approximate,
                     "link_center": list(st.link_center),
                     "alphabet_size": st.radix,
+                    # every thinned tile sheds one star; the key stays so
+                    # that the JSON report keeps its shape
                     "thinning": {
                         "total": st.thin_total,
-                        "per_tile": st.thin_per_tile,
+                        "per_tile": 1,
                     },
                 }
             )
@@ -827,14 +803,16 @@ class _TileWalk:
     level-n tile coordinates, row-major, and with ``ranks`` also each cell's
     star rank (``Construction._stars_below``).  The level-(n-1) tiles that
     meet the box come in runs of one class along the last axis (``_runs``),
-    each laid down row by row by repeating one piece of V_(n-1).  A code tile
-    patches the digit-0 template of its piece at its non-zero digits.  The
-    memos, templates and net points belong to the walk, not the construction.
+    each laid down row by row by repeating one piece of V_(n-1).  A thinned
+    tile (one of the first ``thin_total`` of the thinning zone) lays the piece
+    with its first star turned to a hash, and a code tile patches the digit-0
+    template of its piece at its non-zero digits.  The memos, templates and
+    net points belong to the walk, not the construction.
     """
 
     def __init__(self, cfg: Construction):
         self.cfg = cfg
-        self.memo: dict = {}  # (n, lows, highs, shed) -> (word, ranks or None)
+        self.memo: dict = {}  # (n, lows, highs, thinned) -> (word, ranks or None)
         self.templates: dict = {}  # (n, lows, highs) -> [digit-0 word, star index by rank]
         self.points: dict = {}  # (step, digit) -> net point
 
@@ -847,17 +825,17 @@ class _TileWalk:
             point = self.points[key] = step.net.point_at(d)
         return point
 
-    def values(self, n: int, lows: tuple, highs: tuple, ranks: bool, shed: int = 0) -> tuple:
-        """With ``shed``, V_n with its first ``shed`` stars turned to hashes,
-        and each cell's rank among the stars left (a thinned tile's piece)."""
-        key = (n, lows, highs, shed)
+    def values(self, n: int, lows: tuple, highs: tuple, ranks: bool, thinned: bool = False) -> tuple:
+        """With ``thinned``, V_n with its first star turned to a hash, and
+        each cell's rank among the stars left (a thinned tile's piece)."""
+        key = (n, lows, highs, thinned)
         hit = self.memo.get(key)
         if hit is not None and (hit[1] is not None or not ranks):
             return hit
-        if shed:
+        if thinned:
             vals, sub = self.values(n, lows, highs, True)
-            out = ([HASH if v is STAR and p < shed else v for v, p in zip(vals, sub)],
-                   [p - shed if p > shed else 0 for p in sub])
+            out = ([HASH if v is STAR and p == 0 else v for v, p in zip(vals, sub)],
+                   [p - 1 if p else 0 for p in sub])
         elif n == 1:
             out = self._seed(lows, highs)
         else:
@@ -896,15 +874,15 @@ class _TileWalk:
             # a band of one row (always on Z) goes straight to the output
             rows = [vals] if nrows == 1 else [[] for _ in range(nrows)]
             rank_rows = [rks] if nrows == 1 else [[] for _ in rows]
-            for s, e, code, shed, off in self._runs(step, lead, last[0][0], last[-1][0]):
+            for s, e, code, thinned, off in self._runs(step, lead, last[0][0], last[-1][0]):
                 _, plo, phi = last[s - last[0][0]]
                 w, key = phi - plo + 1, (m, plows + (plo,), phighs + (phi,))
                 if code is None:
-                    piece, sub = self.values(*key, ranks, shed)
+                    piece, sub = self.values(*key, ranks, thinned)
                 else:  # code tiles come one to a run, and all their stars rank alike
                     piece = self._coded(step, key, code)
                     sub = [0] * len(piece)
-                gain = lvl.stars - shed  # the rank offset from one tile of a run to the next
+                gain = lvl.stars - thinned  # the rank offset from one tile of a run to the next
                 for r, row in enumerate(rows):
                     part = piece if nrows == 1 else piece[r * w:(r + 1) * w]
                     row += part if e - s == 1 else part * (e - s)
@@ -921,12 +899,13 @@ class _TileWalk:
 
     def _runs(self, step: Optional[StepPlan], lead: tuple, ja: int, jb: int):
         """Tiles ja..jb of a band in runs [s, e) of one class: (s, e, code
-        index or None, shed, rank offset of tile s).
+        index or None, thinned, rank offset of tile s).
 
         A class changes only at the boundary pieces, the host edges, the end
         of the code block, the identity tile and the thinning cut (thinning
-        rank ``thin_full``); the band's lexicographic line terms (``_line``)
-        place those cuts without visiting the tiles between them.
+        rank ``thin_total``, before or after the host); the band's
+        lexicographic line terms (``_line``) place those cuts without
+        visiting the tiles between them.
         """
         cuts = {ja, ja + 1, jb, jb + 1}
         if step is not None:
@@ -936,25 +915,25 @@ class _TileWalk:
             t0, c0, c1, le = step.tile_lo[-1], step.cand_lo[-1], step.cand_hi[-1] + 1, step.e_lexrank
             # the code tiles other than the identity rank below code_end in the host
             code_end = step.code_count - (le >= step.code_count)
-            cut = step.thin_full + c_base - t_base + t0  # the thinning cut before the host
-            cuts |= {cut, cut + 1, cut + c1 - c0, cut + c1 - c0 + 1}
+            cut = step.thin_total + c_base - t_base + t0  # the thinning cut before the host
+            cuts |= {cut, cut + c1 - c0}
             if live:
                 cuts |= {c0, c1, c0 + code_end - c_base, c0 + le - c_base, c0 + le - c_base + 1}
         points = sorted(x for x in cuts if ja <= x <= jb + 1)
         for s, e in zip(points, points[1:]):
             if step is None:
-                yield s, e, None, 0, 0
+                yield s, e, None, False, 0
                 continue
             lc = c_base + min(max(s - c0, 0), c1 - c0) if live else c_base
             lt = t_base + s - t0 - lc  # thinning-zone tiles before tile s
-            off = (lc - cfg._coded_before(step, lc)) * stars + lt * stars - cfg._shed_first(step, lt)
+            off = (lc - cfg._coded_before(step, lc)) * stars + lt * stars - min(lt, step.thin_total)
             if not (live and c0 <= s < c1):
-                yield s, e, None, cfg._shed_of(step, lt), off
+                yield s, e, None, lt < step.thin_total, off
             elif lc == le or lc < code_end:
                 for lr in range(lc, lc + e - s):  # the identity tile is code tile 0
-                    yield s + lr - lc, s + lr - lc + 1, 0 if lr == le else lr + (lr < le), 0, off
+                    yield s + lr - lc, s + lr - lc + 1, 0 if lr == le else lr + (lr < le), False, off
             else:
-                yield s, e, None, 0, off
+                yield s, e, None, False, off
 
     def _coded(self, step: StepPlan, key: tuple, code: int) -> list:
         """V_(n+1) on a piece of code tile ``code``: the star of rank p takes

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from meandim import HASH, STAR, BuildParams, Construction, Polyhedron, generate_interval_schedule
+from meandim import HASH, STAR, Z2, BuildParams, Construction, Polyhedron, generate_interval_schedule
 from meandim.analysis import (
     FreeSet,
     densities,
@@ -15,6 +16,7 @@ from meandim.analysis import (
 )
 from meandim.cube import net_schedule
 from meandim.groups import Box
+from tests.conftest import make_toy
 
 
 def test_densities_seed_tile(toy_cfg, toy_words):
@@ -173,6 +175,33 @@ def test_upper_bound_custom_window(toy_cfg):
     want = brute_force_worst_class(toy_cfg, 1, Box((-1,), (10,)))
     assert est.free_fraction == want
     assert upper_bound_estimate(toy_cfg, 1, window=Box((0,), (1,))) is None  # inconclusive
+
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_upper_bound_stays_under_its_envelope(data):
+    # stars <= rho*|S_n| + 1 (the sandwich) and min_whole*|S_n| <= |W| give
+    # free/|W| <= rho + 1/|S_n| + boundary/|W| on any window that holds a
+    # whole tile; a narrower window is inconclusive
+    if data.draw(st.booleans()):
+        cfg = Construction(BuildParams.toy(
+            generate_interval_schedule(1, 1, 3, group=Z2), Fraction(1, 2), dim=1, depth=1))
+    else:
+        cfg = make_toy(data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3)),
+                       data.draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)])),
+                       depth=data.draw(st.integers(1, 2)))
+    n = data.draw(st.integers(1, cfg.params.depth + 1))
+    q = cfg.levels[n].periods
+    lows = [data.draw(st.integers(-2 * qq, 2 * qq)) for qq in q]
+    spans = [data.draw(st.integers(1, 3 * qq)) for qq in q]
+    window = Box(tuple(lows), tuple(lo + span - 1 for lo, span in zip(lows, spans)))
+    est = upper_bound_estimate(cfg, n, window=window)
+    if any(span < qq for span, qq in zip(spans, q)):
+        assert est is None
+    else:
+        assert est.free_fraction <= est.envelope_fraction
+        assert est.scaled <= est.envelope_scaled
 
 
 def test_minimality_check_passes(toy_cfg):

@@ -315,6 +315,39 @@ def test_verify_output_is_byte_identical_to_golden(capsys, config_path, depth, d
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `build --format json` and `mdim --format json` stdout, recorded at
+# commit fbab476, before thinning kept only its total; each run exits 0.  The
+# build reports pin the plan numbers and the "per_tile" key.  `mdim` on toy-z2
+# at depth 2 is left out: it takes about 25 s, nearly all of it the class loop
+# of `upper_bound_estimate`
+DEEP_Z = ("--depth", "3", "--mode", "capped:4096")
+GOLDEN_REPORTS = [
+    ("build-toy-z-depth2", "build", "configs/toy-z.cfg", (),
+     "460b7ef6c89f2c649e901159bfc452da3ebebfebaee575bd3ff050b6daa00189"),
+    ("build-toy-z-depth3-capped", "build", "configs/toy-z.cfg", DEEP_Z,
+     "1e4ef75ad5392ede88d310af8a5c44c897f34ae26dc389a7ae8b52b9f0c7ce46"),
+    ("build-toy-z2-depth1", "build", "perfbench/toy-z2.cfg", ("--depth", "1"),
+     "080d58a090acfc7183d769ea1dd04eb148c790a3d167ec605bd835a6987b3cbe"),
+    ("build-toy-z2-depth2", "build", "perfbench/toy-z2.cfg", ("--depth", "2"),
+     "d8daa588fc2d8c22975d402506c1d444dde63563e0bfe315f183be8f6e868c42"),
+    ("mdim-toy-z-depth2", "mdim", "configs/toy-z.cfg", (),
+     "e265eba116c4fe94620dcd5b605f35b1e6da30fb3a0ca9be8b8552b534d23096"),
+    ("mdim-toy-z-depth3-capped", "mdim", "configs/toy-z.cfg", DEEP_Z,
+     "0432b98208973b0e412c0318d44236f9ae609dda60525ddda99e3263c94eb4b1"),
+    ("mdim-toy-z2-depth1", "mdim", "perfbench/toy-z2.cfg", ("--depth", "1"),
+     "81fffadf442d8680a66f04482390eb49319855b0e077f6a92757f8de23b4f4fb"),
+]
+
+
+@pytest.mark.parametrize("command,config_path,flags,digest", [g[1:] for g in GOLDEN_REPORTS],
+                         ids=[g[0] for g in GOLDEN_REPORTS])
+def test_json_reports_are_byte_identical_to_golden(capsys, command, config_path, flags, digest):
+    path = Path(__file__).resolve().parents[1] / config_path
+    code, out, err = run(capsys, command, "--config", str(path), "--format", "json", *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @contextlib.contextmanager
 def int_str_limit_lifted():
     """Lift CPython's int->str digit limit (3.11+, 3.10.7+) for one block."""

@@ -70,7 +70,7 @@ def test_toy_plan_numbers(toy_cfg):
     assert st1.link_center == (16,)
     assert st1.next_level == 5
     assert toy_cfg.levels[2].volume == 324 and toy_cfg.levels[2].stars == 163
-    assert st1.thin_total == 56 and st1.thin_per_tile == 1
+    assert st1.thin_total == 56
 
 
 def test_oracle_equivalence_words(matrix_cfg):
@@ -365,8 +365,7 @@ def test_deep_star_ranks_capped():
     j = _lex_at(st2.code_count - 1, st2.cand_lo, st2.cand_hi)
     c = j[0] * q2
     left_tiles = st2.cand_lo[0] - st2.tile_lo[0]
-    survivors_per_tile = cfg.levels[2].stars - st2.thin_per_tile
-    want = left_tiles * survivors_per_tile
+    want = left_tiles * (cfg.levels[2].stars - 1)  # each sheds one star
     assert cfg._stars_below(3, (c + stars2[0][0],)) == want
     assert cfg._stars_below(3, (c + stars2[1][0],)) == want + 1
     # a level-3 star inside the identity code tile resolves to net point 0
@@ -455,19 +454,20 @@ def z2_cfgs():
 
 
 def thinning_cut_tile(cfg, n):
-    """The level-n tile of thinning rank ``thin_full`` of step n (the one that
-    sheds ``thin_rem`` stars), in level-(n+1) coordinates; None if there is
-    none.  Thinning ranks grow with the lexicographic index, so bisect."""
+    """The level-n tile of thinning rank ``thin_total`` of step n (the first
+    thinning-zone tile that keeps all its stars), in level-(n+1) coordinates;
+    None if there is none.  Thinning ranks grow with the lexicographic index,
+    so bisect."""
     from meandim.construction import _count_lex_below, _lex_at
 
     step, lo, hi = cfg.steps[n], cfg.steps[n].tile_lo, cfg.steps[n].tile_hi
     total = Box(lo, hi).volume
     host = Box(step.cand_lo, step.cand_hi)
-    i, past = 0, total  # the first index of thinning rank thin_full or more
+    i, past = 0, total  # the first index of thinning rank thin_total or more
     while i < past:
         mid = (i + past) // 2
         # the tiles before index mid, less the host tiles among them
-        if mid - _count_lex_below(_lex_at(mid, lo, hi), step.cand_lo, step.cand_hi) < step.thin_full:
+        if mid - _count_lex_below(_lex_at(mid, lo, hi), step.cand_lo, step.cand_hi) < step.thin_total:
             i = mid + 1
         else:
             past = mid
@@ -626,3 +626,45 @@ def test_star_positions_follow_pointwise_rank_order(
     stars = cfg.star_positions(n)
     assert len(stars) == cfg.levels[n].stars
     assert stars == pointwise_star_order(cfg, n)
+
+
+def assert_sheds_one_star_per_tile(cfg):
+    """Every level word holds one star above its density floor, so the literal
+    greedy thinning (``materialize().v11``) takes the first seed star of each
+    of the first thin_total thinning-zone tiles, in lexicographic order, and
+    nothing else."""
+    rho = cfg.rho
+    for lvl in cfg.levels.values():
+        assert lvl.stars == (rho.numerator * lvl.volume) // rho.denominator + 1
+    for step in cfg.steps.values():
+        assert step.thin_total <= step.n_out
+    step, lvl1, v11 = cfg.steps[1], cfg.levels[1], cfg.materialize().v11
+    host = Box(step.cand_lo, step.cand_hi)
+    zone = [
+        j for j in product(*(range(lo, hi + 1) for lo, hi in zip(step.tile_lo, step.tile_hi)))
+        if j not in host
+    ]
+    cells1 = list(lvl1.box.cells())
+    stars_of = {}  # the star cells of each thinning-zone tile, relative to its center
+    for j in zone:
+        c = tuple(jj * qq for jj, qq in zip(j, lvl1.periods))
+        stars_of[j] = [a for a in cells1 if v11[Z_mul(a, c)] is STAR]
+    assert [j for j in zone if len(stars_of[j]) < lvl1.stars] == zone[:step.thin_total]
+    for rank, j in enumerate(zone):
+        assert stars_of[j] == list(cfg.seed_stars[1:] if rank < step.thin_total else cfg.seed_stars)
+
+
+@given(
+    st.integers(0, 3),
+    st.integers(1, 3),
+    st.sampled_from([Fraction(1, 5), Fraction(1, 3), Fraction(3, 7), Fraction(1, 2), Fraction(2, 3)]),
+    st.integers(1, 2),
+)
+@settings(max_examples=40, deadline=None)
+def test_literal_thinning_sheds_one_star_per_tile(seed_a, seed_b, rho, depth):
+    assert_sheds_one_star_per_tile(make_toy(seed_a, seed_b, rho, depth=depth))
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_literal_thinning_sheds_one_star_per_tile_z2(z2_cfgs, depth):
+    assert_sheds_one_star_per_tile(z2_cfgs[depth])
