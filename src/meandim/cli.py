@@ -318,12 +318,6 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
     # level 2 is materialized at most once, for the checks that read it
     materialize = functools.cache(cfg.materialize)
 
-    @functools.cache
-    def literal_v2():
-        """The literal level-2 word in Box.cells() order, the order in which
-        ``materialize`` keys its dicts."""
-        return list(materialize().v11.values())
-
     def check(name, fn):
         try:
             ok, note = fn()
@@ -355,13 +349,12 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
         if lvl2.volume > VERIFY_CELL_BOUND:
             return True, "skipped (level-2 tile too large)"
         walked, _ = cfg.level_values(2, lvl2.box)
-        bad = _first_mismatch(lvl2.box.cells(), walked, literal_v2())
+        bad = _first_mismatch(lvl2.box.cells(), walked, materialize().v11)
         if bad is not None:
             return False, f"mismatch at {bad}"
         stable = materialize().stable
         if stable is not None:
-            want = list(stable.values())
-            bad = _first_mismatch(lvl2.box.cells(), cfg.window_values(lvl2.box, "w"), want)
+            bad = _first_mismatch(lvl2.box.cells(), cfg.window_values(lvl2.box, "w"), stable)
             if bad is not None:
                 return False, f"stabilized mismatch at {bad}"
         return True, f"{lvl2.volume} cells"
@@ -375,7 +368,7 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
             return True, "skipped (level-2 tile too large)"
         # V_3 on the link tile against the literal V_2
         walked, _ = cfg.level_values(3, lvl2.box.translate(cfg.steps[2].link_center))
-        bad = _first_mismatch(lvl2.box.cells(), walked, literal_v2())
+        bad = _first_mismatch(lvl2.box.cells(), walked, materialize().v11)
         if bad is not None:
             return False, f"mismatch at {bad}"
         return True, f"{lvl2.volume} cells"
@@ -395,7 +388,7 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
         q, across = lvl1.periods, st.tile_hi[-1] - st.tile_lo[-1] + 1
         # stars per row of each level-1 tile (q[-1] cells) from a running count
         # over the literal word, `across` tiles a row; then summed per tile
-        running = list(itertools.accumulate(map(operator.is_, literal_v2(), itertools.repeat(STAR)), initial=0))
+        running = list(itertools.accumulate(map(operator.is_, materialize().v11, itertools.repeat(STAR)), initial=0))
         per_row = list(map(operator.sub, running[q[-1]::q[-1]], running[::q[-1]]))
         counts = {}  # leading tile index -> star count of each tile along the last axis
         for r, lead in enumerate(itertools.product(*[  # the leading tile index of each row

@@ -189,13 +189,18 @@ class StepPlan:
 
 @dataclass
 class MaterializedWords:
-    """Literal small-instance words, used as the evaluator's oracle."""
+    """Literal small-instance words, used as the evaluator's oracle.
+
+    Each word is a flat list of values in ``Box.cells()`` order: ``w1``,
+    ``v11`` and ``stable`` over ``window``, ``w1_coded`` over the host box
+    of step 1 (``steps[1].host_box``).
+    """
 
     window: Box  # the level-2 tile
-    w1: dict
-    w1_coded: dict  # the coded word on the host box of step 1
-    v11: dict  # the level-2 word (greedy thinning applied)
-    stable: Optional[dict]  # v11 with its stars resolved by code tile 0 of step 2
+    w1: list  # the seed word copied into every level-1 tile
+    w1_coded: list  # the coded word on the host box of step 1
+    v11: list  # the level-2 word (greedy thinning applied)
+    stable: Optional[list]  # v11 with its stars resolved by code tile 0 of step 2
 
 
 # -- box-lattice counting helpers -------------------------------------------
@@ -305,6 +310,7 @@ class Construction:
     def _plan_step(self, n: int) -> None:
         sched = self.schedule
         rho = self.rho
+        num, den = rho.numerator, rho.denominator  # the tests below stay in integers
         fine = self.levels[n]
         q = fine.periods
         net = self.params.nets[n - 1]
@@ -361,24 +367,22 @@ class Construction:
         # is; when rho*|S_n| is an integer this bound does not improve with
         # the level, so an oversized host is detectably hopeless up front.
         surplus = (n_cand - code) * fine.stars
-        host_ceiling = rho * host_box.volume + 1
-        if rho * fine.volume == (rho.numerator * fine.volume) // rho.denominator and surplus > host_ceiling:
+        if (num * fine.volume) % den == 0 and surplus * den > num * sched.volume(host) + den:
             raise CapacityError(
                 f"step {n + 1}: the {decimal_text(n_cand - code)} uncoded host tiles hold "
                 f"{decimal_text(surplus)} stars, over the sandwich ceiling "
-                f"{fraction_text(host_ceiling)}; "
+                f"{fraction_text(rho * sched.volume(host) + 1)}; "
                 "the schedule jumps too coarsely past the code block"
             )
         m = host + 1
         reason = ""
         futile = 0
         while m <= MAX_SCHED_LEVEL:
-            box_m = sched.level_box(m)
-            n_tiles = sched.volume(m) // fine.volume
-            n_out = n_tiles - n_cand
-            target = self._target_stars(box_m.volume)
-            ok_anchor = anchor in box_m
-            ok_mass = fine.stars * n_out * rho.denominator > rho.numerator * box_m.volume
+            vol_m = sched.volume(m)
+            n_out = vol_m // fine.volume - n_cand
+            target = self._target_stars(vol_m)
+            ok_anchor = anchor in sched.level_box(m)
+            ok_mass = fine.stars * n_out * den > num * vol_m
             thin_total = (n_cand - code) * fine.stars + n_out * fine.stars - target
             # each thinning-zone tile can shed one star; ok_mass makes
             # stars * n_out at least target, so thin_total >= 0
@@ -421,9 +425,9 @@ class Construction:
             tile_strides=_strides(tile_lo, tile_hi),
             cand_strides=_strides(cand_lo, cand_hi),
         )
-        self.levels[n + 1] = LevelPlan(n + 1, m, box_next, box_m.volume, target, sched.periods(m))
-        # Density sandwich: rho < stars/volume <= rho + 1/volume, exactly.
-        if not rho < Fraction(target, box_m.volume) <= rho + Fraction(1, box_m.volume):
+        self.levels[n + 1] = LevelPlan(n + 1, m, box_next, vol_m, target, sched.periods(m))
+        # Density sandwich: rho < stars/volume <= rho + 1/volume, exactly
+        if not num * vol_m < target * den <= num * vol_m + den:
             raise CapacityError(f"level {n + 1}: star count outside the density sandwich")
         if not (box_next.contains_box(host_box) and host_box.contains_box(fine.box)):
             raise ScheduleError(
@@ -690,50 +694,66 @@ class Construction:
     # -- literal materialization (the oracle) --------------------------------
 
     def materialize(self, guard: int = MATERIALIZE_GUARD) -> MaterializedWords:
-        """Execute the first two levels literally (explicit dictionaries).
+        """Execute the first two levels literally, on flat lists.
 
         This follows the step definitions directly, with none of the
         arithmetic shortcuts the evaluator uses, and serves as its oracle.
+        A cell g of the level-2 tile sits at offset sum((g - lows) * strides)
+        of each list; the offset is linear in g, so a cell a + c of the tile
+        centered at c sits at c's offset plus a's.
         """
-        lvl2 = self.levels[2]
+        lvl1, lvl2, step1 = self.levels[1], self.levels[2], self.steps[1]
         if lvl2.volume > guard:
             raise SizeGuardError(f"level-2 tile has {lvl2.volume} cells, over the bound")
-        step1 = self.steps[1]
-        group = self.group
-        tiles = [  # (j, center) of every level-1 tile of the level-2 tile
-            (j, tuple(jj * qq for jj, qq in zip(j, self.levels[1].periods)))
-            for j in itertools.product(
-                *[range(lo, hi + 1) for lo, hi in zip(step1.tile_lo, step1.tile_hi)]
-            )
-        ]
+        box = lvl2.box
+        box.guard_cells()  # a guard above the cell guard does not lift it
+        strides = _strides(box.lows, box.highs)
+
+        def offset(g: Element) -> int:
+            return sum((x - lo) * s for x, lo, s in zip(g, box.lows, strides))
+
+        # the offsets of the seed stars within a tile, and the lexicographic
+        # tile indices j of the level-2 tile with the offsets of their centers
+        deltas = [sum(x * s for x, s in zip(a, strides)) for a in self.seed_stars]
+        js = list(itertools.product(*[range(lo, hi + 1) for lo, hi in zip(step1.tile_lo, step1.tile_hi)]))
+        bases = list(map(sum, itertools.product(*[
+            [(j * q - lo) * s for j in range(tlo, thi + 1)]
+            for tlo, thi, q, lo, s in zip(step1.tile_lo, step1.tile_hi, lvl1.periods, box.lows, strides)
+        ])))
         # W_1: the seed stars written into each of those tiles
-        w1 = dict.fromkeys(lvl2.box.cells(), HASH)
-        for _, c in tiles:
-            for a in self.seed_stars:
-                w1[group.mul(a, c)] = STAR
-        coded = {g: w1[g] for g in step1.host_box.cells()}
+        w1 = [HASH] * lvl2.volume
+        for b in bases:
+            for d in deltas:
+                w1[b + d] = STAR
+        v11 = list(w1)
         for k in range(step1.code_count):
-            c = self._cand_at(step1, k)
-            for p, a in enumerate(self.seed_stars):
-                d = self._digit(k, self.levels[1].stars - 1 - p, step1.radix)
-                coded[group.mul(a, c)] = step1.net.point_at(d)
-        v11 = dict(w1)
-        v11.update(coded)
-        total = sum(1 for v in v11.values() if v is STAR)
+            b = offset(self._cand_at(step1, k))
+            for p, d in enumerate(deltas):
+                v11[b + d] = step1.net.point_at(self._digit(k, lvl1.stars - 1 - p, step1.radix))
+        # the coded word: V_2 on the host box, row by row along the last axis
+        host = step1.host_box
+        start, width = offset(host.lows), host.highs[-1] - host.lows[-1] + 1
+        w1_coded = []
+        for r in itertools.product(*[
+            [(x - hl) * s for x in range(hl, hh + 1)]
+            for hl, hh, s in zip(host.lows[:-1], host.highs[:-1], strides)
+        ]):
+            row = start + sum(r)
+            w1_coded += v11[row:row + width]
+        total = v11.count(STAR)
         target = lvl2.stars
-        floor1 = (self.rho.numerator * self.levels[1].volume) // self.rho.denominator
-        for j, c in tiles:
+        floor1 = (self.rho.numerator * lvl1.volume) // self.rho.denominator
+        for j, b in zip(js, bases):
             if total <= target:
                 break
             if all(cl <= x <= ch for x, cl, ch in zip(j, step1.cand_lo, step1.cand_hi)):
                 continue  # host zone is never thinned
-            budget = self.levels[1].stars - floor1
-            for a in self.seed_stars:
+            budget = lvl1.stars - floor1
+            for d in deltas:
                 if total <= target or budget == 0:
                     break
-                cell = group.mul(a, c)
-                if v11[cell] is STAR:
-                    v11[cell] = HASH
+                if v11[b + d] is STAR:
+                    v11[b + d] = HASH
                     total -= 1
                     budget -= 1
         if total != target:
@@ -741,8 +761,8 @@ class Construction:
         stable = None
         if self.params.depth >= 2:
             zero = self.steps[2].net.point_at(0)
-            stable = {g: (zero if v is STAR else v) for g, v in v11.items()}
-        return MaterializedWords(lvl2.box, w1, coded, v11, stable)
+            stable = [zero if v is STAR else v for v in v11]
+        return MaterializedWords(box, w1, w1_coded, v11, stable)
 
     # -- reporting -----------------------------------------------------------
 

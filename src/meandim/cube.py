@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
 from typing import Iterator
 
@@ -60,17 +61,24 @@ class Net:
             digits.append(d)
         return tuple(self.axis[d] for d in reversed(digits))
 
+    @cached_property
+    def _axis_index(self) -> dict:
+        """Axis position of each coordinate, keyed by (numerator, denominator):
+        a Fraction is always in lowest terms, and int pairs hash faster."""
+        return {(p.numerator, p.denominator): i for i, p in enumerate(self.axis)}
+
     def index_of(self, point: tuple) -> int:
         if len(point) != self.dim:
             raise ValueError("point has wrong dimension")
-        k = len(self.axis)
-        pos = {p: i for i, p in enumerate(self.axis)}
+        k, pos = len(self.axis), self._axis_index
         index = 0
         for c in point:
-            c = Fraction(c)
-            if c not in pos:
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
+            i = pos.get((c.numerator, c.denominator))
+            if i is None:
                 raise ValueError(f"{c} is not a net coordinate")
-            index = index * k + pos[c]
+            index = index * k + i
         return index
 
     def __contains__(self, point: tuple) -> bool:

@@ -4,6 +4,12 @@ from fractions import Fraction
 from meandim import BuildParams, Construction, generate_interval_schedule
 
 
+def by_cell(box, values):
+    """A materialized word keyed by cell: ``materialize()`` gives flat lists
+    in ``box.cells()`` order."""
+    return dict(zip(box.cells(), values))
+
+
 def make_toy(seed_a=1, seed_b=2, rho=Fraction(1, 2), dim=1, depth=2, **kw):
     sched = generate_interval_schedule(seed_a, seed_b, 3)
     return Construction(BuildParams.toy(sched, rho, dim=dim, depth=depth, **kw))

@@ -16,11 +16,12 @@ from meandim.analysis import (
 )
 from meandim.cube import net_schedule
 from meandim.groups import Box
-from tests.conftest import make_toy
+from tests.conftest import by_cell, make_toy
 
 
 def test_densities_seed_tile(toy_cfg, toy_words):
-    tile = {g: toy_words.w1[g] for g in toy_cfg.levels[1].box.cells()}
+    w1 = by_cell(toy_words.window, toy_words.w1)
+    tile = {g: w1[g] for g in toy_cfg.levels[1].box.cells()}
     rep = densities(tile, "seed tile")
     assert rep.star_density == Fraction(3, 4)
     assert rep.hash_density == Fraction(1, 4)
@@ -34,8 +35,10 @@ def test_densities_all_hash():
 
 
 def test_coded_word_consumes_stars(toy_cfg, toy_words):
-    host = {g: toy_words.w1_coded[g] for g in toy_cfg.steps[1].host_box.cells()}
-    raw = {g: toy_words.w1[g] for g in toy_cfg.steps[1].host_box.cells()}
+    host_box = toy_cfg.steps[1].host_box
+    host = by_cell(host_box, toy_words.w1_coded)
+    w1 = by_cell(toy_words.window, toy_words.w1)
+    raw = {g: w1[g] for g in host_box.cells()}
     assert densities(host).star_density < densities(raw).star_density
     assert densities(host).star_density == Fraction(3, 36)
 

@@ -294,23 +294,27 @@ def test_window_output_is_byte_identical_to_golden(capsys, config_path, flags, d
 
 
 # sha256 of `verify` stdout, recorded at commit 82ae71f, before the tile walk
-# resolved its tiles in runs and the floors check counted stars by rows; each
-# run exits 0
+# resolved its tiles in runs and the floors check counted stars by rows; the
+# capped depth-3 run, which reads the stabilized word past depth 2, recorded at
+# 4b21366, before the literal materializer moved to flat lists; each run exits 0
+DEEP_Z = ("--depth", "3", "--mode", "capped:4096")
 GOLDEN_VERIFY = [
-    ("toy-z-depth1", "configs/toy-z.cfg", "1",
+    ("toy-z-depth1", "configs/toy-z.cfg", ("--depth", "1"),
      "9f266b96986aebc0918ff1501d9701c55ad5528a1a4a51a90496e6e975d6c0e7"),
-    ("toy-z-depth2", "configs/toy-z.cfg", "2",
+    ("toy-z-depth2", "configs/toy-z.cfg", ("--depth", "2"),
      "ec845801804a11c7ac6307a6e009ce4a298b9d48e75b57fac9b0a3bb05cc8e1e"),
-    ("toy-z2-depth1", "perfbench/toy-z2.cfg", "1",
+    ("toy-z-depth3-capped", "configs/toy-z.cfg", DEEP_Z,
+     "43d8697fa5e9cac1cfab66b169ad1baf8f93f693988c929f4e196b87ad0071df"),
+    ("toy-z2-depth1", "perfbench/toy-z2.cfg", ("--depth", "1"),
      "0da06fac6e9e6b90acb066fae4eb2f21370f9887171b53259aab1645290b2c89"),
 ]
 
 
-@pytest.mark.parametrize("config_path,depth,digest", [g[1:] for g in GOLDEN_VERIFY],
+@pytest.mark.parametrize("config_path,flags,digest", [g[1:] for g in GOLDEN_VERIFY],
                          ids=[g[0] for g in GOLDEN_VERIFY])
-def test_verify_output_is_byte_identical_to_golden(capsys, config_path, depth, digest):
+def test_verify_output_is_byte_identical_to_golden(capsys, config_path, flags, digest):
     path = Path(__file__).resolve().parents[1] / config_path
-    code, out, err = run(capsys, "verify", "--config", str(path), "--depth", depth)
+    code, out, err = run(capsys, "verify", "--config", str(path), *flags)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -320,7 +324,6 @@ def test_verify_output_is_byte_identical_to_golden(capsys, config_path, depth, d
 # build reports pin the plan numbers and the "per_tile" key.  `mdim` on toy-z2
 # at depth 2 is left out: it takes about 25 s, nearly all of it the class loop
 # of `upper_bound_estimate`
-DEEP_Z = ("--depth", "3", "--mode", "capped:4096")
 GOLDEN_REPORTS = [
     ("build-toy-z-depth2", "build", "configs/toy-z.cfg", (),
      "460b7ef6c89f2c649e901159bfc452da3ebebfebaee575bd3ff050b6daa00189"),
@@ -459,11 +462,12 @@ def test_planted_literal_mismatch_fails_oracle_and_linking(monkeypatch, depth):
     cfg = Construction(cli.load_config(str(cfg_path), flags))
     real = Construction.materialize
     words = real(cfg)
-    victim = next(g for g in words.window.cells() if words.v11[g] is HASH and g[0] > 0)
+    cells = list(words.window.cells())
+    victim = next(g for g, v in zip(cells, words.v11) if v is HASH and g[0] > 0)
 
     def planted(self, *args, **kwargs):
         out = real(self, *args, **kwargs)
-        out.v11[victim] = (Fraction(9, 10),)  # one cell that no net holds
+        out.v11[cells.index(victim)] = (Fraction(9, 10),)  # one cell that no net holds
         return out
 
     monkeypatch.setattr(Construction, "materialize", planted)
@@ -492,8 +496,10 @@ def test_planted_thinned_tile_fails_the_floors(monkeypatch, config_name):
 
     def planted(self, *args, **kwargs):
         out = real(self, *args, **kwargs)
-        assert any(out.v11[g] is STAR for g in victims)
-        out.v11.update(dict.fromkeys(victims, HASH))
+        at = {g: i for i, g in enumerate(out.window.cells())}
+        assert any(out.v11[at[g]] is STAR for g in victims)
+        for g in victims:
+            out.v11[at[g]] = HASH
         return out
 
     monkeypatch.setattr(Construction, "materialize", planted)
@@ -510,11 +516,12 @@ def test_planted_stable_mismatch_fails_the_oracle(monkeypatch):
     cfg = Construction(cli.load_config(str(cfg_path), argparse.Namespace(depth=2, mode=None, seed=None)))
     real = Construction.materialize
     words = real(cfg)
-    victim = next(g for g in words.window.cells() if words.stable[g] is HASH and g[0] > 0)
+    cells = list(words.window.cells())
+    victim = next(g for g, v in zip(cells, words.stable) if v is HASH and g[0] > 0)
 
     def planted(self, *args, **kwargs):
         out = real(self, *args, **kwargs)
-        out.stable[victim] = (Fraction(9, 10),)
+        out.stable[cells.index(victim)] = (Fraction(9, 10),)
         return out
 
     monkeypatch.setattr(Construction, "materialize", planted)

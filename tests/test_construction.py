@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -19,7 +20,7 @@ from meandim import (
     render_value,
 )
 from meandim.groups import Box
-from tests.conftest import make_toy
+from tests.conftest import by_cell, make_toy
 from tests.test_cli import int_str_limit_lifted
 
 
@@ -75,23 +76,28 @@ def test_toy_plan_numbers(toy_cfg):
 
 def test_oracle_equivalence_words(matrix_cfg):
     words = matrix_cfg.materialize()
-    # verify reads the literal words in key order, which is Box.cells() order
-    assert list(words.v11) == list(words.stable) == list(words.window.cells())
+    # verify reads the literal words as lists in Box.cells() order
+    host_box = matrix_cfg.steps[1].host_box
+    assert len(words.v11) == len(words.stable) == len(words.w1) == words.window.volume
+    assert len(words.w1_coded) == host_box.volume
+    v11, stable = by_cell(words.window, words.v11), by_cell(words.window, words.stable)
+    w1_coded = by_cell(host_box, words.w1_coded)
     for g in words.window.cells():
-        assert values_equal(matrix_cfg._word(2, g), words.v11[g])
-    for g in matrix_cfg.steps[1].host_box.cells():
-        assert values_equal(matrix_cfg._coded(1, g), words.w1_coded[g])
+        assert values_equal(matrix_cfg._word(2, g), v11[g])
+    for g in host_box.cells():
+        assert values_equal(matrix_cfg._coded(1, g), w1_coded[g])
     for g in words.window.cells():
-        assert matrix_cfg.eval_w(g) == words.stable[g]
+        assert matrix_cfg.eval_w(g) == stable[g]
 
 
 def test_code_tiles_enumerate_all_assignments(toy_cfg, toy_words):
     # restrictions of the coded word to the star cells of each code tile
     seen = set()
     st = toy_cfg.steps[1]
+    w1_coded = by_cell(st.host_box, toy_words.w1_coded)
     for k in range(st.code_count):
         c = toy_cfg._cand_at(st, k)
-        word = tuple(toy_words.w1_coded[Z_mul(a, c)] for a in toy_cfg.seed_stars)
+        word = tuple(w1_coded[Z_mul(a, c)] for a in toy_cfg.seed_stars)
         seen.add(word)
     assert len(seen) == st.code_count
     assert seen == {
@@ -169,12 +175,13 @@ def test_per_tile_floor(toy_cfg, toy_words):
     st = toy_cfg.steps[1]
     q = toy_cfg.schedule.periods(1)[0]
     vol1 = toy_cfg.levels[1].volume
+    v11 = by_cell(toy_words.window, toy_words.v11)
     for j in range(st.tile_lo[0], st.tile_hi[0] + 1):
         if st.cand_lo[0] <= j <= st.cand_hi[0]:
             continue
         c = (j * q,)
         stars = sum(
-            1 for s in toy_cfg.schedule.level_box(1).cells() if toy_words.v11[Z_mul(s, c)] is STAR
+            1 for s in toy_cfg.schedule.level_box(1).cells() if v11[Z_mul(s, c)] is STAR
         )
         assert Fraction(stars, vol1) > rho - Fraction(1, vol1)
 
@@ -254,9 +261,10 @@ def test_z2_construction_oracle():
     sched = generate_interval_schedule(1, 1, 3, group=Z2)
     cfg = Construction(BuildParams.toy(sched, Fraction(1, 2), dim=1, depth=1))
     words = cfg.materialize()
-    assert list(words.v11) == list(words.window.cells())
+    assert len(words.v11) == words.window.volume
+    v11 = by_cell(words.window, words.v11)
     for g in words.window.cells():
-        assert values_equal(cfg._word(2, g), words.v11[g])
+        assert values_equal(cfg._word(2, g), v11[g])
     stars = cfg.star_positions(2)
     assert len(stars) == cfg.levels[2].stars
     assert [cfg._stars_below(2, p) for p in stars] == list(range(len(stars)))
@@ -388,8 +396,9 @@ def test_dim2_cube_points():
     vals = {v for _, v in cfg.window(cfg.levels[1].box, "w") if v is not HASH}
     assert all(len(v) == 2 for v in vals)
     words = cfg.materialize()
+    v11 = by_cell(words.window, words.v11)
     for g in words.window.cells():
-        assert values_equal(cfg._word(2, g), words.v11[g])
+        assert values_equal(cfg._word(2, g), v11[g])
 
 
 def test_group_rank_mismatch(toy_cfg):
@@ -638,7 +647,8 @@ def assert_sheds_one_star_per_tile(cfg):
         assert lvl.stars == (rho.numerator * lvl.volume) // rho.denominator + 1
     for step in cfg.steps.values():
         assert step.thin_total <= step.n_out
-    step, lvl1, v11 = cfg.steps[1], cfg.levels[1], cfg.materialize().v11
+    words = cfg.materialize()
+    step, lvl1, v11 = cfg.steps[1], cfg.levels[1], by_cell(words.window, words.v11)
     host = Box(step.cand_lo, step.cand_hi)
     zone = [
         j for j in product(*(range(lo, hi + 1) for lo, hi in zip(step.tile_lo, step.tile_hi)))
@@ -668,3 +678,17 @@ def test_literal_thinning_sheds_one_star_per_tile(seed_a, seed_b, rho, depth):
 @pytest.mark.parametrize("depth", [1, 2])
 def test_literal_thinning_sheds_one_star_per_tile_z2(z2_cfgs, depth):
     assert_sheds_one_star_per_tile(z2_cfgs[depth])
+
+
+def test_z2_depth2_literal_words_match_the_walk(z2_cfgs):
+    # the literal V_2 and its stabilized word against the tile walk on the
+    # whole level-2 tile, and a sample of cells against eval_w
+    cfg = z2_cfgs[2]
+    words, box = cfg.materialize(), cfg.levels[2].box
+    assert words.window == box
+    assert words.v11 == cfg.level_values(2, box)[0]
+    assert words.stable == cfg.window_values(box, "w")
+    cells = list(box.cells())
+    sample = sorted(random.Random(2).sample(range(len(cells)), 2000))
+    for i in [0, len(cells) - 1] + sample:
+        assert cfg.eval_w(cells[i]) == words.stable[i], cells[i]

@@ -10,18 +10,20 @@ import pytest
 
 from meandim import BuildParams, Construction, STAR, Z2, generate_interval_schedule
 from meandim.schedules import AxisRule, TilingSchedule
+from tests.conftest import by_cell
 
 
 def full_check(cfg):
     words = cfg.materialize()
+    v11 = by_cell(words.window, words.v11)
     for g in words.window.cells():
-        a, b = cfg._word(2, g), words.v11[g]
+        a, b = cfg._word(2, g), v11[g]
         assert a is b or a == b, g
     rho = cfg.rho
     for n in (1, 2):
         lvl = cfg.levels[n]
         assert rho < Fraction(lvl.stars, lvl.volume) <= rho + Fraction(1, lvl.volume)
-    stars = sum(1 for v in words.v11.values() if v is STAR)
+    stars = sum(1 for v in words.v11 if v is STAR)
     assert stars == cfg.levels[2].stars
 
 
@@ -56,7 +58,7 @@ def test_sparse_seed_single_star():
     cfg = Construction(BuildParams.toy(sched, Fraction(1, 100), dim=1, depth=2))
     assert cfg.levels[1].stars == 1
     words = cfg.materialize()
-    assert sum(1 for v in words.v11.values() if v is STAR) == cfg.levels[2].stars
+    assert sum(1 for v in words.v11 if v is STAR) == cfg.levels[2].stars
 
 
 def test_three_point_alphabet():
@@ -83,8 +85,9 @@ def test_z2_asymmetric_axis_rules():
     sched = TilingSchedule(Z2, rules)
     cfg = Construction(BuildParams.toy(sched, Fraction(1, 2), dim=1, depth=1))
     words = cfg.materialize()
+    v11 = by_cell(words.window, words.v11)
     for g in words.window.cells():
-        a, b = cfg._word(2, g), words.v11[g]
+        a, b = cfg._word(2, g), v11[g]
         assert a is b or a == b, g
 
 
