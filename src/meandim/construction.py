@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -317,26 +318,13 @@ class Construction:
         radix = net.size
         code, code_exact, approximate = self._code_count(n, fine.stars, radix)
 
-        # Host level: first level whose tile holds more than `code` fine
-        # tiles.  The ratio is monotone in the level, so probe exponentially
-        # and then bisect (hosts can sit thousands of levels up).
-        def fits(level: int) -> bool:
-            return sched.volume(level) // fine.volume > code
-
-        host = fine.sched_level + 1
-        step_up = 1
-        while not fits(host):
-            if host >= MAX_SCHED_LEVEL:
-                raise CapacityError(f"no host level found for step {n + 1}")
-            host = min(host + step_up, MAX_SCHED_LEVEL)
-            step_up *= 2
-        lo = max(fine.sched_level + 1, host - step_up // 2)
-        while lo < host:
-            mid = (lo + host) // 2
-            if fits(mid):
-                host = mid
-            else:
-                lo = mid + 1
+        # Host level: the first level whose tile holds more than `code` fine
+        # tiles, i.e. whose volume is at least (code + 1) * fine.volume.  The
+        # schedule solves for it in closed form, however far up it sits.
+        start = fine.sched_level + 1
+        host = sched.first_level_holding((code + 1) * fine.volume, start)
+        if host > max(start, MAX_SCHED_LEVEL):
+            raise CapacityError(f"no host level found for step {n + 1}")
         host_box = sched.level_box(host)
         cand_lo, cand_hi = self._tile_jrange(fine, host_box)
         n_cand = 1
@@ -357,8 +345,8 @@ class Construction:
         link_j = self._cand_at_raw(code, cand_lo, cand_hi, e_lexrank)
         link_center = tuple(jj * qq for jj, qq in zip(link_j, q))
 
-        # Next level: first level satisfying the anchor, star-mass and
-        # thinning-capacity requirements.
+        # Next level: the first level above the host that passes the anchor,
+        # star-mass and thinning-capacity tests.
         g_n = self.group.enumerate_element(n)
         shift = self.link_shift(n - 1)
         anchor = self.group.mul(g_n, self.group.mul(shift, link_center))
@@ -374,14 +362,14 @@ class Construction:
                 f"{fraction_text(rho * sched.volume(host) + 1)}; "
                 "the schedule jumps too coarsely past the code block"
             )
-        m = host + 1
+        # The walk goes up from the host one extension step at a time, so a
+        # level costs a few linear big-int operations, not a power.
         reason = ""
         futile = 0
-        while m <= MAX_SCHED_LEVEL:
-            vol_m = sched.volume(m)
+        for m, box_next, periods, vol_m in sched.climb(host, MAX_SCHED_LEVEL):
             n_out = vol_m // fine.volume - n_cand
             target = self._target_stars(vol_m)
-            ok_anchor = anchor in sched.level_box(m)
+            ok_anchor = anchor in box_next
             ok_mass = fine.stars * n_out * den > num * vol_m
             thin_total = (n_cand - code) * fine.stars + n_out * fine.stars - target
             # each thinning-zone tile can shed one star; ok_mass makes
@@ -397,11 +385,9 @@ class Construction:
             futile += 1 if (ok_anchor and ok_mass) else 0
             if futile > 256:
                 raise CapacityError(f"step {n + 1}: thinning capacity keeps failing past level {m}")
-            m += 1
         else:
             raise CapacityError(f"step {n + 1}: {reason} unsatisfiable through level {MAX_SCHED_LEVEL}")
 
-        box_next = sched.level_box(m)
         tile_lo, tile_hi = self._tile_jrange(fine, box_next)
         self.steps[n] = StepPlan(
             n=n,
@@ -425,7 +411,7 @@ class Construction:
             tile_strides=_strides(tile_lo, tile_hi),
             cand_strides=_strides(cand_lo, cand_hi),
         )
-        self.levels[n + 1] = LevelPlan(n + 1, m, box_next, vol_m, target, sched.periods(m))
+        self.levels[n + 1] = LevelPlan(n + 1, m, box_next, vol_m, target, periods)
         # Density sandwich: rho < stars/volume <= rho + 1/volume, exactly
         if not num * vol_m < target * den <= num * vol_m + den:
             raise CapacityError(f"level {n + 1}: star count outside the density sandwich")
@@ -603,7 +589,8 @@ class Construction:
         order, from one tile walk; no cell tuples are built.  Raises the
         same ``DepthError`` for the first undetermined cell."""
         values = self._walk_box(box)
-        if STAR in values:
+        # by identity: `STAR in values` would compare STAR with every net point
+        if any(map(operator.is_, values, itertools.repeat(STAR))):
             raise self._undetermined_in(box, values)
         if kind != "w":
             base = self.params.cube.basepoint
@@ -960,7 +947,7 @@ class _TileWalk:
         the net point of digit radix**(stars - 1 - p) of the code index."""
         template = self.templates.get(key)
         if template is None:
-            vals, _ = self.values(*key, True)
+            vals, _ = self.values(*key, False)
             zero = self._point(step, 0)
             template = self.templates[key] = [[zero if v is STAR else v for v in vals], None]
         out, p = template[0], self.cfg.levels[step.n].stars - 1

@@ -14,13 +14,17 @@ centers q_n Z.  Extension rules enforce, by construction:
 
 Past its prefix a growth rule repeats one multiplier m, so from the last
 prefix level p on, q_n = q_p * m^(n-p) and the ends a_n, b_n are geometric
-sums: any level costs one big-int power per axis, however deep.
+sums: any level costs one big-int power per axis, however deep.  For the
+same reason the first level holding a given volume is found in closed form
+(``first_level_holding``), and ``climb`` steps up from a level one level at
+a time without a power.
 
 Z^2 schedules are axis products of Z schedules.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -84,10 +88,9 @@ class TilingSchedule:
     def levels_built(self) -> int:
         return self._top
 
-    def _step(self, ax: int, lvl: int) -> tuple:
-        """(a, b) of level lvl + 1 on axis ax, from prefix level lvl; checks
-        the multiplier that step uses."""
-        a, b = self._prefix[ax][lvl - 1]
+    def _step(self, ax: int, a: int, b: int, lvl: int) -> tuple:
+        """(a, b) of level lvl + 1 on axis ax from (a, b) of level lvl, and
+        the multiplier the step uses, which it checks."""
         q = a + b + 1
         m = self.rules[ax].multiplier(lvl)
         # q * m is an integer multiple of q exactly when m is an integer
@@ -110,7 +113,7 @@ class TilingSchedule:
             j = 0
         else:
             j = (m - 1) // 2 + (lvl % 2 if m % 2 == 0 else 0)
-        return a + j * q, b + (m - 1 - j) * q
+        return a + j * q, b + (m - 1 - j) * q, m
 
     def ensure(self, n: int) -> None:
         """Make level n available; each multiplier is checked at the first
@@ -121,7 +124,8 @@ class TilingSchedule:
             return
         p = self._prefix_len
         for lvl in range(self._top, min(n, p + 1)):
-            ends = [self._step(ax, lvl) for ax in range(self.group.rank)]
+            ends = [self._step(ax, *self._prefix[ax][lvl - 1], lvl)[:2]
+                    for ax in range(self.group.rank)]
             if lvl < p:  # the step to level p + 1 only checks the repeated multiplier
                 for ax, e in enumerate(ends):
                     self._prefix[ax].append(e)
@@ -157,13 +161,22 @@ class TilingSchedule:
         left = q * (m_t - m**s) // (m * m - 1)
         return a + half + left, b + half + g - left
 
+    def _shape(self, n: int) -> tuple:
+        """Per axis (a_n, b_n), and level n's periods; level n must be ensured."""
+        ends = [self._ends(ax, n) for ax in range(self.group.rank)]
+        return ends, tuple(a + b + 1 for a, b in ends)
+
+    @staticmethod
+    def _box(ends) -> Box:
+        return Box(tuple(-a for a, _ in ends), tuple(b for _, b in ends))
+
     def _level(self, n: int) -> tuple:
         got = self._levels.get(n)
         if got is None:
             self.ensure(n)
-            ends = [self._ends(ax, n) for ax in range(self.group.rank)]
-            box = Box(tuple(-a for a, _ in ends), tuple(b for _, b in ends))
-            got = self._levels[n] = (box, tuple(a + b + 1 for a, b in ends), box.volume)
+            ends, periods = self._shape(n)
+            box = self._box(ends)
+            got = self._levels[n] = (box, periods, box.volume)
         return got
 
     def level_box(self, n: int) -> Box:
@@ -174,6 +187,58 @@ class TilingSchedule:
 
     def volume(self, n: int) -> int:
         return self._level(n)[2]
+
+    # -- level search ------------------------------------------------------
+
+    def first_level_holding(self, need: int, start: int = 1) -> int:
+        """First level n >= start whose volume is at least need.
+
+        The growth prefix, levels up to p = len(growth), is read level by
+        level.  Past it the volume is volume(p) * M**(n - p), M the product
+        of the repeated multipliers, so n - p is the least t with M**t >=
+        ceil(need / volume(p)).  The bit length of M**k bounds log2 M from
+        above and so gives a t no larger; k grows with the bits of need over
+        those of M squared, which keeps that t a few levels short, and one
+        multiplication by M per level makes up the rest.  Only the prefix
+        levels read are made available (levels_built).
+        """
+        p = self._prefix_len
+        for n in range(start, p + 1):
+            self.ensure(n)  # checks the multiplier level n is the first to use
+            if math.prod(self._shape(n)[1]) >= need:
+                return n
+        self.ensure(p + 1)  # checks the repeated multipliers
+        base = math.prod(self._shape(p)[1])
+        big_m = math.prod(int(r.growth[-1]) for r in self.rules)
+        ratio = -(-need // base)
+        k = ratio.bit_length() // big_m.bit_length() ** 2 + 1
+        t = max((ratio.bit_length() - 1) * k // (big_m**k).bit_length(), start - p)
+        power = big_m**t
+        while power < ratio:  # level p + t holds need once this loop ends
+            power *= big_m
+            t += 1
+        # raised rather than asserted so that it survives python -O
+        if t > start - p and power // big_m >= ratio:
+            raise ScheduleError(
+                f"level search from level {start}: level {p + t - 1} "
+                "already holds the volume asked for"
+            )
+        return p + t
+
+    def climb(self, level: int, top: int):
+        """Levels level + 1 .. top as (n, box, periods, volume), each one
+        extension step (_step) up from the one below: a level costs a few
+        linear big-int operations, where level_box costs a power per axis
+        and a volume product.  Each level is made available as it is reached."""
+        vol = self.volume(level)
+        ends = self._shape(level)[0]
+        for n in range(level + 1, top + 1):
+            self.ensure(n)
+            stepped = [self._step(ax, a, b, n - 1) for ax, (a, b) in enumerate(ends)]
+            ends = [(a, b) for a, b, _ in stepped]
+            for _, _, m in stepped:
+                vol *= m
+            yield n, self._box(ends), tuple(a + b + 1 for a, b in ends), vol
 
     def materialize_level(self, n: int) -> GridTiling:
         box = self.level_box(n)

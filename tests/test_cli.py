@@ -451,6 +451,47 @@ def test_capacity_error_prints_huge_counts(tmp_path, capsys):
         assert int(surplus) > int(ceiling) > 10**5000
 
 
+# The planner's error paths, recorded at commit e57a577, before the host and
+# next-level searches became closed form.  With the level cap lowered, the
+# Z^2 depth-2 toy (host 14,768, next level 14,774) fails in the host search
+# (cap below the host), in the next-level walk (cap between the two, with
+# the reason of the last level walked) and with no level to walk (cap at the
+# host).
+@pytest.mark.parametrize("cap,message", [
+    (100, "no host level found for step 3"),
+    (14_767, "no host level found for step 3"),
+    (14_768, "step 3:  unsatisfiable through level 14768"),
+    (14_770, "step 3: outside star mass unsatisfiable through level 14770"),
+])
+def test_planner_error_paths(monkeypatch, capsys, cap, message):
+    from meandim import construction
+
+    monkeypatch.setattr(construction, "MAX_SCHED_LEVEL", cap)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "toy-z2.cfg"
+    code, out, err = run(capsys, "build", "--config", str(path), "--depth", "2")
+    assert (code, out, err) == (1, "", f"error: CapacityError: {message}\n")
+
+
+@pytest.mark.parametrize("exponent,outcome", [
+    (300, 191),
+    (420, "step 2: thinning capacity keeps failing past level 260"),
+])
+def test_thinning_capacity_gives_up_after_256_futile_levels(tmp_path, capsys, exponent, outcome):
+    # rho = 2^-e puts rho * |S_1| just above an integer, so the thinning zone
+    # sheds its surplus only at a next level about e / log2(3) levels above
+    # the host; past 256 such levels the planner gives up
+    text = (Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg").read_text()
+    text = text.replace("rho = 1/2", f"rho = 1/{2**exponent}").replace("delta1 = 1/2", "delta1 = 1/8")
+    path = tmp_path / "thin.cfg"
+    path.write_text(text)
+    code, out, err = run(capsys, "build", "--config", str(path), "--depth", "1", "--format", "json")
+    if isinstance(outcome, int):
+        assert (code, err) == (0, "")
+        assert json.loads(out)["steps"][0]["next_level"] == outcome
+    else:
+        assert (code, out, err) == (1, "", f"error: CapacityError: {outcome}\n")
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 def test_planted_literal_mismatch_fails_oracle_and_linking(monkeypatch, depth):
     from fractions import Fraction

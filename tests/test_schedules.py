@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -60,6 +61,27 @@ class RecurrenceSchedule(TilingSchedule):
     def periods(self, n):
         box = self.level_box(n)
         return tuple(hi - lo + 1 for lo, hi in zip(box.lows, box.highs))
+
+    def volume(self, n):
+        return math.prod(self.periods(n))
+
+    def first_level_holding(self, need, start=1):
+        # the planner's search before the closed form: gallop, then bisect
+        hi, step = start, 1
+        while self.volume(hi) < need:
+            hi, step = hi + step, 2 * step
+        lo = max(start, hi - step // 2)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.volume(mid) >= need:
+                hi = mid
+            else:
+                lo = mid + 1
+        return hi
+
+    def climb(self, level, top):
+        for n in range(level + 1, top + 1):
+            yield n, self.level_box(n), self.periods(n), self.volume(n)
 
 
 def test_balanced_growth_values():
@@ -178,6 +200,53 @@ def test_closed_form_plan_matches_recurrence_plan():
     assert closed.steps[2].host_level == 14_768 and closed.levels[3].sched_level == 14_774
 
 
+def test_z2_depth2_plan_builds_only_the_levels_it_keeps():
+    # the host search reads no level past the growth prefix, and the walk
+    # from host 14,768 stops at the next level
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "toy-z2.cfg"
+    params = load_config(str(path), SimpleNamespace(depth=2, mode=None, seed=None))
+    Construction(params)
+    assert params.schedule.levels_built == 14_774
+
+
+@given(
+    group=st.sampled_from([Z, Z2]),
+    seeds=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=2),
+    growths=st.lists(st.lists(st.integers(2, 6), min_size=1, max_size=4), min_size=2, max_size=2),
+    balance=st.sampled_from(BALANCES),
+    start=st.integers(1, 9),
+    level=st.integers(1, 400),
+    data=st.data(),
+)
+@example(group=Z2, seeds=[(1, 1), (0, 2)], growths=[[3], [2, 5, 4]], balance="centered",
+         start=2, level=2500, data=None)
+@settings(max_examples=60, deadline=None)
+def test_level_search_and_walk_match_the_schedule(group, seeds, growths, balance, start, level, data):
+    assume(all(a + b >= 1 for a, b in seeds))
+    rules = tuple(AxisRule.make(a, b, g) for (a, b), g in zip(seeds, growths))[: group.rank]
+    sched = TilingSchedule(group, rules, balance)
+    low = sched.volume(level - 1) if level > 1 else 0
+    high = sched.volume(level) + 1
+    needs = [low, low + 1, high - 1, high]
+    if data is not None:
+        needs.append(data.draw(st.integers(low, high)))
+    for need in needs:
+        n = start
+        while sched.volume(n) < need:  # the linear scan
+            n += 1
+        fresh = TilingSchedule(group, rules, balance)
+        assert fresh.first_level_holding(need, start) == n
+        # the search makes no level past the growth prefix available
+        assert fresh.levels_built <= max(len(g) for g in growths[: group.rank]) + 1
+    walked = TilingSchedule(group, rules, balance)
+    base = min(start, level)
+    top = base + 12
+    for n, box, periods, volume in walked.climb(base, top):
+        assert (box, periods, volume) == (sched.level_box(n), sched.periods(n), sched.volume(n))
+        assert walked.levels_built == n
+    assert n == top
+
+
 def test_deep_level_checks_multipliers_first():
     # asking for a deep level first still fails at the first level that
     # uses a bad multiplier, and leaves the schedule usable below it
@@ -186,6 +255,12 @@ def test_deep_level_checks_multipliers_first():
         s.level_box(5000)
     assert s.levels_built == 2
     assert s.level_box(2) == Box((-5,), (6,))
+    # the level search and the walk check the same multiplier at the same level
+    with pytest.raises(ScheduleError, match="^level 3 axis 0: period 30.0 is not an integer multiple of 12$"):
+        s.first_level_holding(10**9)
+    with pytest.raises(ScheduleError, match="^level 3 axis 0: period 30.0 is not an integer multiple of 12$"):
+        list(s.climb(1, 5))
+    assert s.first_level_holding(12) == 2 and [n for n, *_ in s.climb(1, 2)] == [2]
     rules = (AxisRule.make(1, 1, 3), AxisRule.make(1, 1, [2, 1]))
     s = TilingSchedule(Z2, rules)
     with pytest.raises(ScheduleError, match="^level 3 axis 1: multiplier must be >= 2$"):
