@@ -13,7 +13,6 @@ carries both rather than picking one.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -68,7 +67,7 @@ class FreeSet:
         h = self.cfg.group.mul(tuple(g), self.shift)
         if h not in self.cfg.levels[self.n + 1].box:
             return False
-        return self.cfg.level_values(self.n + 1, Box(h, h))[0][0] is STAR
+        return self.cfg.level_values(self.n + 1, Box(h, h))[0] is STAR
 
     def members(self, box: Box) -> list:
         """Membership of each cell of a box that pulls back into the
@@ -76,7 +75,7 @@ class FreeSet:
         if self.n == 0:
             return [False] * box.volume
         moved = box.translate(self.shift)
-        return [v is STAR for v in self.cfg.level_values(self.n + 1, moved)[0]]
+        return [v is STAR for v in self.cfg.level_values(self.n + 1, moved)]
 
     @property
     def density(self) -> Fraction:
@@ -143,11 +142,13 @@ class BoundEstimate:
     boundary_fraction: Fraction
     envelope_fraction: Fraction  # rho + 1/|S_n| + boundary fraction
     envelope_scaled: Fraction
-    exhaustive: bool  # classes iterated one by one (else closed form)
+    # always False: the minimum over classes is the closed form min_whole;
+    # the field stays while the benchmark probes read it
+    exhaustive: bool
 
 
 def upper_bound_estimate(
-    cfg: Construction, n: int, window: Optional[Box] = None, class_guard: int = 200_000
+    cfg: Construction, n: int, window: Optional[Box] = None
 ) -> Optional[BoundEstimate]:
     """Worst-case free-coordinate count over the translation classes of the
     level-n tiling relative to a window.
@@ -170,28 +171,14 @@ def upper_bound_estimate(
     if any(p <= 0 for p in pts):
         return None
     wvol = window.volume
+    # a class (one residue per axis) has floor or ceil(p / q) whole tiles
+    # along each axis, and some class has the floor on every axis at once
     min_whole = 1
     for p, qq in zip(pts, q):
         min_whole *= p // qq
     class_count = 1
     for qq in q:
         class_count *= qq
-    exhaustive = class_count <= class_guard
-    if exhaustive:
-        # Iterate every translation class and confirm the closed-form minimum.
-        best = None
-        for offs in itertools.product(*[range(qq) for qq in q]):
-            whole = 1
-            for o, qq, lo, hi, blo, bhi in zip(
-                offs, q, window.lows, window.highs, lvl.box.lows, lvl.box.highs
-            ):
-                # centers c = o (mod qq) with the whole tile c + shape inside
-                lo_c, hi_c = lo - blo, hi - bhi
-                first = lo_c + ((o - lo_c) % qq)
-                whole *= (hi_c - first) // qq + 1 if first <= hi_c else 0
-            if best is None or whole < best:
-                best = whole
-        assert best == min_whole, (best, min_whole)
     free_max = min_whole * lvl.stars + (wvol - min_whole * lvl.volume)
     free_fraction = Fraction(free_max, wvol)
     boundary = Fraction(wvol - min_whole * lvl.volume, wvol)
@@ -207,7 +194,7 @@ def upper_bound_estimate(
         boundary_fraction=boundary,
         envelope_fraction=envelope,
         envelope_scaled=envelope * dim,
-        exhaustive=exhaustive,
+        exhaustive=False,
     )
     return est
 

@@ -348,7 +348,7 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
     def oracle():
         if lvl2.volume > VERIFY_CELL_BOUND:
             return True, "skipped (level-2 tile too large)"
-        walked, _ = cfg.level_values(2, lvl2.box)
+        walked = cfg.level_values(2, lvl2.box)
         bad = _first_mismatch(lvl2.box.cells(), walked, materialize().v11)
         if bad is not None:
             return False, f"mismatch at {bad}"
@@ -367,7 +367,7 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
         if lvl2.volume > VERIFY_CELL_BOUND:
             return True, "skipped (level-2 tile too large)"
         # V_3 on the link tile against the literal V_2
-        walked, _ = cfg.level_values(3, lvl2.box.translate(cfg.steps[2].link_center))
+        walked = cfg.level_values(3, lvl2.box.translate(cfg.steps[2].link_center))
         bad = _first_mismatch(lvl2.box.cells(), walked, materialize().v11)
         if bad is not None:
             return False, f"mismatch at {bad}"
@@ -408,10 +408,10 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
     check("per-tile density floors", tile_floors)
 
     def top_descent():
-        # the walk down from the top level against the pointwise evaluator
+        # the walk down from the top level against the walk started at step 1
         box = cfg.levels[1].box
-        via_top, _ = cfg.level_values(cfg.params.depth + 1, box)
-        bad = _first_mismatch(box.cells(), via_top, [cfg.eval_w(g) for g in box.cells()])
+        via_top = cfg.level_values(cfg.params.depth + 1, box)
+        bad = _first_mismatch(box.cells(), via_top, cfg.window_values(box, "w"))
         if bad is not None:
             return False, f"mismatch at {bad}"
         return True, f"{box.volume} cells"

@@ -1,9 +1,10 @@
 """Hierarchical word construction with exact density control.
 
 The engine plans a tower of construction levels over a nested tiling
-schedule and evaluates the resulting configuration lazily, one coordinate
-at a time or one window box tile by tile, with arbitrary-precision
-arithmetic throughout.
+schedule and evaluates the resulting configuration lazily with one
+evaluator, a tile walk over whole boxes (a single cell is a one-cell box),
+with arbitrary-precision arithmetic throughout.  The pointwise resolvers
+in ``meandim.oracles`` and the literal materializer here are its oracles.
 
 Level words.  ``V_1`` is the seed word on the level-1 tile: a fixed star
 cell set of density just above ``rho``, hash elsewhere.  For n >= 2, ``V_n``
@@ -36,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -254,7 +254,7 @@ def _exact_div(a: int, b: int) -> int:
 
 
 class Construction:
-    """A fully planned construction with a lazy pointwise evaluator.
+    """A fully planned construction with a lazy tile-walk evaluator.
 
     Plans are immutable after construction and evaluation keeps no state,
     so instances are safe to share across threads and hold no memory that
@@ -286,7 +286,6 @@ class Construction:
         self.levels[1] = LevelPlan(1, 1, box1, vol1, s1, sched.periods(1))
         cells = itertools.islice(box1.cells(), s1)
         self.seed_stars = tuple(cells)  # lexicographically first cells
-        self._seed_set = frozenset(self.seed_stars)
         for n in range(1, self.params.depth + 1):
             self._plan_step(n)
 
@@ -434,12 +433,6 @@ class Construction:
 
     # -- code-block ordering (identity tile first, then lexicographic) ------
 
-    def _cand_rank(self, step: StepPlan, j: tuple) -> int:
-        if all(x == 0 for x in j):
-            return 0
-        lr = _count_lex_below(j, step.cand_lo, step.cand_hi)
-        return lr + 1 if lr < step.e_lexrank else lr
-
     @staticmethod
     def _cand_at_raw(rank: int, lo: tuple, hi: tuple, e_lexrank: int) -> tuple:
         if rank == 0:
@@ -459,78 +452,11 @@ class Construction:
         extra = 1 if le < lex_count else 0
         return min(lex_count, R - 1) + extra
 
-    # -- resolvers -----------------------------------------------------------
-
-    def _grid_center(self, n: int, g: Element) -> Element:
-        """Center of the level-n tile containing g."""
-        lvl = self.levels[n]
-        return tuple(qq * ((x - lo) // qq) for x, lo, qq in zip(g, lvl.box.lows, lvl.periods))
-
-    def _jvec(self, n: int, center: Element) -> tuple:
-        return tuple(c // qq for c, qq in zip(center, self.levels[n].periods))
-
-    # -- the level words -----------------------------------------------------
-
-    def _word(self, n: int, pos: Element):
-        if n == 1:
-            return STAR if pos in self._seed_set else HASH
-        step = self.steps[n - 1]
-        if pos in step.host_box:
-            return self._coded(n - 1, pos)
-        c = self._grid_center(n - 1, pos)
-        rel = tuple(x - y for x, y in zip(pos, c))
-        val = self._word(n - 1, rel)
-        if val is STAR:
-            j = self._jvec(n - 1, c)
-            rank = _count_lex_below(j, step.tile_lo, step.tile_hi) - _count_lex_below(
-                j, step.cand_lo, step.cand_hi
-            )
-            if rank < step.thin_total and self._stars_below(n - 1, rel) == 0:
-                return HASH  # the first star of a thinned tile
-        return val
-
-    def _coded(self, n: int, g: Element):
-        step = self.steps[n]
-        c = self._grid_center(n, g)
-        rel = tuple(x - y for x, y in zip(g, c))
-        rank = self._cand_rank(step, self._jvec(n, c))
-        if rank < step.code_count and self._word(n, rel) is STAR:
-            p = self._stars_below(n, rel)
-            d = self._digit(rank, self.levels[n].stars - 1 - p, step.radix)
-            return step.net.point_at(d)
-        return self._word(n, rel)
-
     @staticmethod
     def _digit(code_index: int, exp: int, radix: int) -> int:
         if exp >= code_index.bit_length():
             return 0  # radix**exp already exceeds the index
         return (code_index // radix**exp) % radix
-
-    def _stars_below(self, n: int, pos: Element) -> int:
-        """Rank of a position among the stars of V_n (canonical order).
-
-        The order is hierarchical: level-(n-1) tiles in lexicographic center
-        order, positions within a tile recursively.  On Z this coincides with
-        the numeric order of the star positions.
-        """
-        if n == 1:
-            return bisect_left(self.seed_stars, pos)
-        step = self.steps[n - 1]
-        fine = self.levels[n - 1]
-        c = self._grid_center(n - 1, pos)
-        rel = tuple(x - y for x, y in zip(pos, c))
-        j = self._jvec(n - 1, c)
-        lb_cand = _count_lex_below(j, step.cand_lo, step.cand_hi)
-        lb_thin = _count_lex_below(j, step.tile_lo, step.tile_hi) - lb_cand
-        total = (lb_cand - self._coded_before(step, lb_cand)) * fine.stars
-        total += lb_thin * fine.stars - min(lb_thin, step.thin_total)
-        if pos in step.host_box:
-            if self._cand_rank(step, j) >= step.code_count:
-                total += self._stars_below(n - 1, rel)
-        else:
-            within = self._stars_below(n - 1, rel)
-            total += within - 1 if within and lb_thin < step.thin_total else within
-        return total
 
     # -- public evaluation ---------------------------------------------------
 
@@ -539,25 +465,14 @@ class Construction:
         return any(s.approximate for s in self.steps.values())
 
     def eval_w(self, g: Element):
-        """Stabilized limit value at g; never a star.
+        """Stabilized limit value at g; never a star: a one-cell tile walk.
 
         Positions inside the level-n tile resolve through the coded word of
         step n; positions beyond the deepest tile resolve through the top
         level word when it determines them, otherwise a DepthError explains
         that more depth is needed.
         """
-        g = tuple(g)
-        if len(g) != self.group.rank:
-            raise ValueError("element rank mismatch")
-        for n in range(1, self.params.depth + 1):
-            if g in self.levels[n].box:
-                return self._coded(n, g)
-        top = self.params.depth + 1
-        c = self._grid_center(top, g)
-        val = self._word(top, tuple(x - y for x, y in zip(g, c)))
-        if val is STAR:
-            raise self._undetermined(g)
-        return val
+        return self.window_values(Box(g, g))[0]
 
     def _undetermined(self, g: Element) -> DepthError:
         # str(g) would refuse coordinates past the int->str digit limit
@@ -575,9 +490,10 @@ class Construction:
         """Evaluate over a window; returns [(g, value)] in iteration order.
 
         ``kind`` "w" gives ``eval_w`` values, anything else ``eval_x``
-        values.  A ``Box`` is evaluated tile by tile (``window_values``) in
-        ``Box.cells()`` order; any other iterable cell by cell.  Both raise
-        the same ``DepthError`` for the first undetermined cell.
+        values.  A ``Box`` is one tile walk (``window_values``) in
+        ``Box.cells()`` order; any other iterable is one one-cell walk per
+        cell.  Both raise the same ``DepthError`` for the first undetermined
+        cell.
         """
         if isinstance(cells, Box):
             return list(zip(cells.cells(), self.window_values(cells, kind)))
@@ -601,38 +517,41 @@ class Construction:
         """V_top on a box in ``Box.cells()`` order, with a STAR at every cell
         the planned depth leaves undetermined.
 
-        eval_w(g) is the top level word at g's offset in its top-level tile:
-        inside the level-n tile (n <= depth) both descend to the coded word
-        of step n through code tile 0 at every level above.
+        Inside the level-n tile (n <= depth) the top level word is the coded
+        word of step n, reached through code tile 0 at every level above, so
+        a box inside such a tile is walked from the smallest one, as that
+        coded word; any other box is laid from copies of the top level word.
         """
         if box.rank != self.group.rank:
             raise ValueError("element rank mismatch")
-        box.guard_cells()  # the pointwise path's size guard
-        top = self.params.depth + 1
-        return _TileWalk(self).lay(top, box.lows, box.highs, False, None)[0]
+        box.guard_cells()
+        walk = _TileWalk(self)
+        for n in range(1, self.params.depth + 1):
+            if self.levels[n].box.contains_box(box):
+                return walk._coded(self.steps[n], (n, box.lows, box.highs), 0)
+        return walk.lay(self.params.depth + 1, box.lows, box.highs, False, None)[0]
 
     def _undetermined_in(self, box: Box, values: list) -> DepthError:
         """The DepthError for the first STAR of ``_walk_box(box)``; its cell
         comes from its index, so no cell is built before the error."""
         return self._undetermined(_lex_at(values.index(STAR), box.lows, box.highs))
 
-    def level_values(self, n: int, box: Box, ranks: bool = False) -> tuple:
+    def level_values(self, n: int, box: Box) -> list:
         """V_n on a box inside the level-n tile, in ``Box.cells()`` order,
-        from one tile walk; with ``ranks`` also each cell's star rank (the
-        stars of V_n before it in canonical order), else None."""
+        from one tile walk."""
         if not 1 <= n <= self.params.depth + 1:
             raise DepthError(f"level {n} not planned")
         if not self.levels[n].box.contains_box(box):
             raise ValueError(f"{box} outside the level-{n} tile")
         box.guard_cells()
-        return _TileWalk(self).values(n, box.lows, box.highs, ranks)
+        return _TileWalk(self).values(n, box.lows, box.highs, False)[0]
 
     def star_positions(self, n: int) -> list:
         """Stars of V_n in canonical rank order (walks the whole tile)."""
         box = self.levels[n].box
         if box.volume > MATERIALIZE_GUARD:
             raise SizeGuardError(f"level-{n} tile too large to scan")
-        values, ranks = self.level_values(n, box, ranks=True)
+        values, ranks = _TileWalk(self).values(n, box.lows, box.highs, True)
         stars = sorted((r, g) for g, v, r in zip(box.cells(), values, ranks) if v is STAR)
         return [g for _, g in stars]
 
@@ -672,8 +591,10 @@ class Construction:
             )
         center = self._cand_at(step, index)
         if confirm and lvl.volume <= MATERIALIZE_GUARD:
+            # one walk of the code tile, read at the offset of each star
+            coded = self.level_values(n + 1, lvl.box.translate(center))
             for rank, pos in enumerate(self.star_positions(n)):
-                got = self._coded(n, self.group.mul(pos, center))
+                got = coded[_count_lex_below(pos, lvl.box.lows, lvl.box.highs)]
                 if got != assignment[rank]:
                     raise AssertionError("decode confirmation failed")  # pragma: no cover
         return center
@@ -808,7 +729,7 @@ class _TileWalk:
 
     ``values(n, lows, highs, ranks)`` gives the level word V_n on a box in
     level-n tile coordinates, row-major, and with ``ranks`` also each cell's
-    star rank (``Construction._stars_below``).  The level-(n-1) tiles that
+    star rank (``meandim.oracles.stars_below``).  The level-(n-1) tiles that
     meet the box come in runs of one class along the last axis (``_runs``),
     each laid down row by row by repeating one piece of V_(n-1).  A thinned
     tile (one of the first ``thin_total`` of the thinning zone) lays the piece

@@ -35,6 +35,7 @@ from meandim.analysis import (
     upper_bound_estimate,
     verify_free_nesting,
 )
+from meandim import oracles
 from meandim.groups import Box
 from tests.conftest import TOY_MATRIX, by_cell, make_toy
 
@@ -60,7 +61,7 @@ def test_criterion_1_oracle_equivalence(toys):
         words = cfg.materialize()
         v11, stable = by_cell(words.window, words.v11), by_cell(words.window, words.stable)
         for g in words.window.cells():
-            assert values_equal(cfg._word(2, g), v11[g]), (key, g)
+            assert values_equal(oracles.word(cfg, 2, g), v11[g]), (key, g)
             assert cfg.eval_w(g) == stable[g], (key, g)
         worst = max(worst, time.monotonic() - t0)
     report(

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from meandim.analysis import (
     upper_bound_estimate,
     verify_free_nesting,
 )
+from meandim import oracles
 from meandim.cube import net_schedule
 from meandim.groups import Box
 from tests.conftest import by_cell, make_toy
@@ -66,7 +69,7 @@ def test_free_set_members_match_pointwise(toy_cfg):
     # the walked membership of a box against the pointwise level word
     def pointwise(fs, box):
         moved = (toy_cfg.group.mul(g, fs.shift) for g in box.cells())
-        return [toy_cfg._word(fs.n + 1, h) is STAR for h in moved]
+        return [oracles.word(toy_cfg, fs.n + 1, h) is STAR for h in moved]
 
     for n in (1, 2):
         fs = free_set(toy_cfg, n)
@@ -131,24 +134,32 @@ def test_lower_bound_scales_with_dimension():
     assert cfg2.rho < density <= cfg2.rho + Fraction(1, cfg2.levels[2].volume)
 
 
-def brute_force_worst_class(cfg, n, window):
-    # independent per-class counting over every translation class
+def brute_force_class_wholes(cfg, n, window):
+    # independent per-class counting: the whole level-n tiles inside the
+    # window for every translation class (one center residue per axis),
+    # from the centers of that residue scanned along each axis
     lvl = cfg.levels[n]
-    q = cfg.schedule.periods(lvl.sched_level)[0]
-    lo, hi = window.lows[0], window.highs[0]
-    blo, bhi = lvl.box.lows[0], lvl.box.highs[0]
-    worst = None
-    for o in range(q):
-        centers = [c for c in range(lo - q, hi + q + 1) if c % q == o and lo <= c + blo and c + bhi <= hi]
-        whole = len(centers)
-        free = whole * lvl.stars + (window.volume - whole * lvl.volume)
-        worst = free if worst is None else max(worst, free)
+    per_axis = [
+        [sum(1 for c in range(lo - q, hi + q + 1) if c % q == o and lo <= c + blo and c + bhi <= hi)
+         for o in range(q)]
+        for q, lo, hi, blo, bhi in zip(lvl.periods, window.lows, window.highs, lvl.box.lows, lvl.box.highs)
+    ]
+    return [math.prod(counts) for counts in product(*per_axis)]
+
+
+def brute_force_worst_class(cfg, n, window):
+    # the most free coordinates over every translation class
+    lvl = cfg.levels[n]
+    worst = max(
+        whole * lvl.stars + (window.volume - whole * lvl.volume)
+        for whole in brute_force_class_wholes(cfg, n, window)
+    )
     return Fraction(worst, window.volume)
 
 
 def test_upper_bound_level1_exact(toy_cfg):
     est = upper_bound_estimate(toy_cfg, 1)
-    assert est.exhaustive and est.class_count == 4
+    assert est.class_count == 4
     want = brute_force_worst_class(toy_cfg, 1, toy_cfg.levels[2].box)
     assert est.free_fraction == want == Fraction(244, 324)
     assert est.free_fraction <= est.envelope_fraction
@@ -157,7 +168,7 @@ def test_upper_bound_level1_exact(toy_cfg):
 
 def test_upper_bound_level2(toy_cfg):
     est = upper_bound_estimate(toy_cfg, 2)
-    assert est.exhaustive and est.class_count == 324
+    assert est.class_count == 324
     assert est.free_fraction <= est.envelope_fraction
     assert est.free_fraction - toy_cfg.rho < Fraction(1, 100)
 
@@ -205,6 +216,34 @@ def test_upper_bound_stays_under_its_envelope(data):
     else:
         assert est.free_fraction <= est.envelope_fraction
         assert est.scaled <= est.envelope_scaled
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_upper_bound_closed_form_matches_class_scan(data):
+    # the closed-form minimum over translation classes against a scan of
+    # every class, on Z and Z^2 levels of at most 60,000 classes
+    if data.draw(st.booleans()):
+        cfg = Construction(BuildParams.toy(
+            generate_interval_schedule(1, 1, 3, group=Z2), Fraction(1, 2), dim=1, depth=1))
+    else:
+        cfg = make_toy(data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3)),
+                       data.draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)])),
+                       depth=data.draw(st.integers(1, 2)))
+    n = data.draw(st.sampled_from(
+        [n for n, lvl in cfg.levels.items() if math.prod(lvl.periods) <= 60_000]))
+    q = cfg.levels[n].periods
+    lows = [data.draw(st.integers(-2 * qq, 2 * qq)) for qq in q]
+    spans = [data.draw(st.integers(1, 3 * qq)) for qq in q]
+    window = Box(tuple(lows), tuple(lo + span - 1 for lo, span in zip(lows, spans)))
+    est = upper_bound_estimate(cfg, n, window=window)
+    wholes = brute_force_class_wholes(cfg, n, window)
+    if est is None:
+        assert max(wholes) == 0  # no class holds a whole tile
+    else:
+        assert est.class_count == len(wholes)
+        assert est.whole_tiles_min == min(wholes)
+        assert est.free_fraction == brute_force_worst_class(cfg, n, window)
 
 
 def test_minimality_check_passes(toy_cfg):

@@ -3,8 +3,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import tempfile
 from datetime import timedelta
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from meandim import oracles
 from meandim.cli import DECIMAL_CHUNK, decimal_text, load_config, main, parse_mode, parse_window
 from meandim.construction import Construction, render_value
 from meandim.errors import DepthError
@@ -247,7 +250,7 @@ def test_window_undetermined_cell_exit_and_message(config, capsys):
     cfg = Construction(load_config(config, argparse.Namespace(depth=None, mode=None, seed=None)))
     for g, text in zip(range(-200, 201), texts):
         try:
-            want = render_value(cfg.eval_w((g,)))
+            want = render_value(oracles.eval_w(cfg, (g,)))
         except DepthError:
             want = "?"
         assert text == want, g
@@ -296,7 +299,9 @@ def test_window_output_is_byte_identical_to_golden(capsys, config_path, flags, d
 # sha256 of `verify` stdout, recorded at commit 82ae71f, before the tile walk
 # resolved its tiles in runs and the floors check counted stars by rows; the
 # capped depth-3 run, which reads the stabilized word past depth 2, recorded at
-# 4b21366, before the literal materializer moved to flat lists; each run exits 0
+# 4b21366, before the literal materializer moved to flat lists; the Z^2 depth-2
+# run recorded at 29b4e41, before single cells went through the tile walk and
+# the bound bracket stopped iterating classes; each run exits 0
 DEEP_Z = ("--depth", "3", "--mode", "capped:4096")
 GOLDEN_VERIFY = [
     ("toy-z-depth1", "configs/toy-z.cfg", ("--depth", "1"),
@@ -307,6 +312,8 @@ GOLDEN_VERIFY = [
      "43d8697fa5e9cac1cfab66b169ad1baf8f93f693988c929f4e196b87ad0071df"),
     ("toy-z2-depth1", "perfbench/toy-z2.cfg", ("--depth", "1"),
      "0da06fac6e9e6b90acb066fae4eb2f21370f9887171b53259aab1645290b2c89"),
+    ("toy-z2-depth2", "perfbench/toy-z2.cfg", ("--depth", "2"),
+     "aca453e47eeb262382dc15de690fb9954db8253c34d9171e636667a2fbef9475"),
 ]
 
 
@@ -320,10 +327,10 @@ def test_verify_output_is_byte_identical_to_golden(capsys, config_path, flags, d
 
 
 # sha256 of `build --format json` and `mdim --format json` stdout, recorded at
-# commit fbab476, before thinning kept only its total; each run exits 0.  The
-# build reports pin the plan numbers and the "per_tile" key.  `mdim` on toy-z2
-# at depth 2 is left out: it takes about 25 s, nearly all of it the class loop
-# of `upper_bound_estimate`
+# commit fbab476, before thinning kept only its total; `mdim` on toy-z2 at
+# depth 2 recorded at 29b4e41, before the bound bracket stopped iterating
+# classes; each run exits 0.  The build reports pin the plan numbers and the
+# "per_tile" key
 GOLDEN_REPORTS = [
     ("build-toy-z-depth2", "build", "configs/toy-z.cfg", (),
      "460b7ef6c89f2c649e901159bfc452da3ebebfebaee575bd3ff050b6daa00189"),
@@ -339,6 +346,8 @@ GOLDEN_REPORTS = [
      "0432b98208973b0e412c0318d44236f9ae609dda60525ddda99e3263c94eb4b1"),
     ("mdim-toy-z2-depth1", "mdim", "perfbench/toy-z2.cfg", ("--depth", "1"),
      "81fffadf442d8680a66f04482390eb49319855b0e077f6a92757f8de23b4f4fb"),
+    ("mdim-toy-z2-depth2", "mdim", "perfbench/toy-z2.cfg", ("--depth", "2"),
+     "2a8b765e32a0213caadab2cb05001fd4c65c571f83dbacbb541a2e779a0d16f2"),
 ]
 
 
@@ -568,6 +577,18 @@ def test_planted_stable_mismatch_fails_the_oracle(monkeypatch):
     monkeypatch.setattr(Construction, "materialize", planted)
     rows = {name: (ok, note) for name, ok, note in cli.run_verification(cfg, 7)}
     assert rows["evaluator equals literal materialization"] == (False, f"stabilized mismatch at {victim}")
+
+
+def test_importing_the_command_leaves_the_oracles_out():
+    # the engine evaluates through the tile walk alone, and the pointwise
+    # resolvers are a test oracle: the command never loads them.  The child
+    # reports by exit code, not assert, so the check holds under python -O
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, meandim.cli; sys.exit(3 if 'meandim.oracles' in sys.modules else 0)"
+    flags = ["-O"] if sys.flags.optimize else []
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, *flags, "-c", probe], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # -- mutated configs: exit codes hold and output is deterministic -------------

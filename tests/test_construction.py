@@ -19,6 +19,7 @@ from meandim import (
     net_schedule,
     render_value,
 )
+from meandim import oracles
 from meandim.groups import Box
 from tests.conftest import by_cell, make_toy
 from tests.test_cli import int_str_limit_lifted
@@ -83,9 +84,9 @@ def test_oracle_equivalence_words(matrix_cfg):
     v11, stable = by_cell(words.window, words.v11), by_cell(words.window, words.stable)
     w1_coded = by_cell(host_box, words.w1_coded)
     for g in words.window.cells():
-        assert values_equal(matrix_cfg._word(2, g), v11[g])
+        assert values_equal(oracles.word(matrix_cfg, 2, g), v11[g])
     for g in host_box.cells():
-        assert values_equal(matrix_cfg._coded(1, g), w1_coded[g])
+        assert values_equal(oracles.coded(matrix_cfg, 1, g), w1_coded[g])
     for g in words.window.cells():
         assert matrix_cfg.eval_w(g) == stable[g]
 
@@ -153,8 +154,8 @@ def test_top_descent_agrees_with_coded_path(toy_cfg):
     # the same value is reached via the deepest level word
     top = toy_cfg.params.depth + 1
     for g in toy_cfg.levels[2].box.cells():
-        via_top = toy_cfg._word(top, g)
-        assert values_equal(via_top, toy_cfg.eval_w(g))
+        via_top = oracles.word(toy_cfg, top, g)
+        assert values_equal(via_top, oracles.eval_w(toy_cfg, g))
 
 
 def test_level_linking(matrix_cfg):
@@ -165,8 +166,8 @@ def test_level_linking(matrix_cfg):
         if box.volume > 2000:
             continue
         for pos in box.cells():
-            lhs = matrix_cfg._word(n + 1, Z_mul(pos, h))
-            assert values_equal(lhs, matrix_cfg._word(n, pos))
+            lhs = oracles.word(matrix_cfg, n + 1, Z_mul(pos, h))
+            assert values_equal(lhs, oracles.word(matrix_cfg, n, pos))
 
 
 def test_per_tile_floor(toy_cfg, toy_words):
@@ -189,7 +190,7 @@ def test_per_tile_floor(toy_cfg, toy_words):
 def test_star_rank_consistency(toy_cfg):
     stars = toy_cfg.star_positions(2)
     assert len(stars) == toy_cfg.levels[2].stars
-    ranks = [toy_cfg._stars_below(2, p) for p in stars]
+    ranks = [oracles.stars_below(toy_cfg, 2, p) for p in stars]
     assert ranks == list(range(len(stars)))
     assert stars == sorted(stars)  # on Z the canonical star order is numeric
 
@@ -206,7 +207,7 @@ def test_realization_decode_exhaustive(toy_cfg):
     five = [net.point_at(d) for d in (1, 0, 1)]
     c5 = toy_cfg.realization_decode(1, five)
     for rank, pos in enumerate(toy_cfg.star_positions(1)):
-        assert toy_cfg._coded(1, Z_mul(pos, c5)) == five[rank]
+        assert oracles.coded(toy_cfg, 1, Z_mul(pos, c5)) == five[rank]
 
 
 def test_realization_decode_capped():
@@ -264,10 +265,10 @@ def test_z2_construction_oracle():
     assert len(words.v11) == words.window.volume
     v11 = by_cell(words.window, words.v11)
     for g in words.window.cells():
-        assert values_equal(cfg._word(2, g), v11[g])
+        assert values_equal(oracles.word(cfg, 2, g), v11[g])
     stars = cfg.star_positions(2)
     assert len(stars) == cfg.levels[2].stars
-    assert [cfg._stars_below(2, p) for p in stars] == list(range(len(stars)))
+    assert [oracles.stars_below(cfg, 2, p) for p in stars] == list(range(len(stars)))
 
 
 def test_z2_infeasible_host_surplus_detected():
@@ -290,7 +291,7 @@ def test_z2_depth2_plan_and_eval():
     for g in box1.cells():
         v = cfg.eval_w(g)
         assert v is not STAR
-        if g in cfg._seed_set:
+        if g in cfg.seed_stars:
             assert v == zero
     # recurrence copy across one level-3 tile center
     q = cfg.schedule.periods(cfg.levels[3].sched_level)
@@ -364,9 +365,9 @@ def test_deep_star_ranks_capped():
     # the leftmost tile of the level-3 box is thinned: it sheds exactly its
     # first star and its first surviving star opens the level-3 star order
     c0 = st2.tile_lo[0] * q2
-    assert cfg._word(3, (c0 + stars2[0][0],)) is HASH
-    assert cfg._word(3, (c0 + stars2[1][0],)) is STAR
-    assert cfg._stars_below(3, (c0 + stars2[1][0],)) == 0
+    assert oracles.word(cfg, 3, (c0 + stars2[0][0],)) is HASH
+    assert oracles.word(cfg, 3, (c0 + stars2[1][0],)) is STAR
+    assert oracles.stars_below(cfg, 3, (c0 + stars2[1][0],)) == 0
     # the first uncoded tile inside the host follows the whole left thin zone
     from meandim.construction import _lex_at
 
@@ -374,11 +375,11 @@ def test_deep_star_ranks_capped():
     c = j[0] * q2
     left_tiles = st2.cand_lo[0] - st2.tile_lo[0]
     want = left_tiles * (cfg.levels[2].stars - 1)  # each sheds one star
-    assert cfg._stars_below(3, (c + stars2[0][0],)) == want
-    assert cfg._stars_below(3, (c + stars2[1][0],)) == want + 1
+    assert oracles.stars_below(cfg, 3, (c + stars2[0][0],)) == want
+    assert oracles.stars_below(cfg, 3, (c + stars2[1][0],)) == want + 1
     # a level-3 star inside the identity code tile resolves to net point 0
     g = (q2 + stars2[0][0],)
-    assert cfg._word(3, g) is STAR
+    assert oracles.word(cfg, 3, g) is STAR
     assert cfg.eval_w(g) == cfg.steps[3].net.point_at(0)
 
 
@@ -398,7 +399,7 @@ def test_dim2_cube_points():
     words = cfg.materialize()
     v11 = by_cell(words.window, words.v11)
     for g in words.window.cells():
-        assert values_equal(cfg._word(2, g), v11[g])
+        assert values_equal(oracles.word(cfg, 2, g), v11[g])
 
 
 def test_group_rank_mismatch(toy_cfg):
@@ -437,11 +438,21 @@ def or_error(evaluate):
         return ("DepthError", str(exc))
 
 
+def oracle_window(cfg, cells, kind):
+    """``cfg.window(cells, kind)`` cell by cell from the pointwise oracle."""
+    base = cfg.params.cube.basepoint
+    out = []
+    for g in cells:
+        v = oracles.eval_w(cfg, g)
+        out.append((tuple(g), base if kind != "w" and v is HASH else v))
+    return out
+
+
 def assert_batched_matches_pointwise(cfg, box):
-    # cfg.window on a Box (batched) and its values alone against cfg.window
-    # on the cell list, which calls eval_w / eval_x cell by cell
+    # cfg.window on a Box (batched) and its values alone against the
+    # pointwise oracle, cell by cell
     for kind in ("w", "x"):
-        pointwise = or_error(lambda: cfg.window(list(box.cells()), kind))
+        pointwise = or_error(lambda: oracle_window(cfg, box.cells(), kind))
         assert or_error(lambda: cfg.window(box, kind)) == pointwise, (box, kind)
         if isinstance(pointwise, list):
             pointwise = [v for _, v in pointwise]
@@ -539,6 +550,50 @@ def test_batched_window_matches_pointwise_z2(z2_cfgs, data, depth):
     assert_batched_matches_pointwise(cfg, data.draw(windows_near_edges(cfg, 9)))
 
 
+@st.composite
+def boxes_by_level(draw, cfg, max_side):
+    """A box inside some level-n tile, one straddling an edge of that tile,
+    or one beyond the top level tile: shifted by whole top periods (out to
+    about 10**80) or placed near 10**80 outright."""
+    depth = cfg.params.depth
+    tile = cfg.levels[draw(st.integers(1, depth + 1))].box
+    place = draw(st.sampled_from(["inside", "edge", "beyond"]))
+    straddle = draw(st.integers(0, cfg.group.rank - 1))
+    lows, highs = [], []
+    for axis, (lo_t, hi_t) in enumerate(zip(tile.lows, tile.highs)):
+        side = min(draw(st.integers(1, max_side)), hi_t - lo_t + 1)
+        if place == "edge" and axis == straddle:
+            edge = draw(st.sampled_from([lo_t, hi_t + 1]))  # the first cell past a side
+            side = max(side, 2)
+            lo = draw(st.integers(edge - side + 1, edge - 1))
+        else:
+            lo = draw(st.integers(lo_t, hi_t - side + 1))
+        lows.append(lo)
+        highs.append(lo + side - 1)
+    box = Box(lows, highs)
+    if place == "beyond":
+        top = cfg.levels[depth + 1].periods
+        k = draw(st.sampled_from([1, -3, 10**80 // top[0] + 7, None]))
+        shift = (10**80,) * cfg.group.rank if k is None else tuple(k * q for q in top)
+        box = box.translate(shift)
+    return box
+
+
+@given(st.sampled_from(["Z", "Z capped", "Z2 depth 1", "Z2 depth 2"]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_walk_from_the_smallest_tile_matches_the_oracle(toy_cfg, deep_capped_cfg, z2_cfgs, case, data):
+    # window_values starts the walk at the smallest level tile that holds
+    # the box; the pointwise oracle descends from the level of each cell
+    cfg = {"Z": toy_cfg, "Z capped": deep_capped_cfg,
+           "Z2 depth 1": z2_cfgs[1], "Z2 depth 2": z2_cfgs[2]}[case]
+    box = data.draw(boxes_by_level(cfg, 40 if cfg.group.rank == 1 else 6))
+    cells = list(box.cells())
+    want = or_error(lambda: [oracles.eval_w(cfg, g) for g in cells])
+    assert or_error(lambda: cfg.window_values(box)) == want, box
+    for g in data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3)):
+        assert or_error(lambda: cfg.eval_w(g)) == or_error(lambda: oracles.eval_w(cfg, g)), g
+
+
 def test_evaluation_keeps_no_state_on_the_construction():
     # evaluator memory is bounded by the window: batched windows, pointwise
     # cells and star ranking leave the construction as it was planned
@@ -579,12 +634,12 @@ def test_tile_walk_words_and_ranks_match_pointwise(toy_cfg, deep_capped_cfg, z2_
                 highs = tuple(min(x + 6, hi) for x, hi in zip(corner, outer.highs))
                 cases.append((cfg, n + 1, Box(lows, highs)))
     for cfg, n, box in cases:
-        want = [cfg._word(n, g) for g in box.cells()]
+        want = [oracles.word(cfg, n, g) for g in box.cells()]
         words, ranks = _TileWalk(cfg).values(n, box.lows, box.highs, False)
         assert (words, ranks) == (want, None), (n, box)
         words, ranks = _TileWalk(cfg).values(n, box.lows, box.highs, True)
         assert words == want, (n, box)
-        assert ranks == [cfg._stars_below(n, g) for g in box.cells()], (n, box)
+        assert ranks == [oracles.stars_below(cfg, n, g) for g in box.cells()], (n, box)
 
 
 def test_depth_error_names_huge_coordinates(toy_cfg):
@@ -605,8 +660,8 @@ def test_depth_error_names_huge_coordinates(toy_cfg):
 def pointwise_star_order(cfg, n):
     """The stars of V_n sorted by their pointwise rank, the walk's oracle."""
     box = cfg.levels[n].box
-    stars = [g for g in box.cells() if cfg._word(n, g) is STAR]
-    return sorted(stars, key=lambda g: cfg._stars_below(n, g))
+    stars = [g for g in box.cells() if oracles.word(cfg, n, g) is STAR]
+    return sorted(stars, key=lambda g: oracles.stars_below(cfg, n, g))
 
 
 @pytest.fixture(scope="module")
@@ -686,7 +741,7 @@ def test_z2_depth2_literal_words_match_the_walk(z2_cfgs):
     cfg = z2_cfgs[2]
     words, box = cfg.materialize(), cfg.levels[2].box
     assert words.window == box
-    assert words.v11 == cfg.level_values(2, box)[0]
+    assert words.v11 == cfg.level_values(2, box)
     assert words.stable == cfg.window_values(box, "w")
     cells = list(box.cells())
     sample = sorted(random.Random(2).sample(range(len(cells)), 2000))

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from meandim import BuildParams, Construction, STAR, Z2, generate_interval_schedule
+from meandim import oracles
 from meandim.schedules import AxisRule, TilingSchedule
 from tests.conftest import by_cell
 
@@ -17,7 +18,7 @@ def full_check(cfg):
     words = cfg.materialize()
     v11 = by_cell(words.window, words.v11)
     for g in words.window.cells():
-        a, b = cfg._word(2, g), v11[g]
+        a, b = oracles.word(cfg, 2, g), v11[g]
         assert a is b or a == b, g
     rho = cfg.rho
     for n in (1, 2):
@@ -87,7 +88,7 @@ def test_z2_asymmetric_axis_rules():
     words = cfg.materialize()
     v11 = by_cell(words.window, words.v11)
     for g in words.window.cells():
-        a, b = cfg._word(2, g), v11[g]
+        a, b = oracles.word(cfg, 2, g), v11[g]
         assert a is b or a == b, g
 
 
