@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import analysis
 from .construction import HASH, MAX_NET_POINTS, STAR, BuildParams, Construction, render_value
 from .cube import Polyhedron, axis_points, make_net
-from .errors import DepthError, MeandimError, ScheduleError
+from .errors import DepthError, MeandimError, ScheduleError, SizeGuardError
 # DECIMAL_CHUNK and decimal_text stay importable from cli, where they began
 from .groups import DECIMAL_CHUNK, GROUPS, Box, decimal_text, fraction_text  # noqa: F401
 from .schedules import BALANCES, MAX_SEARCH_LEVEL, AxisRule, TilingSchedule
@@ -32,8 +32,8 @@ CHECK_ERROR = 1
 # int/str digit limit, past which int() itself would fail
 MAX_LITERAL_CHARS = 4300
 # the oracle, linking and per-tile floor checks of `verify` read the literal
-# level-2 word, a few dicts with one entry per cell; past this many cells they
-# are skipped rather than hold those dicts
+# level-2 words, flat lists of one entry per cell; past this many cells the
+# materializer raises a SizeGuardError and those checks report INCONCLUSIVE
 VERIFY_CELL_BOUND = 200_000
 
 
@@ -303,27 +303,27 @@ def cmd_window(args) -> int:
 
 def cmd_verify(args) -> int:
     params = load_config(args.config, args)
-    cfg = Construction(params)
-    seed = getattr(params, "_seed", 0)
-    results = run_verification(cfg, seed)
-    lines = [f"{'PASS' if ok else 'FAIL'} {name}{': ' + note if note else ''}" for name, ok, note in results]
-    emit("\n".join(lines) + "\n", args.out)
-    return 0 if all(ok for _, ok, _ in results) else CHECK_ERROR
+    results = run_verification(Construction(params), getattr(params, "_seed", 0))
+    rows = [(name, "INCONCLUSIVE" if ok is None else "PASS" if ok else "FAIL", note)
+            for name, ok, note in results]
+    if args.format == "json":
+        _report([{"name": n, "status": s, "detail": d} for n, s, d in rows], "json", args.out)
+    else:
+        emit("".join(f"{s} {n}{': ' + d if d else ''}\n" for n, s, d in rows), args.out)
+    return CHECK_ERROR if any(s == "FAIL" for _, s, _ in rows) else 0
 
 
 def run_verification(cfg: Construction, seed: int = 0) -> list:
-    """The invariant battery at the configured depth; list of (name, ok, note)."""
-    out = []
-    lvl2 = cfg.levels[2]
-    # level 2 is materialized at most once, for the checks that read it
-    materialize = functools.cache(cfg.materialize)
+    """The invariant battery at the configured depth; list of (name, ok, note).
 
-    def check(name, fn):
-        try:
-            ok, note = fn()
-        except MeandimError as exc:
-            ok, note = False, f"{type(exc).__name__}: {exc}"
-        out.append((name, ok, note))
+    ``ok`` is True (PASS), False (FAIL) or None (INCONCLUSIVE).  A check that
+    a size guard stops raises SizeGuardError and reads None; any other
+    package error reads False.
+    """
+    lvl2 = cfg.levels[2]
+    # level 2 is materialized at most once, for the checks that read it; each
+    # calls this before it walks, so a tile past the bound walks nothing
+    materialize = functools.cache(lambda: cfg.materialize(VERIFY_CELL_BOUND))
 
     def sandwich():
         rho = cfg.rho
@@ -334,8 +334,6 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
                 return False, f"level {n}: {d}"
         return True, f"levels 1..{cfg.params.depth + 1}"
 
-    check("density sandwich", sandwich)
-
     def no_star():
         # depth d determines the whole level-d tile; the window raises a
         # DepthError at its first star
@@ -343,52 +341,38 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
         cfg.window_values(box, "w")
         return True, f"{box.volume} cells"
 
-    check("no star in the limit", no_star)
-
     def oracle():
-        if lvl2.volume > VERIFY_CELL_BOUND:
-            return True, "skipped (level-2 tile too large)"
+        words = materialize()
         walked = cfg.level_values(2, lvl2.box)
-        bad = _first_mismatch(lvl2.box.cells(), walked, materialize().v11)
+        bad = _first_mismatch(lvl2.box.cells(), walked, words.v11)
         if bad is not None:
             return False, f"mismatch at {bad}"
-        stable = materialize().stable
-        if stable is not None:
-            bad = _first_mismatch(lvl2.box.cells(), cfg.window_values(lvl2.box, "w"), stable)
+        if words.stable is not None:
+            bad = _first_mismatch(lvl2.box.cells(), cfg.window_values(lvl2.box, "w"), words.stable)
             if bad is not None:
                 return False, f"stabilized mismatch at {bad}"
         return True, f"{lvl2.volume} cells"
 
-    check("evaluator equals literal materialization", oracle)
-
     def linking():
-        if cfg.params.depth < 2:
-            return True, "needs depth >= 2, skipped"
-        if lvl2.volume > VERIFY_CELL_BOUND:
-            return True, "skipped (level-2 tile too large)"
+        words = materialize()
         # V_3 on the link tile against the literal V_2
         walked = cfg.level_values(3, lvl2.box.translate(cfg.steps[2].link_center))
-        bad = _first_mismatch(lvl2.box.cells(), walked, materialize().v11)
+        bad = _first_mismatch(lvl2.box.cells(), walked, words.v11)
         if bad is not None:
             return False, f"mismatch at {bad}"
         return True, f"{lvl2.volume} cells"
 
-    check("level words reappear at the link tile", linking)
-
     def nesting():
         res = analysis.verify_free_nesting(cfg, min(2, cfg.params.depth))
-        return bool(res), res.detail
-
-    check("free set nesting", nesting)
+        return res.ok, res.detail
 
     def tile_floors():
-        if lvl2.volume > VERIFY_CELL_BOUND:
-            return True, "skipped (level-2 tile too large)"
+        words = materialize()
         st, lvl1 = cfg.steps[1], cfg.levels[1]
         q, across = lvl1.periods, st.tile_hi[-1] - st.tile_lo[-1] + 1
         # stars per row of each level-1 tile (q[-1] cells) from a running count
         # over the literal word, `across` tiles a row; then summed per tile
-        running = list(itertools.accumulate(map(operator.is_, materialize().v11, itertools.repeat(STAR)), initial=0))
+        running = list(itertools.accumulate(map(operator.is_, words.v11, itertools.repeat(STAR)), initial=0))
         per_row = list(map(operator.sub, running[q[-1]::q[-1]], running[::q[-1]]))
         counts = {}  # leading tile index -> star count of each tile along the last axis
         for r, lead in enumerate(itertools.product(*[  # the leading tile index of each row
@@ -405,8 +389,6 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
                     return False, f"tile at {tuple(jj * qq for jj, qq in zip(j, q))} thinned below its floor"
         return True, "every thinned tile stays above its floor"
 
-    check("per-tile density floors", tile_floors)
-
     def top_descent():
         # the walk down from the top level against the walk started at step 1
         box = cfg.levels[1].box
@@ -416,34 +398,44 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
             return False, f"mismatch at {bad}"
         return True, f"{box.volume} cells"
 
-    check("top-level descent agrees with stabilized values", top_descent)
-
     def realization():
-        step = cfg.steps[1]
-        if cfg.levels[1].stars > 12:
-            return True, "skipped (too many seed stars)"
+        step, stars = cfg.steps[1], cfg.levels[1].stars
+        if stars > 12:
+            raise SizeGuardError(f"{stars} seed stars, over 12 to enumerate")
         seen = set()
-        for combo in itertools.product(range(step.radix), repeat=cfg.levels[1].stars):
-            pts = [step.net.point_at(d) for d in combo]
-            seen.add(cfg.realization_decode(1, pts))
-        want = step.radix ** cfg.levels[1].stars
-        return len(seen) == want, f"{len(seen)} distinct centers"
-
-    check("level-1 assignments all realized", realization)
+        for combo in itertools.product(range(step.radix), repeat=stars):
+            seen.add(cfg.realization_decode(1, [step.net.point_at(d) for d in combo]))
+        return len(seen) == step.radix ** stars, f"{len(seen)} distinct centers"
 
     def bounds():
         rep = analysis.mdim_report(cfg)
         ok = rep.gaps_monotone and rep.brackets_contain_target
         return ok, f"{len(rep.rows)} levels, target {rep.rho_dim}"
 
-    check("bound brackets and monotone gaps", bounds)
-
     def minimal():
         rep = analysis.minimality_check(cfg, 1, sample_size=20, seed=seed)
         return rep.ok, f"{rep.sampled} centers"
 
-    check("minimality diagnostic (level 1)", minimal)
-
+    battery = [
+        ("density sandwich", sandwich),
+        ("no star in the limit", no_star),
+        ("evaluator equals literal materialization", oracle),
+        # at depth 1 no step-2 link tile is planned
+        *([("level words reappear at the link tile", linking)] if cfg.params.depth >= 2 else []),
+        ("free set nesting", nesting),
+        ("per-tile density floors", tile_floors),
+        ("top-level descent agrees with stabilized values", top_descent),
+        ("level-1 assignments all realized", realization),
+        ("bound brackets and monotone gaps", bounds),
+        ("minimality diagnostic (level 1)", minimal),
+    ]
+    out = []
+    for name, fn in battery:
+        try:
+            ok, note = fn()
+        except MeandimError as exc:
+            ok, note = (None if isinstance(exc, SizeGuardError) else False), f"{type(exc).__name__}: {exc}"
+        out.append((name, ok, note))
     return out
 
 

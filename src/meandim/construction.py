@@ -44,6 +44,7 @@ from typing import Iterable, Optional
 from .cube import Net, Polyhedron, net_schedule
 from .errors import (
     CapacityError,
+    DecodeError,
     DepthError,
     NotRealizedError,
     ScheduleError,
@@ -596,7 +597,7 @@ class Construction:
             for rank, pos in enumerate(self.star_positions(n)):
                 got = coded[_count_lex_below(pos, lvl.box.lows, lvl.box.highs)]
                 if got != assignment[rank]:
-                    raise AssertionError("decode confirmation failed")  # pragma: no cover
+                    raise DecodeError(f"decode confirmation failed at star {pos}")
         return center
 
     # -- literal materialization (the oracle) --------------------------------

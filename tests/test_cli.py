@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from meandim import oracles
 from meandim.cli import DECIMAL_CHUNK, decimal_text, load_config, main, parse_mode, parse_window
 from meandim.construction import Construction, render_value
-from meandim.errors import DepthError
+from meandim.errors import CapacityError, DepthError, SizeGuardError
 from meandim.groups import Box, Z, Z2
 
 TOY = """\
@@ -301,17 +301,20 @@ def test_window_output_is_byte_identical_to_golden(capsys, config_path, flags, d
 # capped depth-3 run, which reads the stabilized word past depth 2, recorded at
 # 4b21366, before the literal materializer moved to flat lists; the Z^2 depth-2
 # run recorded at 29b4e41, before single cells went through the tile walk and
-# the bound bracket stopped iterating classes; each run exits 0
+# the bound bracket stopped iterating classes; the two depth-1 runs re-recorded
+# when verify stopped listing the link-tile check at depth 1, where no step-2
+# link tile is planned and it printed a PASS that only said "skipped"; each run
+# exits 0
 DEEP_Z = ("--depth", "3", "--mode", "capped:4096")
 GOLDEN_VERIFY = [
     ("toy-z-depth1", "configs/toy-z.cfg", ("--depth", "1"),
-     "9f266b96986aebc0918ff1501d9701c55ad5528a1a4a51a90496e6e975d6c0e7"),
+     "359db63fd59e093ae4cf6e9af7333726d6f8d512796e87dcc19f3beb68ad33e5"),
     ("toy-z-depth2", "configs/toy-z.cfg", ("--depth", "2"),
      "ec845801804a11c7ac6307a6e009ce4a298b9d48e75b57fac9b0a3bb05cc8e1e"),
     ("toy-z-depth3-capped", "configs/toy-z.cfg", DEEP_Z,
      "43d8697fa5e9cac1cfab66b169ad1baf8f93f693988c929f4e196b87ad0071df"),
     ("toy-z2-depth1", "perfbench/toy-z2.cfg", ("--depth", "1"),
-     "0da06fac6e9e6b90acb066fae4eb2f21370f9887171b53259aab1645290b2c89"),
+     "7d05b579bbea5fcb7a9cea04b8c102b6521ef8ca101fe368a0482fafca24be0d"),
     ("toy-z2-depth2", "perfbench/toy-z2.cfg", ("--depth", "2"),
      "aca453e47eeb262382dc15de690fb9954db8253c34d9171e636667a2fbef9475"),
 ]
@@ -577,6 +580,115 @@ def test_planted_stable_mismatch_fails_the_oracle(monkeypatch):
     monkeypatch.setattr(Construction, "materialize", planted)
     rows = {name: (ok, note) for name, ok, note in cli.run_verification(cfg, 7)}
     assert rows["evaluator equals literal materialization"] == (False, f"stabilized mismatch at {victim}")
+
+
+@pytest.mark.parametrize("error,ok", [(SizeGuardError, None), (CapacityError, False)])
+def test_planted_materialize_error_labels_the_literal_checks(monkeypatch, error, ok):
+    # a guard that fires reads INCONCLUSIVE, any other package error FAIL; the
+    # three checks that read the literal words ask for them before they walk,
+    # so the oracle's and the linking check's walks never happen
+    from collections import Counter
+
+    from meandim import cli
+
+    cfg_path = Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg"
+    cfg = Construction(cli.load_config(str(cfg_path), argparse.Namespace(depth=2, mode=None, seed=None)))
+    walks = Counter()
+    real_walk = Construction.level_values
+
+    def counted(self, n, box):
+        walks[n, box.lows, box.highs] += 1
+        return real_walk(self, n, box)
+
+    def planted(self, *args, **kwargs):
+        raise error("planted")
+
+    monkeypatch.setattr(Construction, "level_values", counted)
+    cli.run_verification(cfg, 7)
+    unplanted, walks = walks, Counter()
+    monkeypatch.setattr(Construction, "materialize", planted)
+    rows = {name: (ok, note) for name, ok, note in cli.run_verification(cfg, 7)}
+    literal = {"evaluator equals literal materialization", "level words reappear at the link tile",
+               "per-tile density floors"}
+    assert {name: rows[name] for name in literal} == {name: (ok, f"{error.__name__}: planted") for name in literal}
+    assert all(rows[name][0] is True for name in rows.keys() - literal)
+    tile, link = cfg.levels[2].box, cfg.levels[2].box.translate(cfg.steps[2].link_center)
+    assert unplanted - walks == Counter({(2, tile.lows, tile.highs): 1, (3, link.lows, link.highs): 1})
+    assert walks - unplanted == Counter()
+
+
+def test_planted_star_order_fails_the_realization(monkeypatch, capsys):
+    # a wrong canonical star order makes the decode confirmation read the
+    # wrong cells of the code tile: a DecodeError, one FAIL row and exit 1
+    real = Construction.star_positions
+    monkeypatch.setattr(Construction, "star_positions", lambda self, n: real(self, n)[::-1])
+    path = Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg"
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert (code, err) == (1, "")
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL level-1 assignments all realized: DecodeError: decode confirmation failed")
+
+
+# a Z^2 plan whose level-2 tile (5^10 cells) is past every size guard and whose
+# 13 seed stars are too many to enumerate their assignments
+OVERSIZED_Z2 = """\
+[experiment]
+group = Z2
+rho = 1/2
+dim = 1
+depth = 2
+mode = capped:64
+
+[schedule]
+seed_a = 2
+seed_b = 2
+growth = 5
+
+[nets]
+delta1 = 1/2
+"""
+
+
+def test_verify_reports_guarded_checks_inconclusive(tmp_path, capsys):
+    path = tmp_path / "oversized.cfg"
+    path.write_text(OVERSIZED_Z2)
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert not [line for line in lines if line.startswith("FAIL") or "skipped" in line]
+    inconclusive = [line.split(":")[0] for line in lines if line.startswith("INCONCLUSIVE ")]
+    assert inconclusive == [
+        "INCONCLUSIVE no star in the limit",
+        "INCONCLUSIVE evaluator equals literal materialization",
+        "INCONCLUSIVE level words reappear at the link tile",
+        "INCONCLUSIVE free set nesting",
+        "INCONCLUSIVE per-tile density floors",
+        "INCONCLUSIVE level-1 assignments all realized",
+    ]
+    assert all(line.startswith(("PASS ", "INCONCLUSIVE ")) for line in lines)
+
+
+@pytest.mark.parametrize("config_name", ["configs/toy-z.cfg", "perfbench/toy-z2.cfg"])
+def test_verification_decides_every_check_at_the_default_depth(config_name):
+    # the benchmark probe counts any row that is not True as a failure
+    from meandim import cli
+
+    cfg_path = Path(__file__).resolve().parents[1] / config_name
+    cfg = Construction(cli.load_config(str(cfg_path), argparse.Namespace(depth=None, mode=None, seed=None)))
+    assert [(name, ok) for name, ok, _ in cli.run_verification(cfg, 7) if ok is not True] == []
+
+
+def test_verify_json_lists_the_text_rows(tmp_path, capsys):
+    path = tmp_path / "oversized.cfg"
+    path.write_text(OVERSIZED_Z2)
+    for config in (str(path), str(Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg")):
+        code, text, _ = run(capsys, "verify", "--config", config)
+        json_code, out, err = run(capsys, "verify", "--config", config, "--format", "json")
+        assert (json_code, err) == (code, "")
+        rows = json.loads(out)
+        assert all(set(row) == {"name", "status", "detail"} for row in rows)
+        assert text == "".join(f"{r['status']} {r['name']}: {r['detail']}\n" for r in rows)
 
 
 def test_importing_the_command_leaves_the_oracles_out():
