@@ -14,16 +14,16 @@ import functools
 import itertools
 import json
 import operator
+import re
 import sys
 from fractions import Fraction
 
 from . import analysis
-from .construction import HASH, MAX_NET_POINTS, STAR, BuildParams, Construction, render_value
-from .cube import Polyhedron, axis_points, make_net
-from .errors import DepthError, MeandimError, ScheduleError, SizeGuardError
-# DECIMAL_CHUNK and decimal_text stay importable from cli, where they began
-from .groups import DECIMAL_CHUNK, GROUPS, Box, decimal_text, fraction_text  # noqa: F401
-from .schedules import BALANCES, MAX_SEARCH_LEVEL, AxisRule, TilingSchedule
+from .construction import HASH, STAR, BuildParams, Construction, render_value
+from .cube import Polyhedron, net_schedule
+from .errors import ConfigError, DepthError, MeandimError, ScheduleError, SizeGuardError
+from .groups import GROUPS, Box, decimal_text
+from .schedules import MAX_SEARCH_LEVEL, AxisRule, TilingSchedule
 from .tilings import read_tiling, verify_partition
 
 USAGE_ERROR = 2
@@ -37,15 +37,9 @@ MAX_LITERAL_CHARS = 4300
 VERIFY_CELL_BOUND = 200_000
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
-
-
 def _literal(text: str, name: str) -> str:
     if len(text) > MAX_LITERAL_CHARS:
-        raise CliError(
+        raise ConfigError(
             f"field {name!r}: a literal of {len(text)} characters is longer "
             f"than {MAX_LITERAL_CHARS}"
         )
@@ -53,47 +47,48 @@ def _literal(text: str, name: str) -> str:
 
 
 def _fraction(text: str, name: str) -> Fraction:
+    text = _literal(text, name)  # outside the try: a ConfigError is a ValueError
     try:
-        return Fraction(_literal(text, name))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"field {name!r}: {text!r} is not a rational")
+        raise ConfigError(f"field {name!r}: {text!r} is not a rational")
 
 
 def _int(section, name: str, fallback: int) -> int:
-    text = section.get(name, str(fallback))
+    text = _literal(section.get(name, str(fallback)), name)
     try:
-        return int(_literal(text, name))
+        return int(text)
     except ValueError:
-        raise CliError(f"field {name!r}: {text!r} is not an integer")
+        raise ConfigError(f"field {name!r}: {text!r} is not an integer")
 
 
 def load_config(path: str, overrides) -> BuildParams:
+    """Parse the INI file and the flag overrides into BuildParams: only text is
+    checked here, each error names its field, and BuildParams checks values."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise CliError(f"cannot read config file {path!r}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError:
+        raise ConfigError(f"cannot read config file {path!r}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not UTF-8 ({exc.reason})")
+    except configparser.Error as exc:  # its message names the file and line
+        raise ConfigError(" ".join(str(exc).split()))
     try:
         exp = parser["experiment"]
     except KeyError:
-        raise CliError("config needs an [experiment] section")
+        raise ConfigError("config needs an [experiment] section")
     group = GROUPS.get(exp.get("group", "Z"))
     if group is None:
-        raise CliError(f"field 'group': unknown group {exp.get('group')!r}")
+        raise ConfigError(f"field 'group': unknown group {exp.get('group')!r}")
     rho = _fraction(exp.get("rho", ""), "rho")
-    if not 0 < rho < 1:
-        raise CliError(f"field 'rho': {fraction_text(rho)} outside (0,1)")
-    dim = _int(exp, "dim", 1)
-    if dim < 1:
-        raise CliError(f"field 'dim': {dim} is below 1")
+    cube = Polyhedron(_int(exp, "dim", 1))
     depth = overrides.depth if overrides.depth is not None else _int(exp, "depth", 2)
-    mode_text = overrides.mode if overrides.mode else exp.get("mode", "exact")
-    mode, cap = parse_mode(mode_text)
+    mode, cap = parse_mode(overrides.mode if overrides.mode else exp.get("mode", "exact"))
     seed = overrides.seed if overrides.seed is not None else _int(exp, "seed", 0)
 
     sched_sec = parser["schedule"] if parser.has_section("schedule") else {}
-    balance = sched_sec.get("balance", "centered")
-    if balance not in BALANCES:
-        raise CliError(f"field 'balance': {balance!r} is not one of {', '.join(BALANCES)}")
     rules = []
     growth_keys = []
     for ax in range(group.rank):
@@ -108,75 +103,50 @@ def load_config(path: str, overrides) -> BuildParams:
             rules.append(AxisRule.make(a, b, growth))
         except ScheduleError as exc:
             field = f"{name['seed_a']}/{name['seed_b']}" if growth else name["growth"]
-            raise CliError(f"field {field!r}: {exc}")
-    schedule = TilingSchedule(group, tuple(rules), balance)
+            raise ConfigError(f"field {field!r}: {exc}")
+    schedule = TilingSchedule(group, tuple(rules), sched_sec.get("balance", "centered"))
     try:
         # level len(growth) + 1 uses every multiplier; it costs one power per axis
         schedule.ensure(max(len(r.growth) for r in rules) + 1)
     except ScheduleError as exc:
-        raise CliError(f"field {'/'.join(dict.fromkeys(growth_keys))!r}: {exc}")
+        raise ConfigError(f"field {'/'.join(dict.fromkeys(growth_keys))!r}: {exc}")
 
-    deltas = []
-    if parser.has_section("nets"):
-        for n in range(1, depth + 1):
-            key = f"delta{n}"
-            if key in parser["nets"]:
-                delta = _fraction(parser["nets"][key], key)
-                if not 0 < delta <= 1:
-                    raise CliError(f"field {key!r}: {fraction_text(delta)} outside (0,1]")
-                deltas.append(delta)
-    if not deltas:
-        deltas.append(Fraction(1, 2))
-    nets = []
-    for n in range(1, depth + 1):
-        delta = deltas[n - 1] if n <= len(deltas) else delta / 2
-        # axis_points**dim > MAX_NET_POINTS, without the power of a huge dim
-        if axis_points(delta) ** min(dim, MAX_NET_POINTS.bit_length()) > MAX_NET_POINTS:
-            raise CliError(f"field 'delta{n}': {fraction_text(delta)} needs over {MAX_NET_POINTS} net points")
-        nets.append(make_net(dim, delta))
-    try:
-        params = BuildParams(
-            schedule=schedule,
-            rho=rho,
-            cube=Polyhedron(dim),
-            nets=tuple(nets),
-            depth=depth,
-            mode=mode,
-            cap=cap,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
-    object.__setattr__(params, "_seed", seed)  # carried for sampling commands
-    return params
+    # the delta{n} keys with n <= depth, found without a loop over a huge depth
+    nets_sec = parser["nets"] if parser.has_section("nets") else {}
+    matches = (re.fullmatch(r"delta([1-9][0-9]*)", key) for key in nets_sec)
+    deltas = {int(m[1]): _fraction(nets_sec[m[0]], m[0]) for m in matches
+              if m and len(m[1]) <= len(str(depth)) and int(m[1]) <= depth}
+    return BuildParams(schedule=schedule, rho=rho, cube=cube, nets=net_schedule(cube.dim, depth, deltas),
+                       depth=depth, mode=mode, cap=cap, seed=seed)
 
 
 def parse_mode(text: str):
-    if text == "exact":
-        return "exact", None
+    """Split 'exact' or 'capped:N' into (mode, cap); BuildParams checks both."""
+    mode, cap = text, None
     if text.startswith("capped:"):
         try:
-            cap = int(text.split(":", 1)[1])
+            mode, cap = "capped", int(text.split(":", 1)[1])
         except ValueError:
-            raise CliError(f"bad mode {text!r}")
-        return "capped", cap
-    raise CliError(f"mode must be 'exact' or 'capped:N', got {text!r}")
+            raise ConfigError(f"bad mode {text!r}")
+    BuildParams.check_mode(mode, cap)
+    return mode, cap
 
 
 def parse_window(spec: str, group) -> Box:
     spec = spec.strip().replace(" ", "")
     parts = spec.split("x")
     if len(parts) != group.rank:
-        raise CliError(f"window {spec!r} does not match group rank {group.rank}")
+        raise ConfigError(f"window {spec!r} does not match group rank {group.rank}")
     lows, highs = [], []
     for part in parts:
         if not (part.startswith("[") and part.endswith("]")):
-            raise CliError(f"bad window component {part!r}")
+            raise ConfigError(f"bad window component {part!r}")
         try:
             a, b = (int(t) for t in part[1:-1].split(","))
         except ValueError:
-            raise CliError(f"bad window component {part!r}")
+            raise ConfigError(f"bad window component {part!r}")
         if a > b:
-            raise CliError(f"empty window component {part!r}")
+            raise ConfigError(f"empty window component {part!r}")
         lows.append(a)
         highs.append(b)
     return Box(lows, highs)
@@ -198,8 +168,11 @@ def _to_jsonable(obj):
 
 def emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"--out {out_path!r}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -251,16 +224,18 @@ def cmd_gen_tilings(args) -> int:
         else:
             invariance.append(f"invariance ball({k}) = level {found}")
     if args.imported:
-        with open(args.imported) as fh:
-            tiling = read_tiling(fh.read())
+        try:
+            with open(args.imported) as fh:
+                tiling = read_tiling(fh.read())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"--imported {args.imported!r}: {exc}")
         W = tiling.support.to_subset(sched.group)
         res = verify_partition(tiling, W)
         if not res:
             failures.append(f"imported tiling: {res.detail}: {res.violations[:5]}")
     text = sched.serialize(levels)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        emit(text, args.out)
     summary = [f"schedule levels = {levels}", *invariance, f"checks failed = {len(failures)}"]
     summary += failures
     sys.stdout.write("\n".join(summary) + "\n")
@@ -303,7 +278,7 @@ def cmd_window(args) -> int:
 
 def cmd_verify(args) -> int:
     params = load_config(args.config, args)
-    results = run_verification(Construction(params), getattr(params, "_seed", 0))
+    results = run_verification(Construction(params), params.seed)
     rows = [(name, "INCONCLUSIVE" if ok is None else "PASS" if ok else "FAIL", note)
             for name, ok, note in results]
     if args.format == "json":
@@ -515,9 +490,9 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except CliError as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return exc.code
+        return USAGE_ERROR
     except MeandimError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return CHECK_ERROR

@@ -44,6 +44,7 @@ from typing import Iterable, Optional
 from .cube import Net, Polyhedron, net_schedule
 from .errors import (
     CapacityError,
+    ConfigError,
     DecodeError,
     DepthError,
     NotRealizedError,
@@ -55,9 +56,6 @@ from .schedules import TilingSchedule
 
 # Refuse exact code counts beyond roughly this many bits.
 MAX_CODE_BITS = 1_000_000
-# Refuse nets (code alphabets) of more points: make_net builds each axis point,
-# about 20 us apiece, before any plan check; delta = 1/10**9 would take hours.
-MAX_NET_POINTS = 2**16
 # Give up scanning schedule levels beyond this index.
 MAX_SCHED_LEVEL = 100_000
 # Materialization bound, in cells.
@@ -89,11 +87,13 @@ def render_value(v) -> str:
 
 @dataclass(frozen=True)
 class BuildParams:
-    """Everything a construction run depends on.
+    """Everything a construction run depends on; it checks its own fields, and
+    its schedule, cube and nets check theirs when built.
 
     ``depth`` is the number of fully planned construction levels: levels
     1..depth+1 are laid out and all coordinates of the level-``depth`` tile
-    (and of its recurrence copies) are determined.
+    (and of its recurrence copies) are determined.  ``seed`` seeds the
+    sampling checks and nothing in the plan.
     """
 
     schedule: TilingSchedule
@@ -103,30 +103,36 @@ class BuildParams:
     depth: int
     mode: str = "exact"  # "exact" or "capped"
     cap: Optional[int] = None
+    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "rho", Fraction(self.rho))
         if not 0 < self.rho < 1:
-            raise ValueError("rho must lie strictly between 0 and 1")
+            raise ConfigError(f"field 'rho': {fraction_text(self.rho)} outside (0,1)")
         if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.mode not in ("exact", "capped"):
-            raise ValueError("mode must be 'exact' or 'capped'")
-        if self.mode == "capped":
-            if self.cap is None or self.cap < 2:
-                raise ValueError("capped mode needs cap >= 2")
-        elif self.cap is not None:
-            raise ValueError("cap is only meaningful in capped mode")
+            raise ConfigError("depth must be >= 1")
+        self.check_mode(self.mode, self.cap)
         if len(self.nets) < self.depth:
-            raise ValueError("need one net per construction level")
+            raise ConfigError("need one net per construction level")
         for net in self.nets:
             if net.dim != self.cube.dim:
-                raise ValueError("net dimension does not match the cube")
+                raise ConfigError("net dimension does not match the cube")
             if net.size < 2:
-                raise ValueError("nets must have at least two points")
+                raise ConfigError("nets must have at least two points")
         for a, b in zip(self.nets, self.nets[1:]):
             if not b.is_superset_of(a):
-                raise ValueError("nets must be nested (each refines the previous)")
+                raise ConfigError("nets must be nested (each refines the previous)")
+
+    @staticmethod
+    def check_mode(mode: str, cap: Optional[int]) -> None:
+        """'exact' takes no cap, 'capped' a cap >= 2."""
+        if mode not in ("exact", "capped"):
+            raise ConfigError(f"mode must be 'exact' or 'capped:N', got {mode!r}")
+        if mode == "capped":
+            if cap is None or cap < 2:
+                raise ConfigError("capped mode needs cap >= 2")
+        elif cap is not None:
+            raise ConfigError("cap is only meaningful in capped mode")
 
     @staticmethod
     def toy(
@@ -141,9 +147,9 @@ class BuildParams:
         """Convenience constructor with the default halving net schedule."""
         return BuildParams(
             schedule=schedule,
-            rho=Fraction(rho),
+            rho=rho,
             cube=Polyhedron(dim),
-            nets=net_schedule(dim, depth, first_delta),
+            nets=net_schedule(dim, depth, {1: first_delta}),
             depth=depth,
             mode=mode,
             cap=cap,
@@ -766,13 +772,13 @@ class _TileWalk:
             out = ([HASH if v is STAR and p == 0 else v for v, p in zip(vals, sub)],
                    [p - 1 if p else 0 for p in sub])
         elif n == 1:
-            out = self._seed(lows, highs)
+            out = self._seed_word(lows, highs)
         else:
             out = self.lay(n - 1, lows, highs, ranks, self.cfg.steps[n - 1])
         self.memo[key] = out
         return out
 
-    def _seed(self, lows: tuple, highs: tuple) -> tuple:
+    def _seed_word(self, lows: tuple, highs: tuple) -> tuple:
         """V_1 and its star ranks: the seed stars are the first cells of
         the level-1 tile in lexicographic order, so a cell's lexicographic
         index is its rank until the stars run out."""

@@ -14,6 +14,13 @@ from functools import cached_property
 from itertools import product as iter_product
 from typing import Iterator
 
+from .errors import ConfigError
+from .groups import fraction_text
+
+# Refuse nets (code alphabets) of more points: make_net builds each axis point,
+# about 20 us apiece, before any plan check; delta = 1/10**9 would take hours.
+MAX_NET_POINTS = 2**16
+
 
 @dataclass(frozen=True)
 class Polyhedron:
@@ -23,7 +30,7 @@ class Polyhedron:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+            raise ConfigError(f"field 'dim': {self.dim} is below 1")
 
     @property
     def basepoint(self) -> tuple:
@@ -40,11 +47,11 @@ class Net:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+            raise ConfigError(f"field 'dim': {self.dim} is below 1")
         if any(not (0 <= p <= 1) for p in self.axis):
-            raise ValueError("axis points must lie in [0,1]")
+            raise ConfigError("axis points must lie in [0,1]")
         if tuple(sorted(set(self.axis))) != self.axis:
-            raise ValueError("axis points must be strictly increasing")
+            raise ConfigError("axis points must be strictly increasing")
 
     @property
     def size(self) -> int:
@@ -95,23 +102,20 @@ class Net:
         return self.dim == other.dim and set(other.axis) <= set(self.axis)
 
 
-def axis_points(delta) -> int:
-    """Points per axis of ``make_net(dim, delta)``: ceil(1/(2*delta)) + 1."""
-    return math.ceil(Fraction(1, 2 * Fraction(delta))) + 1
-
-
-def make_net(dim: int, delta) -> Net:
+def make_net(dim: int, delta, name: str = "delta") -> Net:
     """Axis grid with spacing 1/ceil(1/(2*delta)), endpoints included.
 
     Every point of the cube is then within sup-distance delta of a grid
-    point, and the point count is axis_points(delta)^dim.
+    point, and the point count is (ceil(1/(2*delta)) + 1)^dim, refused past
+    MAX_NET_POINTS before any point is built.  Errors name field ``name``.
     """
     delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if delta > 1:
-        raise ValueError("delta must be at most 1")
-    k = axis_points(delta) - 1
+    if not 0 < delta <= 1:
+        raise ConfigError(f"field {name!r}: {fraction_text(delta)} outside (0,1]")
+    k = math.ceil(1 / (2 * delta))
+    # (k + 1)**dim > MAX_NET_POINTS, without the power of a huge dim
+    if (k + 1) ** min(dim, MAX_NET_POINTS.bit_length()) > MAX_NET_POINTS:
+        raise ConfigError(f"field {name!r}: {fraction_text(delta)} needs over {MAX_NET_POINTS} net points")
     axis = tuple(Fraction(j, k) for j in range(k + 1))
     return Net(dim, delta, axis)
 
@@ -128,7 +132,14 @@ def verify_dense(net: Net) -> bool:
     return all(b - a <= 2 * net.delta for a, b in zip(axis, axis[1:]))
 
 
-def net_schedule(dim: int, depth: int, first=Fraction(1, 2)) -> tuple:
-    """Nets for the halving schedule delta_n = first / 2^(n-1), one per level;
-    consecutive nets are nested by refinement."""
-    return tuple(make_net(dim, Fraction(first) / 2**i) for i in range(depth))
+def net_schedule(dim: int, depth: int, deltas=None) -> tuple:
+    """Nets for levels 1..depth.  delta_n is ``deltas[n]`` where the mapping
+    gives it (the config's ``delta{n}``), else delta_{n-1} / 2, and delta_1
+    defaults to 1/2; with no deltas given, consecutive nets are nested by
+    refinement."""
+    deltas = deltas or {}
+    nets, delta = [], Fraction(1)
+    for n in range(1, depth + 1):
+        delta = Fraction(deltas[n]) if n in deltas else delta / 2
+        nets.append(make_net(dim, delta, f"delta{n}"))
+    return tuple(nets)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import ScheduleError
+from .errors import ConfigError, ScheduleError
 from .groups import Box, GROUPS, LatticeGroup, Z, decimal_text, is_invariant
 from .tilings import CheckResult, GridTiling
 
@@ -70,7 +70,7 @@ class TilingSchedule:
         if len(rules) != group.rank:
             raise ScheduleError("one axis rule per group rank required")
         if balance not in BALANCES:
-            raise ScheduleError(f"balance must be one of {BALANCES}")
+            raise ConfigError(f"field 'balance': {balance!r} is not one of {', '.join(BALANCES)}")
         self.group = group
         self.rules = tuple(rules)
         self.balance = balance

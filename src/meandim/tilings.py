@@ -455,6 +455,7 @@ def write_tiling(tiling: ExplicitTiling) -> str:
 
 
 def read_tiling(text: str, strict: bool = True) -> ExplicitTiling:
+    """Parse ``write_tiling`` output; malformed or truncated text raises ValueError."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or not lines[0].startswith("group "):
         raise ValueError("missing group header")
@@ -462,27 +463,29 @@ def read_tiling(text: str, strict: bool = True) -> ExplicitTiling:
     if group is None:
         raise ValueError(f"unknown group {lines[0].split()[1]!r}")
     rank = group.rank
-    if not lines[1].startswith("support "):
-        raise ValueError("missing support header")
-    nums = [int(t) for t in lines[1].split()[1:]]
-    if len(nums) != 2 * rank:
-        raise ValueError("support needs lo/hi per axis")
-    support = Box(nums[0::2], nums[1::2])
-    n_shapes = int(lines[2].split()[1])
-    shapes = []
-    at = 3
-    for i in range(n_shapes):
-        parts = lines[at].split()
-        if parts[0] != "shape" or int(parts[1]) != i + 1:
-            raise ValueError(f"bad shape line: {lines[at]!r}")
-        shapes.append(FiniteSubset(group, (_parse_cell(t, rank) for t in parts[2:])))
-        at += 1
-    n_tiles = int(lines[at].split()[1])
-    at += 1
-    centers = []
-    for ln in lines[at : at + n_tiles]:
-        token, sid = ln.split()
-        centers.append((_parse_cell(token, rank), int(sid)))
+    try:
+        if not lines[1].startswith("support "):
+            raise ValueError("missing support header")
+        nums = [int(t) for t in lines[1].split()[1:]]
+        if len(nums) != 2 * rank:
+            raise ValueError("support needs lo/hi per axis")
+        support = Box(nums[0::2], nums[1::2])
+        n_shapes = int(lines[2].split()[1])
+        shapes = []
+        at = 3
+        for i in range(n_shapes):
+            parts = lines[at].split()
+            if parts[0] != "shape" or int(parts[1]) != i + 1:
+                raise ValueError(f"bad shape line: {lines[at]!r}")
+            shapes.append(FiniteSubset(group, (_parse_cell(t, rank) for t in parts[2:])))
+            at += 1
+        n_tiles = int(lines[at].split()[1])
+        centers = []
+        for ln in (lines[at + 1 + k] for k in range(n_tiles)):
+            token, sid = ln.split()
+            centers.append((_parse_cell(token, rank), int(sid)))
+    except IndexError:
+        raise ValueError("truncated tiling") from None
     tiling = ExplicitTiling(group, shapes, centers, support)
     if strict:
         res = tiling.shapes_pairwise_non_translates()

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from meandim import oracles
-from meandim.cli import DECIMAL_CHUNK, decimal_text, load_config, main, parse_mode, parse_window
+from meandim.cli import load_config, main, parse_mode, parse_window
 from meandim.construction import Construction, render_value
-from meandim.errors import CapacityError, DepthError, SizeGuardError
-from meandim.groups import Box, Z, Z2
+from meandim.errors import CapacityError, ConfigError, DepthError, SizeGuardError
+from meandim.groups import DECIMAL_CHUNK, Box, Z, Z2, decimal_text
 
 TOY = """\
 [experiment]
@@ -57,20 +57,16 @@ def test_parse_window():
     assert parse_window("[-8,8]", Z).lows == (-8,)
     box = parse_window("[0,3]x[-2,2]", Z2)
     assert box.lows == (0, -2) and box.highs == (3, 2)
-    from meandim.cli import CliError
-
-    with pytest.raises(CliError):
+    with pytest.raises(ConfigError):
         parse_window("[3,0]", Z)
-    with pytest.raises(CliError):
+    with pytest.raises(ConfigError):
         parse_window("[0,3]", Z2)
 
 
 def test_parse_mode():
     assert parse_mode("exact") == ("exact", None)
     assert parse_mode("capped:512") == ("capped", 512)
-    from meandim.cli import CliError
-
-    with pytest.raises(CliError):
+    with pytest.raises(ConfigError):
         parse_mode("loose")
 
 
@@ -209,6 +205,8 @@ CONFIG_ERRORS = [
     ("delta1 = 1/2", "delta1 = 1/1000000000", "'delta1': 1/1000000000 needs over 65536 net points"),
     ("delta2 = 1/4", "delta2 = 1/" + "7" * 4000, "'delta2'"),
     ("dim = 1", "dim = 1" + "0" * 4000, "'delta1'"),
+    # the [nets] keys are read without a loop over the depth
+    ("depth = 2", "depth = 1" + "0" * 30, "'delta17': 1/131072 needs over 65536 net points"),
 ]
 
 
@@ -223,6 +221,50 @@ def test_config_errors_exit_2_without_traceback(tmp_path, capsys, old, new, mess
     code, out, err = run(capsys, "build", "--config", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: field '") and message in err
+    assert "Traceback" not in err
+
+
+def test_missing_delta_defaults_by_its_own_level(tmp_path, capsys):
+    # delta1 dropped: delta_1 is the default 1/2 and delta_2 stays the
+    # configured 1/4, so every level keeps its mesh and the plan is unchanged
+    text = (Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg").read_text()
+    path = tmp_path / "gap.cfg"
+    path.write_text(text.replace("\ndelta1 = 1/2\n", "\n"))
+    flags = argparse.Namespace(depth=None, mode=None, seed=None)
+    assert [net.size for net in load_config(str(path), flags).nets] == [2, 3]
+    code, out, err = run(capsys, "build", "--config", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[0][-1]
+
+
+def test_seed_comes_from_the_config_or_the_flag(config):
+    assert load_config(config, argparse.Namespace(depth=None, mode=None, seed=None)).seed == 7
+    assert load_config(config, argparse.Namespace(depth=None, mode=None, seed=3)).seed == 3
+
+
+FILE_ERRORS = [
+    ("imported-missing", ("gen-tilings", "--imported", "{tmp}/missing.tiling")),
+    ("imported-directory", ("gen-tilings", "--imported", "{tmp}")),
+    ("imported-malformed", ("gen-tilings", "--imported", "{tmp}/malformed.tiling")),
+    ("imported-one-line", ("gen-tilings", "--imported", "{tmp}/one-line.tiling")),
+    ("imported-truncated", ("gen-tilings", "--imported", "{tmp}/truncated.tiling")),
+    ("imported-not-utf8", ("gen-tilings", "--imported", "{tmp}/binary.tiling")),
+    ("build-out-missing-dir", ("build", "--out", "{tmp}/missing/x.json")),
+    ("build-out-directory", ("build", "--out", "{tmp}")),
+    ("gen-tilings-out-missing-dir", ("gen-tilings", "--out", "{tmp}/missing/schedule.txt")),
+]
+
+
+@pytest.mark.parametrize("argv", [a for _, a in FILE_ERRORS], ids=[i for i, _ in FILE_ERRORS])
+def test_file_errors_exit_2_without_traceback(config, tmp_path, capsys, argv):
+    (tmp_path / "malformed.tiling").write_text("group Z\nsupport 0 x\n")
+    (tmp_path / "one-line.tiling").write_text("group Z\n")
+    (tmp_path / "truncated.tiling").write_text("group Z\nsupport 0 7\nshapes 1\nshape 1 0 1\ntiles 4\n0 1\n")
+    (tmp_path / "binary.tiling").write_bytes(b"\xffgroup Z\n")
+    command, *rest = (a.format(tmp=tmp_path) for a in argv)
+    code, out, err = run(capsys, command, "--config", config, *rest)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -750,3 +792,29 @@ def test_mutated_config_exits_cleanly_and_deterministically(field, token):
             assert first[0] in (0, 1, 2), (lines[i], argv[0], first)
             assert "Traceback" not in first[2]
             assert run_captured(argv) == first
+
+
+def line_mutations():
+    """(id, config bytes, window) of each line of a base config deleted or
+    duplicated, of its section headers dropped and of a non-UTF-8 first byte."""
+    for path, window in MUTATION_BASES:
+        lines = path.read_text().splitlines(keepends=True)
+        for i in range(len(lines)):
+            yield f"{path.stem}-delete{i}", "".join(lines[:i] + lines[i + 1:]).encode(), window
+            yield f"{path.stem}-duplicate{i}", "".join(lines[:i + 1] + lines[i:]).encode(), window
+        yield f"{path.stem}-no-headers", "".join(ln for ln in lines if not ln.startswith("[")).encode(), window
+        yield f"{path.stem}-prepend-xff", b"\xff" + path.read_bytes(), window
+
+
+@pytest.mark.parametrize("text,window", [m[1:] for m in line_mutations()], ids=[m[0] for m in line_mutations()])
+def test_line_mutated_config_exits_cleanly_and_deterministically(tmp_path, text, window):
+    # each line-level mutation is an INI syntax error (exit 2) or a config the
+    # field checks read as they would any other
+    cfg = tmp_path / "mutated.cfg"
+    cfg.write_bytes(text)
+    for argv in (["build", "--config", str(cfg)],
+                 ["window", "--config", str(cfg), "--window", window]):
+        first = run_captured(argv)
+        assert first[0] in (0, 1, 2), (argv[0], first)
+        assert "Traceback" not in first[2]
+        assert run_captured(argv) == first

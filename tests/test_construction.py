@@ -47,6 +47,20 @@ def test_params_validation():
         )  # nets not nested
 
 
+
+def test_params_raise_config_errors(monkeypatch):
+    from meandim import ConfigError, cube
+
+    sched = generate_interval_schedule(1, 2, 3)
+    with pytest.raises(ConfigError, match=r"^field 'rho': 2 outside \(0,1\)$"):
+        BuildParams.toy(sched, 2)
+    with pytest.raises(ConfigError, match="^capped mode needs cap >= 2$"):
+        BuildParams.toy(sched, Fraction(1, 2), mode="capped", cap=1)
+    # the net-size guard fires before a single axis point is built
+    monkeypatch.setattr(cube, "Net", None)
+    with pytest.raises(ConfigError, match="^field 'delta1': 1/1000000000 needs over 65536 net points$"):
+        BuildParams.toy(sched, Fraction(1, 2), first_delta=Fraction(1, 10**9))
+
 def test_seed_star_choice(toy_cfg):
     # first floor(rho*|S|)+1 cells in canonical order, density sandwich holds
     assert toy_cfg.seed_stars == ((-1,), (0,), (1,))

@@ -64,6 +64,25 @@ def test_halving_schedule_is_nested():
         assert set(a.points()) <= set(b.points())
 
 
+
+def test_net_schedule_fills_only_the_missing_deltas():
+    # delta_n is the given one, else delta_{n-1} / 2, and delta_1 is 1/2
+    deltas = {2: Fraction(1, 4), 4: Fraction(1, 32)}
+    assert [n.delta for n in net_schedule(1, 5, deltas)] == [
+        Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 32), Fraction(1, 64)]
+    assert [n.delta for n in net_schedule(1, 2, {1: 1})] == [1, Fraction(1, 2)]
+
+
+def test_make_net_refuses_oversized_nets():
+    from meandim import ConfigError
+    from meandim.cube import MAX_NET_POINTS
+
+    assert make_net(16, Fraction(1, 2)).size == MAX_NET_POINTS
+    with pytest.raises(ConfigError, match=r"^field 'delta': 1/2 needs over 65536 net points$"):
+        make_net(17, Fraction(1, 2))
+    with pytest.raises(ConfigError, match=r"^field 'delta3': 0 outside \(0,1\]$"):
+        net_schedule(1, 3, {3: 0})
+
 def test_polyhedron_basepoint():
     assert Polyhedron(3).basepoint == (0, 0, 0)
     with pytest.raises(ValueError):

@@ -268,6 +268,9 @@ def test_read_tiling_malformed():
         read_tiling("group Q\nsupport 0 1\nshapes 0\ntiles 0\n")
     with pytest.raises(ValueError):
         read_tiling("group Z2\nsupport 0 1\nshapes 1\nshape 1 0,0\ntiles 0\n")  # support rank
+    for cut in (1, 3, 5):  # truncated after the header, the shapes count, one of two tiles
+        with pytest.raises(ValueError, match="^truncated tiling$"):
+            read_tiling("\n".join("group Z|support 0 7|shapes 1|shape 1 0 1|tiles 2|0 1|2 1".split("|")[:cut + 1]))
 
 
 def test_explicit_tiling_validation():
