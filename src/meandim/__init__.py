@@ -13,7 +13,6 @@ from .construction import (
     HASH,
     MaterializedWords,
     STAR,
-    plan,
     render_value,
 )
 from .cube import Net, Polyhedron, make_net, net_schedule, verify_dense

@@ -23,6 +23,9 @@ from .errors import DepthError, SizeGuardError
 from .groups import Box, Element
 from .tilings import CheckResult
 
+# minimality_check samples level-(n+1) center multipliers in [-SPAN, SPAN]
+SPAN = 10**6
+
 
 @dataclass(frozen=True)
 class DensityReport:
@@ -91,10 +94,6 @@ class FreeSet:
 
     def restrict(self, cells) -> list:
         return [tuple(g) for g in cells if tuple(g) in self]
-
-
-def free_set(cfg: Construction, n: int) -> FreeSet:
-    return FreeSet(cfg, n)
 
 
 def verify_free_nesting(cfg: Construction, n: int) -> CheckResult:
@@ -205,9 +204,7 @@ class MinimalityReport:
     sampled: int
     recurrence_ok: bool
     syndetic_ok: bool
-    witness: str
     mismatches: list = field(default_factory=list)
-    diagnostic: str = "evidence-based, not a proof"
 
     @property
     def ok(self) -> bool:
@@ -219,26 +216,26 @@ def minimality_check(
     n: int,
     sample_size: int = 100,
     seed: int = 0,
-    span: int = 10**6,
 ) -> MinimalityReport:
     """Recurrence of the configuration along level-(n+1) tile centers.
 
     Samples centers (seeded), shifts the level-n window there and compares
-    symbol by symbol.  Syndeticity of the center lattice q Z^r needs no
-    scan: F = [0, q) covers every g from the center q * floor(g / q).
+    symbol by symbol; this is evidence, not a proof.  Syndeticity of the
+    center lattice q Z^r needs no scan: F = [0, q) covers every g from the
+    center q * floor(g / q).
     """
     if n + 1 > cfg.params.depth + 1:
         raise DepthError(f"minimality at level {n} needs depth >= {n}")
     group = cfg.group
     base_box = cfg.levels[n].box
-    if base_box.volume > 100_000:
+    if base_box.volume > MATERIALIZE_GUARD:
         raise SizeGuardError("comparison window too large")
     base = cfg.window_values(base_box, "x")
     q = cfg.levels[n + 1].periods
     rng = random.Random(seed)
     shifts = [group.identity]
     while len(shifts) < sample_size:
-        k = tuple(rng.randrange(-span, span + 1) for _ in range(group.rank))
+        k = tuple(rng.randrange(-SPAN, SPAN + 1) for _ in range(group.rank))
         shifts.append(tuple(kk * qq for kk, qq in zip(k, q)))
     mismatches = []
     for c in shifts:
@@ -249,8 +246,7 @@ def minimality_check(
                 if want != have
             )
             mismatches.append((c, g, base[i], got[i]))
-    witness = f"F = [0,q) box with q = {q}: g = q*floor(g/q) + r, 0 <= r < q"
-    return MinimalityReport(n, len(shifts), not mismatches, True, witness, mismatches)
+    return MinimalityReport(n, len(shifts), not mismatches, True, mismatches)
 
 
 @dataclass
@@ -273,13 +269,12 @@ class MdimReport:
     approximate: bool
 
 
-def mdim_report(cfg: Construction, depth: Optional[int] = None) -> MdimReport:
+def mdim_report(cfg: Construction) -> MdimReport:
     """Per-level bound table; the certified bracket always contains rho*dim P."""
-    depth = depth or cfg.params.depth
     dim = cfg.params.cube.dim
     target = cfg.rho * dim
     rows = []
-    for n in range(1, depth + 1):
+    for n in range(1, cfg.params.depth + 1):
         lower = lower_bound_estimate(cfg, n)
         est = upper_bound_estimate(cfg, n)
         if est is None:

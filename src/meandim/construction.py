@@ -58,7 +58,9 @@ from .schedules import TilingSchedule
 MAX_CODE_BITS = 1_000_000
 # Give up scanning schedule levels beyond this index.
 MAX_SCHED_LEVEL = 100_000
-# Materialization bound, in cells.
+# The one bound, in cells, on a scan that reads a whole level tile literally:
+# the materializer, star ranking, decode confirmation, free-set nesting and
+# the minimality window.
 MATERIALIZE_GUARD = 500_000
 
 
@@ -199,14 +201,13 @@ class StepPlan:
 class MaterializedWords:
     """Literal small-instance words, used as the evaluator's oracle.
 
-    Each word is a flat list of values in ``Box.cells()`` order: ``w1``,
-    ``v11`` and ``stable`` over ``window``, ``w1_coded`` over the host box
-    of step 1 (``steps[1].host_box``).
+    Each word is a flat list of values over ``window`` in ``Box.cells()``
+    order.  The host box of step 1 is never thinned, so ``v11`` on it is the
+    coded word of step 1.
     """
 
     window: Box  # the level-2 tile
     w1: list  # the seed word copied into every level-1 tile
-    w1_coded: list  # the coded word on the host box of step 1
     v11: list  # the level-2 word (greedy thinning applied)
     stable: Optional[list]  # v11 with its stars resolved by code tile 0 of step 2
 
@@ -256,7 +257,7 @@ def _lex_at(index: int, lows: tuple, highs: tuple) -> tuple:
 def _exact_div(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if r:
-        raise ScheduleError(f"alignment broken: {a} not a multiple of {b}")
+        raise ScheduleError(f"alignment broken: {decimal_text(a)} not a multiple of {decimal_text(b)}")
     return q
 
 
@@ -305,7 +306,7 @@ class Construction:
         if self.params.mode == "exact":
             if too_big:
                 raise DepthError(
-                    f"step {n + 1} needs a code block of {radix}^{stars} tiles, "
+                    f"step {n + 1} needs a code block of {radix}^{decimal_text(stars)} tiles, "
                     "beyond exact representation; rerun in capped mode"
                 )
             return exact, exact, False
@@ -493,19 +494,14 @@ class Construction:
             return self.params.cube.basepoint
         return val
 
-    def window(self, cells, kind: str = "w") -> list:
-        """Evaluate over a window; returns [(g, value)] in iteration order.
+    def window(self, box: Box, kind: str = "w") -> list:
+        """Evaluate a box; returns [(g, value)] in ``Box.cells()`` order.
 
         ``kind`` "w" gives ``eval_w`` values, anything else ``eval_x``
-        values.  A ``Box`` is one tile walk (``window_values``) in
-        ``Box.cells()`` order; any other iterable is one one-cell walk per
-        cell.  Both raise the same ``DepthError`` for the first undetermined
-        cell.
+        values, from one tile walk (``window_values``), which raises a
+        ``DepthError`` for the first undetermined cell.
         """
-        if isinstance(cells, Box):
-            return list(zip(cells.cells(), self.window_values(cells, kind)))
-        fn = self.eval_w if kind == "w" else self.eval_x
-        return [(tuple(g), fn(g)) for g in cells]
+        return list(zip(box.cells(), self.window_values(box, kind)))
 
     def window_values(self, box: Box, kind: str = "w") -> list:
         """The values of ``window(box, kind)`` alone, in ``Box.cells()``
@@ -576,11 +572,13 @@ class Construction:
 
     # -- code decoding -------------------------------------------------------
 
-    def realization_decode(self, n: int, assignment: Iterable, confirm: bool = True) -> Element:
+    def realization_decode(self, n: int, assignment: Iterable) -> Element:
         """Center of the code tile realizing a star assignment at level n.
 
         ``assignment`` lists one net point per star of V_n in canonical star
-        order; the inverse positional code gives the tile index.
+        order; the inverse positional code gives the tile index, and a walk
+        of that code tile confirms it when the level-n tile is at most
+        MATERIALIZE_GUARD cells.
         """
         if n not in self.steps:
             raise DepthError(f"step {n + 1} not planned")
@@ -588,16 +586,17 @@ class Construction:
         lvl = self.levels[n]
         assignment = [tuple(Fraction(c) for c in p) for p in assignment]
         if len(assignment) != lvl.stars:
-            raise ValueError(f"assignment needs {lvl.stars} entries")
+            raise ValueError(f"assignment needs {decimal_text(lvl.stars)} entries")
         index = 0
         for p in assignment:
             index = index * step.radix + step.net.index_of(p)
         if index >= step.code_count:
             raise NotRealizedError(
-                f"assignment index {index} beyond the capped code block ({step.code_count})"
+                f"assignment index {decimal_text(index)} beyond the capped code block "
+                f"({decimal_text(step.code_count)})"
             )
         center = self._cand_at(step, index)
-        if confirm and lvl.volume <= MATERIALIZE_GUARD:
+        if lvl.volume <= MATERIALIZE_GUARD:
             # one walk of the code tile, read at the offset of each star
             coded = self.level_values(n + 1, lvl.box.translate(center))
             for rank, pos in enumerate(self.star_positions(n)):
@@ -608,7 +607,7 @@ class Construction:
 
     # -- literal materialization (the oracle) --------------------------------
 
-    def materialize(self, guard: int = MATERIALIZE_GUARD) -> MaterializedWords:
+    def materialize(self) -> MaterializedWords:
         """Execute the first two levels literally, on flat lists.
 
         This follows the step definitions directly, with none of the
@@ -618,10 +617,9 @@ class Construction:
         centered at c sits at c's offset plus a's.
         """
         lvl1, lvl2, step1 = self.levels[1], self.levels[2], self.steps[1]
-        if lvl2.volume > guard:
-            raise SizeGuardError(f"level-2 tile has {lvl2.volume} cells, over the bound")
+        if lvl2.volume > MATERIALIZE_GUARD:
+            raise SizeGuardError(f"level-2 tile has {decimal_text(lvl2.volume)} cells, over the bound")
         box = lvl2.box
-        box.guard_cells()  # a guard above the cell guard does not lift it
         strides = _strides(box.lows, box.highs)
 
         def offset(g: Element) -> int:
@@ -645,16 +643,6 @@ class Construction:
             b = offset(self._cand_at(step1, k))
             for p, d in enumerate(deltas):
                 v11[b + d] = step1.net.point_at(self._digit(k, lvl1.stars - 1 - p, step1.radix))
-        # the coded word: V_2 on the host box, row by row along the last axis
-        host = step1.host_box
-        start, width = offset(host.lows), host.highs[-1] - host.lows[-1] + 1
-        w1_coded = []
-        for r in itertools.product(*[
-            [(x - hl) * s for x in range(hl, hh + 1)]
-            for hl, hh, s in zip(host.lows[:-1], host.highs[:-1], strides)
-        ]):
-            row = start + sum(r)
-            w1_coded += v11[row:row + width]
         total = v11.count(STAR)
         target = lvl2.stars
         floor1 = (self.rho.numerator * lvl1.volume) // self.rho.denominator
@@ -677,7 +665,7 @@ class Construction:
         if self.params.depth >= 2:
             zero = self.steps[2].net.point_at(0)
             stable = [zero if v is STAR else v for v in v11]
-        return MaterializedWords(box, w1, w1_coded, v11, stable)
+        return MaterializedWords(box, w1, v11, stable)
 
     # -- reporting -----------------------------------------------------------
 
@@ -891,8 +879,3 @@ class _TileWalk:
                     out[i] = self._point(step, d)
             p -= 1
         return out
-
-
-def plan(params: BuildParams) -> Construction:
-    """Plan a construction (alias for the constructor)."""
-    return Construction(params)

@@ -110,14 +110,21 @@ def make_net(dim: int, delta, name: str = "delta") -> Net:
     MAX_NET_POINTS before any point is built.  Errors name field ``name``.
     """
     delta = Fraction(delta)
+    k = _axis_steps(dim, delta, name)
+    axis = tuple(Fraction(j, k) for j in range(k + 1))
+    return Net(dim, delta, axis)
+
+
+def _axis_steps(dim: int, delta: Fraction, name: str) -> int:
+    """The axis spacing 1/k of make_net's grid, refused as make_net refuses
+    it; it builds no point."""
     if not 0 < delta <= 1:
         raise ConfigError(f"field {name!r}: {fraction_text(delta)} outside (0,1]")
     k = math.ceil(1 / (2 * delta))
     # (k + 1)**dim > MAX_NET_POINTS, without the power of a huge dim
     if (k + 1) ** min(dim, MAX_NET_POINTS.bit_length()) > MAX_NET_POINTS:
         raise ConfigError(f"field {name!r}: {fraction_text(delta)} needs over {MAX_NET_POINTS} net points")
-    axis = tuple(Fraction(j, k) for j in range(k + 1))
-    return Net(dim, delta, axis)
+    return k
 
 
 def verify_dense(net: Net) -> bool:
@@ -136,10 +143,12 @@ def net_schedule(dim: int, depth: int, deltas=None) -> tuple:
     """Nets for levels 1..depth.  delta_n is ``deltas[n]`` where the mapping
     gives it (the config's ``delta{n}``), else delta_{n-1} / 2, and delta_1
     defaults to 1/2; with no deltas given, consecutive nets are nested by
-    refinement."""
+    refinement.  Every level's point count is checked before the first net
+    is built, so an oversized deep net fails at once."""
     deltas = deltas or {}
-    nets, delta = [], Fraction(1)
+    chosen, delta = [], Fraction(1)
     for n in range(1, depth + 1):
         delta = Fraction(deltas[n]) if n in deltas else delta / 2
-        nets.append(make_net(dim, delta, f"delta{n}"))
-    return tuple(nets)
+        _axis_steps(dim, delta, f"delta{n}")
+        chosen.append(delta)
+    return tuple(make_net(dim, delta, f"delta{n}") for n, delta in enumerate(chosen, 1))

@@ -68,13 +68,6 @@ class LatticeGroup:
     def __repr__(self) -> str:
         return self.name
 
-    def element(self, *coords: int) -> Element:
-        if len(coords) != self.rank:
-            raise ValueError(f"{self.name} elements need {self.rank} coordinates")
-        if not all(isinstance(c, int) for c in coords):
-            raise ValueError("coordinates must be integers")
-        return tuple(coords)
-
     def mul(self, a: Element, b: Element) -> Element:
         return tuple(map(operator.add, a, b))
 

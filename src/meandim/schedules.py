@@ -27,10 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ConfigError, ScheduleError
-from .groups import Box, GROUPS, LatticeGroup, Z, decimal_text, is_invariant
+from .groups import Box, GROUPS, LatticeGroup, Z, decimal_text, fraction_text, is_invariant
 from .tilings import CheckResult, GridTiling
 
 BALANCES = ("centered", "left", "right")
@@ -95,12 +95,9 @@ class TilingSchedule:
         m = self.rules[ax].multiplier(lvl)
         # q * m is an integer multiple of q exactly when m is an integer
         if m.denominator != 1:
-            try:
-                period = float(q * m)
-            except OverflowError:  # past 1e308 the exact fraction is shown
-                period = q * m
             raise ScheduleError(
-                f"level {lvl + 1} axis {ax}: period {period} is not an integer multiple of {q}"
+                f"level {lvl + 1} axis {ax}: period {fraction_text(q * m)} "
+                f"is not an integer multiple of {decimal_text(q)}"
             )
         if m < 2:
             raise ScheduleError(f"level {lvl + 1} axis {ax}: multiplier must be >= 2")
@@ -360,11 +357,8 @@ def generate_interval_schedule(
     growth,
     balance: str = "centered",
     group: LatticeGroup = Z,
-    axis_rules: Optional[Iterable[AxisRule]] = None,
 ) -> TilingSchedule:
     """Build a schedule from one seed interval; Z^2 uses the same rule per
-    axis unless explicit axis_rules are given."""
-    if axis_rules is not None:
-        return TilingSchedule(group, tuple(axis_rules), balance)
+    axis."""
     rule = AxisRule.make(seed_a, seed_b, growth)
     return TilingSchedule(group, (rule,) * group.rank, balance)

@@ -454,8 +454,9 @@ def write_tiling(tiling: ExplicitTiling) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_tiling(text: str, strict: bool = True) -> ExplicitTiling:
-    """Parse ``write_tiling`` output; malformed or truncated text raises ValueError."""
+def read_tiling(text: str) -> ExplicitTiling:
+    """Parse ``write_tiling`` output; malformed or truncated text, or a shape
+    list with two translates of one shape, raises ValueError."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or not lines[0].startswith("group "):
         raise ValueError("missing group header")
@@ -487,8 +488,7 @@ def read_tiling(text: str, strict: bool = True) -> ExplicitTiling:
     except IndexError:
         raise ValueError("truncated tiling") from None
     tiling = ExplicitTiling(group, shapes, centers, support)
-    if strict:
-        res = tiling.shapes_pairwise_non_translates()
-        if not res:
-            raise ValueError(f"shape list not minimal: {res.violations}")
+    res = tiling.shapes_pairwise_non_translates()
+    if not res:
+        raise ValueError(f"shape list not minimal: {res.violations}")
     return tiling

@@ -28,7 +28,7 @@ from meandim import (
     verify_syndetic_centers,
 )
 from meandim.analysis import (
-    free_set,
+    FreeSet,
     lower_bound_estimate,
     mdim_report,
     minimality_check,
@@ -99,7 +99,7 @@ def test_criterion_3_free_set_nesting_and_lower_bound(toys):
     for (a, b, rho), cfg in toys.items():
         res = verify_free_nesting(cfg, 2)  # J_1 within J_2, exhaustively
         ok &= res.ok is True
-        J1 = free_set(cfg, 1)
+        J1 = FreeSet(cfg, 1)
         ok &= all(g in J1 for g in J1.elements())
         for n in (1, 2):
             lo = lower_bound_estimate(cfg, n)

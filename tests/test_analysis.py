@@ -9,7 +9,6 @@ from meandim import HASH, STAR, Z2, BuildParams, Construction, Polyhedron, gener
 from meandim.analysis import (
     FreeSet,
     densities,
-    free_set,
     lower_bound_estimate,
     mdim_report,
     minimality_check,
@@ -39,15 +38,16 @@ def test_densities_all_hash():
 
 def test_coded_word_consumes_stars(toy_cfg, toy_words):
     host_box = toy_cfg.steps[1].host_box
-    host = by_cell(host_box, toy_words.w1_coded)
+    v11 = by_cell(toy_words.window, toy_words.v11)
     w1 = by_cell(toy_words.window, toy_words.w1)
+    host = {g: v11[g] for g in host_box.cells()}  # the host box is never thinned
     raw = {g: w1[g] for g in host_box.cells()}
     assert densities(host).star_density < densities(raw).star_density
     assert densities(host).star_density == Fraction(3, 36)
 
 
 def test_free_set_level1(toy_cfg):
-    J1 = free_set(toy_cfg, 1)
+    J1 = FreeSet(toy_cfg, 1)
     assert J1.size == 163
     assert J1.density == Fraction(163, 324) > toy_cfg.rho
     elems = J1.elements()
@@ -72,14 +72,14 @@ def test_free_set_members_match_pointwise(toy_cfg):
         return [oracles.word(toy_cfg, fs.n + 1, h) is STAR for h in moved]
 
     for n in (1, 2):
-        fs = free_set(toy_cfg, n)
+        fs = FreeSet(toy_cfg, n)
         w = fs.window_box
         for lo in (w.lows[0], w.lows[0] + 100, w.highs[0] - 60):
             box = Box((lo,), (lo + 60,))
             assert fs.members(box) == pointwise(fs, box), (n, box)
         with pytest.raises(ValueError):
             fs.members(Box((w.lows[0] - 1,), (w.lows[0] + 60,)))
-    J1 = free_set(toy_cfg, 1)
+    J1 = FreeSet(toy_cfg, 1)
     assert J1.members(J1.window_box) == pointwise(J1, J1.window_box)
 
 
@@ -97,11 +97,11 @@ def test_free_set_nesting_names_a_missing_element(toy_cfg, monkeypatch):
     monkeypatch.setattr(FreeSet, "members", dropped)
     res = verify_free_nesting(toy_cfg, 2)
     assert res.ok is False and res.detail == "J_1 not within J_2"
-    assert res.violations == [min(free_set(toy_cfg, 1).elements())]
+    assert res.violations == [min(FreeSet(toy_cfg, 1).elements())]
 
 
 def test_free_set_restrict(toy_cfg):
-    J1 = free_set(toy_cfg, 1)
+    J1 = FreeSet(toy_cfg, 1)
     window = list(Box((-20,), (20,)).cells())
     got = J1.restrict(window)
     assert got == [g for g in window if g in J1]
@@ -129,7 +129,7 @@ def test_lower_bound_scales_with_dimension():
         )
     )
     # the estimate is the free-coordinate density times the cube dimension
-    density = free_set(cfg2, 1).density
+    density = FreeSet(cfg2, 1).density
     assert lower_bound_estimate(cfg2, 1) == 2 * density
     assert cfg2.rho < density <= cfg2.rho + Fraction(1, cfg2.levels[2].volume)
 

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from meandim import oracles
 from meandim.cli import load_config, main, parse_mode, parse_window
 from meandim.construction import Construction, render_value
-from meandim.errors import CapacityError, ConfigError, DepthError, SizeGuardError
+from meandim.errors import CapacityError, ConfigError, DepthError, NotRealizedError, SizeGuardError
 from meandim.groups import DECIMAL_CHUNK, Box, Z, Z2, decimal_text
 
 TOY = """\
@@ -505,6 +505,80 @@ def test_capacity_error_prints_huge_counts(tmp_path, capsys):
         assert int(surplus) > int(ceiling) > 10**5000
 
 
+def test_depth_error_prints_a_huge_star_count(capsys):
+    # step 4 of the Z^2 toy needs 5^stars code tiles, and the level-3 star
+    # count has more digits than int->str converts
+    from meandim import cli
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "toy-z2.cfg"
+    code, out, err = run(capsys, "build", "--config", str(path), "--depth", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: DepthError: step 4 needs a code block of 5^")
+    assert err.endswith(" tiles, beyond exact representation; rerun in capped mode\n")
+    assert err.count("\n") == 1
+    stars = err.split("5^")[1].split(" tiles")[0]
+    plan = Construction(cli.load_config(str(path), argparse.Namespace(depth=2, mode=None, seed=None)))
+    with int_str_limit_lifted():
+        assert int(stars) == plan.levels[3].stars > 10**4300
+
+
+def test_verify_prints_a_huge_level_2_volume(tmp_path, capsys):
+    # a level-2 multiplier of 10^2200 puts the level-2 tile past the
+    # materializer's bound and its volume past the int->str digit limit
+    text = (Path(__file__).resolve().parents[1] / "perfbench" / "toy-z2.cfg").read_text()
+    path = tmp_path / "huge.cfg"
+    path.write_text(text.replace("\ngrowth = 3\n", f"\ngrowth = 3 1{'0' * 2200}\n"))
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert not [line for line in lines if line.startswith("FAIL")]
+    inconclusive = [line for line in lines if line.startswith("INCONCLUSIVE ")]
+    assert [line.split(":")[0] for line in inconclusive] == [
+        "INCONCLUSIVE evaluator equals literal materialization",
+        "INCONCLUSIVE per-tile density floors",
+    ]
+    for line in inconclusive:
+        assert re.fullmatch(r"[^:]*: SizeGuardError: level-2 tile has 810{8800} cells, over the bound", line)
+
+
+def test_verify_reads_level_2_tiles_up_to_the_materialize_guard(tmp_path, capsys):
+    # a 640 x 640 level-2 tile (409,600 cells) is under MATERIALIZE_GUARD, so
+    # the checks that read the literal words decide
+    path = tmp_path / "mid.cfg"
+    path.write_text("[experiment]\ngroup = Z2\nrho = 1/3\ndepth = 1\n\n"
+                    "[schedule]\nseed_a = 1\nseed_b = 3\ngrowth = 2\n")
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert all(line.startswith("PASS ") for line in lines)
+    assert "PASS evaluator equals literal materialization: 409600 cells" in lines
+    assert "PASS per-tile density floors: every thinned tile stays above its floor" in lines
+
+
+def test_capped_realization_row_counts_the_assignments_past_the_cap(monkeypatch, capsys):
+    # a cap of 4 truncates the 2^3 assignments of step 1: the first 4 decode
+    # to distinct centers and the other 4 must raise NotRealizedError
+    path = str(Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg")
+    code, out, err = run(capsys, "verify", "--config", path, "--mode", "capped:4")
+    assert (code, err) == (0, "")
+    row = "level-1 assignments below the cap realized: 4 distinct centers, 4 past the cap"
+    assert f"PASS {row}" in out.splitlines()
+    assert all(line.startswith("PASS ") for line in out.splitlines())
+    real = Construction.realization_decode
+
+    def realized(self, n, assignment):
+        try:
+            return real(self, n, assignment)
+        except NotRealizedError:
+            return (0,)
+
+    monkeypatch.setattr(Construction, "realization_decode", realized)
+    code, out, err = run(capsys, "verify", "--config", path, "--mode", "capped:4")
+    assert (code, err) == (1, "")
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL level-1 assignments below the cap realized: 4 distinct centers, 0 past the cap"]
+
+
 # The planner's error paths, recorded at commit e57a577, before the host and
 # next-level searches became closed form.  With the level cap lowered, the
 # Z^2 depth-2 toy (host 14,768, next level 14,774) fails in the host search
@@ -706,7 +780,7 @@ def test_verify_reports_guarded_checks_inconclusive(tmp_path, capsys):
         "INCONCLUSIVE level words reappear at the link tile",
         "INCONCLUSIVE free set nesting",
         "INCONCLUSIVE per-tile density floors",
-        "INCONCLUSIVE level-1 assignments all realized",
+        "INCONCLUSIVE level-1 assignments below the cap realized",  # the cap of 64 truncates 2^13
     ]
     assert all(line.startswith(("PASS ", "INCONCLUSIVE ")) for line in lines)
 

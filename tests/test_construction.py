@@ -11,6 +11,7 @@ from meandim import (
     HASH,
     NotRealizedError,
     Polyhedron,
+    GROUPS,
     STAR,
     SizeGuardError,
     Z2,
@@ -94,13 +95,11 @@ def test_oracle_equivalence_words(matrix_cfg):
     # verify reads the literal words as lists in Box.cells() order
     host_box = matrix_cfg.steps[1].host_box
     assert len(words.v11) == len(words.stable) == len(words.w1) == words.window.volume
-    assert len(words.w1_coded) == host_box.volume
     v11, stable = by_cell(words.window, words.v11), by_cell(words.window, words.stable)
-    w1_coded = by_cell(host_box, words.w1_coded)
     for g in words.window.cells():
         assert values_equal(oracles.word(matrix_cfg, 2, g), v11[g])
-    for g in host_box.cells():
-        assert values_equal(oracles.coded(matrix_cfg, 1, g), w1_coded[g])
+    for g in host_box.cells():  # the host box is never thinned
+        assert values_equal(oracles.coded(matrix_cfg, 1, g), v11[g])
     for g in words.window.cells():
         assert matrix_cfg.eval_w(g) == stable[g]
 
@@ -109,10 +108,10 @@ def test_code_tiles_enumerate_all_assignments(toy_cfg, toy_words):
     # restrictions of the coded word to the star cells of each code tile
     seen = set()
     st = toy_cfg.steps[1]
-    w1_coded = by_cell(st.host_box, toy_words.w1_coded)
+    v11 = by_cell(toy_words.window, toy_words.v11)
     for k in range(st.code_count):
         c = toy_cfg._cand_at(st, k)
-        word = tuple(w1_coded[Z_mul(a, c)] for a in toy_cfg.seed_stars)
+        word = tuple(v11[Z_mul(a, c)] for a in toy_cfg.seed_stars)
         seen.add(word)
     assert len(seen) == st.code_count
     assert seen == {
@@ -145,7 +144,7 @@ def test_no_star_and_window(toy_cfg):
 
 
 def test_window_singleton_matches_eval(toy_cfg):
-    [(g, v)] = toy_cfg.window([(7,)], "w")
+    [(g, v)] = toy_cfg.window(Box((7,), (7,)), "w")
     assert v == toy_cfg.eval_w((7,))
 
 
@@ -252,9 +251,12 @@ def test_eval_beyond_depth_raises(toy_cfg):
     assert toy_cfg.eval_w(star) is not None
 
 
-def test_materialize_guard(toy_cfg):
+def test_materialize_guard(toy_cfg, monkeypatch):
+    from meandim import construction
+
+    monkeypatch.setattr(construction, "MATERIALIZE_GUARD", 10)
     with pytest.raises(SizeGuardError):
-        toy_cfg.materialize(guard=10)
+        toy_cfg.materialize()
 
 
 def test_render_value(toy_cfg):
@@ -453,7 +455,7 @@ def or_error(evaluate):
 
 
 def oracle_window(cfg, cells, kind):
-    """``cfg.window(cells, kind)`` cell by cell from the pointwise oracle."""
+    """``cfg.window(box, kind)`` cell by cell from the pointwise oracle."""
     base = cfg.params.cube.basepoint
     out = []
     for g in cells:
@@ -618,7 +620,7 @@ def test_evaluation_keeps_no_state_on_the_construction():
     for lo in (-3000, far - 3000):
         box = Box((lo,), (lo + 6000,))
         assert len(cfg.window(box)) == 6001
-        assert cfg.window(list(box.cells())[:300]) == cfg.window(Box((lo,), (lo + 299,)))
+        assert [(g, cfg.eval_w(g)) for g in list(box.cells())[:300]] == cfg.window(Box((lo,), (lo + 299,)))
     cfg.star_positions(2)
     assert vars(cfg) == planned
     assert {name: len(planned[name]) for name in sizes} == sizes
@@ -761,3 +763,31 @@ def test_z2_depth2_literal_words_match_the_walk(z2_cfgs):
     sample = sorted(random.Random(2).sample(range(len(cells)), 2000))
     for i in [0, len(cells) - 1] + sample:
         assert cfg.eval_w(cells[i]) == words.stable[i], cells[i]
+
+
+@pytest.mark.parametrize("balance", ["centered", "left", "right"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("group", ["Z", "Z2"])
+def test_balances_and_cube_dimensions(group, dim, balance):
+    # the Z toy (seed [-1,2], growth 3, depth 2) and the Z^2 toy (seed
+    # [-1,1]^2, growth 3, depth 1) with every balance and a cube of dim 1 or 2
+    from meandim import cli, construction
+    from meandim.analysis import mdim_report
+
+    a, b, depth = (1, 2, 2) if group == "Z" else (1, 1, 1)
+    sched = generate_interval_schedule(a, b, 3, balance, group=GROUPS[group])
+    cfg = Construction(BuildParams.toy(sched, Fraction(1, 2), dim=dim, depth=depth))
+    assert [name for name, ok, _ in cli.run_verification(cfg, 7) if ok is False] == []
+    rep = mdim_report(cfg)
+    assert rep.rows and all(r.certified_low <= cfg.rho * dim <= r.upper_scaled for r in rep.rows)
+    tile = cfg.levels[2].box
+    if tile.volume <= construction.MATERIALIZE_GUARD:
+        assert cfg.level_values(2, tile) == cfg.materialize().v11
+    else:  # Z^2 with dim 2: a 2187 x 2187 level-2 tile, sampled at the
+        # identity code tile and at two random boxes
+        rng = random.Random(3)
+        corners = [tuple(max(-4, lo) for lo in tile.lows)] + [tuple(rng.randrange(lo, hi - 7) for lo, hi in zip(tile.lows, tile.highs))
+                                for _ in range(2)]
+        for lows in corners:
+            box = Box(lows, tuple(min(x + 7, hi) for x, hi in zip(lows, tile.highs)))
+            assert cfg.level_values(2, box) == [oracles.word(cfg, 2, g) for g in box.cells()]

@@ -87,3 +87,16 @@ def test_polyhedron_basepoint():
     assert Polyhedron(3).basepoint == (0, 0, 0)
     with pytest.raises(ValueError):
         Polyhedron(0)
+
+
+def test_net_schedule_checks_every_level_before_building_a_net(monkeypatch):
+    # delta_17 = 1/2^17 is the first default net past MAX_NET_POINTS; its
+    # guard fires before nets 1-16 are built
+    from meandim import ConfigError, cube
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a net was built")
+
+    monkeypatch.setattr(cube, "Net", refuse)
+    with pytest.raises(ConfigError, match=r"^field 'delta17': 1/131072 needs over 65536 net points$"):
+        net_schedule(1, 40)

@@ -251,14 +251,14 @@ def test_deep_level_checks_multipliers_first():
     # asking for a deep level first still fails at the first level that
     # uses a bad multiplier, and leaves the schedule usable below it
     s = generate_interval_schedule(1, 2, [3, Fraction(5, 2)])
-    with pytest.raises(ScheduleError, match="^level 3 axis 0: period 30.0 is not an integer multiple of 12$"):
+    with pytest.raises(ScheduleError, match="^level 3 axis 0: period 30 is not an integer multiple of 12$"):
         s.level_box(5000)
     assert s.levels_built == 2
     assert s.level_box(2) == Box((-5,), (6,))
     # the level search and the walk check the same multiplier at the same level
-    with pytest.raises(ScheduleError, match="^level 3 axis 0: period 30.0 is not an integer multiple of 12$"):
+    with pytest.raises(ScheduleError, match="^level 3 axis 0: period 30 is not an integer multiple of 12$"):
         s.first_level_holding(10**9)
-    with pytest.raises(ScheduleError, match="^level 3 axis 0: period 30.0 is not an integer multiple of 12$"):
+    with pytest.raises(ScheduleError, match="^level 3 axis 0: period 30 is not an integer multiple of 12$"):
         list(s.climb(1, 5))
     assert s.first_level_holding(12) == 2 and [n for n, *_ in s.climb(1, 2)] == [2]
     rules = (AxisRule.make(1, 1, 3), AxisRule.make(1, 1, [2, 1]))
