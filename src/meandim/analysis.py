@@ -13,13 +13,16 @@ carries both rather than picking one.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .construction import MATERIALIZE_GUARD, Construction, HASH, STAR
-from .errors import DepthError, SizeGuardError
+from .errors import DepthError, MeandimError, NotRealizedError, SizeGuardError
 from .groups import Box, Element
 from .tilings import CheckResult
 
@@ -56,7 +59,9 @@ class FreeSet:
     available, enumeration only when the level tile is small."""
 
     def __init__(self, cfg: Construction, n: int):
-        if not 0 <= n <= cfg.params.depth:
+        if n < 0:
+            raise ValueError(f"free set level {n} is negative")
+        if n > cfg.params.depth:
             raise DepthError(f"free set level {n} needs depth >= {n}")
         self.cfg = cfg
         self.n = n
@@ -97,7 +102,8 @@ class FreeSet:
 
 
 def verify_free_nesting(cfg: Construction, n: int) -> CheckResult:
-    """Exact set inclusion J_{n-1} within J_n (exhaustive when enumerable).
+    """Exact set inclusion J_{n-1} within J_n, exhaustive: a follower box past
+    MATERIALIZE_GUARD raises SizeGuardError.
 
     J_{n-1} lies in its follower box, so two walks of that box decide it:
     V_n on the level-n tile and V_{n+1} on the level-n link tile of step n.
@@ -110,7 +116,7 @@ def verify_free_nesting(cfg: Construction, n: int) -> CheckResult:
         return CheckResult(True, "J_0 is empty")
     box = smaller.window_box
     if box.volume > MATERIALIZE_GUARD:
-        return CheckResult(None, f"J_{n-1} too large to enumerate")
+        raise SizeGuardError(f"J_{n-1} too large to enumerate")
     inner, outer = smaller.members(box), larger.members(box)
     missing = [g for g, a, b in zip(box.cells(), inner, outer) if a and not b]
     if missing:
@@ -124,10 +130,9 @@ def lower_bound_estimate(cfg: Construction, n: int) -> Fraction:
     Exceeds rho * dim P by at most dim P / |window|; a certified estimate of
     the mean-dimension lower bound along these windows.
     """
-    fs = FreeSet(cfg, n)
     if n < 1:
         raise ValueError("estimates start at n = 1")
-    return fs.density * cfg.params.cube.dim
+    return FreeSet(cfg, n).density * cfg.params.cube.dim
 
 
 @dataclass(frozen=True)
@@ -198,31 +203,19 @@ def upper_bound_estimate(
     return est
 
 
-@dataclass
-class MinimalityReport:
-    level: int
-    sampled: int
-    recurrence_ok: bool
-    syndetic_ok: bool
-    mismatches: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.recurrence_ok and self.syndetic_ok
-
-
 def minimality_check(
     cfg: Construction,
     n: int,
     sample_size: int = 100,
     seed: int = 0,
-) -> MinimalityReport:
+) -> CheckResult:
     """Recurrence of the configuration along level-(n+1) tile centers.
 
     Samples centers (seeded), shifts the level-n window there and compares
-    symbol by symbol; this is evidence, not a proof.  Syndeticity of the
-    center lattice q Z^r needs no scan: F = [0, q) covers every g from the
-    center q * floor(g / q).
+    symbol by symbol; this is evidence, not a proof.  Each violation is
+    (center, cell, value, shifted value) at a mismatched center.
+    Syndeticity of the center lattice q Z^r needs no scan: F = [0, q)
+    covers every g from the center q * floor(g / q).
     """
     if n + 1 > cfg.params.depth + 1:
         raise DepthError(f"minimality at level {n} needs depth >= {n}")
@@ -246,7 +239,7 @@ def minimality_check(
                 if want != have
             )
             mismatches.append((c, g, base[i], got[i]))
-    return MinimalityReport(n, len(shifts), not mismatches, True, mismatches)
+    return CheckResult(not mismatches, f"{len(shifts)} centers", mismatches)
 
 
 @dataclass
@@ -294,3 +287,150 @@ def mdim_report(cfg: Construction) -> MdimReport:
     monotone = all(a.gap >= b.gap for a, b in zip(rows, rows[1:]))
     contains = all(r.certified_low <= target <= r.upper_scaled for r in rows)
     return MdimReport(target, rows, monotone, contains, cfg.approximate)
+
+
+# -- the verify battery: each check takes the plan and ``words``, the literal
+# materializer cached once per run, which a check that reads the literal
+# words calls before it walks
+
+def _agreement(box: Box, got: list, want: list, what: str = "mismatch") -> CheckResult:
+    """FAIL at the first cell of ``box`` where two lists in ``Box.cells()``
+    order differ, else PASS over the whole box."""
+    if got == want:
+        return CheckResult(True, f"{box.volume} cells")
+    bad = next(g for g, a, b in zip(box.cells(), got, want) if a != b)
+    return CheckResult(False, f"{what} at {bad}")
+
+
+def check_sandwich(cfg: Construction, words) -> CheckResult:
+    rho = cfg.rho
+    for n in range(1, cfg.params.depth + 2):
+        lvl = cfg.levels[n]
+        d = Fraction(lvl.stars, lvl.volume)
+        if not rho < d <= rho + Fraction(1, lvl.volume):
+            return CheckResult(False, f"level {n}: {d}")
+    return CheckResult(True, f"levels 1..{cfg.params.depth + 1}")
+
+
+def check_no_star(cfg: Construction, words) -> CheckResult:
+    # depth d determines the whole level-d tile; the window raises a
+    # DepthError at its first star
+    box = cfg.levels[min(2, cfg.params.depth)].box
+    cfg.window_values(box, "w")
+    return CheckResult(True, f"{box.volume} cells")
+
+
+def check_oracle(cfg: Construction, words) -> CheckResult:
+    literal, box = words(), cfg.levels[2].box
+    res = _agreement(box, cfg.level_values(2, box), literal.v11)
+    if res and literal.stable is not None:
+        return _agreement(box, cfg.window_values(box, "w"), literal.stable, "stabilized mismatch")
+    return res
+
+
+def check_linking(cfg: Construction, words) -> CheckResult:
+    # V_3 on the link tile against the literal V_2
+    literal, box = words(), cfg.levels[2].box
+    return _agreement(box, cfg.level_values(3, box.translate(cfg.steps[2].link_center)), literal.v11)
+
+
+def check_nesting(cfg: Construction, words) -> CheckResult:
+    return verify_free_nesting(cfg, min(2, cfg.params.depth))
+
+
+def check_floors(cfg: Construction, words) -> CheckResult:
+    literal = words()
+    st, lvl1, lvl2 = cfg.steps[1], cfg.levels[1], cfg.levels[2]
+    q, across = lvl1.periods, st.tile_hi[-1] - st.tile_lo[-1] + 1
+    # stars per row of each level-1 tile (q[-1] cells) from a running count
+    # over the literal word, `across` tiles a row; then summed per tile
+    running = list(itertools.accumulate(map(operator.is_, literal.v11, itertools.repeat(STAR)), initial=0))
+    per_row = list(map(operator.sub, running[q[-1]::q[-1]], running[::q[-1]]))
+    counts = {}  # leading tile index -> star count of each tile along the last axis
+    for r, lead in enumerate(itertools.product(*[  # the leading tile index of each row
+        [(x - lo) // qq for x in range(blo, bhi + 1)]
+        for lo, qq, blo, bhi in zip(lvl1.box.lows[:-1], q[:-1], lvl2.box.lows[:-1], lvl2.box.highs[:-1])
+    ])):
+        row = per_row[r * across:(r + 1) * across]
+        counts[lead] = list(map(operator.add, counts[lead], row)) if lead in counts else row
+    # stars / |S_1| > rho - 1/|S_1|, in integers: stars above this
+    floor = (cfg.rho.numerator * lvl1.volume - cfg.rho.denominator) // cfg.rho.denominator
+    for lead, row in counts.items():  # in lexicographic order
+        for j in (lead + (st.tile_lo[-1] + k,) for k, c in enumerate(row) if c <= floor):
+            if not all(cl <= x <= ch for x, cl, ch in zip(j, st.cand_lo, st.cand_hi)):
+                center = tuple(jj * qq for jj, qq in zip(j, q))
+                return CheckResult(False, f"tile at {center} thinned below its floor")
+    return CheckResult(True, "every thinned tile stays above its floor")
+
+
+def check_top_descent(cfg: Construction, words) -> CheckResult:
+    # the walk down from the top level against the walk started at step 1
+    box = cfg.levels[1].box
+    return _agreement(box, cfg.level_values(cfg.params.depth + 1, box), cfg.window_values(box, "w"))
+
+
+def check_realization(cfg: Construction, words) -> CheckResult:
+    step, stars = cfg.steps[1], cfg.levels[1].stars
+    if stars > 12:
+        raise SizeGuardError(f"{stars} seed stars, over 12 to enumerate")
+    # assignments in index order: the first below the cap decode, the
+    # rest (only when the cap truncates the code block) must not
+    combos = itertools.product(range(step.radix), repeat=stars)
+    seen = {cfg.realization_decode(1, [step.net.point_at(d) for d in combo])
+            for combo in itertools.islice(combos, step.code_count)}
+    past = 0
+    for combo in combos:
+        try:
+            cfg.realization_decode(1, [step.net.point_at(d) for d in combo])
+        except NotRealizedError:
+            past += 1
+    if not step.approximate:
+        return CheckResult(len(seen) == step.radix ** stars, f"{len(seen)} distinct centers")
+    ok = len(seen) == step.code_count and past == step.radix ** stars - step.code_count
+    return CheckResult(ok, f"{len(seen)} distinct centers, {past} past the cap")
+
+
+def check_bounds(cfg: Construction, words) -> CheckResult:
+    rep = mdim_report(cfg)
+    return CheckResult(rep.gaps_monotone and rep.brackets_contain_target,
+                       f"{len(rep.rows)} levels, target {rep.rho_dim}")
+
+
+def check_minimality(cfg: Construction, words, seed: int = 0) -> CheckResult:
+    return minimality_check(cfg, 1, sample_size=20, seed=seed)
+
+
+def run_verification(cfg: Construction, seed: int = 0) -> list:
+    """The invariant battery at the configured depth; list of (name, ok, detail).
+
+    ``ok`` is True (PASS), False (FAIL) or None (INCONCLUSIVE).  A check that
+    a size guard stops raises SizeGuardError and reads None; any other
+    package error reads False.
+    """
+    # level 2 is materialized at most once, for the oracle, linking and floor
+    # checks; a tile past MATERIALIZE_GUARD walks nothing and reads INCONCLUSIVE
+    words = functools.cache(cfg.materialize)
+    battery = [
+        ("density sandwich", check_sandwich),
+        ("no star in the limit", check_no_star),
+        ("evaluator equals literal materialization", check_oracle),
+        # at depth 1 no step-2 link tile is planned
+        *([("level words reappear at the link tile", check_linking)] if cfg.params.depth >= 2 else []),
+        ("free set nesting", check_nesting),
+        ("per-tile density floors", check_floors),
+        ("top-level descent agrees with stabilized values", check_top_descent),
+        ("level-1 assignments below the cap realized" if cfg.steps[1].approximate
+         else "level-1 assignments all realized", check_realization),
+        ("bound brackets and monotone gaps", check_bounds),
+        ("minimality diagnostic (level 1)", functools.partial(check_minimality, seed=seed)),
+    ]
+    rows = []
+    for name, check in battery:
+        try:
+            res = check(cfg, words)
+        except SizeGuardError as exc:
+            res = CheckResult(None, f"{type(exc).__name__}: {exc}")
+        except MeandimError as exc:
+            res = CheckResult(False, f"{type(exc).__name__}: {exc}")
+        rows.append((name, res.ok, res.detail))
+    return rows

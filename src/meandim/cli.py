@@ -11,17 +11,16 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
-import itertools
 import json
-import operator
 import re
 import sys
 from fractions import Fraction
 
 from . import analysis
+from .analysis import run_verification
 from .construction import HASH, STAR, BuildParams, Construction, render_value
 from .cube import Polyhedron, net_schedule
-from .errors import ConfigError, DepthError, MeandimError, NotRealizedError, ScheduleError, SizeGuardError
+from .errors import ConfigError, DepthError, MeandimError, ScheduleError
 from .groups import GROUPS, Box, decimal_text
 from .schedules import MAX_SEARCH_LEVEL, AxisRule, TilingSchedule
 from .tilings import read_tiling, verify_partition
@@ -284,152 +283,6 @@ def cmd_verify(args) -> int:
     return CHECK_ERROR if any(s == "FAIL" for _, s, _ in rows) else 0
 
 
-def run_verification(cfg: Construction, seed: int = 0) -> list:
-    """The invariant battery at the configured depth; list of (name, ok, note).
-
-    ``ok`` is True (PASS), False (FAIL) or None (INCONCLUSIVE).  A check that
-    a size guard stops raises SizeGuardError and reads None; any other
-    package error reads False.
-    """
-    lvl2 = cfg.levels[2]
-    # level 2 is materialized at most once, for the oracle, linking and floor
-    # checks, which read its literal words; each calls this before it walks,
-    # so a tile past MATERIALIZE_GUARD walks nothing and reads INCONCLUSIVE
-    materialize = functools.cache(cfg.materialize)
-
-    def sandwich():
-        rho = cfg.rho
-        for n in range(1, cfg.params.depth + 2):
-            lvl = cfg.levels[n]
-            d = Fraction(lvl.stars, lvl.volume)
-            if not rho < d <= rho + Fraction(1, lvl.volume):
-                return False, f"level {n}: {d}"
-        return True, f"levels 1..{cfg.params.depth + 1}"
-
-    def no_star():
-        # depth d determines the whole level-d tile; the window raises a
-        # DepthError at its first star
-        box = cfg.levels[min(2, cfg.params.depth)].box
-        cfg.window_values(box, "w")
-        return True, f"{box.volume} cells"
-
-    def oracle():
-        words = materialize()
-        walked = cfg.level_values(2, lvl2.box)
-        bad = _first_mismatch(lvl2.box.cells(), walked, words.v11)
-        if bad is not None:
-            return False, f"mismatch at {bad}"
-        if words.stable is not None:
-            bad = _first_mismatch(lvl2.box.cells(), cfg.window_values(lvl2.box, "w"), words.stable)
-            if bad is not None:
-                return False, f"stabilized mismatch at {bad}"
-        return True, f"{lvl2.volume} cells"
-
-    def linking():
-        words = materialize()
-        # V_3 on the link tile against the literal V_2
-        walked = cfg.level_values(3, lvl2.box.translate(cfg.steps[2].link_center))
-        bad = _first_mismatch(lvl2.box.cells(), walked, words.v11)
-        if bad is not None:
-            return False, f"mismatch at {bad}"
-        return True, f"{lvl2.volume} cells"
-
-    def nesting():
-        res = analysis.verify_free_nesting(cfg, min(2, cfg.params.depth))
-        return res.ok, res.detail
-
-    def tile_floors():
-        words = materialize()
-        st, lvl1 = cfg.steps[1], cfg.levels[1]
-        q, across = lvl1.periods, st.tile_hi[-1] - st.tile_lo[-1] + 1
-        # stars per row of each level-1 tile (q[-1] cells) from a running count
-        # over the literal word, `across` tiles a row; then summed per tile
-        running = list(itertools.accumulate(map(operator.is_, words.v11, itertools.repeat(STAR)), initial=0))
-        per_row = list(map(operator.sub, running[q[-1]::q[-1]], running[::q[-1]]))
-        counts = {}  # leading tile index -> star count of each tile along the last axis
-        for r, lead in enumerate(itertools.product(*[  # the leading tile index of each row
-            [(x - lo) // qq for x in range(blo, bhi + 1)]
-            for lo, qq, blo, bhi in zip(lvl1.box.lows[:-1], q[:-1], lvl2.box.lows[:-1], lvl2.box.highs[:-1])
-        ])):
-            row = per_row[r * across:(r + 1) * across]
-            counts[lead] = list(map(operator.add, counts[lead], row)) if lead in counts else row
-        # stars / |S_1| > rho - 1/|S_1|, in integers: stars above this
-        floor = (cfg.rho.numerator * lvl1.volume - cfg.rho.denominator) // cfg.rho.denominator
-        for lead, row in counts.items():  # in lexicographic order
-            for j in (lead + (st.tile_lo[-1] + k,) for k, c in enumerate(row) if c <= floor):
-                if not all(cl <= x <= ch for x, cl, ch in zip(j, st.cand_lo, st.cand_hi)):
-                    return False, f"tile at {tuple(jj * qq for jj, qq in zip(j, q))} thinned below its floor"
-        return True, "every thinned tile stays above its floor"
-
-    def top_descent():
-        # the walk down from the top level against the walk started at step 1
-        box = cfg.levels[1].box
-        via_top = cfg.level_values(cfg.params.depth + 1, box)
-        bad = _first_mismatch(box.cells(), via_top, cfg.window_values(box, "w"))
-        if bad is not None:
-            return False, f"mismatch at {bad}"
-        return True, f"{box.volume} cells"
-
-    def realization():
-        step, stars = cfg.steps[1], cfg.levels[1].stars
-        if stars > 12:
-            raise SizeGuardError(f"{stars} seed stars, over 12 to enumerate")
-        # assignments in index order: the first below the cap decode, the
-        # rest (only when the cap truncates the code block) must not
-        combos = itertools.product(range(step.radix), repeat=stars)
-        seen = {cfg.realization_decode(1, [step.net.point_at(d) for d in combo])
-                for combo in itertools.islice(combos, step.code_count)}
-        past = 0
-        for combo in combos:
-            try:
-                cfg.realization_decode(1, [step.net.point_at(d) for d in combo])
-            except NotRealizedError:
-                past += 1
-        if not step.approximate:
-            return len(seen) == step.radix ** stars, f"{len(seen)} distinct centers"
-        ok = len(seen) == step.code_count and past == step.radix ** stars - step.code_count
-        return ok, f"{len(seen)} distinct centers, {past} past the cap"
-
-    def bounds():
-        rep = analysis.mdim_report(cfg)
-        ok = rep.gaps_monotone and rep.brackets_contain_target
-        return ok, f"{len(rep.rows)} levels, target {rep.rho_dim}"
-
-    def minimal():
-        rep = analysis.minimality_check(cfg, 1, sample_size=20, seed=seed)
-        return rep.ok, f"{rep.sampled} centers"
-
-    battery = [
-        ("density sandwich", sandwich),
-        ("no star in the limit", no_star),
-        ("evaluator equals literal materialization", oracle),
-        # at depth 1 no step-2 link tile is planned
-        *([("level words reappear at the link tile", linking)] if cfg.params.depth >= 2 else []),
-        ("free set nesting", nesting),
-        ("per-tile density floors", tile_floors),
-        ("top-level descent agrees with stabilized values", top_descent),
-        ("level-1 assignments below the cap realized" if cfg.steps[1].approximate
-         else "level-1 assignments all realized", realization),
-        ("bound brackets and monotone gaps", bounds),
-        ("minimality diagnostic (level 1)", minimal),
-    ]
-    out = []
-    for name, fn in battery:
-        try:
-            ok, note = fn()
-        except MeandimError as exc:
-            ok, note = (None if isinstance(exc, SizeGuardError) else False), f"{type(exc).__name__}: {exc}"
-        out.append((name, ok, note))
-    return out
-
-
-def _first_mismatch(cells, got: list, want: list):
-    """The first cell whose values differ between two aligned lists, or None."""
-    if got == want:
-        return None
-    return next(g for g, a, b in zip(cells, got, want) if a != b)
-
-
 def cmd_mdim(args) -> int:
     params = load_config(args.config, args)
     cfg = Construction(params)
@@ -462,32 +315,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="meandim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(name, help_text, formats=True):
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="experiment config (INI)")
         sp.add_argument("--depth", type=int, default=None)
         sp.add_argument("--mode", default=None, help="exact | capped:N")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+        if formats:  # gen-tilings and window print no report
+            sp.add_argument("--format", choices=("text", "json"), default="text")
+        return sp
 
-    sp = sub.add_parser("gen-tilings", help="generate and verify a tiling schedule")
-    common(sp)
+    sp = common("gen-tilings", "generate and verify a tiling schedule", formats=False)
     sp.add_argument("--levels", type=_levels_arg, default=5)
     sp.add_argument("--imported", default=None, help="explicit tiling file to verify")
-
-    sp = sub.add_parser("build", help="plan a construction and report it")
-    common(sp)
-
-    sp = sub.add_parser("window", help="dump the configuration on a window")
-    common(sp)
+    common("build", "plan a construction and report it")
+    sp = common("window", "dump the configuration on a window", formats=False)
     sp.add_argument("--window", required=True, help="[a,b] or [a,b]x[c,d]")
     sp.add_argument("--what", choices=("w", "x"), default="w")
-
-    sp = sub.add_parser("verify", help="run the invariant battery")
-    common(sp)
-
-    sp = sub.add_parser("mdim", help="mean-dimension bound report")
-    common(sp)
+    common("verify", "run the invariant battery")
+    common("mdim", "mean-dimension bound report")
     return p
 
 

@@ -150,7 +150,7 @@ def test_criterion_6_minimality(toys):
     for key, cfg in toys.items():
         for n in (1, 2):
             rep = minimality_check(cfg, n, sample_size=100, seed=7)
-            ok &= rep.recurrence_ok and rep.syndetic_ok and rep.sampled == 100
+            ok &= rep.ok is True and rep.detail == "100 centers"
     # the small-period witness also passes the set-level covering check
     cfg = next(iter(toys.values()))
     q = cfg.schedule.periods(cfg.levels[2].sched_level)[0]

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from meandim import HASH, STAR, Z2, BuildParams, Construction, Polyhedron, generate_interval_schedule
 from meandim.analysis import (
     FreeSet,
+    check_sandwich,
     densities,
     lower_bound_estimate,
     mdim_report,
@@ -117,6 +119,23 @@ def test_lower_bound_estimates(matrix_cfg):
     assert lower_bound_estimate(matrix_cfg, 2) - rho < lower_bound_estimate(matrix_cfg, 1) - rho
 
 
+def test_negative_levels_are_refused(toy_cfg):
+    # a ValueError from the level check itself, not a DepthError about depth
+    with pytest.raises(ValueError, match="estimates start at n = 1"):
+        lower_bound_estimate(toy_cfg, -1)
+    with pytest.raises(ValueError, match="free set level -1 is negative"):
+        FreeSet(toy_cfg, -1)
+
+
+def test_sandwich_refuses_a_level_at_rho():
+    # the planner gives every level stars > rho * volume, so only a stub plan
+    # reaches a level at exactly rho; level 1 sits on the upper end, which holds
+    stub = SimpleNamespace(rho=Fraction(1, 2), params=SimpleNamespace(depth=1), levels={
+        1: SimpleNamespace(stars=3, volume=4), 2: SimpleNamespace(stars=18, volume=36)})
+    res = check_sandwich(stub, None)
+    assert (res.ok, res.detail) == (False, "level 2: 1/2")
+
+
 def test_lower_bound_scales_with_dimension():
     sched = generate_interval_schedule(1, 2, 3)
     cfg2 = Construction(
@@ -137,13 +156,15 @@ def test_lower_bound_scales_with_dimension():
 def brute_force_class_wholes(cfg, n, window):
     # independent per-class counting: the whole level-n tiles inside the
     # window for every translation class (one center residue per axis),
-    # from the centers of that residue scanned along each axis
+    # from one pass along each axis over the centers c whose tile
+    # c + [blo, bhi] lies in [lo, hi], each counted for its residue
     lvl = cfg.levels[n]
-    per_axis = [
-        [sum(1 for c in range(lo - q, hi + q + 1) if c % q == o and lo <= c + blo and c + bhi <= hi)
-         for o in range(q)]
-        for q, lo, hi, blo, bhi in zip(lvl.periods, window.lows, window.highs, lvl.box.lows, lvl.box.highs)
-    ]
+    per_axis = []
+    for q, lo, hi, blo, bhi in zip(lvl.periods, window.lows, window.highs, lvl.box.lows, lvl.box.highs):
+        counts = [0] * q
+        for c in range(lo - blo, hi - bhi + 1):
+            counts[c % q] += 1
+        per_axis.append(counts)
     return [math.prod(counts) for counts in product(*per_axis)]
 
 
@@ -249,8 +270,8 @@ def test_upper_bound_closed_form_matches_class_scan(data):
 def test_minimality_check_passes(toy_cfg):
     for n in (1, 2):
         rep = minimality_check(toy_cfg, n, sample_size=15, seed=11)
-        assert rep.ok and rep.recurrence_ok and rep.syndetic_ok
-        assert rep.sampled == 15 and rep.mismatches == []
+        assert rep.ok is True
+        assert rep.detail == "15 centers" and rep.violations == []
 
 
 def test_minimality_identity_shift_trivial(toy_cfg):
@@ -281,8 +302,8 @@ def test_minimality_mutation_detected_directly(toy_cfg, monkeypatch):
 
     monkeypatch.setattr(type(toy_cfg), "window_values", corrupted)
     rep = minimality_check(toy_cfg, 1, sample_size=2, seed=0)
-    assert not rep.recurrence_ok
-    assert rep.mismatches and rep.mismatches[0][0] == (q * 7,)
+    assert rep.ok is False
+    assert rep.violations and rep.violations[0][0] == (q * 7,)
 
 
 def test_mdim_report(matrix_cfg):

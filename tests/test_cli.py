@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -273,6 +274,14 @@ def test_gen_tilings_levels_below_one_is_usage_error(config, capsys, levels):
     code, out, err = run(capsys, "gen-tilings", "--config", config, "--levels", levels)
     assert code == 2 and out == ""
     assert "argument --levels: levels are 1-based" in err
+
+
+@pytest.mark.parametrize("argv", [("gen-tilings",), ("window", "--window", "[0,3]")])
+def test_format_is_refused_where_no_report_is_printed(config, capsys, argv):
+    # only build, verify and mdim print a report that --format selects
+    code, out, err = run(capsys, argv[0], "--config", config, *argv[1:], "--format", "json")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --format json" in err
 
 
 def test_checked_in_config_runs(capsys):
@@ -650,10 +659,11 @@ def test_planted_literal_mismatch_fails_oracle_and_linking(monkeypatch, depth):
         assert rows[name][1] == f"mismatch at {victim}"
 
 
-@pytest.mark.parametrize("config_name", ["configs/toy-z.cfg", "perfbench/toy-z2.cfg"])
-def test_planted_thinned_tile_fails_the_floors(monkeypatch, config_name):
-    # every star of one thinning-zone level-1 tile of the literal V_2 turned
-    # to a hash: the first such tile after the host in lexicographic order
+def planted_floor_rows(monkeypatch, config_name, left):
+    """The verify rows at depth 1 with stars of one thinning-zone level-1
+    tile of the literal V_2 turned to hashes until `left` are left: the
+    first such tile after the host in lexicographic order.  Returns the
+    rows and the tile's center."""
     from meandim import HASH, STAR, cli
 
     cfg_path = Path(__file__).resolve().parents[1] / config_name
@@ -666,13 +676,33 @@ def test_planted_thinned_tile_fails_the_floors(monkeypatch, config_name):
     def planted(self, *args, **kwargs):
         out = real(self, *args, **kwargs)
         at = {g: i for i, g in enumerate(out.window.cells())}
-        assert any(out.v11[at[g]] is STAR for g in victims)
-        for g in victims:
+        stars = [g for g in victims if out.v11[at[g]] is STAR]
+        assert len(stars) > left
+        for g in stars[left:]:
             out.v11[at[g]] = HASH
         return out
 
     monkeypatch.setattr(Construction, "materialize", planted)
     rows = {name: (ok, note) for name, ok, note in cli.run_verification(cfg, 7)}
+    return rows, center
+
+
+@pytest.mark.parametrize("config_name", ["configs/toy-z.cfg", "perfbench/toy-z2.cfg"])
+def test_planted_thinned_tile_fails_the_floors(monkeypatch, config_name):
+    # every star of the tile turned to a hash
+    rows, center = planted_floor_rows(monkeypatch, config_name, 0)
+    assert rows["per-tile density floors"] == (False, f"tile at {center} thinned below its floor")
+
+
+@pytest.mark.parametrize("config_name", ["configs/toy-z.cfg", "perfbench/toy-z2.cfg"])
+def test_planted_tile_at_its_floor_fails_the_floors(monkeypatch, config_name):
+    # the tile left with exactly its floor, the most stars c with
+    # c / |S_1| <= rho - 1 / |S_1|: the comparison must not be strict
+    path = Path(__file__).resolve().parents[1] / config_name
+    cfg = Construction(load_config(str(path), argparse.Namespace(depth=1, mode=None, seed=None)))
+    vol = cfg.levels[1].volume
+    floor = max(c for c in range(vol + 1) if Fraction(c, vol) <= cfg.rho - Fraction(1, vol))
+    rows, center = planted_floor_rows(monkeypatch, config_name, floor)
     assert rows["per-tile density floors"] == (False, f"tile at {center} thinned below its floor")
 
 
@@ -746,6 +776,64 @@ def test_planted_star_order_fails_the_realization(monkeypatch, capsys):
     assert failed[0].startswith("FAIL level-1 assignments all realized: DecodeError: decode confirmation failed")
 
 
+TOY_Z_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg")
+
+
+def toy_z_plan():
+    return Construction(load_config(TOY_Z_CFG, argparse.Namespace(depth=None, mode=None, seed=None)))
+
+
+def test_planted_top_level_cell_fails_the_descent(monkeypatch):
+    # one cell of the level-1 tile changed only in walks from the top level,
+    # depth + 1: the walk started at step 1 keeps its value
+    from meandim import cli
+
+    cfg = toy_z_plan()
+    top, victim = cfg.params.depth + 1, cfg.levels[1].box.lows
+    real = Construction.level_values
+
+    def planted(self, n, box):
+        values = list(real(self, n, box))
+        if n == top and victim in box:
+            values[list(box.cells()).index(victim)] = (Fraction(9, 10),)
+        return values
+
+    monkeypatch.setattr(Construction, "level_values", planted)
+    rows = {name: (ok, note) for name, ok, note in cli.run_verification(cfg, 7)}
+    assert {name: rows[name] for name in rows if rows[name][0] is not True} == {
+        "top-level descent agrees with stabilized values": (False, f"mismatch at {victim}")}
+
+
+def test_planted_constant_decode_fails_the_realization(monkeypatch, capsys):
+    # every assignment decoded to the same center: in exact mode the row
+    # needs one distinct center per assignment
+    monkeypatch.setattr(Construction, "realization_decode", lambda self, n, assignment: self.group.identity)
+    code, out, err = run(capsys, "verify", "--config", TOY_Z_CFG)
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
+        "FAIL level-1 assignments all realized: 1 distinct centers"]
+
+
+@pytest.mark.parametrize("shift,broken", [
+    # level 2's lower estimate pulled down by one: its gap grows past level 1's
+    (lambda n: 1 - n, "gaps_monotone"),
+    # every lower estimate raised by one: the certified bracket sits above rho*dim
+    (lambda n: 1, "brackets_contain_target"),
+], ids=["gaps-grow", "bracket-misses-target"])
+def test_planted_bound_estimates_fail_the_bounds(monkeypatch, capsys, shift, broken):
+    from meandim import analysis, cli
+
+    real = analysis.lower_bound_estimate
+    monkeypatch.setattr(analysis, "lower_bound_estimate", lambda cfg, n: real(cfg, n) + shift(n))
+    rows = {name: (ok, note) for name, ok, note in cli.run_verification(toy_z_plan(), 7)}
+    assert {name: rows[name] for name in rows if rows[name][0] is not True} == {
+        "bound brackets and monotone gaps": (False, "2 levels, target 1/2")}
+    code, out, err = run(capsys, "mdim", "--config", TOY_Z_CFG, "--format", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert [key for key in ("gaps_monotone", "brackets_contain_target") if not report[key]] == [broken]
+
+
 # a Z^2 plan whose level-2 tile (5^10 cells) is past every size guard and whose
 # 13 seed stars are too many to enumerate their assignments
 OVERSIZED_Z2 = """\
@@ -782,6 +870,8 @@ def test_verify_reports_guarded_checks_inconclusive(tmp_path, capsys):
         "INCONCLUSIVE per-tile density floors",
         "INCONCLUSIVE level-1 assignments below the cap realized",  # the cap of 64 truncates 2^13
     ]
+    # the nesting guard reads like every other guarded row
+    assert "INCONCLUSIVE free set nesting: SizeGuardError: J_1 too large to enumerate" in lines
     assert all(line.startswith(("PASS ", "INCONCLUSIVE ")) for line in lines)
 
 
