@@ -406,7 +406,11 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
     ``ok`` is True (PASS), False (FAIL) or None (INCONCLUSIVE).  A check that
     a size guard stops raises SizeGuardError and reads None; any other
     package error reads False.
+
+    Every check evaluates through one tile walk (``cfg.with_one_walk()``),
+    which is freed when the battery returns; ``cfg`` itself is not changed.
     """
+    cfg = cfg.with_one_walk()
     # level 2 is materialized at most once, for the oracle, linking and floor
     # checks; a tile past MATERIALIZE_GUARD walks nothing and reads INCONCLUSIVE
     words = functools.cache(cfg.materialize)

@@ -34,6 +34,7 @@ has no stars anywhere it is defined.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import operator
@@ -56,6 +57,9 @@ from .schedules import TilingSchedule
 
 # Refuse exact code counts beyond roughly this many bits.
 MAX_CODE_BITS = 1_000_000
+# A refused code count's star-count exponent longer than this many digits is
+# printed as its digit count.
+MAX_EXPONENT_DIGITS = 30
 # Give up scanning schedule levels beyond this index.
 MAX_SCHED_LEVEL = 100_000
 # The one bound, in cells, on a scan that reads a whole level tile literally:
@@ -264,10 +268,15 @@ def _exact_div(a: int, b: int) -> int:
 class Construction:
     """A fully planned construction with a lazy tile-walk evaluator.
 
-    Plans are immutable after construction and evaluation keeps no state,
-    so instances are safe to share across threads and hold no memory that
-    grows with what they have evaluated.
+    Plans are immutable after construction and evaluation keeps no state:
+    each evaluation call makes its own ``_TileWalk``, so instances are safe
+    to share across threads and hold no memory that grows with what they
+    have evaluated.  The one exception is the view ``with_one_walk`` makes
+    for the verify battery: a copy whose evaluations share one walk, which
+    lives for exactly one ``analysis.run_verification`` call.
     """
+
+    _walk: Optional["_TileWalk"] = None  # set only on a with_one_walk view
 
     def __init__(self, params: BuildParams):
         self.params = params
@@ -305,8 +314,11 @@ class Construction:
             exact, too_big = None, True
         if self.params.mode == "exact":
             if too_big:
+                exponent = decimal_text(stars)
+                if len(exponent) > MAX_EXPONENT_DIGITS:
+                    exponent = f"(a {len(exponent)}-digit star count)"
                 raise DepthError(
-                    f"step {n + 1} needs a code block of {radix}^{decimal_text(stars)} tiles, "
+                    f"step {n + 1} needs a code block of {radix}^{exponent} tiles, "
                     "beyond exact representation; rerun in capped mode"
                 )
             return exact, exact, False
@@ -472,6 +484,21 @@ class Construction:
     def approximate(self) -> bool:
         return any(s.approximate for s in self.steps.values())
 
+    def with_one_walk(self) -> "Construction":
+        """A view of this plan whose evaluations all go through one tile
+        walk, so that pieces, templates and net points computed by one call
+        are reused by the next.  The plan itself is shared and untouched;
+        the walk's memory is held by the view and freed with it, so a view
+        should live for one batch of evaluations (``run_verification``
+        makes one per call).  The walk's lists are memoized: callers must
+        not mutate what the view returns."""
+        view = copy.copy(self)
+        view._walk = _TileWalk(self)
+        return view
+
+    def _tile_walk(self) -> "_TileWalk":
+        return self._walk or _TileWalk(self)
+
     def eval_w(self, g: Element):
         """Stabilized limit value at g; never a star: a one-cell tile walk.
 
@@ -528,7 +555,7 @@ class Construction:
         if box.rank != self.group.rank:
             raise ValueError("element rank mismatch")
         box.guard_cells()
-        walk = _TileWalk(self)
+        walk = self._tile_walk()
         for n in range(1, self.params.depth + 1):
             if self.levels[n].box.contains_box(box):
                 return walk._coded(self.steps[n], (n, box.lows, box.highs), 0)
@@ -547,14 +574,14 @@ class Construction:
         if not self.levels[n].box.contains_box(box):
             raise ValueError(f"{box} outside the level-{n} tile")
         box.guard_cells()
-        return _TileWalk(self).values(n, box.lows, box.highs, False)[0]
+        return self._tile_walk().values(n, box.lows, box.highs, False)[0]
 
     def star_positions(self, n: int) -> list:
         """Stars of V_n in canonical rank order (walks the whole tile)."""
         box = self.levels[n].box
         if box.volume > MATERIALIZE_GUARD:
             raise SizeGuardError(f"level-{n} tile too large to scan")
-        values, ranks = _TileWalk(self).values(n, box.lows, box.highs, True)
+        values, ranks = self._tile_walk().values(n, box.lows, box.highs, True)
         stars = sorted((r, g) for g, v, r in zip(box.cells(), values, ranks) if v is STAR)
         return [g for _, g in stars]
 
@@ -611,33 +638,39 @@ class Construction:
         """Execute the first two levels literally, on flat lists.
 
         This follows the step definitions directly, with none of the
-        arithmetic shortcuts the evaluator uses, and serves as its oracle.
+        arithmetic shortcuts the evaluator uses, and serves as its oracle:
+        every seed star is written into every level-1 tile, and every
+        thinning-zone tile is visited in lexicographic order until the
+        target is reached.  It never walks: the verify battery computes
+        these words at most once and compares them with its one walk
+        (``with_one_walk``), and both live for exactly one
+        ``run_verification`` call.
         A cell g of the level-2 tile sits at offset sum((g - lows) * strides)
         of each list; the offset is linear in g, so a cell a + c of the tile
-        centered at c sits at c's offset plus a's.
+        centered at c sits at c's offset plus a's, and the tiles of one row
+        (one leading tile index) sit q[-1] apart.
         """
         lvl1, lvl2, step1 = self.levels[1], self.levels[2], self.steps[1]
         if lvl2.volume > MATERIALIZE_GUARD:
             raise SizeGuardError(f"level-2 tile has {decimal_text(lvl2.volume)} cells, over the bound")
-        box = lvl2.box
+        box, q = lvl2.box, lvl1.periods
         strides = _strides(box.lows, box.highs)
 
         def offset(g: Element) -> int:
             return sum((x - lo) * s for x, lo, s in zip(g, box.lows, strides))
 
-        # the offsets of the seed stars within a tile, and the lexicographic
-        # tile indices j of the level-2 tile with the offsets of their centers
+        # the offsets of the seed stars within a tile, and per leading tile
+        # index, in lexicographic order, the offset of its row's first center
         deltas = [sum(x * s for x, s in zip(a, strides)) for a in self.seed_stars]
-        js = list(itertools.product(*[range(lo, hi + 1) for lo, hi in zip(step1.tile_lo, step1.tile_hi)]))
-        bases = list(map(sum, itertools.product(*[
-            [(j * q - lo) * s for j in range(tlo, thi + 1)]
-            for tlo, thi, q, lo, s in zip(step1.tile_lo, step1.tile_hi, lvl1.periods, box.lows, strides)
-        ])))
-        # W_1: the seed stars written into each of those tiles
+        t0, across = step1.tile_lo[-1], step1.tile_hi[-1] - step1.tile_lo[-1] + 1
+        leads = list(itertools.product(*[range(lo, hi + 1) for lo, hi in zip(step1.tile_lo[:-1], step1.tile_hi[:-1])]))
+        rows = [offset(tuple(map(operator.mul, lead + (t0,), q))) for lead in leads]
+        # W_1: each seed star written into every tile of a row by one strided slice
         w1 = [HASH] * lvl2.volume
-        for b in bases:
+        row_of_stars = [STAR] * across
+        for r in rows:
             for d in deltas:
-                w1[b + d] = STAR
+                w1[r + d:r + d + across * q[-1]:q[-1]] = row_of_stars
         v11 = list(w1)
         for k in range(step1.code_count):
             b = offset(self._cand_at(step1, k))
@@ -646,11 +679,19 @@ class Construction:
         total = v11.count(STAR)
         target = lvl2.stars
         floor1 = (self.rho.numerator * lvl1.volume) // self.rho.denominator
-        for j, b in zip(js, bases):
+        # the thinning zone in lexicographic order: a row whose leading index
+        # lies in the host skips the host's tiles, which are never thinned
+        c0, c1 = step1.cand_lo[-1] - t0, step1.cand_hi[-1] - t0 + 1
+        zone = (
+            r + k * q[-1]
+            for lead, r in zip(leads, rows)
+            for k in (itertools.chain(range(c0), range(c1, across))
+                      if all(cl <= x <= ch for x, cl, ch in zip(lead, step1.cand_lo, step1.cand_hi))
+                      else range(across))
+        )
+        for b in zone:
             if total <= target:
                 break
-            if all(cl <= x <= ch for x, cl, ch in zip(j, step1.cand_lo, step1.cand_hi)):
-                continue  # host zone is never thinned
             budget = lvl1.stars - floor1
             for d in deltas:
                 if total <= target or budget == 0:
@@ -730,7 +771,11 @@ class _TileWalk:
     tile (one of the first ``thin_total`` of the thinning zone) lays the piece
     with its first star turned to a hash, and a code tile patches the digit-0
     template of its piece at its non-zero digits.  The memos, templates and
-    net points belong to the walk, not the construction.
+    net points belong to the walk, not the construction.  A walk lives for
+    one evaluation call, except the verify battery's: ``with_one_walk``
+    gives it to a view that lives for exactly one ``run_verification``
+    call, so its memos are bounded by the battery's tiles.  The lists it
+    returns are memoized and must not be mutated.
     """
 
     def __init__(self, cfg: Construction):

@@ -1,6 +1,9 @@
+import argparse
 import math
+import weakref
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -317,3 +320,32 @@ def test_mdim_report(matrix_cfg):
         assert row.gap >= 0
     assert rep.rows[1].gap <= rep.rows[0].gap
     assert not rep.approximate
+
+
+@pytest.mark.parametrize("config", ["configs/toy-z.cfg", "perfbench/toy-z2.cfg"])
+def test_verify_battery_runs_on_one_walk_and_frees_it(monkeypatch, config):
+    # every check of one run evaluates through one tile walk, held by a view
+    # of the plan; the plan keeps its attributes, and the walk is freed by
+    # reference counting when the run returns
+    from meandim import analysis, cli, construction
+
+    path = Path(__file__).resolve().parents[1] / config
+    cfg = Construction(cli.load_config(str(path), argparse.Namespace(depth=None, mode=None, seed=None)))
+    planned = dict(vars(cfg))
+    walks = []
+
+    class CountedWalk(construction._TileWalk):
+        def __init__(self, plan):
+            super().__init__(plan)
+            walks.append(weakref.ref(self))
+
+    monkeypatch.setattr(construction, "_TileWalk", CountedWalk)
+    rows = analysis.run_verification(cfg, cfg.params.seed)
+    assert [ok for _, ok, _ in rows] == [True] * len(rows)
+    assert len(walks) == 1
+    assert walks[0]() is None
+    assert vars(cfg) == planned and cfg._walk is None
+    # outside the battery each evaluation call still builds its own walk
+    cfg.level_values(1, cfg.levels[1].box)
+    cfg.star_positions(1)
+    assert len(walks) == 3

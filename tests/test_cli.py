@@ -514,21 +514,33 @@ def test_capacity_error_prints_huge_counts(tmp_path, capsys):
         assert int(surplus) > int(ceiling) > 10**5000
 
 
-def test_depth_error_prints_a_huge_star_count(capsys):
+def test_depth_error_prints_the_digit_count_of_a_huge_star_count(capsys):
     # step 4 of the Z^2 toy needs 5^stars code tiles, and the level-3 star
-    # count has more digits than int->str converts
+    # count has about 14,000 digits: the one stderr line names its digit
+    # count instead, and keeps the hint and the exit code
     from meandim import cli
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "toy-z2.cfg"
     code, out, err = run(capsys, "build", "--config", str(path), "--depth", "3")
     assert (code, out) == (1, "")
-    assert err.startswith("error: DepthError: step 4 needs a code block of 5^")
-    assert err.endswith(" tiles, beyond exact representation; rerun in capped mode\n")
-    assert err.count("\n") == 1
-    stars = err.split("5^")[1].split(" tiles")[0]
     plan = Construction(cli.load_config(str(path), argparse.Namespace(depth=2, mode=None, seed=None)))
-    with int_str_limit_lifted():
-        assert int(stars) == plan.levels[3].stars > 10**4300
+    digits = len(decimal_text(plan.levels[3].stars))
+    assert digits > 4300
+    assert err == (f"error: DepthError: step 4 needs a code block of 5^(a {digits}-digit star count) "
+                   "tiles, beyond exact representation; rerun in capped mode\n")
+    assert len(err) < 200
+
+
+def test_depth_error_prints_a_short_star_count_in_full():
+    # a refused code block whose star count is short enough to read
+    from types import SimpleNamespace
+
+    from meandim import construction
+
+    stub = SimpleNamespace(params=SimpleNamespace(mode="exact", cap=None))
+    stars = construction.MAX_CODE_BITS // 2 + 1  # two bits a digit at radix 4
+    with pytest.raises(DepthError, match=rf"^step 3 needs a code block of 4\^{stars} tiles, .* capped mode$"):
+        Construction._code_count(stub, 2, stars, 4)
 
 
 def test_verify_prints_a_huge_level_2_volume(tmp_path, capsys):

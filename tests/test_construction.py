@@ -765,6 +765,31 @@ def test_z2_depth2_literal_words_match_the_walk(z2_cfgs):
         assert cfg.eval_w(cells[i]) == words.stable[i], cells[i]
 
 
+@pytest.mark.parametrize("case,cut_mid_row,host_before_cut", [
+    ("Z2", True, True),  # the cut row crosses the host, whose rows come first
+    ("Z left", True, False),  # thinning stops before the host
+    ("Z right", True, True),  # the one row crosses the host before the cut
+])
+def test_literal_words_match_the_pointwise_oracle(z2_cfgs, case, cut_mid_row, host_before_cut):
+    # the materializer writes W_1 a row of tiles at a time and thins row by
+    # row; every cell of its words against the pointwise resolvers
+    cfg = z2_cfgs[1] if case == "Z2" else Construction(BuildParams.toy(
+        generate_interval_schedule(1, 2, 3, case.split()[1]), Fraction(1, 2), dim=1, depth=2))
+    from meandim.construction import _count_lex_below
+
+    step, lvl1 = cfg.steps[1], cfg.levels[1]
+    cut = thinning_cut_tile(cfg, 1)
+    j = tuple((x - lo) // q for x, lo, q in zip(cut.lows, lvl1.box.lows, lvl1.periods))
+    assert (step.tile_lo[-1] < j[-1] < step.tile_hi[-1]) is cut_mid_row
+    assert (_count_lex_below(j, step.cand_lo, step.cand_hi) > 0) is host_before_cut
+    words, box = cfg.materialize(), cfg.levels[2].box
+    seeded = {tuple(jj * q + x for jj, q, x in zip(jt, lvl1.periods, a))
+              for jt in product(*map(range, step.tile_lo, [hi + 1 for hi in step.tile_hi]))
+              for a in cfg.seed_stars}
+    assert words.w1 == [STAR if g in seeded else HASH for g in box.cells()]
+    assert all(values_equal(v, oracles.word(cfg, 2, g)) for g, v in zip(box.cells(), words.v11))
+
+
 @pytest.mark.parametrize("balance", ["centered", "left", "right"])
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("group", ["Z", "Z2"])
