@@ -342,10 +342,10 @@ def check_floors(cfg: Construction, words) -> CheckResult:
     literal = words()
     st, lvl1, lvl2 = cfg.steps[1], cfg.levels[1], cfg.levels[2]
     q, across = lvl1.periods, st.tile_hi[-1] - st.tile_lo[-1] + 1
-    # stars per row of each level-1 tile (q[-1] cells) from a running count
-    # over the literal word, `across` tiles a row; then summed per tile
-    running = list(itertools.accumulate(map(operator.is_, literal.v11, itertools.repeat(STAR)), initial=0))
-    per_row = list(map(operator.sub, running[q[-1]::q[-1]], running[::q[-1]]))
+    # stars per row of each level-1 tile: each run of q[-1] cells of the
+    # literal word is one (`across` of them a box row), counted in one pass;
+    # then the rows of each tile are summed per leading tile index
+    per_row = list(map(operator.countOf, zip(*[iter(literal.v11)] * q[-1]), itertools.repeat(STAR)))
     counts = {}  # leading tile index -> star count of each tile along the last axis
     for r, lead in enumerate(itertools.product(*[  # the leading tile index of each row
         [(x - lo) // qq for x in range(blo, bhi + 1)]

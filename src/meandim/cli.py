@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import analysis
 from .analysis import run_verification
-from .construction import HASH, STAR, BuildParams, Construction, render_value
+from .construction import BuildParams, Construction, render_value
 from .cube import Polyhedron, net_schedule
 from .errors import ConfigError, DepthError, MeandimError, ScheduleError
 from .groups import GROUPS, Box, decimal_text
@@ -245,29 +245,23 @@ def cmd_build(args) -> int:
 
 
 def cmd_window(args) -> int:
+    """Print a window row by row, '?' at each undetermined cell: the walk lays
+    palette codes (``Construction._walk_box``), each rendered once."""
     params = load_config(args.config, args)
     cfg = Construction(params)
     box = parse_window(args.window, cfg.group)
-    # the walk's values, a STAR at each cell the depth leaves undetermined
-    values = cfg._walk_box(box)
-    # render each distinct value object once: every value stays alive in the
-    # list, so no id repeats (hashing the Fraction tuples would cost about as
-    # much as rendering them)
-    ids = list(map(id, values))
-    shown = {key: render_value(v) for key, v in dict(zip(ids, values)).items()}
-    undetermined = id(STAR) in shown
-    shown[id(STAR)] = "?"
+    codes, palette = cfg._walk_box(box)
+    shown = ["?", *map(render_value, palette[1:])]
     if args.what == "x":
-        shown[id(HASH)] = render_value(cfg.params.cube.basepoint)
-    # values come in Box.cells() order, so each run of `width` of them is one
+        shown[1] = render_value(cfg.params.cube.basepoint)
+    # codes come in Box.cells() order, so each run of `width` of them is one
     # printed row (the whole window on Z, one first coordinate on Z^2)
-    texts = list(map(shown.__getitem__, ids))
     width = box.highs[-1] - box.lows[-1] + 1
-    lines = [" ".join(texts[i:i + width]) for i in range(0, len(texts), width)]
+    lines = [" ".join(map(shown.__getitem__, codes[i:i + width])) for i in range(0, len(codes), width)]
     emit("\n".join(lines) + "\n", args.out)
-    if undetermined:
-        first = cfg._undetermined_in(box, values)
-        raise DepthError(f"{first} ({ids.count(id(STAR))} of {len(ids)} cells shown as ?)")
+    if 0 in codes:
+        first = cfg._undetermined_in(box, codes)
+        raise DepthError(f"{first} ({codes.count(0)} of {len(codes)} cells shown as ?)")
     return 0
 
 

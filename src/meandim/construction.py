@@ -534,18 +534,17 @@ class Construction:
         """The values of ``window(box, kind)`` alone, in ``Box.cells()``
         order, from one tile walk; no cell tuples are built.  Raises the
         same ``DepthError`` for the first undetermined cell."""
-        values = self._walk_box(box)
-        # by identity: `STAR in values` would compare STAR with every net point
-        if any(map(operator.is_, values, itertools.repeat(STAR))):
-            raise self._undetermined_in(box, values)
-        if kind != "w":
-            base = self.params.cube.basepoint
-            values = [base if v is HASH else v for v in values]
-        return values
+        codes, palette = self._walk_box(box)
+        if 0 in codes:
+            raise self._undetermined_in(box, codes)
+        if kind != "w":  # the basepoint at code 1, in a copy of the palette
+            palette = [STAR, self.params.cube.basepoint, *palette[2:]]
+        return [palette[c] for c in codes]
 
-    def _walk_box(self, box: Box) -> list:
-        """V_top on a box in ``Box.cells()`` order, with a STAR at every cell
-        the planned depth leaves undetermined.
+    def _walk_box(self, box: Box) -> tuple:
+        """V_top on a box as ``(codes, palette)``: one palette code per cell
+        in ``Box.cells()`` order (``_TileWalk.palette``), code 0 (STAR) at
+        every cell the planned depth leaves undetermined.
 
         Inside the level-n tile (n <= depth) the top level word is the coded
         word of step n, reached through code tile 0 at every level above, so
@@ -558,13 +557,13 @@ class Construction:
         walk = self._tile_walk()
         for n in range(1, self.params.depth + 1):
             if self.levels[n].box.contains_box(box):
-                return walk._coded(self.steps[n], (n, box.lows, box.highs), 0)
-        return walk.lay(self.params.depth + 1, box.lows, box.highs, False, None)[0]
+                return walk._coded(self.steps[n], (n, box.lows, box.highs), 0), walk.palette
+        return walk.lay(self.params.depth + 1, box.lows, box.highs, False, None)[0], walk.palette
 
-    def _undetermined_in(self, box: Box, values: list) -> DepthError:
-        """The DepthError for the first STAR of ``_walk_box(box)``; its cell
-        comes from its index, so no cell is built before the error."""
-        return self._undetermined(_lex_at(values.index(STAR), box.lows, box.highs))
+    def _undetermined_in(self, box: Box, codes: list) -> DepthError:
+        """The DepthError for the first STAR (code 0) of ``_walk_box(box)``;
+        its cell comes from its index, so no cell is built before the error."""
+        return self._undetermined(_lex_at(codes.index(0), box.lows, box.highs))
 
     def level_values(self, n: int, box: Box) -> list:
         """V_n on a box inside the level-n tile, in ``Box.cells()`` order,
@@ -574,15 +573,17 @@ class Construction:
         if not self.levels[n].box.contains_box(box):
             raise ValueError(f"{box} outside the level-{n} tile")
         box.guard_cells()
-        return self._tile_walk().values(n, box.lows, box.highs, False)[0]
+        walk = self._tile_walk()
+        palette = walk.palette
+        return [palette[c] for c in walk.values(n, box.lows, box.highs, False)[0]]
 
     def star_positions(self, n: int) -> list:
         """Stars of V_n in canonical rank order (walks the whole tile)."""
         box = self.levels[n].box
         if box.volume > MATERIALIZE_GUARD:
             raise SizeGuardError(f"level-{n} tile too large to scan")
-        values, ranks = self._tile_walk().values(n, box.lows, box.highs, True)
-        stars = sorted((r, g) for g, v, r in zip(box.cells(), values, ranks) if v is STAR)
+        codes, ranks = self._tile_walk().values(n, box.lows, box.highs, True)
+        stars = sorted((r, g) for g, v, r in zip(box.cells(), codes, ranks) if v == 0)
         return [g for _, g in stars]
 
     def link_shift(self, n: int) -> Element:
@@ -764,34 +765,38 @@ class _TileWalk:
     """One tile-by-tile evaluation of a window, level by level.
 
     ``values(n, lows, highs, ranks)`` gives the level word V_n on a box in
-    level-n tile coordinates, row-major, and with ``ranks`` also each cell's
-    star rank (``meandim.oracles.stars_below``).  The level-(n-1) tiles that
-    meet the box come in runs of one class along the last axis (``_runs``),
-    each laid down row by row by repeating one piece of V_(n-1).  A thinned
-    tile (one of the first ``thin_total`` of the thinning zone) lays the piece
-    with its first star turned to a hash, and a code tile patches the digit-0
-    template of its piece at its non-zero digits.  The memos, templates and
-    net points belong to the walk, not the construction.  A walk lives for
-    one evaluation call, except the verify battery's: ``with_one_walk``
-    gives it to a view that lives for exactly one ``run_verification``
-    call, so its memos are bounded by the battery's tiles.  The lists it
-    returns are memoized and must not be mutated.
+    level-n tile coordinates, row-major, as codes into the walk's
+    ``palette`` (0 is STAR, 1 is HASH, and each net point gets the next code
+    once per walk, so at most 2 + the sum of the net sizes), and with
+    ``ranks`` also each cell's star rank (``meandim.oracles.stars_below``).
+    The level-(n-1) tiles that meet the box come in runs of one class along
+    the last axis (``_runs``), each laid down row by row by repeating one
+    piece of V_(n-1).  A thinned tile (one of the first ``thin_total`` of the
+    thinning zone) lays the piece with its first star turned to a hash, and
+    a code tile patches the digit-0 template of its piece at its non-zero
+    digits.  The memos, templates and palette belong to the walk, not the
+    construction.  A walk lives for one evaluation call, except the verify
+    battery's: ``with_one_walk`` gives it to a view that lives for exactly
+    one ``run_verification`` call, so its memos are bounded by the battery's
+    tiles.  The lists it returns are memoized and must not be mutated.
     """
 
     def __init__(self, cfg: Construction):
         self.cfg = cfg
-        self.memo: dict = {}  # (n, lows, highs, thinned) -> (word, ranks or None)
-        self.templates: dict = {}  # (n, lows, highs) -> [digit-0 word, star index by rank]
-        self.points: dict = {}  # (step, digit) -> net point
+        self.memo: dict = {}  # (n, lows, highs, thinned) -> (codes, ranks or None)
+        self.templates: dict = {}  # (n, lows, highs) -> [digit-0 codes, star index by rank]
+        self.palette: list = [STAR, HASH]  # code -> value
+        self.points: dict = {}  # (step, digit) -> palette code of the net point
 
-    def _point(self, step: StepPlan, d: int) -> tuple:
-        """Net point d of a step's net, one object per walk: equal values of
-        a window are then one object, which ``meandim window`` renders once."""
+    def _point(self, step: StepPlan, d: int) -> int:
+        """The palette code of net point d of a step's net, added to the
+        palette the first time the walk needs it."""
         key = (step.n, d)
-        point = self.points.get(key)
-        if point is None:
-            point = self.points[key] = step.net.point_at(d)
-        return point
+        code = self.points.get(key)
+        if code is None:
+            code = self.points[key] = len(self.palette)
+            self.palette.append(step.net.point_at(d))
+        return code
 
     def values(self, n: int, lows: tuple, highs: tuple, ranks: bool, thinned: bool = False) -> tuple:
         """With ``thinned``, V_n with its first star turned to a hash, and
@@ -802,7 +807,7 @@ class _TileWalk:
             return hit
         if thinned:
             vals, sub = self.values(n, lows, highs, True)
-            out = ([HASH if v is STAR and p == 0 else v for v, p in zip(vals, sub)],
+            out = ([1 if v == 0 and p == 0 else v for v, p in zip(vals, sub)],
                    [p - 1 if p else 0 for p in sub])
         elif n == 1:
             out = self._seed_word(lows, highs)
@@ -821,7 +826,7 @@ class _TileWalk:
         for lead in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows[:-1], highs[:-1]))):
             start = _count_lex_below(lead + (lows[-1],), box.lows, box.highs)
             row = range(start, start + width)
-            vals += [STAR if i < stars else HASH for i in row]
+            vals += [0 if i < stars else 1 for i in row]
             rks += [i if i < stars else stars for i in row]
         return vals, rks
 
@@ -910,14 +915,14 @@ class _TileWalk:
         if template is None:
             vals, _ = self.values(*key, False)
             zero = self._point(step, 0)
-            template = self.templates[key] = [[zero if v is STAR else v for v in vals], None]
+            template = self.templates[key] = [[zero if v == 0 else v for v in vals], None]
         out, p = template[0], self.cfg.levels[step.n].stars - 1
         while code:
             code, d = divmod(code, step.radix)
             if d:
                 if template[1] is None:  # built only once a non-zero digit needs it
                     vals, sub = self.values(*key, True)
-                    template[1] = {r: i for i, (v, r) in enumerate(zip(vals, sub)) if v is STAR}
+                    template[1] = {r: i for i, (v, r) in enumerate(zip(vals, sub)) if v == 0}
                 i = template[1].get(p)
                 if i is not None:
                     out = list(out) if out is template[0] else out

@@ -347,6 +347,22 @@ def test_window_output_is_byte_identical_to_golden(capsys, config_path, flags, d
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout of a partially undetermined Z^2 window under --what x,
+# recorded at commit b81cda5, before the tile walk laid palette codes: it
+# prints '?' cells and hashes rendered as the basepoint together, and exits 1
+def test_undetermined_x_window_is_byte_identical_to_golden(capsys):
+    path = Path(__file__).resolve().parents[1] / "perfbench/toy-z2.cfg"
+    code, out, err = run(capsys, "window", "--config", str(path), "--window", "[-200,200]x[-3,3]", "--what", "x")
+    assert code == 1
+    assert err == (
+        "error: DepthError: value at (-199, -3) is not determined at depth 1 "
+        "(1433 of 2807 cells shown as ?)\n"
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "45a64dd91d42cf82e22c680d320c72966e4a9cf5705d4242b0c1952b80bc3c28"
+    )
+
+
 # sha256 of `verify` stdout, recorded at commit 82ae71f, before the tile walk
 # resolved its tiles in runs and the floors check counted stars by rows; the
 # capped depth-3 run, which reads the stabilized word past depth 2, recorded at

@@ -651,11 +651,58 @@ def test_tile_walk_words_and_ranks_match_pointwise(toy_cfg, deep_capped_cfg, z2_
                 cases.append((cfg, n + 1, Box(lows, highs)))
     for cfg, n, box in cases:
         want = [oracles.word(cfg, n, g) for g in box.cells()]
-        words, ranks = _TileWalk(cfg).values(n, box.lows, box.highs, False)
+        walk = _TileWalk(cfg)
+        codes, ranks = walk.values(n, box.lows, box.highs, False)
+        words = [walk.palette[c] for c in codes]
         assert (words, ranks) == (want, None), (n, box)
-        words, ranks = _TileWalk(cfg).values(n, box.lows, box.highs, True)
+        walk = _TileWalk(cfg)
+        codes, ranks = walk.values(n, box.lows, box.highs, True)
+        words = [walk.palette[c] for c in codes]
         assert words == want, (n, box)
         assert ranks == [oracles.stars_below(cfg, n, g) for g in box.cells()], (n, box)
+
+
+def test_tile_walk_palette_codes_each_net_point_once(deep_capped_cfg, z2_cfgs):
+    # the walk lays int codes into its palette: 0 is STAR, 1 is HASH, and each
+    # (step, digit) gets one code the first time a code tile needs it, so the
+    # palette is bounded by the nets, however many windows the walk lays
+    cases = [
+        (deep_capped_cfg, [Box((-20621,), (19379,)), Box((-3000,), (3000,)), Box((10**80,), (10**80 + 500,))]),
+        (make_toy(dim=2), [Box((-300,), (300,))]),
+        (z2_cfgs[2], [Box((-40, -40), (40, 40)), Box((-200, -3), (200, 3))]),
+    ]
+    for cfg, boxes in cases:
+        view = cfg.with_one_walk()
+        walk = view._walk
+        bound = 2 + sum(net.size for net in cfg.params.nets)
+        sizes = []
+        for box in boxes * 2:
+            codes, palette = view._walk_box(box)
+            assert palette is walk.palette
+            assert palette[0] is STAR and palette[1] is HASH
+            assert 0 <= min(codes) and max(codes) < len(palette) <= bound
+            sizes.append(len(palette))
+        # laying the same windows again adds no code
+        assert sizes[len(boxes):] == [sizes[len(boxes) - 1]] * len(boxes)
+        assert sizes[-1] > 2
+        assert sorted(walk.points.values()) == list(range(2, len(walk.palette)))
+        for (n, d), code in walk.points.items():
+            assert walk._point(cfg.steps[n], d) == code
+            assert walk.palette[code] == cfg.steps[n].net.point_at(d)
+        assert len(walk.palette) == sizes[-1]
+
+
+@pytest.mark.parametrize("case", ["Z", "Z dim 2", "Z2"])
+def test_x_window_is_the_w_window_with_hashes_at_the_basepoint(deep_capped_cfg, z2_cfgs, case):
+    cfg, box = {
+        "Z": (deep_capped_cfg, Box((-20621,), (19379,))),
+        "Z dim 2": (make_toy(dim=2), make_toy(dim=2).levels[2].box),
+        "Z2": (z2_cfgs[2], Box((-40, -40), (40, 40))),
+    }[case]
+    w = cfg.window_values(box, "w")
+    assert any(v is HASH for v in w) and any(v is not HASH for v in w)
+    base = cfg.params.cube.basepoint
+    assert cfg.window_values(box, "x") == [base if v is HASH else v for v in w]
 
 
 def test_depth_error_names_huge_coordinates(toy_cfg):
