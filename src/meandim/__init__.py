@@ -3,8 +3,11 @@
 Builds nested single-shape tiling schedules, runs a hierarchical word
 construction with exact star-density control, evaluates the limit
 configuration lazily on arbitrary windows, and verifies every finitely
-checkable property (partition, congruence, density sandwiches, free-set
-nesting, dimension-bound brackets, recurrence).
+checkable property (partition, density sandwiches, free-set nesting,
+dimension-bound brackets, recurrence).
+
+The package re-exports the engine, which the ``meandim`` command runs; the
+test oracles live in ``meandim.oracles``, which no engine module imports.
 """
 
 from .construction import (
@@ -15,7 +18,7 @@ from .construction import (
     STAR,
     render_value,
 )
-from .cube import Net, Polyhedron, make_net, net_schedule, verify_dense
+from .cube import Net, Polyhedron, make_net, net_schedule
 from .errors import (
     CapacityError,
     ConfigError,
@@ -28,20 +31,14 @@ from .errors import (
     ScheduleError,
     SizeGuardError,
 )
-from .groups import Box, FiniteSubset, GROUPS, Z, Z2, boundary, covers_window, is_invariant
-from .schedules import AxisRule, TilingSchedule, generate_interval_schedule
+from .groups import Box, FiniteSubset, GROUPS, Z, Z2
+from .schedules import AxisRule, TilingSchedule
 from .tilings import (
     CheckResult,
     ExplicitTiling,
     GridTiling,
-    check_irreducibility_witness,
-    factor_window,
     read_tiling,
-    tiling_configuration,
-    verify_congruent,
     verify_partition,
-    verify_primely_congruent,
-    verify_syndetic_centers,
     write_tiling,
 )
 

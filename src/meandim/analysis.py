@@ -21,42 +21,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .construction import MATERIALIZE_GUARD, Construction, HASH, STAR
+from .construction import MATERIALIZE_GUARD, Construction, STAR
 from .errors import DepthError, MeandimError, NotRealizedError, SizeGuardError
-from .groups import Box, Element
+from .groups import Box
 from .tilings import CheckResult
 
 # minimality_check samples level-(n+1) center multipliers in [-SPAN, SPAN]
 SPAN = 10**6
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    window_id: str
-    window_size: int
-    star_density: Fraction
-    hash_density: Fraction
-
-
-def densities(word, window_id: str = "") -> DensityReport:
-    """Exact star and hash densities of a finite word.
-
-    ``word`` is a mapping position -> value or an iterable of (position,
-    value) pairs, as produced by ``Construction.window``.
-    """
-    pairs = word.items() if hasattr(word, "items") else list(word)
-    total = len(pairs) if not hasattr(word, "items") else len(word)
-    if total == 0:
-        raise ValueError("empty window")
-    stars = sum(1 for _, v in pairs if v is STAR)
-    hashes = sum(1 for _, v in pairs if v is HASH)
-    return DensityReport(window_id, total, Fraction(stars, total), Fraction(hashes, total))
-
-
 class FreeSet:
     """The level-n free coordinates: stars of V_{n+1}, pulled back along the
-    link shifts.  Kept implicit; membership and exact size are always
-    available, enumeration only when the level tile is small."""
+    link shifts.  Kept implicit: the exact size and density are closed form,
+    and ``members`` reads the membership of a box's cells from one tile
+    walk."""
 
     def __init__(self, cfg: Construction, n: int):
         if n < 0:
@@ -68,14 +46,6 @@ class FreeSet:
         self.shift = cfg.link_shift(n)  # J_n + shift = stars of V_{n+1}
         self.size = 0 if n == 0 else cfg.levels[n + 1].stars
         self.window_box = cfg.follower_box(n) if n >= 1 else None
-
-    def __contains__(self, g: Element) -> bool:
-        if self.n == 0:
-            return False
-        h = self.cfg.group.mul(tuple(g), self.shift)
-        if h not in self.cfg.levels[self.n + 1].box:
-            return False
-        return self.cfg.level_values(self.n + 1, Box(h, h))[0] is STAR
 
     def members(self, box: Box) -> list:
         """Membership of each cell of a box that pulls back into the
@@ -90,16 +60,6 @@ class FreeSet:
         if self.n == 0:
             return Fraction(0)
         return Fraction(self.size, self.cfg.levels[self.n + 1].volume)
-
-    def elements(self) -> list:
-        if self.n == 0:
-            return []
-        inv = self.cfg.group.inv(self.shift)
-        return [self.cfg.group.mul(p, inv) for p in self.cfg.star_positions(self.n + 1)]
-
-    def restrict(self, cells) -> list:
-        return [tuple(g) for g in cells if tuple(g) in self]
-
 
 def verify_free_nesting(cfg: Construction, n: int) -> CheckResult:
     """Exact set inclusion J_{n-1} within J_n, exhaustive: a follower box past

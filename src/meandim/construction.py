@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .cube import Net, Polyhedron, net_schedule
+from .cube import Net, Polyhedron
 from .errors import (
     CapacityError,
     ConfigError,
@@ -139,28 +139,6 @@ class BuildParams:
                 raise ConfigError("capped mode needs cap >= 2")
         elif cap is not None:
             raise ConfigError("cap is only meaningful in capped mode")
-
-    @staticmethod
-    def toy(
-        schedule: TilingSchedule,
-        rho,
-        dim: int = 1,
-        depth: int = 2,
-        mode: str = "exact",
-        cap: Optional[int] = None,
-        first_delta=Fraction(1, 2),
-    ) -> "BuildParams":
-        """Convenience constructor with the default halving net schedule."""
-        return BuildParams(
-            schedule=schedule,
-            rho=rho,
-            cube=Polyhedron(dim),
-            nets=net_schedule(dim, depth, {1: first_delta}),
-            depth=depth,
-            mode=mode,
-            cap=cap,
-        )
-
 
 @dataclass(frozen=True)
 class LevelPlan:
@@ -405,6 +383,8 @@ class Construction:
             if futile > 256:
                 raise CapacityError(f"step {n + 1}: thinning capacity keeps failing past level {m}")
         else:
+            if not reason:  # the host is at the level cap, so no level was walked
+                raise CapacityError(f"step {n + 1}: no level above host level {host}")
             raise CapacityError(f"step {n + 1}: {reason} unsatisfiable through level {MAX_SCHED_LEVEL}")
 
         tile_lo, tile_hi = self._tile_jrange(fine, box_next)

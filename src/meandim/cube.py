@@ -88,13 +88,6 @@ class Net:
             index = index * k + i
         return index
 
-    def __contains__(self, point: tuple) -> bool:
-        try:
-            self.index_of(point)
-        except ValueError:
-            return False
-        return True
-
     def points(self) -> Iterator[tuple]:
         return iter_product(*([self.axis] * self.dim))
 
@@ -125,18 +118,6 @@ def _axis_steps(dim: int, delta: Fraction, name: str) -> int:
     if (k + 1) ** min(dim, MAX_NET_POINTS.bit_length()) > MAX_NET_POINTS:
         raise ConfigError(f"field {name!r}: {fraction_text(delta)} needs over {MAX_NET_POINTS} net points")
     return k
-
-
-def verify_dense(net: Net) -> bool:
-    """Check delta-density by covering the dual grid of axis gaps.
-
-    In the sup metric the covering property factorizes per axis: both
-    endpoints present and every gap at most 2*delta.
-    """
-    axis = net.axis
-    if not axis or axis[0] != 0 or axis[-1] != 1:
-        return False
-    return all(b - a <= 2 * net.delta for a, b in zip(axis, axis[1:]))
 
 
 def net_schedule(dim: int, depth: int, deltas=None) -> tuple:

@@ -199,11 +199,6 @@ class FiniteSubset:
     def inverse(self) -> "FiniteSubset":
         return FiniteSubset(self.group, (self.group.inv(a) for a in self.elements))
 
-    def translate(self, g: Element) -> "FiniteSubset":
-        mul = self.group.mul
-        return FiniteSubset(self.group, (mul(a, g) for a in self.elements))
-
-
 def boundary(A: FiniteSubset, K: FiniteSubset) -> FiniteSubset:
     """K-boundary of A: elements g with Kg meeting both A and its complement.
 
@@ -234,20 +229,6 @@ def is_invariant(A: FiniteSubset, K: FiniteSubset, delta) -> bool:
     if delta <= 0:
         raise ValueError("delta must be positive")
     return Fraction(len(boundary(A, K)), len(A)) < delta
-
-
-def covers_window(F: FiniteSubset, S_sample: FiniteSubset, W: FiniteSubset) -> bool:
-    """Window-level check of G = FS: true iff W is covered by F * S_sample.
-
-    The caller supplies the visible portion of S, typically S intersected
-    with F^{-1}W.
-    """
-    F._check_same_group(S_sample)
-    F._check_same_group(W)
-    if len(W) == 0:
-        return True
-    covered = F.product(S_sample)
-    return all(w in covered for w in W)
 
 
 class Box:

@@ -1,24 +1,45 @@
-"""Pointwise resolvers of the limit configuration, the tile walk's oracle.
+"""Test oracles: the brute-force and pointwise paths the tests hold the
+engine to.  No engine module imports this one (a test enforces it), so
+``meandim`` and its commands never load it.
 
-These follow the level-word definitions one cell at a time, by recursion
-down the levels, with none of the runs, templates or memos of the tile
-walk in ``meandim.construction``.  The engine never imports this module;
-the tests compare the walk with it cell by cell.
-
-* ``word(cfg, n, pos)`` is V_n at a position of the level-n tile;
-* ``coded(cfg, n, g)`` is the coded word C_n at a cell of the host box of
-  step n;
-* ``stars_below(cfg, n, pos)`` is a position's rank among the stars of V_n;
-* ``eval_w(cfg, g)`` is the stabilized limit value at g, with the same
-  errors as ``Construction.eval_w``.
+* Pointwise resolvers of the limit configuration, the tile walk's oracle,
+  by recursion down the level words with none of the walk's runs,
+  templates or memos: ``word(cfg, n, pos)`` is V_n at a position of the
+  level-n tile, ``coded(cfg, n, g)`` the coded word C_n on the host box of
+  step n, ``stars_below(cfg, n, pos)`` a position's rank among the stars of
+  V_n, and ``eval_w(cfg, g)`` the stabilized limit value at g, with the
+  errors of ``Construction.eval_w``.
+* Tiling-lab scanners for the tiling properties of Downarowicz-Huczek-Zhang
+  (*Tilings of amenable groups*, J. reine angew. Math. 747, 2019), which
+  the engine takes from the closed-form schedule: window covering, syndetic
+  centers, irreducibility witnesses, the factor map of a primely congruent
+  pair, and ``to_explicit``, a grid tiling's center table on a window.
+* ``verify_invariance_profile``, the materializing scan that
+  ``TilingSchedule.first_invariant_level`` does in closed form.
+* Toy constructors, exact word densities, free-set enumeration and the net
+  density check.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Optional
 
-from .construction import HASH, STAR, Construction, StepPlan, _count_lex_below
-from .groups import Element
+from .analysis import FreeSet
+from .construction import HASH, STAR, BuildParams, Construction, StepPlan, _count_lex_below
+from .cube import Net, Polyhedron, net_schedule
+from .errors import DecodeError
+from .groups import Box, Element, FiniteSubset, LatticeGroup, Z, is_invariant
+from .schedules import AxisRule, TilingSchedule
+from .tilings import (
+    CheckResult,
+    ExplicitTiling,
+    GridTiling,
+    _decomposition,
+    verify_primely_congruent,
+)
 
 
 def _grid_center(cfg: Construction, n: int, g: Element) -> Element:
@@ -119,3 +140,260 @@ def eval_w(cfg: Construction, g: Element):
     if val is STAR:
         raise cfg._undetermined(g)
     return val
+
+
+def covers_window(F: FiniteSubset, S_sample: FiniteSubset, W: FiniteSubset) -> bool:
+    """Window-level check of G = FS: true iff W is covered by F * S_sample.
+
+    The caller supplies the visible portion of S, typically S intersected
+    with F^{-1}W.
+    """
+    F._check_same_group(S_sample)
+    F._check_same_group(W)
+    if len(W) == 0:
+        return True
+    covered = F.product(S_sample)
+    return all(w in covered for w in W)
+
+
+def verify_syndetic_centers(
+    tiling, shape_id: int, F_witness: FiniteSubset, W: FiniteSubset
+) -> bool:
+    """True iff W is covered by F_witness * (C(S) within F_witness^{-1} W)."""
+    sample_window = F_witness.inverse().product(W)
+    sample = tiling.centers_in(shape_id, sample_window)
+    if len(sample) == 0:
+        return False
+    return covers_window(F_witness, sample, W)
+
+
+def check_irreducibility_witness(
+    tiling, T_wit: FiniteSubset, eps, candidates: Iterable[FiniteSubset]
+) -> CheckResult:
+    """For each (T_wit, eps)-invariant candidate F and each shape, look for a
+    whole tile of that shape inside F.  Non-invariant candidates are skipped
+    with a note; the overall check passes iff every tested pair succeeds.
+    """
+    notes = []
+    failures = []
+    tested = 0
+    for idx, F in enumerate(candidates):
+        if not is_invariant(F, T_wit, eps):
+            notes.append(("skipped_not_invariant", idx))
+            continue
+        tested += 1
+        for sid in tiling.shape_ids:
+            cells = tiling.shape_cells(sid)
+            found = any(
+                all(tiling.group.mul(s, c) in F for s in cells)
+                for c in tiling.centers_in(sid, F)
+            )
+            if not found:
+                failures.append(("no_tile_of_shape", idx, sid))
+    ok = tested > 0 and not failures
+    detail = f"tested={tested} failures={len(failures)} skipped={len(notes)}"
+    return CheckResult(ok if tested else None, detail, failures + notes)
+
+
+def tiling_configuration(tiling, g: Element):
+    """Symbol of the canonical tiling point at g: shape id at centers, else 0."""
+    sid, c = tiling.tile_of(g)
+    if c == tuple(g):
+        return sid
+    # Centers of other shapes cannot sit inside this tile, so g is not a center.
+    return 0
+
+
+def factor_window(fine, coarse, coarse_pattern: dict, W: FiniteSubset) -> dict:
+    """Block map induced by a primely congruent pair: the coarse tiling's
+    configuration determines the fine one, tile by tile, through the master
+    partition.
+
+    ``coarse_pattern`` maps cells of an enlarged window (union of S S^{-1} W
+    over coarse shapes S, so that every tile meeting W is fully visible) to
+    coarse symbols (shape id at centers, else 0).  Returns the decoded fine
+    configuration on W.  Raises DecodeError when some cell of W lies in no
+    tile of the pattern, or in two.
+
+    The direction matters: a coarse configuration pins down its refinement,
+    while a fine configuration generally underdetermines the coarse tiles
+    grouping it.
+    """
+    group = coarse.group
+    dom = {tuple(k): v for k, v in coarse_pattern.items()}
+    masters = _master_patterns(fine, coarse, W)
+    out = {}
+    for w in W:
+        w = tuple(w)
+        claims = []
+        for sid in coarse.shape_ids:
+            for s in coarse.shape_cells(sid):
+                c = group.mul(group.inv(s), w)
+                if dom.get(c) == sid:
+                    claims.append((sid, c))
+        claims = sorted(set(claims))
+        if not claims:
+            raise DecodeError(f"no tile of the pattern covers {w}")
+        if len(claims) > 1:
+            raise DecodeError(f"cell {w} claimed by two tiles: {claims[:2]}")
+        sid, c = claims[0]
+        rel = group.mul(w, group.inv(c))
+        fine_sid = 0
+        for fsid, t in masters[sid]:
+            if rel == t:
+                fine_sid = fsid
+                break
+        out[w] = fine_sid
+    return out
+
+
+def _master_patterns(fine, coarse, W: FiniteSubset) -> dict:
+    """Fine decomposition of one reference tile per coarse shape.
+
+    Prime congruence (assumed, and spot-checked here) makes the choice of
+    reference tile irrelevant.
+    """
+    group = coarse.group
+    grown = _grow_window(coarse, W)
+    prime = verify_primely_congruent(fine, coarse, grown)
+    if prime.ok is False:
+        raise DecodeError(f"tilings are not primely congruent: {prime.violations[:3]}")
+    masters = {}
+    for sid in coarse.shape_ids:
+        shape = coarse.shape_cells(sid)
+        found = None
+        for c in coarse.centers_in(sid, grown):
+            cells = [group.mul(s, c) for s in shape]
+            dec = _decomposition(fine, cells, group)
+            if dec is not None:
+                found = frozenset(
+                    (fsid, group.mul(fc, group.inv(c))) for fsid, fc in dec
+                )
+                break
+        if found is None:
+            raise DecodeError(f"no decomposable tile of shape {sid} near the window")
+        masters[sid] = found
+    return masters
+
+
+def _grow_window(coarse, W: FiniteSubset) -> FiniteSubset:
+    group = coarse.group
+    cells = set(W.elements)
+    for sid in coarse.shape_ids:
+        shape = coarse.shape_cells(sid)
+        spread = shape.product(shape.inverse())
+        for w in W:
+            for t in spread:
+                cells.add(group.mul(t, w))
+    return FiniteSubset(group, cells)
+
+
+def to_explicit(tiling: GridTiling, window: Box) -> ExplicitTiling:
+    """Materialize the center table of every tile of a grid tiling meeting
+    the window."""
+    centers = []
+    seen = set()
+    for g in window.cells():
+        _, c = tiling.tile_of(g)
+        if c not in seen:
+            seen.add(c)
+            centers.append((c, 1))
+    support = Box(
+        tuple(lo + slo for lo, slo in zip(window.lows, tiling.box.lows)),
+        tuple(hi + shi for hi, shi in zip(window.highs, tiling.box.highs)),
+    )
+    return ExplicitTiling(tiling.group, [tiling.shape_cells(1)], centers, support)
+
+
+def verify_invariance_profile(schedule: TilingSchedule, K_list, eps_list) -> CheckResult:
+    """Check that level k is (K_k, eps_k)-invariant for each k, on the
+    materialized level box."""
+    K_list = list(K_list)
+    eps_list = list(eps_list)
+    if len(K_list) != len(eps_list):
+        raise ValueError("K_list and eps_list length mismatch")
+    for k, (K, eps) in enumerate(zip(K_list, eps_list), start=1):
+        if Fraction(eps) <= 0:
+            # a boundary ratio is never strictly below zero
+            return CheckResult(False, f"level {k}: eps = {eps} can never hold", [k])
+        S = schedule.level_box(k).to_subset(schedule.group)
+        if not is_invariant(S, K, eps):
+            return CheckResult(False, f"level {k} is not ({K!r}, {eps})-invariant", [k])
+    return CheckResult(True, f"levels 1..{len(K_list)} pass")
+
+
+def generate_interval_schedule(
+    seed_a: int,
+    seed_b: int,
+    growth,
+    balance: str = "centered",
+    group: LatticeGroup = Z,
+) -> TilingSchedule:
+    """Build a schedule from one seed interval; Z^2 uses the same rule per
+    axis."""
+    rule = AxisRule.make(seed_a, seed_b, growth)
+    return TilingSchedule(group, (rule,) * group.rank, balance)
+
+
+def toy_params(
+    schedule: TilingSchedule,
+    rho,
+    dim: int = 1,
+    depth: int = 2,
+    mode: str = "exact",
+    cap: Optional[int] = None,
+    first_delta=Fraction(1, 2),
+) -> BuildParams:
+    """Build parameters with the default halving net schedule."""
+    return BuildParams(
+        schedule=schedule,
+        rho=rho,
+        cube=Polyhedron(dim),
+        nets=net_schedule(dim, depth, {1: first_delta}),
+        depth=depth,
+        mode=mode,
+        cap=cap,
+    )
+
+
+@dataclass(frozen=True)
+class DensityReport:
+    window_id: str
+    window_size: int
+    star_density: Fraction
+    hash_density: Fraction
+
+
+def densities(word, window_id: str = "") -> DensityReport:
+    """Exact star and hash densities of a finite word.
+
+    ``word`` is a mapping position -> value or an iterable of (position,
+    value) pairs, as produced by ``Construction.window``.
+    """
+    pairs = word.items() if hasattr(word, "items") else list(word)
+    total = len(pairs) if not hasattr(word, "items") else len(word)
+    if total == 0:
+        raise ValueError("empty window")
+    stars = sum(1 for _, v in pairs if v is STAR)
+    hashes = sum(1 for _, v in pairs if v is HASH)
+    return DensityReport(window_id, total, Fraction(stars, total), Fraction(hashes, total))
+
+
+def free_set_elements(fs: FreeSet) -> list:
+    """Every element of a free set, from the star positions of V_{n+1}."""
+    if fs.n == 0:
+        return []
+    inv = fs.cfg.group.inv(fs.shift)
+    return [fs.cfg.group.mul(p, inv) for p in fs.cfg.star_positions(fs.n + 1)]
+
+
+def verify_dense(net: Net) -> bool:
+    """Check delta-density by covering the dual grid of axis gaps.
+
+    In the sup metric the covering property factorizes per axis: both
+    endpoints present and every gap at most 2*delta.
+    """
+    axis = net.axis
+    if not axis or axis[0] != 0 or axis[-1] != 1:
+        return False
+    return all(b - a <= 2 * net.delta for a, b in zip(axis, axis[1:]))

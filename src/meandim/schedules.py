@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ConfigError, ScheduleError
-from .groups import Box, GROUPS, LatticeGroup, Z, decimal_text, fraction_text, is_invariant
+from .groups import Box, GROUPS, LatticeGroup, decimal_text, fraction_text
 from .tilings import CheckResult, GridTiling
 
 BALANCES = ("centered", "left", "right")
@@ -243,21 +243,6 @@ class TilingSchedule:
 
     # -- verification ------------------------------------------------------
 
-    def verify_invariance_profile(self, K_list, eps_list) -> CheckResult:
-        """Check that level k is (K_k, eps_k)-invariant for each k."""
-        K_list = list(K_list)
-        eps_list = list(eps_list)
-        if len(K_list) != len(eps_list):
-            raise ValueError("K_list and eps_list length mismatch")
-        for k, (K, eps) in enumerate(zip(K_list, eps_list), start=1):
-            if Fraction(eps) <= 0:
-                # a boundary ratio is never strictly below zero
-                return CheckResult(False, f"level {k}: eps = {eps} can never hold", [k])
-            S = self.level_box(k).to_subset(self.group)
-            if not is_invariant(S, K, eps):
-                return CheckResult(False, f"level {k} is not ({K!r}, {eps})-invariant", [k])
-        return CheckResult(True, f"levels 1..{len(K_list)} pass")
-
     def first_invariant_level(
         self, r: int, eps, max_level: int = MAX_SEARCH_LEVEL
     ) -> Optional[int]:
@@ -350,15 +335,3 @@ class TilingSchedule:
                         raise ScheduleError(f"stored axis{ax}.{key} array is inconsistent")
         return sched
 
-
-def generate_interval_schedule(
-    seed_a: int,
-    seed_b: int,
-    growth,
-    balance: str = "centered",
-    group: LatticeGroup = Z,
-) -> TilingSchedule:
-    """Build a schedule from one seed interval; Z^2 uses the same rule per
-    axis."""
-    rule = AxisRule.make(seed_a, seed_b, growth)
-    return TilingSchedule(group, (rule,) * group.rank, balance)

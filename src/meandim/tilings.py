@@ -1,4 +1,4 @@
-"""Finite tilings of a lattice group: resolvers, window checks, factor maps.
+"""Finite tilings of a lattice group: resolvers, window checks, text I/O.
 
 A tiling of an infinite group cannot be stored, so everything goes through a
 resolver ``tile_of(g) -> (shape_id, center)``.  Two resolver families exist:
@@ -16,18 +16,11 @@ is deliberately distinct from a refutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
-from .errors import DecodeError, GroupMismatchError, OutOfSupportError
-from .groups import (
-    Box,
-    Element,
-    FiniteSubset,
-    GROUPS,
-    LatticeGroup,
-    covers_window,
-    is_invariant,
-)
+from .errors import GroupMismatchError, OutOfSupportError
+from .groups import Box, Element, FiniteSubset, GROUPS, LatticeGroup
 
 
 @dataclass
@@ -64,10 +57,14 @@ class GridTiling:
     def shape_ids(self) -> tuple:
         return (1,)
 
+    @cached_property
+    def _cells(self) -> FiniteSubset:
+        return self.box.to_subset(self.group)
+
     def shape_cells(self, shape_id: int) -> FiniteSubset:
         if shape_id != 1:
             raise ValueError(f"unknown shape id {shape_id}")
-        return self.box.to_subset(self.group)
+        return self._cells
 
     def tile_of(self, g: Element) -> tuple:
         c = tuple(
@@ -82,22 +79,6 @@ class GridTiling:
         if shape_id != 1:
             raise ValueError(f"unknown shape id {shape_id}")
         return FiniteSubset(self.group, (g for g in W if self.is_center(g)))
-
-    def to_explicit(self, window: Box) -> "ExplicitTiling":
-        """Materialize the center table of every tile meeting the window."""
-        centers = []
-        seen = set()
-        for g in window.cells():
-            _, c = self.tile_of(g)
-            if c not in seen:
-                seen.add(c)
-                centers.append((c, 1))
-        support = Box(
-            tuple(lo + slo for lo, slo in zip(window.lows, self.box.lows)),
-            tuple(hi + shi for hi, shi in zip(window.highs, self.box.highs)),
-        )
-        return ExplicitTiling(self.group, [self.shape_cells(1)], centers, support)
-
 
 class ExplicitTiling:
     """Tiling given by shapes plus a (center, shape_id) table on a window.
@@ -133,7 +114,6 @@ class ExplicitTiling:
                 cell = group.mul(s, c)
                 claims.setdefault(cell, []).append((sid, c))
         self._claims = {cell: sorted(ts) for cell, ts in claims.items()}
-        self._center_map = {c: sid for c, sid in self.centers}
 
     def __repr__(self) -> str:
         return f"ExplicitTiling({self.group}, {len(self.shapes)} shapes, {len(self.centers)} tiles)"
@@ -154,9 +134,6 @@ class ExplicitTiling:
         if not ts:
             raise OutOfSupportError(f"{g} not covered by the center table")
         return ts[0]  # deterministic choice; overlaps surface in verify_partition
-
-    def is_center(self, g: Element) -> bool:
-        return tuple(g) in self._center_map
 
     def centers_in(self, shape_id: int, W: FiniteSubset) -> FiniteSubset:
         if not 1 <= shape_id <= len(self.shapes):
@@ -222,60 +199,25 @@ def verify_partition(tiling, W: FiniteSubset) -> CheckResult:
     )
 
 
-def verify_syndetic_centers(
-    tiling, shape_id: int, F_witness: FiniteSubset, W: FiniteSubset
-) -> bool:
-    """True iff W is covered by F_witness * (C(S) within F_witness^{-1} W)."""
-    sample_window = F_witness.inverse().product(W)
-    sample = tiling.centers_in(shape_id, sample_window)
-    if len(sample) == 0:
-        return False
-    return covers_window(F_witness, sample, W)
-
-
-def check_irreducibility_witness(
-    tiling, T_wit: FiniteSubset, eps, candidates: Iterable[FiniteSubset]
-) -> CheckResult:
-    """For each (T_wit, eps)-invariant candidate F and each shape, look for a
-    whole tile of that shape inside F.  Non-invariant candidates are skipped
-    with a note; the overall check passes iff every tested pair succeeds.
-    """
-    notes = []
-    failures = []
-    tested = 0
-    for idx, F in enumerate(candidates):
-        if not is_invariant(F, T_wit, eps):
-            notes.append(("skipped_not_invariant", idx))
-            continue
-        tested += 1
-        for sid in tiling.shape_ids:
-            cells = tiling.shape_cells(sid)
-            found = any(
-                all(tiling.group.mul(s, c) in F for s in cells)
-                for c in tiling.centers_in(sid, F)
-            )
-            if not found:
-                failures.append(("no_tile_of_shape", idx, sid))
-    ok = tested > 0 and not failures
-    detail = f"tested={tested} failures={len(failures)} skipped={len(notes)}"
-    return CheckResult(ok if tested else None, detail, failures + notes)
-
-
 def _complete_coarse_tiles(coarse, W: FiniteSubset):
-    """Coarse tiles whose cells all lie in W, via the coarse resolver."""
+    """Coarse tiles whose cells all lie in W, via the coarse resolver; each
+    tile meeting W is looked at once, whether or not it is complete."""
     out = {}
+    seen = set()
     wset = set(W.elements)
     group = coarse.group
     for g in W:
         try:
-            sid, c = coarse.tile_of(g)
+            tile = coarse.tile_of(g)
         except OutOfSupportError:
             continue
-        if (sid, c) in out:
+        if tile in seen:
             continue
+        seen.add(tile)
+        sid, c = tile
         cells = [group.mul(s, c) for s in coarse.shape_cells(sid)]
         if all(h in wset for h in cells):
-            out[(sid, c)] = cells
+            out[tile] = cells
     return out
 
 
@@ -329,99 +271,6 @@ def verify_primely_congruent(fine, coarse, W: FiniteSubset) -> CheckResult:
         elif reference[sid][1] != rel:
             bad.append(("master_partition_mismatch", sid, reference[sid][0], c))
     return CheckResult(not bad, f"checked={len(complete)}", bad)
-
-
-def tiling_configuration(tiling, g: Element):
-    """Symbol of the canonical tiling point at g: shape id at centers, else 0."""
-    sid, c = tiling.tile_of(g)
-    if c == tuple(g):
-        return sid
-    # Centers of other shapes cannot sit inside this tile, so g is not a center.
-    return 0
-
-
-def factor_window(fine, coarse, coarse_pattern: dict, W: FiniteSubset) -> dict:
-    """Block map induced by a primely congruent pair: the coarse tiling's
-    configuration determines the fine one, tile by tile, through the master
-    partition.
-
-    ``coarse_pattern`` maps cells of an enlarged window (union of S S^{-1} W
-    over coarse shapes S, so that every tile meeting W is fully visible) to
-    coarse symbols (shape id at centers, else 0).  Returns the decoded fine
-    configuration on W.  Raises DecodeError when some cell of W lies in no
-    tile of the pattern, or in two.
-
-    The direction matters: a coarse configuration pins down its refinement,
-    while a fine configuration generally underdetermines the coarse tiles
-    grouping it.
-    """
-    group = coarse.group
-    dom = {tuple(k): v for k, v in coarse_pattern.items()}
-    masters = _master_patterns(fine, coarse, W)
-    out = {}
-    for w in W:
-        w = tuple(w)
-        claims = []
-        for sid in coarse.shape_ids:
-            for s in coarse.shape_cells(sid):
-                c = group.mul(group.inv(s), w)
-                if dom.get(c) == sid:
-                    claims.append((sid, c))
-        claims = sorted(set(claims))
-        if not claims:
-            raise DecodeError(f"no tile of the pattern covers {w}")
-        if len(claims) > 1:
-            raise DecodeError(f"cell {w} claimed by two tiles: {claims[:2]}")
-        sid, c = claims[0]
-        rel = group.mul(w, group.inv(c))
-        fine_sid = 0
-        for fsid, t in masters[sid]:
-            if rel == t:
-                fine_sid = fsid
-                break
-        out[w] = fine_sid
-    return out
-
-
-def _master_patterns(fine, coarse, W: FiniteSubset) -> dict:
-    """Fine decomposition of one reference tile per coarse shape.
-
-    Prime congruence (assumed, and spot-checked here) makes the choice of
-    reference tile irrelevant.
-    """
-    group = coarse.group
-    grown = _grow_window(coarse, W)
-    prime = verify_primely_congruent(fine, coarse, grown)
-    if prime.ok is False:
-        raise DecodeError(f"tilings are not primely congruent: {prime.violations[:3]}")
-    masters = {}
-    for sid in coarse.shape_ids:
-        shape = coarse.shape_cells(sid)
-        found = None
-        for c in coarse.centers_in(sid, grown):
-            cells = [group.mul(s, c) for s in shape]
-            dec = _decomposition(fine, cells, group)
-            if dec is not None:
-                found = frozenset(
-                    (fsid, group.mul(fc, group.inv(c))) for fsid, fc in dec
-                )
-                break
-        if found is None:
-            raise DecodeError(f"no decomposable tile of shape {sid} near the window")
-        masters[sid] = found
-    return masters
-
-
-def _grow_window(coarse, W: FiniteSubset) -> FiniteSubset:
-    group = coarse.group
-    cells = set(W.elements)
-    for sid in coarse.shape_ids:
-        shape = coarse.shape_cells(sid)
-        spread = shape.product(shape.inverse())
-        for w in W:
-            for t in spread:
-                cells.add(group.mul(t, w))
-    return FiniteSubset(group, cells)
 
 
 # ---------------------------------------------------------------------------

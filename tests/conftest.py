@@ -1,7 +1,8 @@
 import pytest
 from fractions import Fraction
 
-from meandim import BuildParams, Construction, generate_interval_schedule
+from meandim import Construction
+from meandim.oracles import generate_interval_schedule, toy_params
 
 
 def by_cell(box, values):
@@ -12,7 +13,7 @@ def by_cell(box, values):
 
 def make_toy(seed_a=1, seed_b=2, rho=Fraction(1, 2), dim=1, depth=2, **kw):
     sched = generate_interval_schedule(seed_a, seed_b, 3)
-    return Construction(BuildParams.toy(sched, rho, dim=dim, depth=depth, **kw))
+    return Construction(toy_params(sched, rho, dim=dim, depth=depth, **kw))
 
 
 TOY_MATRIX = [

@@ -9,11 +9,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meandim import HASH, STAR, Z2, BuildParams, Construction, Polyhedron, generate_interval_schedule
+from meandim import HASH, STAR, Z2, BuildParams, Construction, Polyhedron
 from meandim.analysis import (
     FreeSet,
     check_sandwich,
-    densities,
     lower_bound_estimate,
     mdim_report,
     minimality_check,
@@ -23,6 +22,7 @@ from meandim.analysis import (
 from meandim import oracles
 from meandim.cube import net_schedule
 from meandim.groups import Box
+from meandim.oracles import densities, free_set_elements, generate_interval_schedule, toy_params
 from tests.conftest import by_cell, make_toy
 
 
@@ -55,9 +55,10 @@ def test_free_set_level1(toy_cfg):
     J1 = FreeSet(toy_cfg, 1)
     assert J1.size == 163
     assert J1.density == Fraction(163, 324) > toy_cfg.rho
-    elems = J1.elements()
+    elems = free_set_elements(J1)
     assert len(elems) == 163
-    assert all(g in J1 for g in elems)
+    box = J1.window_box
+    assert [g for g, m in zip(box.cells(), J1.members(box)) if m] == sorted(elems)
     # the shift is the level-1 link center
     assert J1.shift == toy_cfg.steps[1].link_center
     stars = toy_cfg.star_positions(2)
@@ -102,14 +103,7 @@ def test_free_set_nesting_names_a_missing_element(toy_cfg, monkeypatch):
     monkeypatch.setattr(FreeSet, "members", dropped)
     res = verify_free_nesting(toy_cfg, 2)
     assert res.ok is False and res.detail == "J_1 not within J_2"
-    assert res.violations == [min(FreeSet(toy_cfg, 1).elements())]
-
-
-def test_free_set_restrict(toy_cfg):
-    J1 = FreeSet(toy_cfg, 1)
-    window = list(Box((-20,), (20,)).cells())
-    got = J1.restrict(window)
-    assert got == [g for g in window if g in J1]
+    assert res.violations == [min(free_set_elements(FreeSet(toy_cfg, 1)))]
 
 
 def test_lower_bound_estimates(matrix_cfg):
@@ -223,7 +217,7 @@ def test_upper_bound_stays_under_its_envelope(data):
     # free/|W| <= rho + 1/|S_n| + boundary/|W| on any window that holds a
     # whole tile; a narrower window is inconclusive
     if data.draw(st.booleans()):
-        cfg = Construction(BuildParams.toy(
+        cfg = Construction(toy_params(
             generate_interval_schedule(1, 1, 3, group=Z2), Fraction(1, 2), dim=1, depth=1))
     else:
         cfg = make_toy(data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3)),
@@ -248,7 +242,7 @@ def test_upper_bound_closed_form_matches_class_scan(data):
     # the closed-form minimum over translation classes against a scan of
     # every class, on Z and Z^2 levels of at most 60,000 classes
     if data.draw(st.booleans()):
-        cfg = Construction(BuildParams.toy(
+        cfg = Construction(toy_params(
             generate_interval_schedule(1, 1, 3, group=Z2), Fraction(1, 2), dim=1, depth=1))
     else:
         cfg = make_toy(data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3)),

@@ -125,7 +125,7 @@ def test_gen_tilings_corrupted_import(config, tmp_path, capsys):
     from meandim import GridTiling, write_tiling, ExplicitTiling
     from meandim.groups import Box, Z as Zg
 
-    base = GridTiling(Zg, (-1,), (2,)).to_explicit(Box((-40,), (40,)))
+    base = oracles.to_explicit(GridTiling(Zg, (-1,), (2,)), Box((-40,), (40,)))
     centers = [((5,) if c == (4,) else c, sid) for c, sid in base.centers]
     bad = ExplicitTiling(Zg, base.shapes, centers, base.support)
     path = tmp_path / "bad.tiling"
@@ -625,7 +625,7 @@ def test_capped_realization_row_counts_the_assignments_past_the_cap(monkeypatch,
 @pytest.mark.parametrize("cap,message", [
     (100, "no host level found for step 3"),
     (14_767, "no host level found for step 3"),
-    (14_768, "step 3:  unsatisfiable through level 14768"),
+    (14_768, "step 3: no level above host level 14768"),
     (14_770, "step 3: outside star mass unsatisfiable through level 14770"),
 ])
 def test_planner_error_paths(monkeypatch, capsys, cap, message):
@@ -927,14 +927,46 @@ def test_verify_json_lists_the_text_rows(tmp_path, capsys):
 
 def test_importing_the_command_leaves_the_oracles_out():
     # the engine evaluates through the tile walk alone, and the pointwise
-    # resolvers are a test oracle: the command never loads them.  The child
-    # reports by exit code, not assert, so the check holds under python -O
-    src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, meandim.cli; sys.exit(3 if 'meandim.oracles' in sys.modules else 0)"
+    # resolvers and scanners are test oracles: neither the package nor a
+    # verify run loads them.  The child prints what it saw rather than
+    # asserting, so the check holds under python -O
+    root = Path(__file__).resolve().parents[1]
+    probe = (
+        "import contextlib, io, sys, meandim, meandim.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = meandim.cli.main(['verify', '--config', sys.argv[1]])\n"
+        "print(code, [m for m in sys.modules if m.startswith('meandim.oracles')])\n"
+    )
     flags = ["-O"] if sys.flags.optimize else []
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, *flags, "-c", probe], env=env, capture_output=True, text=True)
-    assert (proc.returncode, proc.stderr) == (0, "")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, *flags, "-c", probe, str(root / "configs" / "toy-z.cfg")],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")
+
+
+# every name that lives in meandim.oracles rather than in the engine
+ORACLE_NAMES = {
+    "DensityReport", "check_irreducibility_witness", "covers_window", "densities", "factor_window",
+    "free_set_elements", "generate_interval_schedule", "tiling_configuration", "to_explicit",
+    "toy_params", "verify_dense", "verify_invariance_profile", "verify_syndetic_centers",
+}
+
+
+def test_the_engine_neither_exports_nor_imports_the_oracles():
+    import ast
+    import meandim
+
+    assert not ORACLE_NAMES & set(meandim.__all__)
+    assert ORACLE_NAMES <= set(dir(oracles))
+    # an import anywhere in an engine module, reached by a run or not
+    for path in sorted(Path(meandim.__file__).parent.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        imported = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported += [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+        assert not [name for name in imported if "oracles" in name.split(".")], path.name
 
 
 # -- mutated configs: exit codes hold and output is deterministic -------------

@@ -15,13 +15,13 @@ from meandim import (
     STAR,
     SizeGuardError,
     Z2,
-    generate_interval_schedule,
     make_net,
     net_schedule,
     render_value,
 )
 from meandim import oracles
 from meandim.groups import Box
+from meandim.oracles import generate_interval_schedule, toy_params
 from tests.conftest import by_cell, make_toy
 from tests.test_cli import int_str_limit_lifted
 
@@ -33,11 +33,11 @@ def values_equal(a, b):
 def test_params_validation():
     sched = generate_interval_schedule(1, 2, 3)
     with pytest.raises(ValueError):
-        BuildParams.toy(sched, Fraction(1, 1))
+        toy_params(sched, Fraction(1, 1))
     with pytest.raises(ValueError):
-        BuildParams.toy(sched, Fraction(1, 2), depth=0)
+        toy_params(sched, Fraction(1, 2), depth=0)
     with pytest.raises(ValueError):
-        BuildParams.toy(sched, Fraction(1, 2), mode="capped")  # cap missing
+        toy_params(sched, Fraction(1, 2), mode="capped")  # cap missing
     with pytest.raises(ValueError):
         BuildParams(
             schedule=sched,
@@ -54,13 +54,13 @@ def test_params_raise_config_errors(monkeypatch):
 
     sched = generate_interval_schedule(1, 2, 3)
     with pytest.raises(ConfigError, match=r"^field 'rho': 2 outside \(0,1\)$"):
-        BuildParams.toy(sched, 2)
+        toy_params(sched, 2)
     with pytest.raises(ConfigError, match="^capped mode needs cap >= 2$"):
-        BuildParams.toy(sched, Fraction(1, 2), mode="capped", cap=1)
+        toy_params(sched, Fraction(1, 2), mode="capped", cap=1)
     # the net-size guard fires before a single axis point is built
     monkeypatch.setattr(cube, "Net", None)
     with pytest.raises(ConfigError, match="^field 'delta1': 1/1000000000 needs over 65536 net points$"):
-        BuildParams.toy(sched, Fraction(1, 2), first_delta=Fraction(1, 10**9))
+        toy_params(sched, Fraction(1, 2), first_delta=Fraction(1, 10**9))
 
 def test_seed_star_choice(toy_cfg):
     # first floor(rho*|S|)+1 cells in canonical order, density sandwich holds
@@ -75,7 +75,7 @@ def test_seed_star_count_against_exhaustive_search():
         want = [s for s in range(1, vol + 1) if rho < Fraction(s, vol) <= rho + Fraction(1, vol)]
         got = (rho.numerator * vol) // rho.denominator + 1
         assert want == [got]
-    ten = Construction(BuildParams.toy(generate_interval_schedule(4, 5, 2), Fraction(1, 2), depth=1))
+    ten = Construction(toy_params(generate_interval_schedule(4, 5, 2), Fraction(1, 2), depth=1))
     assert ten.levels[1].stars == 6  # |S| = 10, rho = 1/2
 
 
@@ -151,10 +151,10 @@ def test_window_singleton_matches_eval(toy_cfg):
 def test_stabilization_under_deeper_plans(toy_cfg):
     sched = generate_interval_schedule(1, 2, 3)
     deep3 = Construction(
-        BuildParams.toy(sched, Fraction(1, 2), depth=3, mode="capped", cap=4096)
+        toy_params(sched, Fraction(1, 2), depth=3, mode="capped", cap=4096)
     )
     deep4 = Construction(
-        BuildParams.toy(sched, Fraction(1, 2), depth=4, mode="capped", cap=4096)
+        toy_params(sched, Fraction(1, 2), depth=4, mode="capped", cap=4096)
     )
     box2 = toy_cfg.levels[2].box
     for g in box2.cells():
@@ -237,7 +237,7 @@ def test_realization_decode_capped():
 def test_depth_error_for_exact_deep_plan():
     sched = generate_interval_schedule(1, 2, 3)
     with pytest.raises(DepthError, match="capped"):
-        Construction(BuildParams.toy(sched, Fraction(1, 2), depth=3))
+        Construction(toy_params(sched, Fraction(1, 2), depth=3))
 
 
 def test_eval_beyond_depth_raises(toy_cfg):
@@ -276,7 +276,7 @@ def test_plan_report_shape(toy_cfg):
 
 def test_z2_construction_oracle():
     sched = generate_interval_schedule(1, 1, 3, group=Z2)
-    cfg = Construction(BuildParams.toy(sched, Fraction(1, 2), dim=1, depth=1))
+    cfg = Construction(toy_params(sched, Fraction(1, 2), dim=1, depth=1))
     words = cfg.materialize()
     assert len(words.v11) == words.window.volume
     v11 = by_cell(words.window, words.v11)
@@ -294,12 +294,12 @@ def test_z2_infeasible_host_surplus_detected():
     from meandim import CapacityError
 
     with pytest.raises(CapacityError, match="host tiles"):
-        Construction(BuildParams.toy(sched, Fraction(1, 3), dim=1, depth=2))
+        Construction(toy_params(sched, Fraction(1, 3), dim=1, depth=2))
 
 
 def test_z2_depth2_plan_and_eval():
     sched = generate_interval_schedule(1, 1, 3, group=Z2)
-    cfg = Construction(BuildParams.toy(sched, Fraction(1, 2), dim=1, depth=2))
+    cfg = Construction(toy_params(sched, Fraction(1, 2), dim=1, depth=2))
     st2 = cfg.steps[2]
     assert st2.code_exact is not None and not cfg.approximate
     box1 = cfg.levels[1].box
@@ -484,7 +484,7 @@ def deep_capped_cfg():
 def z2_cfgs():
     sched = generate_interval_schedule(1, 1, 3, group=Z2)
     return {
-        depth: Construction(BuildParams.toy(sched, Fraction(1, 2), dim=1, depth=depth))
+        depth: Construction(toy_params(sched, Fraction(1, 2), dim=1, depth=depth))
         for depth in (1, 2)
     }
 
@@ -639,7 +639,7 @@ def test_tile_walk_words_and_ranks_match_pointwise(toy_cfg, deep_capped_cfg, z2_
     ]
     # boxes of V_(n+1) across each host edge and around each thinning-cut
     # tile; the last two configs put their cut before the host
-    z2_early_cut = Construction(BuildParams.toy(
+    z2_early_cut = Construction(toy_params(
         generate_interval_schedule(0, 1, 3, group=Z2), Fraction(1, 5), dim=1, depth=1))
     for cfg in (toy_cfg, deep_capped_cfg, z2_cfgs[1], z2_cfgs[2], make_toy(0, 2), z2_early_cut):
         for n in (n for n in cfg.steps if cfg.levels[n + 1].volume < 10**200):
@@ -820,7 +820,7 @@ def test_z2_depth2_literal_words_match_the_walk(z2_cfgs):
 def test_literal_words_match_the_pointwise_oracle(z2_cfgs, case, cut_mid_row, host_before_cut):
     # the materializer writes W_1 a row of tiles at a time and thins row by
     # row; every cell of its words against the pointwise resolvers
-    cfg = z2_cfgs[1] if case == "Z2" else Construction(BuildParams.toy(
+    cfg = z2_cfgs[1] if case == "Z2" else Construction(toy_params(
         generate_interval_schedule(1, 2, 3, case.split()[1]), Fraction(1, 2), dim=1, depth=2))
     from meandim.construction import _count_lex_below
 
@@ -848,7 +848,7 @@ def test_balances_and_cube_dimensions(group, dim, balance):
 
     a, b, depth = (1, 2, 2) if group == "Z" else (1, 1, 1)
     sched = generate_interval_schedule(a, b, 3, balance, group=GROUPS[group])
-    cfg = Construction(BuildParams.toy(sched, Fraction(1, 2), dim=dim, depth=depth))
+    cfg = Construction(toy_params(sched, Fraction(1, 2), dim=dim, depth=depth))
     assert [name for name, ok, _ in cli.run_verification(cfg, 7) if ok is False] == []
     rep = mdim_report(cfg)
     assert rep.rows and all(r.certified_low <= cfg.rho * dim <= r.upper_scaled for r in rep.rows)

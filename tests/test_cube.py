@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from meandim import Net, Polyhedron, make_net, net_schedule, verify_dense
+from meandim import Net, Polyhedron, make_net, net_schedule
+from meandim.oracles import verify_dense
 
 
 def test_make_net_examples():

@@ -4,16 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meandim import (
-    FiniteSubset,
-    GroupMismatchError,
-    Z,
-    Z2,
-    boundary,
-    covers_window,
-    is_invariant,
-)
-from meandim.groups import Box
+from meandim import FiniteSubset, GroupMismatchError, Z, Z2
+from meandim.groups import Box, boundary, is_invariant
+from meandim.oracles import covers_window
 
 
 def brute_boundary(A, K):

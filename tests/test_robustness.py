@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from meandim import BuildParams, Construction, STAR, Z2, generate_interval_schedule
+from meandim import Construction, STAR, Z2
 from meandim import oracles
+from meandim.oracles import generate_interval_schedule, toy_params
 from meandim.schedules import AxisRule, TilingSchedule
 from tests.conftest import by_cell
 
@@ -43,20 +44,20 @@ CASES = [
 @pytest.mark.parametrize("name,a,b,growth,rho", CASES, ids=[c[0] for c in CASES])
 def test_alternate_z_configs(name, a, b, growth, rho):
     sched = generate_interval_schedule(a, b, growth)
-    cfg = Construction(BuildParams.toy(sched, rho, dim=1, depth=2))
+    cfg = Construction(toy_params(sched, rho, dim=1, depth=2))
     full_check(cfg)
 
 
 def test_dense_seed_has_no_hash():
     # rho = 5/6 on a 6-cell tile stars the whole seed tile
     sched = generate_interval_schedule(2, 3, 3)
-    cfg = Construction(BuildParams.toy(sched, Fraction(5, 6), dim=1, depth=2))
+    cfg = Construction(toy_params(sched, Fraction(5, 6), dim=1, depth=2))
     assert cfg.levels[1].stars == cfg.levels[1].volume
 
 
 def test_sparse_seed_single_star():
     sched = generate_interval_schedule(1, 2, 3)
-    cfg = Construction(BuildParams.toy(sched, Fraction(1, 100), dim=1, depth=2))
+    cfg = Construction(toy_params(sched, Fraction(1, 100), dim=1, depth=2))
     assert cfg.levels[1].stars == 1
     words = cfg.materialize()
     assert sum(1 for v in words.v11 if v is STAR) == cfg.levels[2].stars
@@ -69,7 +70,7 @@ def test_three_point_alphabet():
 
     sched = generate_interval_schedule(1, 2, 3)
     cfg = Construction(
-        BuildParams.toy(sched, Fraction(1, 2), dim=1, depth=2, first_delta=Fraction(1, 4))
+        toy_params(sched, Fraction(1, 2), dim=1, depth=2, first_delta=Fraction(1, 4))
     )
     assert cfg.steps[1].code_count == 27
     full_check(cfg)
@@ -84,7 +85,7 @@ def test_three_point_alphabet():
 def test_z2_asymmetric_axis_rules():
     rules = (AxisRule.make(1, 1, 3), AxisRule.make(0, 2, 3))
     sched = TilingSchedule(Z2, rules)
-    cfg = Construction(BuildParams.toy(sched, Fraction(1, 2), dim=1, depth=1))
+    cfg = Construction(toy_params(sched, Fraction(1, 2), dim=1, depth=1))
     words = cfg.materialize()
     v11 = by_cell(words.window, words.v11)
     for g in words.window.cells():

@@ -14,15 +14,13 @@ from meandim import (
     TilingSchedule,
     Z,
     Z2,
-    generate_interval_schedule,
-    is_invariant,
-    verify_congruent,
     verify_partition,
-    verify_primely_congruent,
 )
 from meandim.cli import load_config
-from meandim.groups import Box
+from meandim.groups import Box, is_invariant
+from meandim.oracles import generate_interval_schedule, verify_invariance_profile
 from meandim.schedules import BALANCES, AxisRule
+from meandim.tilings import verify_congruent, verify_primely_congruent
 
 
 class RecurrenceSchedule(TilingSchedule):
@@ -273,19 +271,19 @@ def test_invariance_profile_doubling():
     s = generate_interval_schedule(4, 5, 2)
     K_list = [Z.ball(k) for k in range(1, 7)]
     eps_list = [Fraction(1, k) for k in range(1, 7)]
-    assert s.verify_invariance_profile(K_list, eps_list).ok
+    assert verify_invariance_profile(s, K_list, eps_list).ok
 
 
 def test_invariance_profile_failures():
     s = generate_interval_schedule(1, 2, 3)
-    res = s.verify_invariance_profile([Z.ball(1)], [Fraction(0)])
+    res = verify_invariance_profile(s, [Z.ball(1)], [Fraction(0)])
     assert res.ok is False  # eps = 0 can never hold, strict inequality
-    res = s.verify_invariance_profile([Z.ball(1), Z.ball(2)], [2, Fraction(1, 10**9)])
+    res = verify_invariance_profile(s, [Z.ball(1), Z.ball(2)], [2, Fraction(1, 10**9)])
     assert res.ok is False and res.violations == [2]  # first failing level named
     singleton = FiniteSubset(Z, [(0,)])
-    assert s.verify_invariance_profile([singleton] * 3, [Fraction(1, 10**9)] * 3).ok
+    assert verify_invariance_profile(s, [singleton] * 3, [Fraction(1, 10**9)] * 3).ok
     with pytest.raises(ValueError):
-        s.verify_invariance_profile([Z.ball(1)], [1, 1])
+        verify_invariance_profile(s, [Z.ball(1)], [1, 1])
 
 
 def test_first_invariant_level_searches_past_built_levels():

@@ -10,17 +10,19 @@ from meandim import (
     OutOfSupportError,
     Z,
     Z2,
-    check_irreducibility_witness,
-    factor_window,
     read_tiling,
-    tiling_configuration,
-    verify_congruent,
     verify_partition,
-    verify_primely_congruent,
-    verify_syndetic_centers,
     write_tiling,
 )
 from meandim.groups import Box
+from meandim.oracles import (
+    check_irreducibility_witness,
+    factor_window,
+    tiling_configuration,
+    to_explicit,
+    verify_syndetic_centers,
+)
+from meandim.tilings import verify_congruent, verify_primely_congruent
 
 
 @pytest.fixture
@@ -52,7 +54,7 @@ def test_verify_partition_grid(interval4):
 
 
 def test_verify_partition_corrupted():
-    base = GridTiling(Z, (-1,), (2,)).to_explicit(Box((-40,), (40,)))
+    base = to_explicit(GridTiling(Z, (-1,), (2,)), Box((-40,), (40,)))
     centers = [((5,) if c == (4,) else c, sid) for c, sid in base.centers]
     bad = ExplicitTiling(Z, base.shapes, centers, base.support)
     res = verify_partition(bad, FiniteSubset.interval(-20, 20))
@@ -219,13 +221,13 @@ def test_factor_window_decode_error(interval4, interval12):
 
 
 def test_explicit_out_of_support():
-    t = GridTiling(Z, (-1,), (2,)).to_explicit(Box((-8,), (8,)))
+    t = to_explicit(GridTiling(Z, (-1,), (2,)), Box((-8,), (8,)))
     with pytest.raises(OutOfSupportError):
         t.tile_of((1000,))
 
 
 def test_tiling_io_round_trip():
-    t = GridTiling(Z, (-1,), (2,)).to_explicit(Box((-12,), (12,)))
+    t = to_explicit(GridTiling(Z, (-1,), (2,)), Box((-12,), (12,)))
     text = write_tiling(t)
     back = read_tiling(text)
     assert back.centers == tuple(sorted(t.centers))
@@ -235,7 +237,7 @@ def test_tiling_io_round_trip():
 
 
 def test_tiling_io_z2():
-    t = GridTiling(Z2, (-1, 0), (1, 2)).to_explicit(Box((-6, -6), (6, 6)))
+    t = to_explicit(GridTiling(Z2, (-1, 0), (1, 2)), Box((-6, -6), (6, 6)))
     back = read_tiling(write_tiling(t))
     assert back.centers == tuple(sorted(t.centers))
     assert verify_partition(back, FiniteSubset.box2(-4, 4, -4, 4)).ok
