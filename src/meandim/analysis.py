@@ -229,9 +229,7 @@ def mdim_report(cfg: Construction) -> MdimReport:
     rows = []
     for n in range(1, cfg.params.depth + 1):
         lower = lower_bound_estimate(cfg, n)
-        est = upper_bound_estimate(cfg, n)
-        if est is None:
-            continue
+        est = upper_bound_estimate(cfg, n)  # the level-(n+1) tile holds whole level-n tiles
         slack = Fraction(dim, cfg.levels[n + 1].volume)
         rows.append(
             MdimRow(
@@ -331,8 +329,9 @@ def check_top_descent(cfg: Construction, words) -> CheckResult:
 
 def check_realization(cfg: Construction, words) -> CheckResult:
     step, stars = cfg.steps[1], cfg.levels[1].stars
-    if stars > 12:
-        raise SizeGuardError(f"{stars} seed stars, over 12 to enumerate")
+    # stars > 12 first, so that no huge power is built; 4096 = 2**12
+    if stars > 12 or step.radix**stars > 4096:
+        raise SizeGuardError(f"{step.radix}^{stars} assignments, over 4096 to enumerate")
     # assignments in index order: the first below the cap decode, the
     # rest (only when the cap truncates the code block) must not
     combos = itertools.product(range(step.radix), repeat=stars)

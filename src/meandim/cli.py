@@ -15,6 +15,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import Optional
 
 from . import analysis
 from .analysis import run_verification
@@ -80,7 +81,7 @@ def load_config(path: str, overrides) -> BuildParams:
     rho = _fraction(exp.get("rho", ""), "rho")
     cube = Polyhedron(_int(exp, "dim", 1))
     depth = overrides.depth if overrides.depth is not None else _int(exp, "depth", 2)
-    mode, cap = parse_mode(overrides.mode if overrides.mode else exp.get("mode", "exact"))
+    cap = parse_mode(overrides.mode if overrides.mode else exp.get("mode", "exact"))
     seed = overrides.seed if overrides.seed is not None else _int(exp, "seed", 0)
 
     sched_sec = parser["schedule"] if parser.has_section("schedule") else {}
@@ -112,19 +113,23 @@ def load_config(path: str, overrides) -> BuildParams:
     deltas = {int(m[1]): _fraction(nets_sec[m[0]], m[0]) for m in matches
               if m and len(m[1]) <= len(str(depth)) and int(m[1]) <= depth}
     return BuildParams(schedule=schedule, rho=rho, cube=cube, nets=net_schedule(cube.dim, depth, deltas),
-                       depth=depth, mode=mode, cap=cap, seed=seed)
+                       depth=depth, cap=cap, seed=seed)
 
 
-def parse_mode(text: str):
-    """Split 'exact' or 'capped:N' into (mode, cap); BuildParams checks both."""
-    mode, cap = text, None
-    if text.startswith("capped:"):
-        try:
-            mode, cap = "capped", int(text.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad mode {text!r}")
-    BuildParams.check_mode(mode, cap)
-    return mode, cap
+def parse_mode(text: str) -> Optional[int]:
+    """The cap of 'exact' (None) or 'capped:N' (N, at least 2)."""
+    if text == "exact":
+        return None
+    mode, colon, digits = text.partition(":")
+    if mode != "capped":
+        raise ConfigError(f"mode must be 'exact' or 'capped:N', got {text!r}")
+    try:
+        cap = int(digits) if colon else None
+    except ValueError:
+        raise ConfigError(f"bad mode {text!r}")
+    if cap is None or cap < 2:
+        raise ConfigError("capped mode needs cap >= 2")
+    return cap
 
 
 def parse_window(spec: str, group) -> Box:

@@ -49,7 +49,6 @@ from .errors import (
     DecodeError,
     DepthError,
     NotRealizedError,
-    ScheduleError,
     SizeGuardError,
 )
 from .groups import Box, Element, decimal_text, fraction_text
@@ -98,7 +97,9 @@ class BuildParams:
 
     ``depth`` is the number of fully planned construction levels: levels
     1..depth+1 are laid out and all coordinates of the level-``depth`` tile
-    (and of its recurrence copies) are determined.  ``seed`` seeds the
+    (and of its recurrence copies) are determined.  ``cap = None`` is exact
+    mode, where each code block holds every star assignment; a cap >= 2 is
+    capped mode, where it holds at most ``cap`` of them.  ``seed`` seeds the
     sampling checks and nothing in the plan.
     """
 
@@ -107,7 +108,6 @@ class BuildParams:
     cube: Polyhedron
     nets: tuple
     depth: int
-    mode: str = "exact"  # "exact" or "capped"
     cap: Optional[int] = None
     seed: int = 0
 
@@ -117,7 +117,8 @@ class BuildParams:
             raise ConfigError(f"field 'rho': {fraction_text(self.rho)} outside (0,1)")
         if self.depth < 1:
             raise ConfigError("depth must be >= 1")
-        self.check_mode(self.mode, self.cap)
+        if self.cap is not None and self.cap < 2:
+            raise ConfigError("capped mode needs cap >= 2")
         if len(self.nets) < self.depth:
             raise ConfigError("need one net per construction level")
         for net in self.nets:
@@ -129,16 +130,6 @@ class BuildParams:
             if not b.is_superset_of(a):
                 raise ConfigError("nets must be nested (each refines the previous)")
 
-    @staticmethod
-    def check_mode(mode: str, cap: Optional[int]) -> None:
-        """'exact' takes no cap, 'capped' a cap >= 2."""
-        if mode not in ("exact", "capped"):
-            raise ConfigError(f"mode must be 'exact' or 'capped:N', got {mode!r}")
-        if mode == "capped":
-            if cap is None or cap < 2:
-                raise ConfigError("capped mode needs cap >= 2")
-        elif cap is not None:
-            raise ConfigError("cap is only meaningful in capped mode")
 
 @dataclass(frozen=True)
 class LevelPlan:
@@ -168,7 +159,6 @@ class StepPlan:
     code_exact: Optional[int]  # None when too large to represent
     approximate: bool
     link_center: Element
-    next_level: int
     tile_lo: tuple  # per-axis j-range of level-n tiles inside the next box
     tile_hi: tuple
     n_out: int
@@ -236,13 +226,6 @@ def _lex_at(index: int, lows: tuple, highs: tuple) -> tuple:
     return tuple(out)
 
 
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ScheduleError(f"alignment broken: {decimal_text(a)} not a multiple of {decimal_text(b)}")
-    return q
-
-
 class Construction:
     """A fully planned construction with a lazy tile-walk evaluator.
 
@@ -290,7 +273,8 @@ class Construction:
         exact = None if too_big else radix**stars
         if exact is not None and exact.bit_length() > MAX_CODE_BITS:
             exact, too_big = None, True
-        if self.params.mode == "exact":
+        cap = self.params.cap
+        if cap is None:
             if too_big:
                 exponent = decimal_text(stars)
                 if len(exponent) > MAX_EXPONENT_DIGITS:
@@ -300,7 +284,6 @@ class Construction:
                     "beyond exact representation; rerun in capped mode"
                 )
             return exact, exact, False
-        cap = self.params.cap
         if too_big:
             return cap, None, True
         return min(cap, exact), exact, exact > cap
@@ -324,19 +307,7 @@ class Construction:
             raise CapacityError(f"no host level found for step {n + 1}")
         host_box = sched.level_box(host)
         cand_lo, cand_hi = self._tile_jrange(fine, host_box)
-        n_cand = 1
-        for lo, hi in zip(cand_lo, cand_hi):
-            n_cand *= hi - lo + 1
-        # The checks below raise rather than assert so that they survive
-        # python -O; their messages name levels only, since the counts can
-        # have more digits than int->str converts.
-        if n_cand != sched.volume(host) // fine.volume:
-            raise ScheduleError(
-                f"step {n + 1}: the level-{n} tile range of host level {host} "
-                "disagrees with its volume"
-            )
-        if n_cand <= code:
-            raise CapacityError(f"step {n + 1}: host level {host} cannot hold the code block")
+        n_cand = sched.volume(host) // fine.volume  # at least code + 1
         zeros = (0,) * self.group.rank
         e_lexrank = _count_lex_below(zeros, cand_lo, cand_hi)
         link_j = self._cand_at_raw(code, cand_lo, cand_hi, e_lexrank)
@@ -400,7 +371,6 @@ class Construction:
             code_exact=code_exact,
             approximate=approximate,
             link_center=link_center,
-            next_level=m,
             tile_lo=tile_lo,
             tile_hi=tile_hi,
             n_out=n_out,
@@ -411,25 +381,14 @@ class Construction:
             cand_strides=_strides(cand_lo, cand_hi),
         )
         self.levels[n + 1] = LevelPlan(n + 1, m, box_next, vol_m, target, periods)
-        # Density sandwich: rho < stars/volume <= rho + 1/volume, exactly
-        if not num * vol_m < target * den <= num * vol_m + den:
-            raise CapacityError(f"level {n + 1}: star count outside the density sandwich")
-        if not (box_next.contains_box(host_box) and host_box.contains_box(fine.box)):
-            raise ScheduleError(
-                f"step {n + 1}: level-{n + 1} tile, host box and level-{n} tile are not nested"
-            )
 
-    def _tile_jrange(self, fine: LevelPlan, outer: Box):
-        q = fine.periods
-        lo = tuple(
-            _exact_div(outer.lows[i] - fine.box.lows[i], q[i])
-            for i in range(self.group.rank)
-        )
-        hi = tuple(
-            _exact_div(outer.highs[i] - fine.box.highs[i], q[i])
-            for i in range(self.group.rank)
-        )
-        return lo, hi
+    @staticmethod
+    def _tile_jrange(fine: LevelPlan, outer: Box):
+        """Per-axis index range of the level-n tiles inside a coarser level's
+        tile; each schedule step adds multiples of q_n to both ends, so the
+        divisions are exact."""
+        return (tuple((o - f) // q for o, f, q in zip(outer.lows, fine.box.lows, fine.periods)),
+                tuple((o - f) // q for o, f, q in zip(outer.highs, fine.box.highs, fine.periods)))
 
     # -- code-block ordering (identity tile first, then lexicographic) ------
 
@@ -585,8 +544,8 @@ class Construction:
 
         ``assignment`` lists one net point per star of V_n in canonical star
         order; the inverse positional code gives the tile index, and a walk
-        of that code tile confirms it when the level-n tile is at most
-        MATERIALIZE_GUARD cells.
+        of that code tile confirms it.  A level-n tile past MATERIALIZE_GUARD
+        cells raises SizeGuardError before any walk.
         """
         if n not in self.steps:
             raise DepthError(f"step {n + 1} not planned")
@@ -604,13 +563,13 @@ class Construction:
                 f"({decimal_text(step.code_count)})"
             )
         center = self._cand_at(step, index)
-        if lvl.volume <= MATERIALIZE_GUARD:
-            # one walk of the code tile, read at the offset of each star
-            coded = self.level_values(n + 1, lvl.box.translate(center))
-            for rank, pos in enumerate(self.star_positions(n)):
-                got = coded[_count_lex_below(pos, lvl.box.lows, lvl.box.highs)]
-                if got != assignment[rank]:
-                    raise DecodeError(f"decode confirmation failed at star {pos}")
+        stars = self.star_positions(n)  # the size guard, before any walk
+        # one walk of the code tile, read at the offset of each star
+        coded = self.level_values(n + 1, lvl.box.translate(center))
+        for rank, pos in enumerate(stars):
+            got = coded[_count_lex_below(pos, lvl.box.lows, lvl.box.highs)]
+            if got != assignment[rank]:
+                raise DecodeError(f"decode confirmation failed at star {pos}")
         return center
 
     # -- literal materialization (the oracle) --------------------------------
@@ -713,7 +672,7 @@ class Construction:
                 {
                     "step": n + 1,
                     "host_level": st.host_level,
-                    "next_level": st.next_level,
+                    "next_level": self.levels[n + 1].sched_level,
                     "code_count": st.code_count,
                     "code_exact_known": st.code_exact is not None,
                     "approximate": st.approximate,
@@ -732,7 +691,7 @@ class Construction:
             "rho": self.rho,
             "cube_dim": self.params.cube.dim,
             "depth": self.params.depth,
-            "mode": self.params.mode,
+            "mode": "exact" if self.params.cap is None else "capped",
             "cap": self.params.cap,
             "approximate": self.approximate,
             "seed_stars": [list(a) for a in self.seed_stars],

@@ -340,7 +340,6 @@ def toy_params(
     rho,
     dim: int = 1,
     depth: int = 2,
-    mode: str = "exact",
     cap: Optional[int] = None,
     first_delta=Fraction(1, 2),
 ) -> BuildParams:
@@ -351,7 +350,6 @@ def toy_params(
         cube=Polyhedron(dim),
         nets=net_schedule(dim, depth, {1: first_delta}),
         depth=depth,
-        mode=mode,
         cap=cap,
     )
 

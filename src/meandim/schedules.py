@@ -214,12 +214,6 @@ class TilingSchedule:
         while power < ratio:  # level p + t holds need once this loop ends
             power *= big_m
             t += 1
-        # raised rather than asserted so that it survives python -O
-        if t > start - p and power // big_m >= ratio:
-            raise ScheduleError(
-                f"level search from level {start}: level {p + t - 1} "
-                "already holds the volume asked for"
-            )
         return p + t
 
     def climb(self, level: int, top: int):

@@ -235,7 +235,7 @@ def test_criterion_8_no_star_and_stabilization(toys):
     box2 = cfg2.levels[2].box
     vals2 = [render_value(v) for _, v in cfg2.window(box2, "w")]
     ok &= "*" not in vals2
-    cfg3 = make_toy(depth=3, mode="capped", cap=65536)
+    cfg3 = make_toy(depth=3, cap=65536)
     vals3 = [render_value(v) for _, v in cfg3.window(box2, "w")]
     ok &= "*" not in vals3
     dump2 = " ".join(vals2).encode()

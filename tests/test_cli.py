@@ -65,10 +65,23 @@ def test_parse_window():
 
 
 def test_parse_mode():
-    assert parse_mode("exact") == ("exact", None)
-    assert parse_mode("capped:512") == ("capped", 512)
-    with pytest.raises(ConfigError):
-        parse_mode("loose")
+    # the cap of each mode text, or the message it has printed since before
+    # the cap alone chose the mode
+    assert parse_mode("exact") is None
+    assert parse_mode("capped:4") == 4
+    assert parse_mode("capped:512") == 512
+    assert parse_mode("capped: 5") == 5  # int() strips the space
+    for text, message in [
+        ("capped", "capped mode needs cap >= 2"),
+        ("capped:1", "capped mode needs cap >= 2"),
+        ("capped:-3", "capped mode needs cap >= 2"),
+        ("capped:", "bad mode 'capped:'"),
+        ("capped:x", "bad mode 'capped:x'"),
+        ("loose", "mode must be 'exact' or 'capped:N', got 'loose'"),
+        ("EXACT", "mode must be 'exact' or 'capped:N', got 'EXACT'"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_mode(text)
 
 
 def test_window_command_no_stars(config, capsys):
@@ -553,7 +566,7 @@ def test_depth_error_prints_a_short_star_count_in_full():
 
     from meandim import construction
 
-    stub = SimpleNamespace(params=SimpleNamespace(mode="exact", cap=None))
+    stub = SimpleNamespace(params=SimpleNamespace(cap=None))
     stars = construction.MAX_CODE_BITS // 2 + 1  # two bits a digit at radix 4
     with pytest.raises(DepthError, match=rf"^step 3 needs a code block of 4\^{stars} tiles, .* capped mode$"):
         Construction._code_count(stub, 2, stars, 4)
@@ -901,6 +914,26 @@ def test_verify_reports_guarded_checks_inconclusive(tmp_path, capsys):
     # the nesting guard reads like every other guarded row
     assert "INCONCLUSIVE free set nesting: SizeGuardError: J_1 too large to enumerate" in lines
     assert all(line.startswith(("PASS ", "INCONCLUSIVE ")) for line in lines)
+
+
+# Z plans at depth 1 whose realization row cannot be decided: a level-1 tile
+# past MATERIALIZE_GUARD, whose code tiles no walk may confirm, and 12 seed
+# stars with a 51- and an 11-point net (51^12 and 11^12 assignments)
+REALIZATION_GUARDED = [
+    ("600000", "1/100000", "1/2", "level-1 tile too large to scan"),
+    ("23", "11/24", "1/100", "51^12 assignments, over 4096 to enumerate"),
+    ("23", "11/24", "1/20", "11^12 assignments, over 4096 to enumerate"),
+]
+
+
+@pytest.mark.parametrize("seed_b,rho,delta1,detail", REALIZATION_GUARDED, ids=["tile", "net-51", "net-11"])
+def test_verify_realization_row_is_inconclusive_past_its_guards(tmp_path, capsys, seed_b, rho, delta1, detail):
+    path = tmp_path / "guarded.cfg"
+    path.write_text(f"[experiment]\ngroup = Z\nrho = {rho}\ndepth = 1\n\n"
+                    f"[schedule]\nseed_a = 0\nseed_b = {seed_b}\n\n[nets]\ndelta1 = {delta1}\n")
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert (code, err) == (0, "")
+    assert f"INCONCLUSIVE level-1 assignments all realized: SizeGuardError: {detail}" in out.splitlines()
 
 
 @pytest.mark.parametrize("config_name", ["configs/toy-z.cfg", "perfbench/toy-z2.cfg"])

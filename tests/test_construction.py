@@ -23,7 +23,7 @@ from meandim import oracles
 from meandim.groups import Box
 from meandim.oracles import generate_interval_schedule, toy_params
 from tests.conftest import by_cell, make_toy
-from tests.test_cli import int_str_limit_lifted
+from tests.test_cli import TOY_Z_CFG, int_str_limit_lifted
 
 
 def values_equal(a, b):
@@ -36,8 +36,6 @@ def test_params_validation():
         toy_params(sched, Fraction(1, 1))
     with pytest.raises(ValueError):
         toy_params(sched, Fraction(1, 2), depth=0)
-    with pytest.raises(ValueError):
-        toy_params(sched, Fraction(1, 2), mode="capped")  # cap missing
     with pytest.raises(ValueError):
         BuildParams(
             schedule=sched,
@@ -56,7 +54,7 @@ def test_params_raise_config_errors(monkeypatch):
     with pytest.raises(ConfigError, match=r"^field 'rho': 2 outside \(0,1\)$"):
         toy_params(sched, 2)
     with pytest.raises(ConfigError, match="^capped mode needs cap >= 2$"):
-        toy_params(sched, Fraction(1, 2), mode="capped", cap=1)
+        toy_params(sched, Fraction(1, 2), cap=1)
     # the net-size guard fires before a single axis point is built
     monkeypatch.setattr(cube, "Net", None)
     with pytest.raises(ConfigError, match="^field 'delta1': 1/1000000000 needs over 65536 net points$"):
@@ -85,7 +83,7 @@ def test_toy_plan_numbers(toy_cfg):
     assert st1.code_count == 8  # |net|^stars = 2^3
     assert st1.host_level == 3 and st1.n_cand == 9
     assert st1.link_center == (16,)
-    assert st1.next_level == 5
+    assert toy_cfg.levels[2].sched_level == 5
     assert toy_cfg.levels[2].volume == 324 and toy_cfg.levels[2].stars == 163
     assert st1.thin_total == 56
 
@@ -151,10 +149,10 @@ def test_window_singleton_matches_eval(toy_cfg):
 def test_stabilization_under_deeper_plans(toy_cfg):
     sched = generate_interval_schedule(1, 2, 3)
     deep3 = Construction(
-        toy_params(sched, Fraction(1, 2), depth=3, mode="capped", cap=4096)
+        toy_params(sched, Fraction(1, 2), depth=3, cap=4096)
     )
     deep4 = Construction(
-        toy_params(sched, Fraction(1, 2), depth=4, mode="capped", cap=4096)
+        toy_params(sched, Fraction(1, 2), depth=4, cap=4096)
     )
     box2 = toy_cfg.levels[2].box
     for g in box2.cells():
@@ -224,7 +222,7 @@ def test_realization_decode_exhaustive(toy_cfg):
 
 
 def test_realization_decode_capped():
-    cfg = make_toy(mode="capped", cap=4)
+    cfg = make_toy(cap=4)
     st = cfg.steps[1]
     assert st.code_count == 4 and st.approximate
     net = st.net
@@ -374,7 +372,7 @@ def test_digit_fast_path():
 
 def test_deep_star_ranks_capped():
     # level-3 word arithmetic with the capped depth-3 plan
-    cfg = make_toy(depth=3, mode="capped", cap=65536)
+    cfg = make_toy(depth=3, cap=65536)
     st2 = cfg.steps[2]
     q2 = cfg.schedule.periods(cfg.levels[2].sched_level)[0]
     stars2 = cfg.star_positions(2)
@@ -428,9 +426,14 @@ def test_window_accepts_box(toy_cfg):
     assert len(vals) == 17 and vals[0][0] == (-8,)
 
 
-def test_plan_invariant_breaks_raise_meandim_errors(monkeypatch):
-    # the plan checks are raises, not asserts, so python -O keeps them
-    from meandim import MeandimError
+def test_plan_invariant_breaks_raise_meandim_errors(monkeypatch, capsys):
+    # the planner does not re-check the density sandwich, which holds by
+    # arithmetic; verify's sandwich row is its one check and catches a broken
+    # star count, and the planner's own capacity tests still stop a plan it
+    # cannot complete (raises, not asserts, so python -O keeps them)
+    from meandim import CapacityError, construction
+    from meandim.analysis import run_verification
+    from meandim.cli import main
 
     real = Construction._target_stars
 
@@ -439,7 +442,13 @@ def test_plan_invariant_breaks_raise_meandim_errors(monkeypatch):
         return real(self, volume) - (volume != self.params.schedule.volume(1))
 
     monkeypatch.setattr(Construction, "_target_stars", one_short)
-    with pytest.raises(MeandimError, match="density sandwich"):
+    rows = {name: (ok, detail) for name, ok, detail in run_verification(make_toy(depth=1))}
+    assert rows["density sandwich"] == (False, "level 2: 1/2")
+    assert main(["verify", "--config", TOY_Z_CFG, "--depth", "1"]) == 1
+    assert "FAIL density sandwich: level 2: 1/2" in capsys.readouterr().out.splitlines()
+    # a lowered level cap keeps the futile climb short
+    monkeypatch.setattr(construction, "MAX_SCHED_LEVEL", 200)
+    with pytest.raises(CapacityError, match="^step 3: outside star mass unsatisfiable through level 200$"):
         make_toy()
 
 
@@ -477,7 +486,7 @@ def assert_batched_matches_pointwise(cfg, box):
 
 @pytest.fixture(scope="module")
 def deep_capped_cfg():
-    return make_toy(depth=3, mode="capped", cap=4096)
+    return make_toy(depth=3, cap=4096)
 
 
 @pytest.fixture(scope="module")
@@ -613,7 +622,7 @@ def test_walk_from_the_smallest_tile_matches_the_oracle(toy_cfg, deep_capped_cfg
 def test_evaluation_keeps_no_state_on_the_construction():
     # evaluator memory is bounded by the window: batched windows, pointwise
     # cells and star ranking leave the construction as it was planned
-    cfg = make_toy(depth=3, mode="capped", cap=4096)
+    cfg = make_toy(depth=3, cap=4096)
     planned = dict(vars(cfg))
     sizes = {name: len(v) for name, v in planned.items() if hasattr(v, "__len__")}
     far = 10**80 // cfg.levels[4].periods[0] * cfg.levels[4].periods[0]
@@ -748,7 +757,7 @@ def test_star_positions_follow_pointwise_rank_order(
         # the only small feasible Z^2 toy; depth n, level 2 (59,049 cells)
         assert z2_cfgs[n].star_positions(2) == z2_star_orders[n]
         return
-    flags = {"depth": 3, "mode": "capped", "cap": 4096} if case == "Z capped" else {}
+    flags = {"depth": 3, "cap": 4096} if case == "Z capped" else {}
     cfg = make_toy(seed_a, seed_b, rho, **flags)
     stars = cfg.star_positions(n)
     assert len(stars) == cfg.levels[n].stars
@@ -863,3 +872,62 @@ def test_balances_and_cube_dimensions(group, dim, balance):
         for lows in corners:
             box = Box(lows, tuple(min(x + 7, hi) for x, hi in zip(lows, tile.highs)))
             assert cfg.level_values(2, box) == [oracles.word(cfg, 2, g) for g in box.cells()]
+
+
+@st.composite
+def small_plans(draw):
+    """A small schedule and plan parameters: Z or Z^2, any balance, seeds in
+    0..3, growth prefixes of 1-3 multipliers in 2..6, rho with denominator at
+    most 12, depth 1-3, exact or capped."""
+    from meandim.schedules import BALANCES, AxisRule, TilingSchedule
+
+    group = GROUPS[draw(st.sampled_from(["Z", "Z2"]))]
+    rules = []
+    for _ in range(group.rank):
+        a, b = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda t: sum(t) >= 1))
+        rules.append(AxisRule.make(a, b, draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))))
+    sched = TilingSchedule(group, rules, draw(st.sampled_from(BALANCES)))
+    den = draw(st.integers(2, 12))
+    rho = Fraction(draw(st.integers(1, den - 1)), den)
+    cap = draw(st.one_of(st.none(), st.integers(2, 64)))
+    return toy_params(sched, rho, dim=draw(st.integers(1, 2)), depth=draw(st.integers(1, 3)), cap=cap)
+
+
+@given(small_plans())
+@settings(max_examples=200, deadline=None)
+def test_planned_steps_satisfy_the_identities_the_planner_relies_on(params):
+    # the planner does not re-check these at run time: each follows from
+    # arithmetic or from how the schedule extends its levels
+    from math import prod
+
+    from meandim import CapacityError
+    from meandim.analysis import upper_bound_estimate
+
+    try:
+        cfg = Construction(params)
+    except (CapacityError, DepthError):
+        return
+    sched, rho = cfg.schedule, cfg.rho
+    for lvl in cfg.levels.values():  # the density sandwich
+        assert rho * lvl.volume < lvl.stars <= rho * lvl.volume + 1
+    for n, step in cfg.steps.items():
+        fine, nxt = cfg.levels[n], cfg.levels[n + 1]
+        # the host is the first level above level n holding code_count + 1
+        # level-n tiles: volumes grow with the level, so the level below it
+        # holds fewer (a scan of the levels would stop at the host)
+        need, host = (step.code_count + 1) * fine.volume, step.host_level
+        assert sched.volume(host) >= need
+        assert host == fine.sched_level + 1 or sched.volume(host - 1) < need
+        # the host holds volume(host) / |S_n| level-n tiles, at least code + 1
+        assert step.n_cand == prod(h - l + 1 for l, h in zip(step.cand_lo, step.cand_hi))
+        assert step.n_cand * fine.volume == sched.volume(host)
+        assert step.n_cand > step.code_count
+        # level n, the host and level n+1 nest, and every step moves both
+        # ends by multiples of q_n
+        assert fine.sched_level < host < nxt.sched_level
+        assert nxt.box.contains_box(step.host_box) and step.host_box.contains_box(fine.box)
+        for outer in (step.host_box, nxt.box):
+            for ends, fine_ends in ((outer.lows, fine.box.lows), (outer.highs, fine.box.highs)):
+                assert all((o - f) % q == 0 for o, f, q in zip(ends, fine_ends, fine.periods))
+        # the default window of the upper bound holds a whole level-n tile
+        assert upper_bound_estimate(cfg, n) is not None
