@@ -299,7 +299,7 @@ def check_nesting(cfg: Construction, words) -> CheckResult:
 def check_floors(cfg: Construction, words) -> CheckResult:
     literal = words()
     st, lvl1, lvl2 = cfg.steps[1], cfg.levels[1], cfg.levels[2]
-    q, across = lvl1.periods, st.tile_hi[-1] - st.tile_lo[-1] + 1
+    q, across = lvl1.periods, st.tiles.highs[-1] - st.tiles.lows[-1] + 1
     # stars per row of each level-1 tile: each run of q[-1] cells of the
     # literal word is one (`across` of them a box row), counted in one pass;
     # then the rows of each tile are summed per leading tile index
@@ -314,8 +314,8 @@ def check_floors(cfg: Construction, words) -> CheckResult:
     # stars / |S_1| > rho - 1/|S_1|, in integers: stars above this
     floor = (cfg.rho.numerator * lvl1.volume - cfg.rho.denominator) // cfg.rho.denominator
     for lead, row in counts.items():  # in lexicographic order
-        for j in (lead + (st.tile_lo[-1] + k,) for k, c in enumerate(row) if c <= floor):
-            if not all(cl <= x <= ch for x, cl, ch in zip(j, st.cand_lo, st.cand_hi)):
+        for j in (lead + (st.tiles.lows[-1] + k,) for k, c in enumerate(row) if c <= floor):
+            if j not in st.cand:
                 center = tuple(jj * qq for jj, qq in zip(j, q))
                 return CheckResult(False, f"tile at {center} thinned below its floor")
     return CheckResult(True, "every thinned tile stays above its floor")

@@ -146,27 +146,27 @@ class LevelPlan:
 
 @dataclass(frozen=True)
 class StepPlan:
-    """Data linking level n to level n+1 (host, code block, link, thinning)."""
+    """Data linking level n to level n+1 (host, code block, link, thinning).
+
+    Level-n tiles are indexed by j, the tile centered at j * q_n; ``cand``
+    and ``tiles`` are the boxes of the j inside the host box and inside the
+    level-(n+1) tile, and their lexicographic order (``Box.count_below``,
+    ``Box.cell_at``) is the order of the code block and of the thinning.
+    """
 
     n: int
     host_level: int
     host_box: Box
-    cand_lo: tuple  # per-axis j-range of level-n tiles inside the host box
-    cand_hi: tuple
-    n_cand: int
+    cand: Box  # j of the level-n tiles inside the host box (the candidates)
     e_lexrank: int  # lexicographic rank of the identity tile among candidates
     code_count: int
     code_exact: Optional[int]  # None when too large to represent
     approximate: bool
     link_center: Element
-    tile_lo: tuple  # per-axis j-range of level-n tiles inside the next box
-    tile_hi: tuple
-    n_out: int
+    tiles: Box  # j of the level-n tiles inside the level-(n+1) tile
     thin_total: int  # the first thin_total thinning-zone tiles shed their first star
     net: Net
     radix: int
-    tile_strides: tuple  # _strides of the two j-ranges, for the tile walk
-    cand_strides: tuple
 
 
 @dataclass
@@ -182,48 +182,6 @@ class MaterializedWords:
     w1: list  # the seed word copied into every level-1 tile
     v11: list  # the level-2 word (greedy thinning applied)
     stable: Optional[list]  # v11 with its stars resolved by code tile 0 of step 2
-
-
-# -- box-lattice counting helpers -------------------------------------------
-
-
-def _strides(lows: tuple, highs: tuple) -> tuple:
-    """Per axis, how far one step along it moves in the box's lexicographic
-    order."""
-    out = [1]
-    for lo, hi in zip(lows[:0:-1], highs[:0:-1]):
-        out.append(out[-1] * (hi - lo + 1))
-    return tuple(reversed(out))
-
-
-def _line(lead: tuple, lows: tuple, highs: tuple, strides: tuple) -> tuple:
-    """``_count_lex_below`` along one line of the box: below lead + (x,) lie
-    base + clamp(x - lows[-1]) tuples when ``live`` (lead is inside the box),
-    and base for every x otherwise."""
-    base = 0
-    for x, lo, hi, stride in zip(lead, lows, highs, strides):
-        if not lo <= x <= hi:
-            return base + (stride * (hi - lo + 1) if x > hi else 0), False
-        base += (x - lo) * stride
-    return base, True
-
-
-def _count_lex_below(j: tuple, lows: tuple, highs: tuple) -> int:
-    """Number of integer tuples in the box that are lexicographically < j."""
-    base, live = _line(j[:-1], lows, highs, _strides(lows, highs))
-    return base + min(max(j[-1] - lows[-1], 0), highs[-1] - lows[-1] + 1) if live else base
-
-
-def _lex_at(index: int, lows: tuple, highs: tuple) -> tuple:
-    """Inverse of the lexicographic rank within a box."""
-    strides = _strides(lows, highs)
-    if not 0 <= index < strides[0] * (highs[0] - lows[0] + 1):
-        raise ValueError("lexicographic index out of range")
-    out = []
-    for lo, stride in zip(lows, strides):
-        d, index = divmod(index, stride)
-        out.append(lo + d)
-    return tuple(out)
 
 
 class Construction:
@@ -258,9 +216,7 @@ class Construction:
         sched = self.schedule
         box1 = sched.level_box(1)
         vol1 = box1.volume
-        s1 = self._target_stars(vol1)
-        if s1 > vol1:
-            raise CapacityError("rho too close to 1 for the seed tile")
+        s1 = self._target_stars(vol1)  # at most vol1, as rho < 1
         self.levels[1] = LevelPlan(1, 1, box1, vol1, s1, sched.periods(1))
         cells = itertools.islice(box1.cells(), s1)
         self.seed_stars = tuple(cells)  # lexicographically first cells
@@ -305,12 +261,11 @@ class Construction:
         host = sched.first_level_holding((code + 1) * fine.volume, start)
         if host > max(start, MAX_SCHED_LEVEL):
             raise CapacityError(f"no host level found for step {n + 1}")
-        host_box = sched.level_box(host)
-        cand_lo, cand_hi = self._tile_jrange(fine, host_box)
-        n_cand = sched.volume(host) // fine.volume  # at least code + 1
-        zeros = (0,) * self.group.rank
-        e_lexrank = _count_lex_below(zeros, cand_lo, cand_hi)
-        link_j = self._cand_at_raw(code, cand_lo, cand_hi, e_lexrank)
+        host_box, host_volume = sched.level_box(host), sched.volume(host)
+        cand = self._tile_jrange(fine, host_box)
+        n_cand = host_volume // fine.volume  # at least code + 1
+        e_lexrank = cand.count_below(self.group.identity)
+        link_j = self._cand_at_raw(code, cand, e_lexrank)
         link_center = tuple(jj * qq for jj, qq in zip(link_j, q))
 
         # Next level: the first level above the host that passes the anchor,
@@ -323,11 +278,11 @@ class Construction:
         # is; when rho*|S_n| is an integer this bound does not improve with
         # the level, so an oversized host is detectably hopeless up front.
         surplus = (n_cand - code) * fine.stars
-        if (num * fine.volume) % den == 0 and surplus * den > num * sched.volume(host) + den:
+        if (num * fine.volume) % den == 0 and surplus * den > num * host_volume + den:
             raise CapacityError(
                 f"step {n + 1}: the {decimal_text(n_cand - code)} uncoded host tiles hold "
                 f"{decimal_text(surplus)} stars, over the sandwich ceiling "
-                f"{fraction_text(rho * sched.volume(host) + 1)}; "
+                f"{fraction_text(rho * host_volume + 1)}; "
                 "the schedule jumps too coarsely past the code block"
             )
         # The walk goes up from the host one extension step at a time, so a
@@ -358,49 +313,41 @@ class Construction:
                 raise CapacityError(f"step {n + 1}: no level above host level {host}")
             raise CapacityError(f"step {n + 1}: {reason} unsatisfiable through level {MAX_SCHED_LEVEL}")
 
-        tile_lo, tile_hi = self._tile_jrange(fine, box_next)
         self.steps[n] = StepPlan(
             n=n,
             host_level=host,
             host_box=host_box,
-            cand_lo=cand_lo,
-            cand_hi=cand_hi,
-            n_cand=n_cand,
+            cand=cand,
             e_lexrank=e_lexrank,
             code_count=code,
             code_exact=code_exact,
             approximate=approximate,
             link_center=link_center,
-            tile_lo=tile_lo,
-            tile_hi=tile_hi,
-            n_out=n_out,
+            tiles=self._tile_jrange(fine, box_next),
             thin_total=thin_total,
             net=net,
             radix=radix,
-            tile_strides=_strides(tile_lo, tile_hi),
-            cand_strides=_strides(cand_lo, cand_hi),
         )
         self.levels[n + 1] = LevelPlan(n + 1, m, box_next, vol_m, target, periods)
 
     @staticmethod
-    def _tile_jrange(fine: LevelPlan, outer: Box):
-        """Per-axis index range of the level-n tiles inside a coarser level's
+    def _tile_jrange(fine: LevelPlan, outer: Box) -> Box:
+        """The box of indices j of the level-n tiles inside a coarser level's
         tile; each schedule step adds multiples of q_n to both ends, so the
         divisions are exact."""
-        return (tuple((o - f) // q for o, f, q in zip(outer.lows, fine.box.lows, fine.periods)),
-                tuple((o - f) // q for o, f, q in zip(outer.highs, fine.box.highs, fine.periods)))
+        return Box(((o - f) // q for o, f, q in zip(outer.lows, fine.box.lows, fine.periods)),
+                   ((o - f) // q for o, f, q in zip(outer.highs, fine.box.highs, fine.periods)))
 
     # -- code-block ordering (identity tile first, then lexicographic) ------
 
     @staticmethod
-    def _cand_at_raw(rank: int, lo: tuple, hi: tuple, e_lexrank: int) -> tuple:
+    def _cand_at_raw(rank: int, cand: Box, e_lexrank: int) -> tuple:
         if rank == 0:
-            return (0,) * len(lo)
-        idx = rank - 1 if rank - 1 < e_lexrank else rank
-        return _lex_at(idx, lo, hi)
+            return (0,) * cand.rank
+        return cand.cell_at(rank - 1 if rank - 1 < e_lexrank else rank)
 
     def _cand_at(self, step: StepPlan, rank: int) -> Element:
-        j = self._cand_at_raw(rank, step.cand_lo, step.cand_hi, step.e_lexrank)
+        j = self._cand_at_raw(rank, step.cand, step.e_lexrank)
         return tuple(jj * qq for jj, qq in zip(j, self.levels[step.n].periods))
 
     def _coded_before(self, step: StepPlan, lex_count: int) -> int:
@@ -438,34 +385,13 @@ class Construction:
     def _tile_walk(self) -> "_TileWalk":
         return self._walk or _TileWalk(self)
 
-    def eval_w(self, g: Element):
-        """Stabilized limit value at g; never a star: a one-cell tile walk.
-
-        Positions inside the level-n tile resolve through the coded word of
-        step n; positions beyond the deepest tile resolve through the top
-        level word when it determines them, otherwise a DepthError explains
-        that more depth is needed.
-        """
-        return self.window_values(Box(g, g))[0]
-
-    def _undetermined(self, g: Element) -> DepthError:
-        # str(g) would refuse coordinates past the int->str digit limit
-        coords = ", ".join(map(decimal_text, g)) + ("," if len(g) == 1 else "")
-        return DepthError(f"value at ({coords}) is not determined at depth {self.params.depth}")
-
-    def eval_x(self, g: Element):
-        """Point of the cube at g: eval_w with hashes sent to the basepoint."""
-        val = self.eval_w(g)
-        if val is HASH:
-            return self.params.cube.basepoint
-        return val
-
     def window(self, box: Box, kind: str = "w") -> list:
         """Evaluate a box; returns [(g, value)] in ``Box.cells()`` order.
 
-        ``kind`` "w" gives ``eval_w`` values, anything else ``eval_x``
-        values, from one tile walk (``window_values``), which raises a
-        ``DepthError`` for the first undetermined cell.
+        ``kind`` "w" gives the stabilized symbols (never a star), anything
+        else cube points (hashes sent to the basepoint), from one tile walk
+        (``window_values``), which raises a ``DepthError`` for the first
+        undetermined cell.
         """
         return list(zip(box.cells(), self.window_values(box, kind)))
 
@@ -502,7 +428,10 @@ class Construction:
     def _undetermined_in(self, box: Box, codes: list) -> DepthError:
         """The DepthError for the first STAR (code 0) of ``_walk_box(box)``;
         its cell comes from its index, so no cell is built before the error."""
-        return self._undetermined(_lex_at(codes.index(0), box.lows, box.highs))
+        g = box.cell_at(codes.index(0))
+        # str(g) would refuse coordinates past the int->str digit limit
+        coords = ", ".join(map(decimal_text, g)) + ("," if len(g) == 1 else "")
+        return DepthError(f"value at ({coords}) is not determined at depth {self.params.depth}")
 
     def level_values(self, n: int, box: Box) -> list:
         """V_n on a box inside the level-n tile, in ``Box.cells()`` order,
@@ -567,7 +496,7 @@ class Construction:
         # one walk of the code tile, read at the offset of each star
         coded = self.level_values(n + 1, lvl.box.translate(center))
         for rank, pos in enumerate(stars):
-            got = coded[_count_lex_below(pos, lvl.box.lows, lvl.box.highs)]
+            got = coded[lvl.box.count_below(pos)]
             if got != assignment[rank]:
                 raise DecodeError(f"decode confirmation failed at star {pos}")
         return center
@@ -585,26 +514,22 @@ class Construction:
         these words at most once and compares them with its one walk
         (``with_one_walk``), and both live for exactly one
         ``run_verification`` call.
-        A cell g of the level-2 tile sits at offset sum((g - lows) * strides)
-        of each list; the offset is linear in g, so a cell a + c of the tile
+        A cell g of the level-2 tile sits at offset ``box.count_below(g)`` of
+        each list; the offset is linear in g, so a cell a + c of the tile
         centered at c sits at c's offset plus a's, and the tiles of one row
         (one leading tile index) sit q[-1] apart.
         """
         lvl1, lvl2, step1 = self.levels[1], self.levels[2], self.steps[1]
         if lvl2.volume > MATERIALIZE_GUARD:
             raise SizeGuardError(f"level-2 tile has {decimal_text(lvl2.volume)} cells, over the bound")
-        box, q = lvl2.box, lvl1.periods
-        strides = _strides(box.lows, box.highs)
-
-        def offset(g: Element) -> int:
-            return sum((x - lo) * s for x, lo, s in zip(g, box.lows, strides))
-
+        box, q, tiles, cand = lvl2.box, lvl1.periods, step1.tiles, step1.cand
         # the offsets of the seed stars within a tile, and per leading tile
         # index, in lexicographic order, the offset of its row's first center
-        deltas = [sum(x * s for x, s in zip(a, strides)) for a in self.seed_stars]
-        t0, across = step1.tile_lo[-1], step1.tile_hi[-1] - step1.tile_lo[-1] + 1
-        leads = list(itertools.product(*[range(lo, hi + 1) for lo, hi in zip(step1.tile_lo[:-1], step1.tile_hi[:-1])]))
-        rows = [offset(tuple(map(operator.mul, lead + (t0,), q))) for lead in leads]
+        origin = box.count_below(self.group.identity)
+        deltas = [box.count_below(a) - origin for a in self.seed_stars]
+        t0, across = tiles.lows[-1], tiles.highs[-1] - tiles.lows[-1] + 1
+        leads = list(itertools.product(*[range(lo, hi + 1) for lo, hi in zip(tiles.lows[:-1], tiles.highs[:-1])]))
+        rows = [box.count_below(tuple(map(operator.mul, lead + (t0,), q))) for lead in leads]
         # W_1: each seed star written into every tile of a row by one strided slice
         w1 = [HASH] * lvl2.volume
         row_of_stars = [STAR] * across
@@ -613,21 +538,20 @@ class Construction:
                 w1[r + d:r + d + across * q[-1]:q[-1]] = row_of_stars
         v11 = list(w1)
         for k in range(step1.code_count):
-            b = offset(self._cand_at(step1, k))
+            b = box.count_below(self._cand_at(step1, k))
             for p, d in enumerate(deltas):
                 v11[b + d] = step1.net.point_at(self._digit(k, lvl1.stars - 1 - p, step1.radix))
         total = v11.count(STAR)
         target = lvl2.stars
         floor1 = (self.rho.numerator * lvl1.volume) // self.rho.denominator
         # the thinning zone in lexicographic order: a row whose leading index
-        # lies in the host skips the host's tiles, which are never thinned
-        c0, c1 = step1.cand_lo[-1] - t0, step1.cand_hi[-1] - t0 + 1
+        # lies in the host (line_base's live flag) skips the host's tiles,
+        # which are never thinned
+        c0, c1 = cand.lows[-1] - t0, cand.highs[-1] - t0 + 1
         zone = (
             r + k * q[-1]
             for lead, r in zip(leads, rows)
-            for k in (itertools.chain(range(c0), range(c1, across))
-                      if all(cl <= x <= ch for x, cl, ch in zip(lead, step1.cand_lo, step1.cand_hi))
-                      else range(across))
+            for k in (itertools.chain(range(c0), range(c1, across)) if cand.line_base(lead)[1] else range(across))
         )
         for b in zone:
             if total <= target:
@@ -763,7 +687,7 @@ class _TileWalk:
         width = highs[-1] - lows[-1] + 1
         vals, rks = [], []
         for lead in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows[:-1], highs[:-1]))):
-            start = _count_lex_below(lead + (lows[-1],), box.lows, box.highs)
+            start = box.count_below(lead + (lows[-1],))
             row = range(start, start + width)
             vals += [0 if i < stars else 1 for i in row]
             rks += [i if i < stars else stars for i in row]
@@ -816,15 +740,15 @@ class _TileWalk:
         A class changes only at the boundary pieces, the host edges, the end
         of the code block, the identity tile and the thinning cut (thinning
         rank ``thin_total``, before or after the host); the band's
-        lexicographic line terms (``_line``) place those cuts without
+        lexicographic line terms (``Box.line_base``) place those cuts without
         visiting the tiles between them.
         """
         cuts = {ja, ja + 1, jb, jb + 1}
         if step is not None:
             cfg, stars = self.cfg, self.cfg.levels[step.n].stars
-            t_base, _ = _line(lead, step.tile_lo, step.tile_hi, step.tile_strides)
-            c_base, live = _line(lead, step.cand_lo, step.cand_hi, step.cand_strides)
-            t0, c0, c1, le = step.tile_lo[-1], step.cand_lo[-1], step.cand_hi[-1] + 1, step.e_lexrank
+            t_base, _ = step.tiles.line_base(lead)
+            c_base, live = step.cand.line_base(lead)
+            t0, c0, c1, le = step.tiles.lows[-1], step.cand.lows[-1], step.cand.highs[-1] + 1, step.e_lexrank
             # the code tiles other than the identity rank below code_end in the host
             code_end = step.code_count - (le >= step.code_count)
             cut = step.thin_total + c_base - t_base + t0  # the thinning cut before the host

@@ -145,19 +145,6 @@ class FiniteSubset:
         self.elements: tuple = tuple(elems)
         self._set = frozenset(elems)
 
-    @staticmethod
-    def interval(a: int, b: int) -> "FiniteSubset":
-        """The integer interval [a, b] in Z."""
-        if a > b:
-            raise ValueError("empty interval")
-        return FiniteSubset(Z, ((i,) for i in range(a, b + 1)))
-
-    @staticmethod
-    def box2(xlo: int, xhi: int, ylo: int, yhi: int) -> "FiniteSubset":
-        if xlo > xhi or ylo > yhi:
-            raise ValueError("empty box")
-        return FiniteSubset(Z2, iter_product(range(xlo, xhi + 1), range(ylo, yhi + 1)))
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -319,6 +306,42 @@ class Box:
         self.guard_cells()
         ranges = [range(lo, hi + 1) for lo, hi in zip(self.lows, self.highs)]
         return iter_product(*ranges)
+
+    # -- lexicographic order, in closed form --------------------------------
+
+    def line_base(self, lead: tuple) -> tuple:
+        """``count_below`` along one line of the box, for ``lead`` one
+        coordinate short of the rank: below lead + (x,) lie
+        base + clamp(x - lows[-1]) cells when ``live`` (lead lies in the
+        box's leading axes), and base for every x otherwise.  The mixed-radix
+        index is summed by Horner's rule, so no stride is kept."""
+        base, live = 0, True
+        for x, lo, hi in zip(lead, self.lows, self.highs):
+            side = hi - lo + 1
+            if live:
+                live = lo <= x <= hi
+                base = base * side + (x - lo if live else side if x > hi else 0)
+            else:
+                base *= side
+        return base * (self.highs[-1] - self.lows[-1] + 1), live
+
+    def count_below(self, g: Element) -> int:
+        """Number of cells of the box lexicographically below g, which may
+        lie outside the box; for a cell, its index in ``cells()`` order."""
+        base, live = self.line_base(g[:-1])
+        return base + min(max(g[-1] - self.lows[-1], 0), self.highs[-1] - self.lows[-1] + 1) if live else base
+
+    def cell_at(self, index: int) -> Element:
+        """The cell of a given index in ``cells()`` order, the inverse of
+        ``count_below``, read digit by digit from the last axis; what is left
+        is the first axis's digit, so no volume is multiplied out."""
+        tail = []
+        for lo, hi in zip(self.lows[:0:-1], self.highs[:0:-1]):
+            index, d = divmod(index, hi - lo + 1)
+            tail.append(lo + d)
+        if not 0 <= index <= self.highs[0] - self.lows[0]:
+            raise ValueError("lexicographic index out of range")
+        return (self.lows[0] + index, *reversed(tail))
 
     def to_subset(self, group: LatticeGroup) -> FiniteSubset:
         if group.rank != self.rank:

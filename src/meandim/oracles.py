@@ -8,7 +8,7 @@ engine to.  No engine module imports this one (a test enforces it), so
   level-n tile, ``coded(cfg, n, g)`` the coded word C_n on the host box of
   step n, ``stars_below(cfg, n, pos)`` a position's rank among the stars of
   V_n, and ``eval_w(cfg, g)`` the stabilized limit value at g, with the
-  errors of ``Construction.eval_w``.
+  errors of a one-cell ``Construction.window_values``.
 * Tiling-lab scanners for the tiling properties of Downarowicz-Huczek-Zhang
   (*Tilings of amenable groups*, J. reine angew. Math. 747, 2019), which
   the engine takes from the closed-form schedule: window covering, syndetic
@@ -16,8 +16,9 @@ engine to.  No engine module imports this one (a test enforces it), so
   pair, and ``to_explicit``, a grid tiling's center table on a window.
 * ``verify_invariance_profile``, the materializing scan that
   ``TilingSchedule.first_invariant_level`` does in closed form.
-* Toy constructors, exact word densities, free-set enumeration and the net
-  density check.
+* Toy constructors, explicit intervals and boxes, the schedule parser
+  (the inverse of ``TilingSchedule.serialize``), exact word densities,
+  free-set enumeration and the net density check.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Optional
 
 from .analysis import FreeSet
-from .construction import HASH, STAR, BuildParams, Construction, StepPlan, _count_lex_below
+from .construction import HASH, STAR, BuildParams, Construction, StepPlan
 from .cube import Net, Polyhedron, net_schedule
-from .errors import DecodeError
-from .groups import Box, Element, FiniteSubset, LatticeGroup, Z, is_invariant
+from .errors import DecodeError, ScheduleError
+from .groups import GROUPS, Box, Element, FiniteSubset, LatticeGroup, Z, Z2, is_invariant
 from .schedules import AxisRule, TilingSchedule
 from .tilings import (
     CheckResult,
@@ -57,7 +59,7 @@ def _cand_rank(step: StepPlan, j: tuple) -> int:
     lexicographic order."""
     if all(x == 0 for x in j):
         return 0
-    lr = _count_lex_below(j, step.cand_lo, step.cand_hi)
+    lr = step.cand.count_below(j)
     return lr + 1 if lr < step.e_lexrank else lr
 
 
@@ -73,9 +75,7 @@ def word(cfg: Construction, n: int, pos: Element):
     val = word(cfg, n - 1, rel)
     if val is STAR:
         j = _jvec(cfg, n - 1, c)
-        rank = _count_lex_below(j, step.tile_lo, step.tile_hi) - _count_lex_below(
-            j, step.cand_lo, step.cand_hi
-        )
+        rank = step.tiles.count_below(j) - step.cand.count_below(j)
         if rank < step.thin_total and stars_below(cfg, n - 1, rel) == 0:
             return HASH  # the first star of a thinned tile
     return val
@@ -108,8 +108,8 @@ def stars_below(cfg: Construction, n: int, pos: Element) -> int:
     c = _grid_center(cfg, n - 1, pos)
     rel = tuple(x - y for x, y in zip(pos, c))
     j = _jvec(cfg, n - 1, c)
-    lb_cand = _count_lex_below(j, step.cand_lo, step.cand_hi)
-    lb_thin = _count_lex_below(j, step.tile_lo, step.tile_hi) - lb_cand
+    lb_cand = step.cand.count_below(j)
+    lb_thin = step.tiles.count_below(j) - lb_cand
     total = (lb_cand - cfg._coded_before(step, lb_cand)) * fine.stars
     total += lb_thin * fine.stars - min(lb_thin, step.thin_total)
     if pos in step.host_box:
@@ -138,7 +138,7 @@ def eval_w(cfg: Construction, g: Element):
     c = _grid_center(cfg, top, g)
     val = word(cfg, top, tuple(x - y for x, y in zip(g, c)))
     if val is STAR:
-        raise cfg._undetermined(g)
+        raise cfg._undetermined_in(Box(g, g), [0])
     return val
 
 
@@ -333,6 +333,57 @@ def generate_interval_schedule(
     axis."""
     rule = AxisRule.make(seed_a, seed_b, growth)
     return TilingSchedule(group, (rule,) * group.rank, balance)
+
+
+def parse_schedule(text: str) -> TilingSchedule:
+    """Read a schedule written by ``TilingSchedule.serialize``; stored a/b
+    arrays must agree with the rebuilt levels."""
+    kv = {}
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        key, _, val = ln.partition("=")
+        kv[key.strip()] = val.strip()
+    group = GROUPS.get(kv.get("group", ""))
+    if group is None:
+        raise ScheduleError(f"unknown group {kv.get('group')!r}")
+    balance = kv.get("balance", "centered")
+    levels = int(kv.get("levels", "1"))
+    rules = []
+    for ax in range(group.rank):
+        rules.append(
+            AxisRule.make(
+                int(kv[f"axis{ax}.seed_a"]),
+                int(kv[f"axis{ax}.seed_b"]),
+                kv[f"axis{ax}.growth"].split(),
+            )
+        )
+    sched = TilingSchedule(group, rules, balance)
+    sched.ensure(levels)
+    for ax in range(group.rank):
+        for key, arr in zip("ab", sched._arrays(ax, levels)):
+            stored = kv.get(f"axis{ax}.{key}")
+            if stored is not None:
+                # compared as text: int() refuses tokens past the int->str limit
+                got = stored.split()
+                if got != arr[: len(got)]:
+                    raise ScheduleError(f"stored axis{ax}.{key} array is inconsistent")
+    return sched
+
+
+def interval(a: int, b: int) -> FiniteSubset:
+    """The integer interval [a, b] in Z."""
+    if a > b:
+        raise ValueError("empty interval")
+    return FiniteSubset(Z, ((i,) for i in range(a, b + 1)))
+
+
+def box2(xlo: int, xhi: int, ylo: int, yhi: int) -> FiniteSubset:
+    """The box [xlo, xhi] x [ylo, yhi] in Z^2."""
+    if xlo > xhi or ylo > yhi:
+        raise ValueError("empty box")
+    return FiniteSubset(Z2, product(range(xlo, xhi + 1), range(ylo, yhi + 1)))
 
 
 def toy_params(

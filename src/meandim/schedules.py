@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ConfigError, ScheduleError
-from .groups import Box, GROUPS, LatticeGroup, decimal_text, fraction_text
+from .groups import Box, LatticeGroup, decimal_text, fraction_text
 from .tilings import CheckResult, GridTiling
 
 BALANCES = ("centered", "left", "right")
@@ -293,39 +293,3 @@ class TilingSchedule:
         not memoized, a written schedule can be thousands of levels deep."""
         ends = [self._ends(ax, k) for k in range(1, n + 1)]
         return [decimal_text(a) for a, _ in ends], [decimal_text(b) for _, b in ends]
-
-    @staticmethod
-    def parse(text: str) -> "TilingSchedule":
-        kv = {}
-        for ln in text.splitlines():
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            key, _, val = ln.partition("=")
-            kv[key.strip()] = val.strip()
-        group = GROUPS.get(kv.get("group", ""))
-        if group is None:
-            raise ScheduleError(f"unknown group {kv.get('group')!r}")
-        balance = kv.get("balance", "centered")
-        levels = int(kv.get("levels", "1"))
-        rules = []
-        for ax in range(group.rank):
-            rules.append(
-                AxisRule.make(
-                    int(kv[f"axis{ax}.seed_a"]),
-                    int(kv[f"axis{ax}.seed_b"]),
-                    kv[f"axis{ax}.growth"].split(),
-                )
-            )
-        sched = TilingSchedule(group, rules, balance)
-        sched.ensure(levels)
-        for ax in range(group.rank):
-            for key, arr in zip("ab", sched._arrays(ax, levels)):
-                stored = kv.get(f"axis{ax}.{key}")
-                if stored is not None:
-                    # compared as text: int() refuses tokens past the int->str limit
-                    got = stored.split()
-                    if got != arr[: len(got)]:
-                        raise ScheduleError(f"stored axis{ax}.{key} array is inconsistent")
-        return sched
-

@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from meandim import Construction
+from meandim import Box, Construction
 from meandim.oracles import generate_interval_schedule, toy_params
 
 
@@ -9,6 +9,12 @@ def by_cell(box, values):
     """A materialized word keyed by cell: ``materialize()`` gives flat lists
     in ``box.cells()`` order."""
     return dict(zip(box.cells(), values))
+
+
+def value_at(cfg, g, kind="w"):
+    """The value of one cell: a one-cell window (``kind`` as in
+    ``Construction.window_values``)."""
+    return cfg.window_values(Box(g, g), kind)[0]
 
 
 def make_toy(seed_a=1, seed_b=2, rho=Fraction(1, 2), dim=1, depth=2, **kw):

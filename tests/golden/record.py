@@ -1,0 +1,75 @@
+"""Record the same-behaviour corpus of CLI runs in ``cli.json``.
+
+Each entry of ``cli.json`` names one run of the ``meandim`` command: its
+``argv`` (config paths relative to the repository root), optionally an
+``edit`` ``[old, new]`` that replaces one line of the named config in a
+temporary copy, and the recorded exit code and sha256 digests of stdout and
+stderr.  ``tests/test_cli.py`` replays every entry; this script re-records
+only the entries named on its command line::
+
+    python tests/golden/record.py ID [ID ...]
+
+An entry whose output changes on purpose is re-recorded here, with the
+reason stated in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[2]
+CORPUS = Path(__file__).resolve().with_name("cli.json")
+
+
+def load() -> list:
+    return json.loads(CORPUS.read_text())
+
+
+def run_entry(entry: dict) -> dict:
+    """Run one entry in-process; returns its exit code and the sha256 of its
+    stdout and stderr."""
+    from meandim.cli import main
+
+    argv = list(entry["argv"])
+    i = argv.index("--config") + 1
+    argv[i] = str(REPO / argv[i])
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if "edit" in entry:
+            old, new = entry["edit"]
+            text = Path(argv[i]).read_text()
+            if text.count(f"\n{old}\n") != 1:
+                raise ValueError(f"{entry['id']}: {old!r} is not one line of {argv[i]}")
+            argv[i] = os.path.join(tmp, "edited.cfg")
+            Path(argv[i]).write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    stdout, stderr = (hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))
+    return {"exit": code, "stdout": stdout, "stderr": stderr}
+
+
+def main(ids: list) -> int:
+    corpus = load()
+    known = {e["id"] for e in corpus}
+    unknown = [i for i in ids if i not in known]
+    if unknown or not ids:
+        sys.stderr.write(f"usage: record.py ID [ID ...]; unknown ids: {unknown}\n")
+        return 2
+    for entry in corpus:
+        if entry["id"] in ids:
+            entry.update(run_entry(entry))
+            print(entry["id"], entry["exit"])
+    CORPUS.write_text("[\n" + ",\n".join(map(json.dumps, corpus)) + "\n]\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(REPO / "src"))
+    sys.exit(main(sys.argv[1:]))

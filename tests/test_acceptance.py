@@ -41,7 +41,7 @@ from meandim.oracles import (
     verify_syndetic_centers,
 )
 from meandim.tilings import verify_congruent, verify_primely_congruent
-from tests.conftest import TOY_MATRIX, by_cell, make_toy
+from tests.conftest import TOY_MATRIX, by_cell, make_toy, value_at
 
 
 def report(num: int, ok: bool, text: str) -> None:
@@ -66,7 +66,7 @@ def test_criterion_1_oracle_equivalence(toys):
         v11, stable = by_cell(words.window, words.v11), by_cell(words.window, words.stable)
         for g in words.window.cells():
             assert values_equal(oracles.word(cfg, 2, g), v11[g]), (key, g)
-            assert cfg.eval_w(g) == stable[g], (key, g)
+            assert value_at(cfg, g) == stable[g], (key, g)
         worst = max(worst, time.monotonic() - t0)
     report(
         1,
@@ -90,8 +90,9 @@ def test_criterion_2_density_sandwich(toys):
         ok &= rho < Fraction(stars2, vol2) <= rho + Fraction(1, vol2)
         # n = 2: exact plan arithmetic, with the layout identity recounted
         st2 = cfg.steps[2]
-        stars3 = (st2.n_cand - st2.code_count) * cfg.levels[2].stars
-        stars3 += st2.n_out * cfg.levels[2].stars - st2.thin_total
+        n_cand, n_out = st2.cand.volume, st2.tiles.volume - st2.cand.volume
+        stars3 = (n_cand - st2.code_count) * cfg.levels[2].stars
+        stars3 += n_out * cfg.levels[2].stars - st2.thin_total
         vol3 = cfg.levels[3].volume
         ok &= stars3 == cfg.levels[3].stars
         ok &= rho < Fraction(stars3, vol3) <= rho + Fraction(1, vol3)
@@ -159,8 +160,8 @@ def test_criterion_6_minimality(toys):
     # the small-period witness also passes the set-level covering check
     cfg = next(iter(toys.values()))
     q = cfg.schedule.periods(cfg.levels[2].sched_level)[0]
-    F = FiniteSubset.interval(0, q - 1)
-    W = FiniteSubset.interval(0, 1000)
+    F = oracles.interval(0, q - 1)
+    W = oracles.interval(0, 1000)
     sample = FiniteSubset(Z, [(q * k,) for k in range(-1, 1000 // q + 2)])
     ok &= covers_window(F, sample, W)
     took = time.monotonic() - t0
@@ -175,12 +176,12 @@ def test_criterion_6_minimality(toys):
 def test_criterion_7_tiling_suite():
     ok = True
     sched = generate_interval_schedule(1, 2, 3)
-    W = FiniteSubset.interval(-5000, 4999)  # 10^4 cells
+    W = oracles.interval(-5000, 4999)  # 10^4 cells
     for n in range(1, 5):
         ok &= verify_partition(sched.materialize_level(n), W).ok is True
     for n in range(1, 4):
         fine, coarse = sched.materialize_level(n), sched.materialize_level(n + 1)
-        wide = FiniteSubset.interval(-3 * sched.volume(n + 1), 3 * sched.volume(n + 1))
+        wide = oracles.interval(-3 * sched.volume(n + 1), 3 * sched.volume(n + 1))
         ok &= verify_congruent(fine, coarse, wide).ok is True
         ok &= verify_primely_congruent(fine, coarse, wide).ok is True
     ok &= sched.verify_nesting(100).ok is True
@@ -188,10 +189,10 @@ def test_criterion_7_tiling_suite():
     for n in range(1, 4):
         t = sched.materialize_level(n)
         q = sched.volume(n)
-        cands = [FiniteSubset.interval(k, k + 3 * q - 1) for k in (-q, 0, 17)]
+        cands = [oracles.interval(k, k + 3 * q - 1) for k in (-q, 0, 17)]
         ok &= check_irreducibility_witness(t, Z.ball(1), Fraction(1, 2), cands).ok is True
         ok &= verify_syndetic_centers(
-            t, 1, FiniteSubset.interval(0, q - 1), FiniteSubset.interval(0, 2000)
+            t, 1, oracles.interval(0, q - 1), oracles.interval(0, 2000)
         )
     # invariance: strict profile on a doubling schedule, and eventual
     # invariance on the construction schedule
@@ -206,7 +207,7 @@ def test_criterion_7_tiling_suite():
         )
     # Z^2 windows
     sched2 = generate_interval_schedule(1, 1, 3, group=Z2)
-    W2 = FiniteSubset.box2(-50, 49, -50, 49)  # 10^4 cells
+    W2 = oracles.box2(-50, 49, -50, 49)  # 10^4 cells
     ok &= verify_partition(sched2.materialize_level(1), W2).ok is True
     ok &= verify_primely_congruent(
         sched2.materialize_level(1), sched2.materialize_level(2), W2
@@ -222,7 +223,7 @@ def test_criterion_7_tiling_suite():
     centers[victim] = ((c[0] + 1,), sid)
     res = verify_partition(
         ExplicitTiling(Z, base.shapes, centers, base.support),
-        FiniteSubset.interval(-40, 40),
+        oracles.interval(-40, 40),
     )
     ok &= res.ok is False and any(v[0] in ("overlap", "uncovered") for v in res.violations)
     report(7, ok, "partition/congruence/nesting/irreducibility/invariance pass; "

@@ -133,6 +133,15 @@ def test_sandwich_refuses_a_level_at_rho():
     assert (res.ok, res.detail) == (False, "level 2: 1/2")
 
 
+def test_sandwich_refuses_a_level_with_one_star_too_many():
+    # level 2 holds 20 stars in 36 cells, one above floor(rho * 36) + 1 = 19:
+    # its density 5/9 passes rho + 1/36 by exactly 1/36
+    stub = SimpleNamespace(rho=Fraction(1, 2), params=SimpleNamespace(depth=1), levels={
+        1: SimpleNamespace(stars=3, volume=4), 2: SimpleNamespace(stars=20, volume=36)})
+    res = check_sandwich(stub, None)
+    assert (res.ok, res.detail) == (False, "level 2: 5/9")
+
+
 def test_lower_bound_scales_with_dimension():
     sched = generate_interval_schedule(1, 2, 3)
     cfg2 = Construction(

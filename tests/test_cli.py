@@ -21,6 +21,7 @@ from meandim.cli import load_config, main, parse_mode, parse_window
 from meandim.construction import Construction, render_value
 from meandim.errors import CapacityError, ConfigError, DepthError, NotRealizedError, SizeGuardError
 from meandim.groups import DECIMAL_CHUNK, Box, Z, Z2, decimal_text
+from tests.golden import record
 
 TOY = """\
 [experiment]
@@ -128,9 +129,7 @@ def test_gen_tilings(config, tmp_path, capsys):
     )
     assert code == 0
     assert "checks failed = 0" in out
-    from meandim import TilingSchedule
-
-    sched = TilingSchedule.parse(out_path.read_text())
+    sched = oracles.parse_schedule(out_path.read_text())
     assert sched.level_box(4).volume == 108
 
 
@@ -236,6 +235,42 @@ def test_config_errors_exit_2_without_traceback(tmp_path, capsys, old, new, mess
     assert code == 2 and out == ""
     assert err.startswith("error: field '") and message in err
     assert "Traceback" not in err
+
+
+AXES_CFG = """\
+[experiment]
+group = Z2
+rho = 1/2
+depth = 1
+
+[schedule]
+seed_a = 1
+seed_b = 1
+seed_a2 = 0
+seed_b2 = 2
+growth = 3
+
+[nets]
+delta1 = 1/2
+"""
+
+
+def test_z2_reads_per_axis_schedule_keys(tmp_path, capsys):
+    # axis 2 of Z^2 reads seed_a2, seed_b2 and growth2, and an axis without
+    # its own key reads the unsuffixed one
+    path = tmp_path / "axes.cfg"
+    path.write_text(AXES_CFG)
+    code, out, err = run(capsys, "build", "--config", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["levels"][0]["box"] == [[-1, 0], [1, 2]]
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert (code, err) == (0, "")
+    assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 9
+    path.write_text(AXES_CFG.replace("growth = 3\n", "growth = 3\ngrowth2 = 5/2\n"))
+    code, out, err = run(capsys, "verify", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: field 'growth/growth2': level 2 axis 1: "
+                   "period 15/2 is not an integer multiple of 3\n")
 
 
 def test_missing_delta_defaults_by_its_own_level(tmp_path, capsys):
@@ -443,6 +478,17 @@ def test_json_reports_are_byte_identical_to_golden(capsys, command, config_path,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the same-behaviour corpus: exit code and sha256 of stdout and stderr of
+# each run in tests/golden/cli.json, recorded at commit c5b7f42 by
+# tests/golden/record.py, which re-records the entries named on its command line
+CLI_CORPUS = record.load()
+
+
+@pytest.mark.parametrize("entry", CLI_CORPUS, ids=[e["id"] for e in CLI_CORPUS])
+def test_cli_run_matches_its_recording(entry):
+    assert record.run_entry(entry) == {k: entry[k] for k in ("exit", "stdout", "stderr")}
+
+
 @contextlib.contextmanager
 def int_str_limit_lifted():
     """Lift CPython's int->str digit limit (3.11+, 3.10.7+) for one block."""
@@ -507,10 +553,8 @@ def test_gen_tilings_prints_huge_schedule_arrays(tmp_path, capsys):
         capsys, "gen-tilings", "--config", str(path), "--levels", "45", "--out", str(out_path)
     )
     assert code == 0 and err == "" and "checks failed = 0" in out
-    from meandim import TilingSchedule
-
     text = out_path.read_text()
-    sched = TilingSchedule.parse(text)
+    sched = oracles.parse_schedule(text)
     assert sched.serialize(45) == text
     box = sched.level_box(45)
     assert len(decimal_text(box.highs[0])) > 4300
@@ -710,7 +754,7 @@ def planted_floor_rows(monkeypatch, config_name, left):
     cfg_path = Path(__file__).resolve().parents[1] / config_name
     cfg = Construction(cli.load_config(str(cfg_path), argparse.Namespace(depth=1, mode=None, seed=None)))
     st, q = cfg.steps[1], cfg.levels[1].periods
-    center = tuple((hi + 1) * qq for hi, qq in zip(st.cand_hi, q))
+    center = tuple((hi + 1) * qq for hi, qq in zip(st.cand.highs, q))
     victims = [cfg.group.mul(a, center) for a in cfg.seed_stars]
     real = Construction.materialize
 
@@ -979,9 +1023,9 @@ def test_importing_the_command_leaves_the_oracles_out():
 
 # every name that lives in meandim.oracles rather than in the engine
 ORACLE_NAMES = {
-    "DensityReport", "check_irreducibility_witness", "covers_window", "densities", "factor_window",
-    "free_set_elements", "generate_interval_schedule", "tiling_configuration", "to_explicit",
-    "toy_params", "verify_dense", "verify_invariance_profile", "verify_syndetic_centers",
+    "DensityReport", "box2", "check_irreducibility_witness", "covers_window", "densities", "factor_window",
+    "free_set_elements", "generate_interval_schedule", "interval", "parse_schedule", "tiling_configuration",
+    "to_explicit", "toy_params", "verify_dense", "verify_invariance_profile", "verify_syndetic_centers",
 }
 
 

@@ -22,7 +22,7 @@ from meandim import (
 from meandim import oracles
 from meandim.groups import Box
 from meandim.oracles import generate_interval_schedule, toy_params
-from tests.conftest import by_cell, make_toy
+from tests.conftest import by_cell, make_toy, value_at
 from tests.test_cli import TOY_Z_CFG, int_str_limit_lifted
 
 
@@ -81,7 +81,7 @@ def test_toy_plan_numbers(toy_cfg):
     st1 = toy_cfg.steps[1]
     assert toy_cfg.levels[1].stars == 3
     assert st1.code_count == 8  # |net|^stars = 2^3
-    assert st1.host_level == 3 and st1.n_cand == 9
+    assert st1.host_level == 3 and st1.cand.volume == 9
     assert st1.link_center == (16,)
     assert toy_cfg.levels[2].sched_level == 5
     assert toy_cfg.levels[2].volume == 324 and toy_cfg.levels[2].stars == 163
@@ -99,7 +99,7 @@ def test_oracle_equivalence_words(matrix_cfg):
     for g in host_box.cells():  # the host box is never thinned
         assert values_equal(oracles.coded(matrix_cfg, 1, g), v11[g])
     for g in words.window.cells():
-        assert matrix_cfg.eval_w(g) == stable[g]
+        assert value_at(matrix_cfg, g) == stable[g]
 
 
 def test_code_tiles_enumerate_all_assignments(toy_cfg, toy_words):
@@ -125,11 +125,11 @@ def test_eval_examples(toy_cfg):
     # star positions of the identity code tile carry the all-zero assignment
     zero = toy_cfg.steps[1].net.point_at(0)
     for a in toy_cfg.seed_stars:
-        assert toy_cfg.eval_w(a) == zero
+        assert value_at(toy_cfg, a) == zero
     # a seed hash position never touched later stays hash
-    assert toy_cfg.eval_w((2,)) is HASH
-    assert toy_cfg.eval_x((2,)) == toy_cfg.params.cube.basepoint
-    assert toy_cfg.eval_x((0,)) == zero
+    assert value_at(toy_cfg, (2,)) is HASH
+    assert value_at(toy_cfg, (2,), "x") == toy_cfg.params.cube.basepoint
+    assert value_at(toy_cfg, (0,), "x") == zero
 
 
 def test_no_star_and_window(toy_cfg):
@@ -143,7 +143,7 @@ def test_no_star_and_window(toy_cfg):
 
 def test_window_singleton_matches_eval(toy_cfg):
     [(g, v)] = toy_cfg.window(Box((7,), (7,)), "w")
-    assert v == toy_cfg.eval_w((7,))
+    assert v == value_at(toy_cfg, (7,))
 
 
 def test_stabilization_under_deeper_plans(toy_cfg):
@@ -156,9 +156,9 @@ def test_stabilization_under_deeper_plans(toy_cfg):
     )
     box2 = toy_cfg.levels[2].box
     for g in box2.cells():
-        want = toy_cfg.eval_w(g)
-        assert deep3.eval_w(g) == want
-        assert deep4.eval_w(g) == want
+        want = value_at(toy_cfg, g)
+        assert value_at(deep3, g) == want
+        assert value_at(deep4, g) == want
 
 
 def test_top_descent_agrees_with_coded_path(toy_cfg):
@@ -188,10 +188,10 @@ def test_per_tile_floor(toy_cfg, toy_words):
     q = toy_cfg.schedule.periods(1)[0]
     vol1 = toy_cfg.levels[1].volume
     v11 = by_cell(toy_words.window, toy_words.v11)
-    for j in range(st.tile_lo[0], st.tile_hi[0] + 1):
-        if st.cand_lo[0] <= j <= st.cand_hi[0]:
+    for j in st.tiles.cells():
+        if j in st.cand:
             continue
-        c = (j * q,)
+        c = (j[0] * q,)
         stars = sum(
             1 for s in toy_cfg.schedule.level_box(1).cells() if v11[Z_mul(s, c)] is STAR
         )
@@ -244,9 +244,9 @@ def test_eval_beyond_depth_raises(toy_cfg):
     star = toy_cfg.star_positions(2)[0]
     q2 = toy_cfg.schedule.periods(toy_cfg.levels[2].sched_level)[0]
     with pytest.raises(DepthError):
-        toy_cfg.eval_w((q2 + star[0],))
+        value_at(toy_cfg, (q2 + star[0],))
     # the same relative coordinate in the identity tile is determined
-    assert toy_cfg.eval_w(star) is not None
+    assert value_at(toy_cfg, star) is not None
 
 
 def test_materialize_guard(toy_cfg, monkeypatch):
@@ -303,7 +303,7 @@ def test_z2_depth2_plan_and_eval():
     box1 = cfg.levels[1].box
     zero = cfg.steps[1].net.point_at(0)
     for g in box1.cells():
-        v = cfg.eval_w(g)
+        v = value_at(cfg, g)
         assert v is not STAR
         if g in cfg.seed_stars:
             assert v == zero
@@ -311,7 +311,7 @@ def test_z2_depth2_plan_and_eval():
     q = cfg.schedule.periods(cfg.levels[3].sched_level)
     c = (q[0] * 3, -q[1] * 2)
     for g in box1.cells():
-        assert cfg.eval_w((g[0] + c[0], g[1] + c[1])) == cfg.eval_w(g)
+        assert value_at(cfg, (g[0] + c[0], g[1] + c[1])) == value_at(cfg, g)
     from meandim.analysis import minimality_check
 
     rep = minimality_check(cfg, 1, sample_size=10, seed=2)
@@ -358,7 +358,7 @@ def test_code_block_counting_matches_enumeration(box, data):
     want = sum(1 for c in cells[:t] if c in subst)
     assert Construction._coded_before(None, Step, t) == want
     for k, c in enumerate(order):
-        assert Construction._cand_at_raw(k, lo, hi, e_lex) == c
+        assert Construction._cand_at_raw(k, Box(lo, hi), e_lex) == c
 
 
 def test_digit_fast_path():
@@ -378,23 +378,21 @@ def test_deep_star_ranks_capped():
     stars2 = cfg.star_positions(2)
     # the leftmost tile of the level-3 box is thinned: it sheds exactly its
     # first star and its first surviving star opens the level-3 star order
-    c0 = st2.tile_lo[0] * q2
+    c0 = st2.tiles.lows[0] * q2
     assert oracles.word(cfg, 3, (c0 + stars2[0][0],)) is HASH
     assert oracles.word(cfg, 3, (c0 + stars2[1][0],)) is STAR
     assert oracles.stars_below(cfg, 3, (c0 + stars2[1][0],)) == 0
     # the first uncoded tile inside the host follows the whole left thin zone
-    from meandim.construction import _lex_at
-
-    j = _lex_at(st2.code_count - 1, st2.cand_lo, st2.cand_hi)
+    j = st2.cand.cell_at(st2.code_count - 1)
     c = j[0] * q2
-    left_tiles = st2.cand_lo[0] - st2.tile_lo[0]
+    left_tiles = st2.cand.lows[0] - st2.tiles.lows[0]
     want = left_tiles * (cfg.levels[2].stars - 1)  # each sheds one star
     assert oracles.stars_below(cfg, 3, (c + stars2[0][0],)) == want
     assert oracles.stars_below(cfg, 3, (c + stars2[1][0],)) == want + 1
     # a level-3 star inside the identity code tile resolves to net point 0
     g = (q2 + stars2[0][0],)
     assert oracles.word(cfg, 3, g) is STAR
-    assert cfg.eval_w(g) == cfg.steps[3].net.point_at(0)
+    assert value_at(cfg, g) == cfg.steps[3].net.point_at(0)
 
 
 def test_dim2_cube_points():
@@ -418,7 +416,7 @@ def test_dim2_cube_points():
 
 def test_group_rank_mismatch(toy_cfg):
     with pytest.raises(ValueError):
-        toy_cfg.eval_w((1, 2))
+        value_at(toy_cfg, (1, 2))
 
 
 def test_window_accepts_box(toy_cfg):
@@ -503,24 +501,22 @@ def thinning_cut_tile(cfg, n):
     thinning-zone tile that keeps all its stars), in level-(n+1) coordinates;
     None if there is none.  Thinning ranks grow with the lexicographic index,
     so bisect."""
-    from meandim.construction import _count_lex_below, _lex_at
-
-    step, lo, hi = cfg.steps[n], cfg.steps[n].tile_lo, cfg.steps[n].tile_hi
-    total = Box(lo, hi).volume
-    host = Box(step.cand_lo, step.cand_hi)
+    step = cfg.steps[n]
+    tiles, host = step.tiles, step.cand
+    total = tiles.volume
     i, past = 0, total  # the first index of thinning rank thin_total or more
     while i < past:
         mid = (i + past) // 2
         # the tiles before index mid, less the host tiles among them
-        if mid - _count_lex_below(_lex_at(mid, lo, hi), step.cand_lo, step.cand_hi) < step.thin_total:
+        if mid - host.count_below(tiles.cell_at(mid)) < step.thin_total:
             i = mid + 1
         else:
             past = mid
-    while i < total and _lex_at(i, lo, hi) in host:
+    while i < total and tiles.cell_at(i) in host:
         i += 1  # the host tiles share the thinning rank of the next tile after them
     if i == total:
         return None
-    center = tuple(j * q for j, q in zip(_lex_at(i, lo, hi), cfg.levels[n].periods))
+    center = tuple(j * q for j, q in zip(tiles.cell_at(i), cfg.levels[n].periods))
     return cfg.levels[n].box.translate(center)
 
 
@@ -616,7 +612,7 @@ def test_walk_from_the_smallest_tile_matches_the_oracle(toy_cfg, deep_capped_cfg
     want = or_error(lambda: [oracles.eval_w(cfg, g) for g in cells])
     assert or_error(lambda: cfg.window_values(box)) == want, box
     for g in data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3)):
-        assert or_error(lambda: cfg.eval_w(g)) == or_error(lambda: oracles.eval_w(cfg, g)), g
+        assert or_error(lambda: value_at(cfg, g)) == or_error(lambda: oracles.eval_w(cfg, g)), g
 
 
 def test_evaluation_keeps_no_state_on_the_construction():
@@ -629,7 +625,7 @@ def test_evaluation_keeps_no_state_on_the_construction():
     for lo in (-3000, far - 3000):
         box = Box((lo,), (lo + 6000,))
         assert len(cfg.window(box)) == 6001
-        assert [(g, cfg.eval_w(g)) for g in list(box.cells())[:300]] == cfg.window(Box((lo,), (lo + 299,)))
+        assert [(g, value_at(cfg, g)) for g in list(box.cells())[:300]] == cfg.window(Box((lo,), (lo + 299,)))
     cfg.star_positions(2)
     assert vars(cfg) == planned
     assert {name: len(planned[name]) for name in sizes} == sizes
@@ -720,7 +716,7 @@ def test_depth_error_names_huge_coordinates(toy_cfg):
     q = toy_cfg.levels[3].periods[0]
     g = (-200 + (10**4400 // q) * q,)
     for evaluate in (
-        lambda: toy_cfg.eval_w(g),
+        lambda: value_at(toy_cfg, g),
         lambda: toy_cfg.window(Box(g, (g[0] + 1,))),
     ):
         with pytest.raises(DepthError) as info:
@@ -773,14 +769,10 @@ def assert_sheds_one_star_per_tile(cfg):
     for lvl in cfg.levels.values():
         assert lvl.stars == (rho.numerator * lvl.volume) // rho.denominator + 1
     for step in cfg.steps.values():
-        assert step.thin_total <= step.n_out
+        assert step.thin_total <= step.tiles.volume - step.cand.volume
     words = cfg.materialize()
     step, lvl1, v11 = cfg.steps[1], cfg.levels[1], by_cell(words.window, words.v11)
-    host = Box(step.cand_lo, step.cand_hi)
-    zone = [
-        j for j in product(*(range(lo, hi + 1) for lo, hi in zip(step.tile_lo, step.tile_hi)))
-        if j not in host
-    ]
+    zone = [j for j in step.tiles.cells() if j not in step.cand]
     cells1 = list(lvl1.box.cells())
     stars_of = {}  # the star cells of each thinning-zone tile, relative to its center
     for j in zone:
@@ -809,7 +801,7 @@ def test_literal_thinning_sheds_one_star_per_tile_z2(z2_cfgs, depth):
 
 def test_z2_depth2_literal_words_match_the_walk(z2_cfgs):
     # the literal V_2 and its stabilized word against the tile walk on the
-    # whole level-2 tile, and a sample of cells against eval_w
+    # whole level-2 tile, and a sample of cells against one-cell windows
     cfg = z2_cfgs[2]
     words, box = cfg.materialize(), cfg.levels[2].box
     assert words.window == box
@@ -818,7 +810,7 @@ def test_z2_depth2_literal_words_match_the_walk(z2_cfgs):
     cells = list(box.cells())
     sample = sorted(random.Random(2).sample(range(len(cells)), 2000))
     for i in [0, len(cells) - 1] + sample:
-        assert cfg.eval_w(cells[i]) == words.stable[i], cells[i]
+        assert value_at(cfg, cells[i]) == words.stable[i], cells[i]
 
 
 @pytest.mark.parametrize("case,cut_mid_row,host_before_cut", [
@@ -831,16 +823,14 @@ def test_literal_words_match_the_pointwise_oracle(z2_cfgs, case, cut_mid_row, ho
     # row; every cell of its words against the pointwise resolvers
     cfg = z2_cfgs[1] if case == "Z2" else Construction(toy_params(
         generate_interval_schedule(1, 2, 3, case.split()[1]), Fraction(1, 2), dim=1, depth=2))
-    from meandim.construction import _count_lex_below
-
     step, lvl1 = cfg.steps[1], cfg.levels[1]
     cut = thinning_cut_tile(cfg, 1)
     j = tuple((x - lo) // q for x, lo, q in zip(cut.lows, lvl1.box.lows, lvl1.periods))
-    assert (step.tile_lo[-1] < j[-1] < step.tile_hi[-1]) is cut_mid_row
-    assert (_count_lex_below(j, step.cand_lo, step.cand_hi) > 0) is host_before_cut
+    assert (step.tiles.lows[-1] < j[-1] < step.tiles.highs[-1]) is cut_mid_row
+    assert (step.cand.count_below(j) > 0) is host_before_cut
     words, box = cfg.materialize(), cfg.levels[2].box
     seeded = {tuple(jj * q + x for jj, q, x in zip(jt, lvl1.periods, a))
-              for jt in product(*map(range, step.tile_lo, [hi + 1 for hi in step.tile_hi]))
+              for jt in step.tiles.cells()
               for a in cfg.seed_stars}
     assert words.w1 == [STAR if g in seeded else HASH for g in box.cells()]
     assert all(values_equal(v, oracles.word(cfg, 2, g)) for g, v in zip(box.cells(), words.v11))
@@ -898,8 +888,6 @@ def small_plans(draw):
 def test_planned_steps_satisfy_the_identities_the_planner_relies_on(params):
     # the planner does not re-check these at run time: each follows from
     # arithmetic or from how the schedule extends its levels
-    from math import prod
-
     from meandim import CapacityError
     from meandim.analysis import upper_bound_estimate
 
@@ -919,9 +907,8 @@ def test_planned_steps_satisfy_the_identities_the_planner_relies_on(params):
         assert sched.volume(host) >= need
         assert host == fine.sched_level + 1 or sched.volume(host - 1) < need
         # the host holds volume(host) / |S_n| level-n tiles, at least code + 1
-        assert step.n_cand == prod(h - l + 1 for l, h in zip(step.cand_lo, step.cand_hi))
-        assert step.n_cand * fine.volume == sched.volume(host)
-        assert step.n_cand > step.code_count
+        assert step.cand.volume * fine.volume == sched.volume(host)
+        assert step.cand.volume > step.code_count
         # level n, the host and level n+1 nest, and every step moves both
         # ends by multiples of q_n
         assert fine.sched_level < host < nxt.sched_level

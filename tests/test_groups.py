@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from meandim import FiniteSubset, GroupMismatchError, Z, Z2
 from meandim.groups import Box, boundary, is_invariant
-from meandim.oracles import covers_window
+from meandim.oracles import covers_window, interval
 
 
 def brute_boundary(A, K):
@@ -22,30 +22,30 @@ def brute_boundary(A, K):
 
 
 def test_boundary_interval():
-    A = FiniteSubset.interval(0, 9)
+    A = interval(0, 9)
     K = FiniteSubset(Z, [(-1,), (0,), (1,)])
     assert boundary(A, K).elements == ((-1,), (0,), (9,), (10,))
 
 
 def test_boundary_singleton_k_empty():
-    A = FiniteSubset.interval(-3, 17)
+    A = interval(-3, 17)
     K = FiniteSubset(Z, [(0,)])
     assert len(boundary(A, K)) == 0
 
 
 def test_boundary_long_interval():
-    A = FiniteSubset.interval(0, 99)
+    A = interval(0, 99)
     K = FiniteSubset(Z, [(-1,), (0,), (1,)])
     assert boundary(A, K).elements == ((-1,), (0,), (99,), (100,))
 
 
 def test_boundary_mixed_groups():
     with pytest.raises(GroupMismatchError):
-        boundary(FiniteSubset.interval(0, 3), FiniteSubset(Z2, [(0, 0)]))
+        boundary(interval(0, 3), FiniteSubset(Z2, [(0, 0)]))
 
 
 def test_is_invariant_strictness():
-    A = FiniteSubset.interval(0, 99)
+    A = interval(0, 99)
     K = FiniteSubset(Z, [(-1,), (0,), (1,)])
     assert is_invariant(A, K, Fraction(1, 20))
     assert not is_invariant(A, K, Fraction(1, 25))  # 4/100 == 1/25, not strict
@@ -53,19 +53,19 @@ def test_is_invariant_strictness():
 
 
 def test_is_invariant_rejects_nonpositive_delta():
-    A = FiniteSubset.interval(0, 9)
+    A = interval(0, 9)
     K = FiniteSubset(Z, [(0,), (1,)])
     with pytest.raises(ValueError):
         is_invariant(A, K, 0)
 
 
 def test_covers_window():
-    F = FiniteSubset.interval(0, 3)
+    F = interval(0, 3)
     S = FiniteSubset(Z, [(4 * k,) for k in range(-1, 27)])
-    W = FiniteSubset.interval(0, 100)
+    W = interval(0, 100)
     assert covers_window(F, S, W)
     assert covers_window(FiniteSubset(Z, [(0,)]), W, W)
-    F_short = FiniteSubset.interval(0, 2)
+    F_short = interval(0, 2)
     assert not covers_window(F_short, S, W)  # residue 3 mod 4 stays uncovered
 
 
@@ -96,9 +96,9 @@ def test_covers_window_lattice_centers(rank, q, lows, sides):
 
 
 def test_set_product_and_inverse():
-    A = FiniteSubset.interval(0, 1)
-    B = FiniteSubset.interval(0, 10)
-    assert A.product(B) == FiniteSubset.interval(0, 11)
+    A = interval(0, 1)
+    B = interval(0, 10)
+    assert A.product(B) == interval(0, 11)
     assert FiniteSubset(Z, [(2,), (5,)]).inverse().elements == ((-5,), (-2,))
 
 
@@ -173,3 +173,28 @@ def test_box_ball_boundary_size_matches_boundary(axes, r):
     box = Box([lo for lo, _ in axes], [lo + side - 1 for lo, side in axes])
     group = Z if box.rank == 1 else Z2
     assert box.ball_boundary_size(r) == len(boundary(box.to_subset(group), group.ball(r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 4)), min_size=1, max_size=3),
+    st.data(),
+)
+def test_box_lexicographic_order_matches_enumeration(axes, data):
+    # count_below, cell_at and line_base against the cells in cells()
+    # order; g ranges past the box on every side, and rank 3 reaches the
+    # axes after one that g leaves
+    box = Box([lo for lo, _ in axes], [lo + side - 1 for lo, side in axes])
+    cells = list(box.cells())
+    for i, c in enumerate(cells):
+        assert box.count_below(c) == i and box.cell_at(i) == c
+    for bad in (-1, len(cells)):
+        with pytest.raises(ValueError, match="lexicographic index out of range"):
+            box.cell_at(bad)
+    g = tuple(data.draw(st.integers(lo - 3, lo + side + 2)) for lo, side in axes)
+    assert box.count_below(g) == sum(1 for c in cells if c < g)
+    base, live = box.line_base(g[:-1])
+    assert live is all(lo <= x <= hi for x, lo, hi in zip(g[:-1], box.lows, box.highs))
+    for x in range(box.lows[-1] - 2, box.highs[-1] + 3):
+        clamp = min(max(x - box.lows[-1], 0), box.highs[-1] - box.lows[-1] + 1)
+        assert base + (clamp if live else 0) == sum(1 for c in cells if c < g[:-1] + (x,))

@@ -18,7 +18,7 @@ from meandim import (
 )
 from meandim.cli import load_config
 from meandim.groups import Box, is_invariant
-from meandim.oracles import generate_interval_schedule, verify_invariance_profile
+from meandim.oracles import box2, generate_interval_schedule, interval, parse_schedule, verify_invariance_profile
 from meandim.schedules import BALANCES, AxisRule
 from meandim.tilings import verify_congruent, verify_primely_congruent
 
@@ -122,7 +122,7 @@ def test_materialize_level_resolver():
     for n in range(1, 5):
         t = s.materialize_level(n)
         assert t.tile_of((0,)) == (1, (0,) * 1)
-        W = FiniteSubset.interval(-1000, 1000)
+        W = interval(-1000, 1000)
         assert verify_partition(t, W).ok
 
 
@@ -316,7 +316,7 @@ def test_serialization_round_trip():
     s = generate_interval_schedule(1, 2, 3)
     s.ensure(6)
     text = s.serialize(6)
-    back = TilingSchedule.parse(text)
+    back = parse_schedule(text)
     assert back.serialize(6) == text
     assert back.level_box(6) == s.level_box(6)
 
@@ -325,7 +325,7 @@ def test_serialization_rejects_tampered_arrays():
     s = generate_interval_schedule(1, 2, 3)
     text = s.serialize(4).replace("17", "16")
     with pytest.raises(ScheduleError):
-        TilingSchedule.parse(text)
+        parse_schedule(text)
 
 
 def test_z2_schedule_as_axis_product():
@@ -333,7 +333,7 @@ def test_z2_schedule_as_axis_product():
     assert s.level_box(2) == type(s.level_box(2))((-4, -4), (4, 4))
     t = s.materialize_level(1)
     assert t.tile_of((4, -4)) == (1, (3, -3))
-    W = FiniteSubset.box2(-20, 20, -20, 20)
+    W = box2(-20, 20, -20, 20)
     assert verify_partition(t, W).ok
     fine, coarse = s.materialize_level(1), s.materialize_level(2)
     assert verify_primely_congruent(fine, coarse, W).ok

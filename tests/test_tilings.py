@@ -16,8 +16,10 @@ from meandim import (
 )
 from meandim.groups import Box
 from meandim.oracles import (
+    box2,
     check_irreducibility_witness,
     factor_window,
+    interval,
     tiling_configuration,
     to_explicit,
     verify_syndetic_centers,
@@ -48,7 +50,7 @@ def test_tile_of(interval4):
 
 
 def test_verify_partition_grid(interval4):
-    W = FiniteSubset.interval(-100, 100)
+    W = interval(-100, 100)
     assert verify_partition(interval4, W).ok
     assert verify_partition(interval4, FiniteSubset(Z, [(7,)])).ok
 
@@ -57,7 +59,7 @@ def test_verify_partition_corrupted():
     base = to_explicit(GridTiling(Z, (-1,), (2,)), Box((-40,), (40,)))
     centers = [((5,) if c == (4,) else c, sid) for c, sid in base.centers]
     bad = ExplicitTiling(Z, base.shapes, centers, base.support)
-    res = verify_partition(bad, FiniteSubset.interval(-20, 20))
+    res = verify_partition(bad, interval(-20, 20))
     assert res.ok is False
     kinds = {v[0] for v in res.violations}
     assert "overlap" in kinds  # the shifted tile overlaps its neighbour
@@ -65,53 +67,53 @@ def test_verify_partition_corrupted():
 
 
 def test_centers_in(interval4):
-    got = interval4.centers_in(1, FiniteSubset.interval(0, 10))
+    got = interval4.centers_in(1, interval(0, 10))
     assert got.elements == ((0,), (4,), (8,))
-    assert len(interval4.centers_in(1, FiniteSubset.interval(1, 3))) == 0
+    assert len(interval4.centers_in(1, interval(1, 3))) == 0
     with pytest.raises(ValueError):
-        interval4.centers_in(7, FiniteSubset.interval(0, 1))
+        interval4.centers_in(7, interval(0, 1))
 
 
 def test_centers_in_explicit_matches_table():
-    shapes = [FiniteSubset.interval(0, 1), FiniteSubset(Z, [(0,)])]
+    shapes = [interval(0, 1), FiniteSubset(Z, [(0,)])]
     centers = [((0,), 1), ((2,), 2), ((3,), 1), ((5,), 2)]
     t = ExplicitTiling(Z, shapes, centers, Box((0,), (5,)))
-    assert t.centers_in(1, FiniteSubset.interval(0, 5)).elements == ((0,), (3,))
-    assert t.centers_in(2, FiniteSubset.interval(0, 5)).elements == ((2,), (5,))
+    assert t.centers_in(1, interval(0, 5)).elements == ((0,), (3,))
+    assert t.centers_in(2, interval(0, 5)).elements == ((2,), (5,))
 
 
 def test_syndetic_centers(interval4):
-    W = FiniteSubset.interval(0, 1000)
-    assert verify_syndetic_centers(interval4, 1, FiniteSubset.interval(0, 3), W)
+    W = interval(0, 1000)
+    assert verify_syndetic_centers(interval4, 1, interval(0, 3), W)
     # the shape itself always witnesses (tiles cover the group)
-    assert verify_syndetic_centers(interval4, 1, FiniteSubset.interval(-1, 2), W)
+    assert verify_syndetic_centers(interval4, 1, interval(-1, 2), W)
     assert not verify_syndetic_centers(
-        interval4, 1, FiniteSubset(Z, [(0,)]), FiniteSubset.interval(0, 10)
+        interval4, 1, FiniteSubset(Z, [(0,)]), interval(0, 10)
     )
 
 
 def test_irreducibility_witness(interval4):
-    wit = FiniteSubset.interval(-4, 4)
-    candidates = [FiniteSubset.interval(0, 99), FiniteSubset.interval(-53, 20)]
+    wit = interval(-4, 4)
+    candidates = [interval(0, 99), interval(-53, 20)]
     assert check_irreducibility_witness(interval4, wit, Fraction(1, 2), candidates).ok
     # a candidate shorter than the shape cannot contain a tile
     singleton = FiniteSubset(Z, [(0,)])
     res = check_irreducibility_witness(
-        interval4, singleton, Fraction(1, 2), [FiniteSubset.interval(0, 1)]
+        interval4, singleton, Fraction(1, 2), [interval(0, 1)]
     )
     assert res.ok is False
     assert any(v[0] == "no_tile_of_shape" for v in res.violations)
     # non-invariant candidates are skipped, leaving nothing tested
     res = check_irreducibility_witness(
-        interval4, wit, Fraction(1, 1000), [FiniteSubset.interval(0, 7)]
+        interval4, wit, Fraction(1, 1000), [interval(0, 7)]
     )
     assert res.ok is None
 
 
 def test_tile_multiplicity(interval4):
     # a window holding n disjoint copies of a passing candidate holds >= n tiles
-    passing = FiniteSubset.interval(0, 11)
-    W = FiniteSubset.interval(0, 35)  # three disjoint translates of [0,11]
+    passing = interval(0, 11)
+    W = interval(0, 35)  # three disjoint translates of [0,11]
     inside = [
         c
         for c in interval4.centers_in(1, W)
@@ -122,34 +124,34 @@ def test_tile_multiplicity(interval4):
 
 
 def test_congruent_aligned(interval4, interval12):
-    W = FiniteSubset.interval(-40, 40)
+    W = interval(-40, 40)
     assert verify_congruent(interval4, interval12, W).ok
     assert verify_primely_congruent(interval4, interval12, W).ok
 
 
 def test_congruent_divisibility_failure(interval4):
     ten = GridTiling(Z, (-4,), (5,))
-    res = verify_congruent(interval4, ten, FiniteSubset.interval(-30, 30))
+    res = verify_congruent(interval4, ten, interval(-30, 30))
     assert res.ok is False
 
 
 def test_congruent_inconclusive(interval4, interval12):
-    res = verify_congruent(interval4, interval12, FiniteSubset.interval(0, 3))
+    res = verify_congruent(interval4, interval12, interval(0, 3))
     assert res.ok is None
 
 
 def test_primely_congruent_counterexample():
     # two same-shape coarse tiles with different fine splits
-    coarse_shapes = [FiniteSubset.interval(0, 3)]
+    coarse_shapes = [interval(0, 3)]
     coarse = ExplicitTiling(Z, coarse_shapes, [((0,), 1), ((4,), 1)], Box((0,), (7,)))
-    fine_shapes = [FiniteSubset.interval(0, 1), FiniteSubset(Z, [(0,)])]
+    fine_shapes = [interval(0, 1), FiniteSubset(Z, [(0,)])]
     fine = ExplicitTiling(
         Z,
         fine_shapes,
         [((0,), 1), ((2,), 1), ((4,), 1), ((6,), 2), ((7,), 2)],
         Box((0,), (7,)),
     )
-    W = FiniteSubset.interval(0, 7)
+    W = interval(0, 7)
     assert verify_congruent(fine, coarse, W).ok
     res = verify_primely_congruent(fine, coarse, W)
     assert res.ok is False
@@ -160,15 +162,15 @@ def test_tiling_configuration(interval4):
     assert tiling_configuration(interval4, (4,)) == 1
     assert tiling_configuration(interval4, (5,)) == 0
     assert tiling_configuration(interval4, (0,)) == 1
-    window = FiniteSubset.interval(0, 20)
+    window = interval(0, 20)
     dumped = [g for g in window if tiling_configuration(interval4, g) == 1]
     assert FiniteSubset(Z, dumped) == interval4.centers_in(1, window)
 
 
 def test_factor_window_canonical(interval4, interval12):
     # the coarse configuration decodes to the fine one on the window
-    W = FiniteSubset.interval(-10, 10)
-    grown = FiniteSubset.interval(-40, 40)
+    W = interval(-10, 10)
+    grown = interval(-40, 40)
     pattern = canonical_pattern(interval12, grown)
     out = factor_window(interval4, interval12, pattern, W)
     assert out == canonical_pattern(interval4, W)
@@ -176,14 +178,14 @@ def test_factor_window_canonical(interval4, interval12):
 
 def test_factor_window_singleton_center(interval4, interval12):
     W = FiniteSubset(Z, [(12,)])
-    pattern = canonical_pattern(interval12, FiniteSubset.interval(-30, 50))
+    pattern = canonical_pattern(interval12, interval(-30, 50))
     assert factor_window(interval4, interval12, pattern, W) == {(12,): 1}
 
 
 def test_factor_window_equivariance(interval4, interval12):
     t = (5,)
-    W = FiniteSubset.interval(-8, 8)
-    grown = FiniteSubset.interval(-60, 60)
+    W = interval(-8, 8)
+    grown = interval(-60, 60)
     pattern = canonical_pattern(interval12, grown)
     out = factor_window(interval4, interval12, pattern, W)
     shifted_pattern = {Z.mul(g, Z.inv(t)): v for g, v in pattern.items()}
@@ -194,23 +196,23 @@ def test_factor_window_equivariance(interval4, interval12):
 
 def test_factor_window_multishape():
     coarse = ExplicitTiling(
-        Z, [FiniteSubset.interval(0, 3)], [((0,), 1), ((4,), 1)], Box((0,), (7,))
+        Z, [interval(0, 3)], [((0,), 1), ((4,), 1)], Box((0,), (7,))
     )
     fine = ExplicitTiling(
         Z,
-        [FiniteSubset.interval(0, 1), FiniteSubset(Z, [(0,)])],
+        [interval(0, 1), FiniteSubset(Z, [(0,)])],
         [((0,), 1), ((2,), 1), ((4,), 1), ((6,), 1)],
         Box((0,), (7,)),
     )
-    W = FiniteSubset.interval(2, 5)
-    pattern = canonical_pattern(coarse, FiniteSubset.interval(0, 7))
+    W = interval(2, 5)
+    pattern = canonical_pattern(coarse, interval(0, 7))
     out = factor_window(fine, coarse, pattern, W)
     assert out == {(2,): 1, (3,): 0, (4,): 1, (5,): 0}
 
 
 def test_factor_window_decode_error(interval4, interval12):
-    W = FiniteSubset.interval(-10, 10)
-    pattern = canonical_pattern(interval12, FiniteSubset.interval(-40, 40))
+    W = interval(-10, 10)
+    pattern = canonical_pattern(interval12, interval(-40, 40))
     pattern[(0,)] = 0  # erase a coarse center: its cells lose their tile
     with pytest.raises(DecodeError):
         factor_window(interval4, interval12, pattern, W)
@@ -233,14 +235,14 @@ def test_tiling_io_round_trip():
     assert back.centers == tuple(sorted(t.centers))
     assert back.shapes == t.shapes
     assert back.support == t.support
-    assert verify_partition(back, FiniteSubset.interval(-10, 10)).ok
+    assert verify_partition(back, interval(-10, 10)).ok
 
 
 def test_tiling_io_z2():
     t = to_explicit(GridTiling(Z2, (-1, 0), (1, 2)), Box((-6, -6), (6, 6)))
     back = read_tiling(write_tiling(t))
     assert back.centers == tuple(sorted(t.centers))
-    assert verify_partition(back, FiniteSubset.box2(-4, 4, -4, 4)).ok
+    assert verify_partition(back, box2(-4, 4, -4, 4)).ok
 
 
 def test_read_tiling_rejects_translate_duplicates():
@@ -276,14 +278,14 @@ def test_read_tiling_malformed():
 
 def test_explicit_tiling_validation():
     with pytest.raises(ValueError):
-        ExplicitTiling(Z, [FiniteSubset.interval(1, 2)], [((0,), 1)], Box((0,), (3,)))
+        ExplicitTiling(Z, [interval(1, 2)], [((0,), 1)], Box((0,), (3,)))
     with pytest.raises(ValueError):
-        ExplicitTiling(Z, [FiniteSubset.interval(0, 1)], [((0,), 2)], Box((0,), (3,)))
+        ExplicitTiling(Z, [interval(0, 1)], [((0,), 2)], Box((0,), (3,)))
 
 
 def test_grid_z2_partition():
     t = GridTiling(Z2, (-1, -1), (1, 1))
-    W = FiniteSubset.box2(-30, 30, -30, 30)
+    W = box2(-30, 30, -30, 30)
     assert verify_partition(t, W).ok
     assert t.tile_of((4, -4)) == (1, (3, -3))
 
@@ -302,7 +304,7 @@ def test_partition_random_windows(a, b, lo, size):
     if a + b < 1:
         b = 1
     t = GridTiling(Z, (-a,), (b,))
-    assert verify_partition(t, FiniteSubset.interval(lo, lo + size)).ok
+    assert verify_partition(t, interval(lo, lo + size)).ok
 
 
 @given(
@@ -314,4 +316,4 @@ def test_partition_random_windows(a, b, lo, size):
 @settings(max_examples=15, deadline=None)
 def test_partition_random_windows_z2(x, y, w, h):
     t = GridTiling(Z2, (-1, 0), (1, 2))
-    assert verify_partition(t, FiniteSubset.box2(x, x + w, y, y + h)).ok
+    assert verify_partition(t, box2(x, x + w, y, y + h)).ok
