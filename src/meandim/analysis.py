@@ -98,7 +98,6 @@ def lower_bound_estimate(cfg: Construction, n: int) -> Fraction:
 @dataclass(frozen=True)
 class BoundEstimate:
     level: int
-    window_volume: int
     class_count: int
     whole_tiles_min: int
     free_fraction: Fraction  # worst-class free coordinates / |W|
@@ -150,7 +149,6 @@ def upper_bound_estimate(
     dim = cfg.params.cube.dim
     est = BoundEstimate(
         level=n,
-        window_volume=wvol,
         class_count=class_count,
         whole_tiles_min=min_whole,
         free_fraction=free_fraction,

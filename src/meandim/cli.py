@@ -233,9 +233,8 @@ def cmd_gen_tilings(args) -> int:
         res = verify_partition(tiling, W)
         if not res:
             failures.append(f"imported tiling: {res.detail}: {res.violations[:5]}")
-    text = sched.serialize(levels)
     if args.out:
-        emit(text, args.out)
+        emit(sched.serialize(levels), args.out)
     summary = [f"schedule levels = {levels}", *invariance, f"checks failed = {len(failures)}"]
     summary += failures
     sys.stdout.write("\n".join(summary) + "\n")

@@ -251,7 +251,7 @@ class Box:
         return v
 
     def __contains__(self, g: Element) -> bool:
-        return all(lo <= x <= hi for x, lo, hi in zip(g, self.lows, self.highs))
+        return len(g) == self.rank and all(lo <= x <= hi for x, lo, hi in zip(g, self.lows, self.highs))
 
     def __eq__(self, other) -> bool:
         return (

@@ -9,8 +9,9 @@ only the entries named on its command line::
 
     python tests/golden/record.py ID [ID ...]
 
-An entry whose output changes on purpose is re-recorded here, with the
-reason stated in CHANGES.md.
+The corpus is the one record of CLI bytes.  Where and when each entry was
+recorded (its provenance) lives in CHANGES.md, not here; an entry whose
+output changes on purpose is re-recorded here, with the reason stated there.
 """
 
 from __future__ import annotations

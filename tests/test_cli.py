@@ -23,30 +23,8 @@ from meandim.errors import CapacityError, ConfigError, DepthError, NotRealizedEr
 from meandim.groups import DECIMAL_CHUNK, Box, Z, Z2, decimal_text
 from tests.golden import record
 
-TOY = """\
-[experiment]
-group = Z
-rho = 1/2
-dim = 1
-depth = 2
-mode = exact
-seed = 7
-
-[schedule]
-seed_a = 1
-seed_b = 2
-growth = 3
-
-[nets]
-delta1 = 1/2
-"""
-
-
-@pytest.fixture
-def config(tmp_path):
-    path = tmp_path / "toy.cfg"
-    path.write_text(TOY)
-    return str(path)
+TOY_Z_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg")
+TOY_Z = Path(TOY_Z_CFG).read_text()
 
 
 def run(capsys, *argv):
@@ -85,47 +63,47 @@ def test_parse_mode():
             parse_mode(text)
 
 
-def test_window_command_no_stars(config, capsys):
-    code, out, _ = run(capsys, "window", "--config", config, "--window", "[-8,8]")
+def test_window_command_no_stars(capsys):
+    code, out, _ = run(capsys, "window", "--config", TOY_Z_CFG, "--window", "[-8,8]")
     assert code == 0
     symbols = out.strip().split()
     assert len(symbols) == 17
     assert "*" not in symbols
 
 
-def test_window_command_deterministic(config, capsys):
-    _, out1, _ = run(capsys, "window", "--config", config, "--window", "[-30,30]")
-    _, out2, _ = run(capsys, "window", "--config", config, "--window", "[-30,30]")
+def test_window_command_deterministic(capsys):
+    _, out1, _ = run(capsys, "window", "--config", TOY_Z_CFG, "--window", "[-30,30]")
+    _, out2, _ = run(capsys, "window", "--config", TOY_Z_CFG, "--window", "[-30,30]")
     assert out1 == out2
 
 
-def test_build_json(config, capsys):
-    code, out, _ = run(capsys, "build", "--config", config, "--format", "json")
+def test_build_json(capsys):
+    code, out, _ = run(capsys, "build", "--config", TOY_Z_CFG, "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["levels"][1]["stars"] == 163
     assert payload["steps"][0]["code_count"] == 8
 
 
-def test_verify_command(config, capsys):
-    code, out, _ = run(capsys, "verify", "--config", config)
+def test_verify_command(capsys):
+    code, out, _ = run(capsys, "verify", "--config", TOY_Z_CFG)
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 6
 
 
-def test_mdim_command(config, capsys):
-    code, out, _ = run(capsys, "mdim", "--config", config, "--format", "json")
+def test_mdim_command(capsys):
+    code, out, _ = run(capsys, "mdim", "--config", TOY_Z_CFG, "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["target_rho_dim"] == "1/2"
     assert payload["gaps_monotone"] is True
 
 
-def test_gen_tilings(config, tmp_path, capsys):
+def test_gen_tilings(tmp_path, capsys):
     out_path = tmp_path / "schedule.txt"
     code, out, _ = run(
-        capsys, "gen-tilings", "--config", config, "--levels", "4", "--out", str(out_path)
+        capsys, "gen-tilings", "--config", TOY_Z_CFG, "--levels", "4", "--out", str(out_path)
     )
     assert code == 0
     assert "checks failed = 0" in out
@@ -133,7 +111,7 @@ def test_gen_tilings(config, tmp_path, capsys):
     assert sched.level_box(4).volume == 108
 
 
-def test_gen_tilings_corrupted_import(config, tmp_path, capsys):
+def test_gen_tilings_corrupted_import(tmp_path, capsys):
     from meandim import GridTiling, write_tiling, ExplicitTiling
     from meandim.groups import Box, Z as Zg
 
@@ -143,7 +121,7 @@ def test_gen_tilings_corrupted_import(config, tmp_path, capsys):
     path = tmp_path / "bad.tiling"
     path.write_text(write_tiling(bad))
     code, out, _ = run(
-        capsys, "gen-tilings", "--config", config, "--levels", "3", "--imported", str(path)
+        capsys, "gen-tilings", "--config", TOY_Z_CFG, "--levels", "3", "--imported", str(path)
     )
     assert code == 1
     assert "imported tiling" in out
@@ -153,7 +131,7 @@ def test_gen_tilings_corrupted_import(config, tmp_path, capsys):
 def test_gen_tilings_z2(tmp_path, capsys):
     path = tmp_path / "z2.cfg"
     path.write_text(
-        TOY.replace("group = Z", "group = Z2").replace("seed_a = 1", "seed_a = 1").replace(
+        TOY_Z.replace("group = Z", "group = Z2").replace(
             "seed_b = 2", "seed_b = 1"
         ).replace("depth = 2", "depth = 1")
     )
@@ -174,7 +152,7 @@ def test_gen_tilings_z2(tmp_path, capsys):
 
 def test_usage_error_bad_rho(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
-    path.write_text(TOY.replace("rho = 1/2", "rho = 1"))
+    path.write_text(TOY_Z.replace("rho = 1/2", "rho = 1"))
     code, _, err = run(capsys, "build", "--config", str(path))
     assert code == 2
     assert "rho" in err
@@ -185,20 +163,20 @@ def test_usage_error_missing_config(capsys):
     assert code == 2
 
 
-def test_depth_override_capped(config, capsys):
+def test_depth_override_capped(capsys):
     code, out, _ = run(
-        capsys, "window", "--config", config, "--depth", "3", "--mode", "capped:4096",
+        capsys, "window", "--config", TOY_Z_CFG, "--depth", "3", "--mode", "capped:4096",
         "--window", "[-8,8]",
     )
     assert code == 0
-    _, base, _ = run(capsys, "window", "--config", config, "--window", "[-8,8]")
+    _, base, _ = run(capsys, "window", "--config", TOY_Z_CFG, "--window", "[-8,8]")
     assert out == base  # deeper capped plan leaves stabilized values alone
 
 
-def test_out_file(config, tmp_path, capsys):
+def test_out_file(tmp_path, capsys):
     target = tmp_path / "dump.txt"
     code, out, _ = run(
-        capsys, "window", "--config", config, "--window", "[0,5]", "--out", str(target)
+        capsys, "window", "--config", TOY_Z_CFG, "--window", "[0,5]", "--out", str(target)
     )
     assert code == 0 and out == ""
     assert len(target.read_text().split()) == 6
@@ -227,10 +205,9 @@ CONFIG_ERRORS = [
     "old,new,message", CONFIG_ERRORS, ids=[new[:16] for _, new, _ in CONFIG_ERRORS]
 )
 def test_config_errors_exit_2_without_traceback(tmp_path, capsys, old, new, message):
-    text = (Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg").read_text()
-    assert text.count(f"\n{old}\n") == 1
+    assert TOY_Z.count(f"\n{old}\n") == 1
     path = tmp_path / "bad.cfg"
-    path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+    path.write_text(TOY_Z.replace(f"\n{old}\n", f"\n{new}\n"))
     code, out, err = run(capsys, "build", "--config", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: field '") and message in err
@@ -276,19 +253,19 @@ def test_z2_reads_per_axis_schedule_keys(tmp_path, capsys):
 def test_missing_delta_defaults_by_its_own_level(tmp_path, capsys):
     # delta1 dropped: delta_1 is the default 1/2 and delta_2 stays the
     # configured 1/4, so every level keeps its mesh and the plan is unchanged
-    text = (Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg").read_text()
     path = tmp_path / "gap.cfg"
-    path.write_text(text.replace("\ndelta1 = 1/2\n", "\n"))
+    path.write_text(TOY_Z.replace("\ndelta1 = 1/2\n", "\n"))
     flags = argparse.Namespace(depth=None, mode=None, seed=None)
     assert [net.size for net in load_config(str(path), flags).nets] == [2, 3]
     code, out, err = run(capsys, "build", "--config", str(path), "--format", "json")
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[0][-1]
+    recorded = next(e for e in CLI_CORPUS if e["id"] == "build-toy-z-depth2-json")
+    assert hashlib.sha256(out.encode()).hexdigest() == recorded["stdout"]
 
 
-def test_seed_comes_from_the_config_or_the_flag(config):
-    assert load_config(config, argparse.Namespace(depth=None, mode=None, seed=None)).seed == 7
-    assert load_config(config, argparse.Namespace(depth=None, mode=None, seed=3)).seed == 3
+def test_seed_comes_from_the_config_or_the_flag():
+    assert load_config(TOY_Z_CFG, argparse.Namespace(depth=None, mode=None, seed=None)).seed == 7
+    assert load_config(TOY_Z_CFG, argparse.Namespace(depth=None, mode=None, seed=3)).seed == 3
 
 
 FILE_ERRORS = [
@@ -305,48 +282,47 @@ FILE_ERRORS = [
 
 
 @pytest.mark.parametrize("argv", [a for _, a in FILE_ERRORS], ids=[i for i, _ in FILE_ERRORS])
-def test_file_errors_exit_2_without_traceback(config, tmp_path, capsys, argv):
+def test_file_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     (tmp_path / "malformed.tiling").write_text("group Z\nsupport 0 x\n")
     (tmp_path / "one-line.tiling").write_text("group Z\n")
     (tmp_path / "truncated.tiling").write_text("group Z\nsupport 0 7\nshapes 1\nshape 1 0 1\ntiles 4\n0 1\n")
     (tmp_path / "binary.tiling").write_bytes(b"\xffgroup Z\n")
     command, *rest = (a.format(tmp=tmp_path) for a in argv)
-    code, out, err = run(capsys, command, "--config", config, *rest)
+    code, out, err = run(capsys, command, "--config", TOY_Z_CFG, *rest)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("levels", ["0", "-3"])
-def test_gen_tilings_levels_below_one_is_usage_error(config, capsys, levels):
-    code, out, err = run(capsys, "gen-tilings", "--config", config, "--levels", levels)
+def test_gen_tilings_levels_below_one_is_usage_error(capsys, levels):
+    code, out, err = run(capsys, "gen-tilings", "--config", TOY_Z_CFG, "--levels", levels)
     assert code == 2 and out == ""
     assert "argument --levels: levels are 1-based" in err
 
 
 @pytest.mark.parametrize("argv", [("gen-tilings",), ("window", "--window", "[0,3]")])
-def test_format_is_refused_where_no_report_is_printed(config, capsys, argv):
+def test_format_is_refused_where_no_report_is_printed(capsys, argv):
     # only build, verify and mdim print a report that --format selects
-    code, out, err = run(capsys, argv[0], "--config", config, *argv[1:], "--format", "json")
+    code, out, err = run(capsys, argv[0], "--config", TOY_Z_CFG, *argv[1:], "--format", "json")
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --format json" in err
 
 
 def test_checked_in_config_runs(capsys):
-    cfg = Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg"
-    code, out, _ = run(capsys, "build", "--config", str(cfg))
+    code, out, _ = run(capsys, "build", "--config", TOY_Z_CFG)
     assert code == 0
     assert "levels[1].stars = 163" in out
 
 
-def test_window_undetermined_cell_exit_and_message(config, capsys):
+def test_window_undetermined_cell_exit_and_message(capsys):
     # a partially determined window prints every cell, '?' where the depth
     # leaves the value open, and still exits 1 naming the first such cell
-    code, out, err = run(capsys, "window", "--config", config, "--window", "[-200,200]")
+    code, out, err = run(capsys, "window", "--config", TOY_Z_CFG, "--window", "[-200,200]")
     assert code == 1
     texts = out.split()
     assert len(texts) == 401 and out.count("\n") == 1
-    cfg = Construction(load_config(config, argparse.Namespace(depth=None, mode=None, seed=None)))
+    cfg = Construction(load_config(TOY_Z_CFG, argparse.Namespace(depth=None, mode=None, seed=None)))
     for g, text in zip(range(-200, 201), texts):
         try:
             want = render_value(oracles.eval_w(cfg, (g,)))
@@ -363,124 +339,10 @@ def test_window_undetermined_cell_exit_and_message(config, capsys):
         cfg.window_values(Box((-200,), (200,)))
 
 
-# sha256 of stdout and the exit code of `window` runs, recorded at commit
-# fda1859, before windows were printed from value lists; the eval-deep-z
-# pair is the benchmark's seed-1 window near 0 and its shift past 10**80
-FAR_WINDOW = (
-    "[100000000000000000000000000000000000000000000000000001075506492646844534185916595,"
-    "100000000000000000000000000000000000000000000000000001075506492646844534185956595]"
-)
-GOLDEN_WINDOWS = [
-    ("eval-deep-z-near", "configs/toy-z.cfg",
-     ("--depth", "3", "--mode", "capped:4096", "--window", "[-20621,19379]"),
-     "d7518d2bff7b2d89ae44a1c441cef26679c5750b3714439c4cd2b4c8bf6003af"),
-    ("eval-deep-z-far", "configs/toy-z.cfg",
-     ("--depth", "3", "--mode", "capped:4096", "--window", FAR_WINDOW),
-     "d7518d2bff7b2d89ae44a1c441cef26679c5750b3714439c4cd2b4c8bf6003af"),
-    ("z2-depth2", "perfbench/toy-z2.cfg",
-     ("--depth", "2", "--window", "[-40,40]x[-40,40]"),
-     "5b6eb74dda1d5adc81e2874a8e854a2883d2ecc72d896ff147d3710d2e4ded65"),
-    ("toy-z-x", "configs/toy-z.cfg",
-     ("--window", "[-12,12]", "--what", "x"),
-     "c8c5e8c77bc0e0f59dc172e0ad47d4e17f29700af78386e22c68df7c9ee9c6b8"),
-]
-
-
-@pytest.mark.parametrize("config_path,flags,digest", [g[1:] for g in GOLDEN_WINDOWS],
-                         ids=[g[0] for g in GOLDEN_WINDOWS])
-def test_window_output_is_byte_identical_to_golden(capsys, config_path, flags, digest):
-    path = Path(__file__).resolve().parents[1] / config_path
-    code, out, err = run(capsys, "window", "--config", str(path), *flags)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-# sha256 of stdout of a partially undetermined Z^2 window under --what x,
-# recorded at commit b81cda5, before the tile walk laid palette codes: it
-# prints '?' cells and hashes rendered as the basepoint together, and exits 1
-def test_undetermined_x_window_is_byte_identical_to_golden(capsys):
-    path = Path(__file__).resolve().parents[1] / "perfbench/toy-z2.cfg"
-    code, out, err = run(capsys, "window", "--config", str(path), "--window", "[-200,200]x[-3,3]", "--what", "x")
-    assert code == 1
-    assert err == (
-        "error: DepthError: value at (-199, -3) is not determined at depth 1 "
-        "(1433 of 2807 cells shown as ?)\n"
-    )
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "45a64dd91d42cf82e22c680d320c72966e4a9cf5705d4242b0c1952b80bc3c28"
-    )
-
-
-# sha256 of `verify` stdout, recorded at commit 82ae71f, before the tile walk
-# resolved its tiles in runs and the floors check counted stars by rows; the
-# capped depth-3 run, which reads the stabilized word past depth 2, recorded at
-# 4b21366, before the literal materializer moved to flat lists; the Z^2 depth-2
-# run recorded at 29b4e41, before single cells went through the tile walk and
-# the bound bracket stopped iterating classes; the two depth-1 runs re-recorded
-# when verify stopped listing the link-tile check at depth 1, where no step-2
-# link tile is planned and it printed a PASS that only said "skipped"; each run
-# exits 0
-DEEP_Z = ("--depth", "3", "--mode", "capped:4096")
-GOLDEN_VERIFY = [
-    ("toy-z-depth1", "configs/toy-z.cfg", ("--depth", "1"),
-     "359db63fd59e093ae4cf6e9af7333726d6f8d512796e87dcc19f3beb68ad33e5"),
-    ("toy-z-depth2", "configs/toy-z.cfg", ("--depth", "2"),
-     "ec845801804a11c7ac6307a6e009ce4a298b9d48e75b57fac9b0a3bb05cc8e1e"),
-    ("toy-z-depth3-capped", "configs/toy-z.cfg", DEEP_Z,
-     "43d8697fa5e9cac1cfab66b169ad1baf8f93f693988c929f4e196b87ad0071df"),
-    ("toy-z2-depth1", "perfbench/toy-z2.cfg", ("--depth", "1"),
-     "7d05b579bbea5fcb7a9cea04b8c102b6521ef8ca101fe368a0482fafca24be0d"),
-    ("toy-z2-depth2", "perfbench/toy-z2.cfg", ("--depth", "2"),
-     "aca453e47eeb262382dc15de690fb9954db8253c34d9171e636667a2fbef9475"),
-]
-
-
-@pytest.mark.parametrize("config_path,flags,digest", [g[1:] for g in GOLDEN_VERIFY],
-                         ids=[g[0] for g in GOLDEN_VERIFY])
-def test_verify_output_is_byte_identical_to_golden(capsys, config_path, flags, digest):
-    path = Path(__file__).resolve().parents[1] / config_path
-    code, out, err = run(capsys, "verify", "--config", str(path), *flags)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-# sha256 of `build --format json` and `mdim --format json` stdout, recorded at
-# commit fbab476, before thinning kept only its total; `mdim` on toy-z2 at
-# depth 2 recorded at 29b4e41, before the bound bracket stopped iterating
-# classes; each run exits 0.  The build reports pin the plan numbers and the
-# "per_tile" key
-GOLDEN_REPORTS = [
-    ("build-toy-z-depth2", "build", "configs/toy-z.cfg", (),
-     "460b7ef6c89f2c649e901159bfc452da3ebebfebaee575bd3ff050b6daa00189"),
-    ("build-toy-z-depth3-capped", "build", "configs/toy-z.cfg", DEEP_Z,
-     "1e4ef75ad5392ede88d310af8a5c44c897f34ae26dc389a7ae8b52b9f0c7ce46"),
-    ("build-toy-z2-depth1", "build", "perfbench/toy-z2.cfg", ("--depth", "1"),
-     "080d58a090acfc7183d769ea1dd04eb148c790a3d167ec605bd835a6987b3cbe"),
-    ("build-toy-z2-depth2", "build", "perfbench/toy-z2.cfg", ("--depth", "2"),
-     "d8daa588fc2d8c22975d402506c1d444dde63563e0bfe315f183be8f6e868c42"),
-    ("mdim-toy-z-depth2", "mdim", "configs/toy-z.cfg", (),
-     "e265eba116c4fe94620dcd5b605f35b1e6da30fb3a0ca9be8b8552b534d23096"),
-    ("mdim-toy-z-depth3-capped", "mdim", "configs/toy-z.cfg", DEEP_Z,
-     "0432b98208973b0e412c0318d44236f9ae609dda60525ddda99e3263c94eb4b1"),
-    ("mdim-toy-z2-depth1", "mdim", "perfbench/toy-z2.cfg", ("--depth", "1"),
-     "81fffadf442d8680a66f04482390eb49319855b0e077f6a92757f8de23b4f4fb"),
-    ("mdim-toy-z2-depth2", "mdim", "perfbench/toy-z2.cfg", ("--depth", "2"),
-     "2a8b765e32a0213caadab2cb05001fd4c65c571f83dbacbb541a2e779a0d16f2"),
-]
-
-
-@pytest.mark.parametrize("command,config_path,flags,digest", [g[1:] for g in GOLDEN_REPORTS],
-                         ids=[g[0] for g in GOLDEN_REPORTS])
-def test_json_reports_are_byte_identical_to_golden(capsys, command, config_path, flags, digest):
-    path = Path(__file__).resolve().parents[1] / config_path
-    code, out, err = run(capsys, command, "--config", str(path), "--format", "json", *flags)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-# the same-behaviour corpus: exit code and sha256 of stdout and stderr of
-# each run in tests/golden/cli.json, recorded at commit c5b7f42 by
-# tests/golden/record.py, which re-records the entries named on its command line
+# the same-behaviour corpus, the one record of CLI bytes: exit code and sha256
+# of stdout and stderr of each run in tests/golden/cli.json, written by
+# tests/golden/record.py, which re-records the entries named on its command
+# line; where each entry was recorded is stated in CHANGES.md
 CLI_CORPUS = record.load()
 
 
@@ -508,7 +370,7 @@ def test_build_json_prints_huge_ints(tmp_path, capsys):
     # Z^2 depth 2 reaches level boxes with over 4300-digit coordinates
     path = tmp_path / "z2.cfg"
     path.write_text(
-        TOY.replace("group = Z", "group = Z2").replace("seed_b = 2", "seed_b = 1")
+        TOY_Z.replace("group = Z", "group = Z2").replace("seed_b = 2", "seed_b = 1")
     )
     code, out, err = run(capsys, "build", "--config", str(path), "--format", "json")
     assert code == 0 and err == ""
@@ -547,7 +409,7 @@ def test_decimal_text_matches_str(n):
 def test_gen_tilings_prints_huge_schedule_arrays(tmp_path, capsys):
     # growth 10^100 puts level-45 ends past 4300 digits
     path = tmp_path / "huge.cfg"
-    path.write_text(TOY.replace("growth = 3", f"growth = {10**100}"))
+    path.write_text(TOY_Z.replace("growth = 3", f"growth = {10**100}"))
     out_path = tmp_path / "schedule.txt"
     code, out, err = run(
         capsys, "gen-tilings", "--config", str(path), "--levels", "45", "--out", str(out_path)
@@ -564,8 +426,7 @@ def test_gen_tilings_prints_huge_schedule_arrays(tmp_path, capsys):
 
 def test_verify_depth_1_on_checked_in_config(capsys):
     # depth 1 determines the level-1 tile only; the star check walks that one
-    cfg = Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg"
-    code, out, err = run(capsys, "verify", "--config", str(cfg), "--depth", "1")
+    code, out, err = run(capsys, "verify", "--config", TOY_Z_CFG, "--depth", "1")
     assert code == 0 and err == ""
     assert "PASS no star in the limit: 4 cells" in out.splitlines()
     assert "FAIL" not in out
@@ -574,9 +435,8 @@ def test_verify_depth_1_on_checked_in_config(capsys):
 def test_capacity_error_prints_huge_counts(tmp_path, capsys):
     # a 10^5000 multiplier puts the host surplus and the sandwich ceiling past
     # the int->str digit limit; the message prints them in full
-    text = (Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg").read_text()
     path = tmp_path / "huge.cfg"
-    path.write_text(text.replace("\ngrowth = 3\n", "\ngrowth = 1e5000\n"))
+    path.write_text(TOY_Z.replace("\ngrowth = 3\n", "\ngrowth = 1e5000\n"))
     code, out, err = run(capsys, "build", "--config", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: CapacityError: step 2: the ") and err.endswith("code block\n")
@@ -652,8 +512,7 @@ def test_verify_reads_level_2_tiles_up_to_the_materialize_guard(tmp_path, capsys
 def test_capped_realization_row_counts_the_assignments_past_the_cap(monkeypatch, capsys):
     # a cap of 4 truncates the 2^3 assignments of step 1: the first 4 decode
     # to distinct centers and the other 4 must raise NotRealizedError
-    path = str(Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg")
-    code, out, err = run(capsys, "verify", "--config", path, "--mode", "capped:4")
+    code, out, err = run(capsys, "verify", "--config", TOY_Z_CFG, "--mode", "capped:4")
     assert (code, err) == (0, "")
     row = "level-1 assignments below the cap realized: 4 distinct centers, 4 past the cap"
     assert f"PASS {row}" in out.splitlines()
@@ -667,7 +526,7 @@ def test_capped_realization_row_counts_the_assignments_past_the_cap(monkeypatch,
             return (0,)
 
     monkeypatch.setattr(Construction, "realization_decode", realized)
-    code, out, err = run(capsys, "verify", "--config", path, "--mode", "capped:4")
+    code, out, err = run(capsys, "verify", "--config", TOY_Z_CFG, "--mode", "capped:4")
     assert (code, err) == (1, "")
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert failed == ["FAIL level-1 assignments below the cap realized: 4 distinct centers, 0 past the cap"]
@@ -702,8 +561,7 @@ def test_thinning_capacity_gives_up_after_256_futile_levels(tmp_path, capsys, ex
     # rho = 2^-e puts rho * |S_1| just above an integer, so the thinning zone
     # sheds its surplus only at a next level about e / log2(3) levels above
     # the host; past 256 such levels the planner gives up
-    text = (Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg").read_text()
-    text = text.replace("rho = 1/2", f"rho = 1/{2**exponent}").replace("delta1 = 1/2", "delta1 = 1/8")
+    text = TOY_Z.replace("rho = 1/2", f"rho = 1/{2**exponent}").replace("delta1 = 1/2", "delta1 = 1/8")
     path = tmp_path / "thin.cfg"
     path.write_text(text)
     code, out, err = run(capsys, "build", "--config", str(path), "--depth", "1", "--format", "json")
@@ -720,9 +578,7 @@ def test_planted_literal_mismatch_fails_oracle_and_linking(monkeypatch, depth):
 
     from meandim import HASH, Construction, cli
 
-    cfg_path = Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg"
-    flags = argparse.Namespace(depth=depth, mode=None, seed=None)
-    cfg = Construction(cli.load_config(str(cfg_path), flags))
+    cfg = Construction(cli.load_config(TOY_Z_CFG, argparse.Namespace(depth=depth, mode=None, seed=None)))
     real = Construction.materialize
     words = real(cfg)
     cells = list(words.window.cells())
@@ -796,8 +652,7 @@ def test_planted_stable_mismatch_fails_the_oracle(monkeypatch):
 
     from meandim import HASH, cli
 
-    cfg_path = Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg"
-    cfg = Construction(cli.load_config(str(cfg_path), argparse.Namespace(depth=2, mode=None, seed=None)))
+    cfg = Construction(cli.load_config(TOY_Z_CFG, argparse.Namespace(depth=2, mode=None, seed=None)))
     real = Construction.materialize
     words = real(cfg)
     cells = list(words.window.cells())
@@ -822,8 +677,7 @@ def test_planted_materialize_error_labels_the_literal_checks(monkeypatch, error,
 
     from meandim import cli
 
-    cfg_path = Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg"
-    cfg = Construction(cli.load_config(str(cfg_path), argparse.Namespace(depth=2, mode=None, seed=None)))
+    cfg = Construction(cli.load_config(TOY_Z_CFG, argparse.Namespace(depth=2, mode=None, seed=None)))
     walks = Counter()
     real_walk = Construction.level_values
 
@@ -853,15 +707,11 @@ def test_planted_star_order_fails_the_realization(monkeypatch, capsys):
     # wrong cells of the code tile: a DecodeError, one FAIL row and exit 1
     real = Construction.star_positions
     monkeypatch.setattr(Construction, "star_positions", lambda self, n: real(self, n)[::-1])
-    path = Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg"
-    code, out, err = run(capsys, "verify", "--config", str(path))
+    code, out, err = run(capsys, "verify", "--config", TOY_Z_CFG)
     assert (code, err) == (1, "")
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(failed) == 1
     assert failed[0].startswith("FAIL level-1 assignments all realized: DecodeError: decode confirmation failed")
-
-
-TOY_Z_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg")
 
 
 def toy_z_plan():
@@ -993,13 +843,28 @@ def test_verification_decides_every_check_at_the_default_depth(config_name):
 def test_verify_json_lists_the_text_rows(tmp_path, capsys):
     path = tmp_path / "oversized.cfg"
     path.write_text(OVERSIZED_Z2)
-    for config in (str(path), str(Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg")):
+    for config in (str(path), TOY_Z_CFG):
         code, text, _ = run(capsys, "verify", "--config", config)
         json_code, out, err = run(capsys, "verify", "--config", config, "--format", "json")
         assert (json_code, err) == (code, "")
         rows = json.loads(out)
         assert all(set(row) == {"name", "status", "detail"} for row in rows)
         assert text == "".join(f"{r['status']} {r['name']}: {r['detail']}\n" for r in rows)
+
+
+def test_gen_tilings_builds_schedule_text_only_for_out():
+    # without --out no schedule text is built, so a level count no
+    # serialization could reach still prints its summary at once; a separate
+    # process, so that a regression times out rather than hangs the suite
+    root = Path(__file__).resolve().parents[1]
+    levels = str(10**23)
+    flags = ["-O"] if sys.flags.optimize else []
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, *flags, "-m", "meandim.cli", "gen-tilings", "--config", TOY_Z_CFG,
+                           "--levels", levels], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"schedule levels = {levels}" and lines[-1] == "checks failed = 0"
 
 
 def test_importing_the_command_leaves_the_oracles_out():
@@ -1016,7 +881,7 @@ def test_importing_the_command_leaves_the_oracles_out():
     )
     flags = ["-O"] if sys.flags.optimize else []
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, *flags, "-c", probe, str(root / "configs" / "toy-z.cfg")],
+    proc = subprocess.run([sys.executable, *flags, "-c", probe, TOY_Z_CFG],
                           env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")
 
@@ -1049,7 +914,7 @@ def test_the_engine_neither_exports_nor_imports_the_oracles():
 # -- mutated configs: exit codes hold and output is deterministic -------------
 
 MUTATION_BASES = [
-    (Path(__file__).resolve().parents[1] / "configs" / "toy-z.cfg", "[-3,3]"),
+    (Path(TOY_Z_CFG), "[-3,3]"),
     (Path(__file__).resolve().parents[1] / "perfbench" / "toy-z2.cfg", "[-3,3]x[-3,3]"),
 ]
 # (config, window, line number) of every field line of the base configs

@@ -163,6 +163,12 @@ def test_box_queries():
     assert Box((-5,), (5,)).contains_box(Box((-1,), (2,)))
 
 
+def test_box_membership_needs_the_same_rank():
+    # an element of another rank is not a member, as in FiniteSubset
+    assert (5, 5) in Box((0, 0), (9, 9)) and (5, 10) not in Box((0, 0), (9, 9))
+    assert (5,) not in Box((0, 0), (9, 9)) and (5, 99) not in Box((0,), (9,))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 9)), min_size=1, max_size=2),
