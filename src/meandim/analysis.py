@@ -52,8 +52,8 @@ class FreeSet:
         level-(n+1) tile, in ``Box.cells()`` order, from one tile walk."""
         if self.n == 0:
             return [False] * box.volume
-        moved = box.translate(self.shift)
-        return [v is STAR for v in self.cfg.level_values(self.n + 1, moved)]
+        codes, _ = self.cfg.level_codes(self.n + 1, box.translate(self.shift))
+        return [c == 0 for c in codes]  # code 0 is STAR
 
     @property
     def density(self) -> Fraction:
@@ -295,26 +295,33 @@ def check_nesting(cfg: Construction, words) -> CheckResult:
 
 
 def check_floors(cfg: Construction, words) -> CheckResult:
-    literal = words()
-    st, lvl1, lvl2 = cfg.steps[1], cfg.levels[1], cfg.levels[2]
-    q, across = lvl1.periods, st.tiles.highs[-1] - st.tiles.lows[-1] + 1
-    # stars per row of each level-1 tile: each run of q[-1] cells of the
-    # literal word is one (`across` of them a box row), counted in one pass;
-    # then the rows of each tile are summed per leading tile index
-    per_row = list(map(operator.countOf, zip(*[iter(literal.v11)] * q[-1]), itertools.repeat(STAR)))
-    counts = {}  # leading tile index -> star count of each tile along the last axis
-    for r, lead in enumerate(itertools.product(*[  # the leading tile index of each row
-        [(x - lo) // qq for x in range(blo, bhi + 1)]
-        for lo, qq, blo, bhi in zip(lvl1.box.lows[:-1], q[:-1], lvl2.box.lows[:-1], lvl2.box.highs[:-1])
-    ])):
-        row = per_row[r * across:(r + 1) * across]
-        counts[lead] = list(map(operator.add, counts[lead], row)) if lead in counts else row
+    """Every thinning-zone level-1 tile of the literal V_2 keeps more than
+    floor stars; FAIL names the first in lexicographic order that does not."""
+    v11 = words().v11
+    st, lvl1, box = cfg.steps[1], cfg.levels[1], cfg.levels[2].box
+    q, t0, across = lvl1.periods, st.tiles.lows[-1], st.tiles.highs[-1] - st.tiles.lows[-1] + 1
+    origin = box.count_below(cfg.group.identity)
+    cells = [box.count_below(a) - origin for a in lvl1.box.cells()]  # a tile's offsets from its center
     # stars / |S_1| > rho - 1/|S_1|, in integers: stars above this
     floor = (cfg.rho.numerator * lvl1.volume - cfg.rho.denominator) // cfg.rho.denominator
-    for lead, row in counts.items():  # in lexicographic order
-        for j in (lead + (st.tiles.lows[-1] + k,) for k, c in enumerate(row) if c <= floor):
-            if j not in st.cand:
-                center = tuple(jj * qq for jj, qq in zip(j, q))
+    for lead in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(st.tiles.lows[:-1], st.tiles.highs[:-1])]):
+        row = box.count_below(tuple(map(operator.mul, lead + (t0,), q)))  # its first tile's center
+        # one strided slice per seed offset (the seed stars are a tile's first
+        # cells) holds that cell of each tile of the row; a tile's stars there
+        # bound its count from below, one less per slice short of stars
+        short = [col for col in (v11[row + d:row + d + across * q[-1]:q[-1]] for d in cells[:lvl1.stars])
+                 if col.count(STAR) < across]
+        if len(short) < lvl1.stars - floor:
+            continue  # every tile of the row keeps more than floor seed stars
+        low = [lvl1.stars] * across
+        for col in short:
+            low = list(map(operator.sub, low, map(operator.is_not, col, itertools.repeat(STAR))))
+        for k in (k for k, c in enumerate(low) if c <= floor):
+            # a thinning-zone tile at or below the floor there is recounted
+            # over all its cells before it can FAIL
+            b = row + k * q[-1]
+            if lead + (t0 + k,) not in st.cand and sum(v11[b + d] is STAR for d in cells) <= floor:
+                center = tuple(jj * qq for jj, qq in zip(lead + (t0 + k,), q))
                 return CheckResult(False, f"tile at {center} thinned below its floor")
     return CheckResult(True, "every thinned tile stays above its floor")
 
@@ -332,13 +339,12 @@ def check_realization(cfg: Construction, words) -> CheckResult:
         raise SizeGuardError(f"{step.radix}^{stars} assignments, over 4096 to enumerate")
     # assignments in index order: the first below the cap decode, the
     # rest (only when the cap truncates the code block) must not
-    combos = itertools.product(range(step.radix), repeat=stars)
-    seen = {cfg.realization_decode(1, [step.net.point_at(d) for d in combo])
-            for combo in itertools.islice(combos, step.code_count)}
+    combos = itertools.product([step.net.point_at(d) for d in range(step.radix)], repeat=stars)
+    seen = {cfg.realization_decode(1, combo) for combo in itertools.islice(combos, step.code_count)}
     past = 0
     for combo in combos:
         try:
-            cfg.realization_decode(1, [step.net.point_at(d) for d in combo])
+            cfg.realization_decode(1, combo)
         except NotRealizedError:
             past += 1
     if not step.approximate:

@@ -436,14 +436,18 @@ class Construction:
     def level_values(self, n: int, box: Box) -> list:
         """V_n on a box inside the level-n tile, in ``Box.cells()`` order,
         from one tile walk."""
+        codes, palette = self.level_codes(n, box)
+        return [palette[c] for c in codes]
+
+    def level_codes(self, n: int, box: Box) -> tuple:
+        """``level_values(n, box)`` as the walk's ``(codes, palette)``; code 0 is STAR."""
         if not 1 <= n <= self.params.depth + 1:
             raise DepthError(f"level {n} not planned")
         if not self.levels[n].box.contains_box(box):
             raise ValueError(f"{box} outside the level-{n} tile")
         box.guard_cells()
         walk = self._tile_walk()
-        palette = walk.palette
-        return [palette[c] for c in walk.values(n, box.lows, box.highs, False)[0]]
+        return walk.values(n, box.lows, box.highs, False)[0], walk.palette
 
     def star_positions(self, n: int) -> list:
         """Stars of V_n in canonical rank order (walks the whole tile)."""
@@ -537,10 +541,11 @@ class Construction:
             for d in deltas:
                 w1[r + d:r + d + across * q[-1]:q[-1]] = row_of_stars
         v11 = list(w1)
+        points = [step1.net.point_at(d) for d in range(step1.radix)]
         for k in range(step1.code_count):
             b = box.count_below(self._cand_at(step1, k))
             for p, d in enumerate(deltas):
-                v11[b + d] = step1.net.point_at(self._digit(k, lvl1.stars - 1 - p, step1.radix))
+                v11[b + d] = points[self._digit(k, lvl1.stars - 1 - p, step1.radix)]
         total = v11.count(STAR)
         target = lvl2.stars
         floor1 = (self.rho.numerator * lvl1.volume) // self.rho.denominator
@@ -668,7 +673,14 @@ class _TileWalk:
         hit = self.memo.get(key)
         if hit is not None and (hit[1] is not None or not ranks):
             return hit
-        if thinned:
+        tile = self.cfg.levels[n].box
+        whole = None if ranks or thinned else self.memo.get((n, tile.lows, tile.highs, False))
+        if whole is not None:  # the box's rows, sliced from the walked tile
+            vals, w = [], highs[-1] - lows[-1] + 1
+            for i in self._row_starts(tile, lows, highs):
+                vals += whole[0][i:i + w]
+            out = vals, None
+        elif thinned:
             vals, sub = self.values(n, lows, highs, True)
             out = ([1 if v == 0 and p == 0 else v for v, p in zip(vals, sub)],
                    [p - 1 if p else 0 for p in sub])
@@ -679,6 +691,12 @@ class _TileWalk:
         self.memo[key] = out
         return out
 
+    @staticmethod
+    def _row_starts(tile: Box, lows: tuple, highs: tuple):
+        """Index in ``tile.cells()`` of the first cell of each row of a box inside it."""
+        for lead in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows[:-1], highs[:-1]))):
+            yield tile.count_below(lead + (lows[-1],))
+
     def _seed_word(self, lows: tuple, highs: tuple) -> tuple:
         """V_1 and its star ranks: the seed stars are the first cells of
         the level-1 tile in lexicographic order, so a cell's lexicographic
@@ -686,8 +704,7 @@ class _TileWalk:
         box, stars = self.cfg.levels[1].box, self.cfg.levels[1].stars
         width = highs[-1] - lows[-1] + 1
         vals, rks = [], []
-        for lead in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows[:-1], highs[:-1]))):
-            start = box.count_below(lead + (lows[-1],))
+        for start in self._row_starts(box, lows, highs):
             row = range(start, start + width)
             vals += [0 if i < stars else 1 for i in row]
             rks += [i if i < stars else stars for i in row]
@@ -704,13 +721,23 @@ class _TileWalk:
             for lo, hi, tlo, thi, q in zip(lows, highs, lvl.box.lows, lvl.box.highs, lvl.periods)
         ]
         vals, rks = [], []
-        for band in itertools.product(*lead_axes):
+        bands = list(itertools.product(*lead_axes))
+        # values only, a band is a copy of an earlier one with its piece bounds and runs
+        laid = {} if not ranks and len(bands) > 1 else None  # (bounds, runs) -> span of vals
+        for band in bands:
             lead, plows, phighs = (tuple(t) for t in zip(*band)) if band else ((), (), ())
+            runs = list(self._runs(step, lead, last[0][0], last[-1][0]))
+            if laid is not None:
+                kind = (plows, phighs, tuple(run[:4] for run in runs))
+                if kind in laid:
+                    vals += vals[laid[kind]]
+                    continue
+                start = len(vals)
             nrows = math.prod(b - a + 1 for _, a, b in band)
             # a band of one row (always on Z) goes straight to the output
             rows = [vals] if nrows == 1 else [[] for _ in range(nrows)]
             rank_rows = [rks] if nrows == 1 else [[] for _ in rows]
-            for s, e, code, thinned, off in self._runs(step, lead, last[0][0], last[-1][0]):
+            for s, e, code, thinned, off in runs:
                 _, plo, phi = last[s - last[0][0]]
                 w, key = phi - plo + 1, (m, plows + (plo,), phighs + (phi,))
                 if code is None:
@@ -731,6 +758,8 @@ class _TileWalk:
                     vals += row
                 for row in rank_rows:
                     rks += row
+            if laid is not None:
+                laid[kind] = slice(start, len(vals))
         return vals, rks if ranks else None
 
     def _runs(self, step: Optional[StepPlan], lead: tuple, ja: int, jb: int):

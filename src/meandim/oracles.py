@@ -19,18 +19,21 @@ engine to.  No engine module imports this one (a test enforces it), so
 * Toy constructors, explicit intervals and boxes, the schedule parser
   (the inverse of ``TilingSchedule.serialize``), exact word densities,
   free-set enumeration and the net density check.
+* ``floors_by_count``, the per-tile floors row by a count of every cell,
+  which ``analysis.check_floors`` bounds from the seed offsets first.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from typing import Iterable, Optional
 
 from .analysis import FreeSet
-from .construction import HASH, STAR, BuildParams, Construction, StepPlan
+from .construction import HASH, STAR, BuildParams, Construction, MaterializedWords, StepPlan
 from .cube import Net, Polyhedron, net_schedule
 from .errors import DecodeError, ScheduleError
 from .groups import GROUPS, Box, Element, FiniteSubset, LatticeGroup, Z, Z2, is_invariant
@@ -434,6 +437,31 @@ def free_set_elements(fs: FreeSet) -> list:
         return []
     inv = fs.cfg.group.inv(fs.shift)
     return [fs.cfg.group.mul(p, inv) for p in fs.cfg.star_positions(fs.n + 1)]
+
+
+def floors_by_count(cfg: Construction, literal: MaterializedWords) -> CheckResult:
+    """The per-tile density floors row by a full count, the oracle of
+    ``analysis.check_floors``: every run of q[-1] cells of the literal V_2
+    is one row of one level-1 tile, so the stars of each tile are counted
+    on every cell, and the first thinning-zone tile in lexicographic order
+    with at most floor stars fails."""
+    st, lvl1, lvl2 = cfg.steps[1], cfg.levels[1], cfg.levels[2]
+    q, across = lvl1.periods, st.tiles.highs[-1] - st.tiles.lows[-1] + 1
+    per_row = list(map(operator.countOf, zip(*[iter(literal.v11)] * q[-1]), repeat(STAR)))
+    counts = {}  # leading tile index -> star count of each tile along the last axis
+    for r, lead in enumerate(product(*[  # the leading tile index of each row
+        [(x - lo) // qq for x in range(blo, bhi + 1)]
+        for lo, qq, blo, bhi in zip(lvl1.box.lows[:-1], q[:-1], lvl2.box.lows[:-1], lvl2.box.highs[:-1])
+    ])):
+        row = per_row[r * across:(r + 1) * across]
+        counts[lead] = list(map(operator.add, counts[lead], row)) if lead in counts else row
+    floor = (cfg.rho.numerator * lvl1.volume - cfg.rho.denominator) // cfg.rho.denominator
+    for lead, row in counts.items():  # in lexicographic order
+        for j in (lead + (st.tiles.lows[-1] + k,) for k, c in enumerate(row) if c <= floor):
+            if j not in st.cand:
+                center = tuple(jj * qq for jj, qq in zip(j, q))
+                return CheckResult(False, f"tile at {center} thinned below its floor")
+    return CheckResult(True, "every thinned tile stays above its floor")
 
 
 def verify_dense(net: Net) -> bool:

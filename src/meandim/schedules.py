@@ -79,7 +79,8 @@ class TilingSchedule:
         self._prefix_len = max(len(r.growth) for r in self.rules)
         self._prefix = [[(r.seed_a, r.seed_b)] for r in self.rules]
         self._top = 1  # deepest level asked for
-        self._levels = {}  # level -> (box, periods, volume), for the levels asked for
+        self._levels = {}  # level -> (box, periods), for the levels asked for
+        self._volumes = {}  # level -> volume, for the levels asked for or found by the level search
 
     def __repr__(self) -> str:
         return f"TilingSchedule({self.group}, levels={self.levels_built}, balance={self.balance})"
@@ -172,8 +173,7 @@ class TilingSchedule:
         if got is None:
             self.ensure(n)
             ends, periods = self._shape(n)
-            box = self._box(ends)
-            got = self._levels[n] = (box, periods, box.volume)
+            got = self._levels[n] = (self._box(ends), periods)
         return got
 
     def level_box(self, n: int) -> Box:
@@ -183,7 +183,10 @@ class TilingSchedule:
         return self._level(n)[1]
 
     def volume(self, n: int) -> int:
-        return self._level(n)[2]
+        vol = self._volumes.get(n)
+        if vol is None:
+            vol = self._volumes[n] = math.prod(self.periods(n))
+        return vol
 
     # -- level search ------------------------------------------------------
 
@@ -214,6 +217,7 @@ class TilingSchedule:
         while power < ratio:  # level p + t holds need once this loop ends
             power *= big_m
             t += 1
+        self._volumes[p + t] = base * power  # one short product, where volume(p + t) multiplies two long sides
         return p + t
 
     def climb(self, level: int, top: int):
@@ -221,8 +225,8 @@ class TilingSchedule:
         extension step (_step) up from the one below: a level costs a few
         linear big-int operations, where level_box costs a power per axis
         and a volume product.  Each level is made available as it is reached."""
-        vol = self.volume(level)
-        ends = self._shape(level)[0]
+        vol, box = self.volume(level), self.level_box(level)
+        ends = [(-lo, hi) for lo, hi in zip(box.lows, box.highs)]
         for n in range(level + 1, top + 1):
             self.ensure(n)
             stepped = [self._step(ax, a, b, n - 1) for ax, (a, b) in enumerate(ends)]

@@ -600,11 +600,12 @@ def test_planted_literal_mismatch_fails_oracle_and_linking(monkeypatch, depth):
         assert rows[name][1] == f"mismatch at {victim}"
 
 
-def planted_floor_rows(monkeypatch, config_name, left):
+def planted_floor_rows(monkeypatch, config_name, left, spare=0):
     """The verify rows at depth 1 with stars of one thinning-zone level-1
-    tile of the literal V_2 turned to hashes until `left` are left: the
-    first such tile after the host in lexicographic order.  Returns the
-    rows and the tile's center."""
+    tile of the literal V_2 turned to hashes until `left` are left, then
+    its first `spare` cells past the seed stars turned to stars: the first
+    such tile after the host in lexicographic order.  Returns the rows, the
+    tile's center and the verdict of the floors oracle on the planted words."""
     from meandim import HASH, STAR, cli
 
     cfg_path = Path(__file__).resolve().parents[1] / config_name
@@ -612,7 +613,10 @@ def planted_floor_rows(monkeypatch, config_name, left):
     st, q = cfg.steps[1], cfg.levels[1].periods
     center = tuple((hi + 1) * qq for hi, qq in zip(st.cand.highs, q))
     victims = [cfg.group.mul(a, center) for a in cfg.seed_stars]
+    extras = [cfg.group.mul(a, center) for a in cfg.levels[1].box.cells() if a not in cfg.seed_stars][:spare]
+    assert len(extras) == spare
     real = Construction.materialize
+    planted_words = []
 
     def planted(self, *args, **kwargs):
         out = real(self, *args, **kwargs)
@@ -621,30 +625,58 @@ def planted_floor_rows(monkeypatch, config_name, left):
         assert len(stars) > left
         for g in stars[left:]:
             out.v11[at[g]] = HASH
+        for g in extras:
+            assert out.v11[at[g]] is HASH
+            out.v11[at[g]] = STAR
+        planted_words.append(out)
         return out
 
     monkeypatch.setattr(Construction, "materialize", planted)
     rows = {name: (ok, note) for name, ok, note in cli.run_verification(cfg, 7)}
-    return rows, center
+    oracle = oracles.floors_by_count(cfg, planted_words[0])
+    return rows, center, (oracle.ok, oracle.detail)
+
+
+def floor_of(config_name):
+    """The most stars c with c / |S_1| <= rho - 1 / |S_1|, by search."""
+    path = Path(__file__).resolve().parents[1] / config_name
+    cfg = Construction(load_config(str(path), argparse.Namespace(depth=1, mode=None, seed=None)))
+    vol = cfg.levels[1].volume
+    return max(c for c in range(vol + 1) if Fraction(c, vol) <= cfg.rho - Fraction(1, vol))
 
 
 @pytest.mark.parametrize("config_name", ["configs/toy-z.cfg", "perfbench/toy-z2.cfg"])
 def test_planted_thinned_tile_fails_the_floors(monkeypatch, config_name):
     # every star of the tile turned to a hash
-    rows, center = planted_floor_rows(monkeypatch, config_name, 0)
-    assert rows["per-tile density floors"] == (False, f"tile at {center} thinned below its floor")
+    rows, center, oracle = planted_floor_rows(monkeypatch, config_name, 0)
+    assert rows["per-tile density floors"] == oracle == (False, f"tile at {center} thinned below its floor")
 
 
 @pytest.mark.parametrize("config_name", ["configs/toy-z.cfg", "perfbench/toy-z2.cfg"])
 def test_planted_tile_at_its_floor_fails_the_floors(monkeypatch, config_name):
-    # the tile left with exactly its floor, the most stars c with
-    # c / |S_1| <= rho - 1 / |S_1|: the comparison must not be strict
+    # the tile left with exactly its floor: the comparison must not be strict
+    rows, center, oracle = planted_floor_rows(monkeypatch, config_name, floor_of(config_name))
+    assert rows["per-tile density floors"] == oracle == (False, f"tile at {center} thinned below its floor")
+
+
+@pytest.mark.parametrize("config_name", ["configs/toy-z.cfg", "perfbench/toy-z2.cfg"])
+def test_planted_star_past_the_seed_cells_keeps_the_tile_above_its_floor(monkeypatch, config_name):
+    # the tile holds its floor of stars at the seed cells, which is all the
+    # row's lower bound sees, and one more at a cell past them: only the
+    # exact recount of the tile's cells keeps the row at PASS
+    rows, _, oracle = planted_floor_rows(monkeypatch, config_name, floor_of(config_name), spare=1)
+    assert rows["per-tile density floors"] == oracle == (True, "every thinned tile stays above its floor")
+
+
+@pytest.mark.parametrize("config_name,depth", [("configs/toy-z.cfg", 2), ("perfbench/toy-z2.cfg", 1)])
+def test_floors_row_agrees_with_the_full_count(config_name, depth):
+    from meandim import analysis
+
     path = Path(__file__).resolve().parents[1] / config_name
-    cfg = Construction(load_config(str(path), argparse.Namespace(depth=1, mode=None, seed=None)))
-    vol = cfg.levels[1].volume
-    floor = max(c for c in range(vol + 1) if Fraction(c, vol) <= cfg.rho - Fraction(1, vol))
-    rows, center = planted_floor_rows(monkeypatch, config_name, floor)
-    assert rows["per-tile density floors"] == (False, f"tile at {center} thinned below its floor")
+    cfg = Construction(load_config(str(path), argparse.Namespace(depth=depth, mode=None, seed=None)))
+    words = cfg.materialize()
+    assert analysis.check_floors(cfg, lambda: words) == oracles.floors_by_count(cfg, words)
+    assert oracles.floors_by_count(cfg, words).ok
 
 
 def test_planted_stable_mismatch_fails_the_oracle(monkeypatch):
@@ -889,7 +921,7 @@ def test_importing_the_command_leaves_the_oracles_out():
 # every name that lives in meandim.oracles rather than in the engine
 ORACLE_NAMES = {
     "DensityReport", "box2", "check_irreducibility_witness", "covers_window", "densities", "factor_window",
-    "free_set_elements", "generate_interval_schedule", "interval", "parse_schedule", "tiling_configuration",
+    "floors_by_count", "free_set_elements", "generate_interval_schedule", "interval", "parse_schedule", "tiling_configuration",
     "to_explicit", "toy_params", "verify_dense", "verify_invariance_profile", "verify_syndetic_centers",
 }
 

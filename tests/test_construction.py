@@ -631,6 +631,18 @@ def test_evaluation_keeps_no_state_on_the_construction():
     assert {name: len(planned[name]) for name in sizes} == sizes
 
 
+def corner_boxes(cfg, n):
+    """Boxes of V_(n+1) across each corner of the host of step n and of
+    its thinning-cut tile, clipped to the level-(n+1) tile; the cut's
+    bisection is left out past 10**200 cells, where it takes about a minute."""
+    outer, host = cfg.levels[n + 1].box, cfg.steps[n].host_box
+    cut = thinning_cut_tile(cfg, n) if cfg.levels[n + 1].volume < 10**200 else None
+    for corner in (host.lows, host.highs) + ((cut.lows, cut.highs) if cut else ()):
+        lows = tuple(max(x - 6, lo) for x, lo in zip(corner, outer.lows))
+        highs = tuple(min(x + 6, hi) for x, hi in zip(corner, outer.highs))
+        yield Box(lows, highs)
+
+
 def test_tile_walk_words_and_ranks_match_pointwise(toy_cfg, deep_capped_cfg, z2_cfgs):
     from meandim.construction import _TileWalk
 
@@ -648,12 +660,7 @@ def test_tile_walk_words_and_ranks_match_pointwise(toy_cfg, deep_capped_cfg, z2_
         generate_interval_schedule(0, 1, 3, group=Z2), Fraction(1, 5), dim=1, depth=1))
     for cfg in (toy_cfg, deep_capped_cfg, z2_cfgs[1], z2_cfgs[2], make_toy(0, 2), z2_early_cut):
         for n in (n for n in cfg.steps if cfg.levels[n + 1].volume < 10**200):
-            outer, host = cfg.levels[n + 1].box, cfg.steps[n].host_box
-            cut = thinning_cut_tile(cfg, n)
-            for corner in (host.lows, host.highs) + ((cut.lows, cut.highs) if cut else ()):
-                lows = tuple(max(x - 6, lo) for x, lo in zip(corner, outer.lows))
-                highs = tuple(min(x + 6, hi) for x, hi in zip(corner, outer.highs))
-                cases.append((cfg, n + 1, Box(lows, highs)))
+            cases += [(cfg, n + 1, box) for box in corner_boxes(cfg, n)]
     for cfg, n, box in cases:
         want = [oracles.word(cfg, n, g) for g in box.cells()]
         walk = _TileWalk(cfg)
@@ -665,6 +672,24 @@ def test_tile_walk_words_and_ranks_match_pointwise(toy_cfg, deep_capped_cfg, z2_
         words = [walk.palette[c] for c in codes]
         assert words == want, (n, box)
         assert ranks == [oracles.stars_below(cfg, n, g) for g in box.cells()], (n, box)
+
+
+def test_one_walk_slices_the_walked_tile_and_copies_repeated_bands(z2_cfgs):
+    # a view's walk that holds the whole level-2 tile slices later boxes of
+    # V_2 from it, and lays boxes of V_3 from level-2 pieces sliced from it,
+    # copying each band whose piece bounds and runs repeat an earlier one
+    for cfg in z2_cfgs.values():
+        view, tile = cfg.with_one_walk(), cfg.levels[2].box
+        assert view.level_values(2, tile) == cfg.materialize().v11
+        cases = [(n + 1, box) for n in cfg.steps for box in corner_boxes(cfg, n)]
+        if cfg.params.depth >= 2:
+            # three bands of level-2 tiles above the step-2 host: the last
+            # three rows of one tile, a whole tile, the first three rows of
+            # the next, so the boundary bands differ only in piece bounds
+            top, left, q = *cfg.steps[2].host_box.lows, cfg.levels[2].periods[0]
+            cases.append((3, Box((top - 2 * q - 3, left - 1), (top - q + 2, left + 1))))
+        for n, box in cases:
+            assert view.level_values(n, box) == [oracles.word(cfg, n, g) for g in box.cells()], (n, box)
 
 
 def test_tile_walk_palette_codes_each_net_point_once(deep_capped_cfg, z2_cfgs):
