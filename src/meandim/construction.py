@@ -722,7 +722,7 @@ class _TileWalk:
         ]
         vals, rks = [], []
         bands = list(itertools.product(*lead_axes))
-        # values only, a band is a copy of an earlier one with its piece bounds and runs
+        # in a values-only walk, a band with an earlier band's piece bounds and runs copies it
         laid = {} if not ranks and len(bands) > 1 else None  # (bounds, runs) -> span of vals
         for band in bands:
             lead, plows, phighs = (tuple(t) for t in zip(*band)) if band else ((), (), ())

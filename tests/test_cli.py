@@ -921,8 +921,9 @@ def test_importing_the_command_leaves_the_oracles_out():
 # every name that lives in meandim.oracles rather than in the engine
 ORACLE_NAMES = {
     "DensityReport", "box2", "check_irreducibility_witness", "covers_window", "densities", "factor_window",
-    "floors_by_count", "free_set_elements", "generate_interval_schedule", "interval", "parse_schedule", "tiling_configuration",
-    "to_explicit", "toy_params", "verify_dense", "verify_invariance_profile", "verify_syndetic_centers",
+    "floors_by_count", "free_set_elements", "generate_interval_schedule", "interval", "parse_schedule",
+    "tiling_configuration", "to_explicit", "toy_params", "verify_dense", "verify_invariance_profile",
+    "verify_syndetic_centers",
 }
 
 
