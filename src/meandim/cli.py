@@ -250,7 +250,9 @@ def cmd_build(args) -> int:
 
 def cmd_window(args) -> int:
     """Print a window row by row, '?' at each undetermined cell: the walk lays
-    palette codes (``Construction._walk_box``), each rendered once."""
+    palette codes (``Construction._walk_box``), each rendered once.  The exit
+    code comes from the printed text (a '?' in it means exit 1), so the codes
+    are scanned again only to name the first undetermined cell and count them."""
     params = load_config(args.config, args)
     cfg = Construction(params)
     box = parse_window(args.window, cfg.group)
@@ -262,8 +264,11 @@ def cmd_window(args) -> int:
     # printed row (the whole window on Z, one first coordinate on Z^2)
     width = box.highs[-1] - box.lows[-1] + 1
     lines = [" ".join(map(shown.__getitem__, codes[i:i + width])) for i in range(0, len(codes), width)]
-    emit("\n".join(lines) + "\n", args.out)
-    if 0 in codes:
+    text = "\n".join(lines) + "\n"
+    emit(text, args.out)
+    # no rendered palette entry but shown[0] holds a "?" ('#', net points and
+    # the basepoint are digits, '/', ',' and '-')
+    if "?" in text:
         first = cfg._undetermined_in(box, codes)
         raise DepthError(f"{first} ({codes.count(0)} of {len(codes)} cells shown as ?)")
     return 0

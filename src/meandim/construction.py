@@ -642,10 +642,13 @@ class _TileWalk:
     piece of V_(n-1).  A thinned tile (one of the first ``thin_total`` of the
     thinning zone) lays the piece with its first star turned to a hash, and
     a code tile patches the digit-0 template of its piece at its non-zero
-    digits.  The memos, templates and palette belong to the walk, not the
-    construction.  A walk lives for one evaluation call, except the verify
-    battery's: ``with_one_walk`` gives it to a view that lives for exactly
-    one ``run_verification`` call, so its memos are bounded by the battery's
+    digits.  A piece without a star is its own digit-0 template, the
+    memoized list itself, so a window read through code tile 0 where the
+    stars are already resolved is neither copied nor ranked.  The memos,
+    templates and palette belong to the walk, not the construction.  A walk
+    lives for one evaluation call, except the verify battery's:
+    ``with_one_walk`` gives it to a view that lives for exactly one
+    ``run_verification`` call, so its memos are bounded by the battery's
     tiles.  The lists it returns are memoized and must not be mutated.
     """
 
@@ -802,12 +805,20 @@ class _TileWalk:
 
     def _coded(self, step: StepPlan, key: tuple, code: int) -> list:
         """V_(n+1) on a piece of code tile ``code``: the star of rank p takes
-        the net point of digit radix**(stars - 1 - p) of the code index."""
+        the net point of digit radix**(stars - 1 - p) of the code index.
+
+        A piece without a star is its own digit-0 template: the walk's
+        memoized list of V_n, uncopied, with an empty star index, so no code
+        adds a net point to it or ranks its cells."""
         template = self.templates.get(key)
         if template is None:
             vals, _ = self.values(*key, False)
-            zero = self._point(step, 0)
-            template = self.templates[key] = [[zero if v == 0 else v for v in vals], None]
+            if 0 in vals:
+                zero = self._point(step, 0)
+                template = [[zero if v == 0 else v for v in vals], None]
+            else:
+                template = [vals, {}]
+            self.templates[key] = template
         out, p = template[0], self.cfg.levels[step.n].stars - 1
         while code:
             code, d = divmod(code, step.radix)

@@ -499,24 +499,34 @@ def z2_cfgs():
 def thinning_cut_tile(cfg, n):
     """The level-n tile of thinning rank ``thin_total`` of step n (the first
     thinning-zone tile that keeps all its stars), in level-(n+1) coordinates;
-    None if there is none.  Thinning ranks grow with the lexicographic index,
-    so bisect."""
+    None if there is none.  The rows of tiles (one leading index each; Z has
+    one row) come in three runs, before, across and after the host's rows,
+    and every row of a run holds the same number of thinning-zone tiles, so
+    one division per run places the cut, as ``_TileWalk._runs`` does."""
     step = cfg.steps[n]
     tiles, host = step.tiles, step.cand
-    total = tiles.volume
-    i, past = 0, total  # the first index of thinning rank thin_total or more
-    while i < past:
-        mid = (i + past) // 2
-        # the tiles before index mid, less the host tiles among them
-        if mid - host.count_below(tiles.cell_at(mid)) < step.thin_total:
-            i = mid + 1
-        else:
-            past = mid
-    while i < total and tiles.cell_at(i) in host:
-        i += 1  # the host tiles share the thinning rank of the next tile after them
-    if i == total:
+    width = tiles.highs[-1] - tiles.lows[-1] + 1
+    inside = host.highs[-1] - host.lows[-1] + 1  # host tiles in a row across the host
+    if tiles.rank == 1:
+        runs = [((), 1, inside)]
+    else:  # Z^2: a run is (its first row's leading index, its rows, host tiles per row)
+        (a, b), (ha, hb) = (tiles.lows[0], tiles.highs[0]), (host.lows[0], host.highs[0])
+        runs = [((a,), ha - a, 0), ((ha,), hb - ha + 1, inside), ((hb + 1,), b - hb, 0)]
+    rank = step.thin_total
+    for lead, rows, skip in runs:
+        per_row = width - skip
+        if rank < rows * per_row:
+            row, k = divmod(rank, per_row)
+            if skip and k >= host.lows[-1] - tiles.lows[-1]:
+                k += skip  # past the host tiles, which are never thinned
+            j = tuple(x + row for x in lead) + (tiles.lows[-1] + k,)
+            break
+        rank -= rows * per_row
+    else:
         return None
-    center = tuple(j * q for j, q in zip(tiles.cell_at(i), cfg.levels[n].periods))
+    # thin_total thinning-zone tiles lie before it
+    assert j not in host and tiles.count_below(j) - host.count_below(j) == step.thin_total, (n, j)
+    center = tuple(jj * q for jj, q in zip(j, cfg.levels[n].periods))
     return cfg.levels[n].box.translate(center)
 
 
@@ -633,10 +643,9 @@ def test_evaluation_keeps_no_state_on_the_construction():
 
 def corner_boxes(cfg, n):
     """Boxes of V_(n+1) across each corner of the host of step n and of
-    its thinning-cut tile, clipped to the level-(n+1) tile; the cut's
-    bisection is left out past 10**200 cells, where it takes about a minute."""
+    its thinning-cut tile, clipped to the level-(n+1) tile."""
     outer, host = cfg.levels[n + 1].box, cfg.steps[n].host_box
-    cut = thinning_cut_tile(cfg, n) if cfg.levels[n + 1].volume < 10**200 else None
+    cut = thinning_cut_tile(cfg, n)
     for corner in (host.lows, host.highs) + ((cut.lows, cut.highs) if cut else ()):
         lows = tuple(max(x - 6, lo) for x, lo in zip(corner, outer.lows))
         highs = tuple(min(x + 6, hi) for x, hi in zip(corner, outer.highs))
@@ -659,7 +668,7 @@ def test_tile_walk_words_and_ranks_match_pointwise(toy_cfg, deep_capped_cfg, z2_
     z2_early_cut = Construction(toy_params(
         generate_interval_schedule(0, 1, 3, group=Z2), Fraction(1, 5), dim=1, depth=1))
     for cfg in (toy_cfg, deep_capped_cfg, z2_cfgs[1], z2_cfgs[2], make_toy(0, 2), z2_early_cut):
-        for n in (n for n in cfg.steps if cfg.levels[n + 1].volume < 10**200):
+        for n in cfg.steps:
             cases += [(cfg, n + 1, box) for box in corner_boxes(cfg, n)]
     for cfg, n, box in cases:
         want = [oracles.word(cfg, n, g) for g in box.cells()]
@@ -720,6 +729,31 @@ def test_tile_walk_palette_codes_each_net_point_once(deep_capped_cfg, z2_cfgs):
             assert walk._point(cfg.steps[n], d) == code
             assert walk.palette[code] == cfg.steps[n].net.point_at(d)
         assert len(walk.palette) == sizes[-1]
+
+
+def test_starless_piece_is_its_own_digit_zero_template(deep_capped_cfg):
+    # the capped depth-3 window near the origin is V_3 read through code tile
+    # 0 of step 3 and holds no star: _coded returns the walk's memoized list
+    # itself, adds no digit-0 net point, and a non-zero code ranks nothing;
+    # a piece with stars still gets a substituted copy of its memoized list
+    from meandim.construction import _TileWalk
+
+    cfg = deep_capped_cfg
+    walk = _TileWalk(cfg)
+    key = (3, (-20621,), (19379,))
+    coded = walk._coded(cfg.steps[3], key, 0)
+    assert coded is walk.memo[key + (False,)][0] and 0 not in coded
+    assert (3, 0) not in walk.points
+    assert walk._coded(cfg.steps[3], key, cfg.steps[3].code_count - 1) is coded
+    assert walk.memo[key + (False,)][1] is None and key + (True,) not in walk.memo
+    tile = cfg.levels[2].box
+    key = (2, tile.lows, tile.highs)
+    memo = walk.values(*key, False)[0]
+    zero = walk._point(cfg.steps[2], 0)
+    coded = walk._coded(cfg.steps[2], key, 0)
+    assert coded is not memo and coded == [zero if v == 0 else v for v in memo]
+    last = walk._coded(cfg.steps[2], key, cfg.steps[2].code_count - 1)
+    assert last != coded and walk.memo[key + (False,)][0] is memo and memo.count(0) == cfg.levels[2].stars
 
 
 @pytest.mark.parametrize("case", ["Z", "Z dim 2", "Z2"])
