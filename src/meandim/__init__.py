@@ -14,7 +14,6 @@ from .construction import (
     BuildParams,
     Construction,
     HASH,
-    MaterializedWords,
     STAR,
     render_value,
 )

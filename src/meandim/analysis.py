@@ -246,8 +246,7 @@ def mdim_report(cfg: Construction) -> MdimReport:
 
 
 # -- the verify battery: each check takes the plan and ``words``, the literal
-# materializer cached once per run, which a check that reads the literal
-# words calls before it walks
+# V_2 cached once per run, which a check that reads it calls before it walks
 
 def _agreement(box: Box, got: list, want: list, what: str = "mismatch") -> CheckResult:
     """FAIL at the first cell of ``box`` where two lists in ``Box.cells()``
@@ -278,16 +277,19 @@ def check_no_star(cfg: Construction, words) -> CheckResult:
 
 def check_oracle(cfg: Construction, words) -> CheckResult:
     literal, box = words(), cfg.levels[2].box
-    res = _agreement(box, cfg.level_values(2, box), literal.v11)
-    if res and literal.stable is not None:
-        return _agreement(box, cfg.window_values(box, "w"), literal.stable, "stabilized mismatch")
+    res = _agreement(box, cfg.level_values(2, box), literal)
+    if res and cfg.params.depth >= 2:
+        # the literal V_2 with its stars resolved by code tile 0 of step 2
+        zero = cfg.steps[2].net.point_at(0)
+        stable = [zero if v is STAR else v for v in literal]
+        return _agreement(box, cfg.window_values(box, "w"), stable, "stabilized mismatch")
     return res
 
 
 def check_linking(cfg: Construction, words) -> CheckResult:
     # V_3 on the link tile against the literal V_2
     literal, box = words(), cfg.levels[2].box
-    return _agreement(box, cfg.level_values(3, box.translate(cfg.steps[2].link_center)), literal.v11)
+    return _agreement(box, cfg.level_values(3, box.translate(cfg.steps[2].link_center)), literal)
 
 
 def check_nesting(cfg: Construction, words) -> CheckResult:
@@ -297,19 +299,17 @@ def check_nesting(cfg: Construction, words) -> CheckResult:
 def check_floors(cfg: Construction, words) -> CheckResult:
     """Every thinning-zone level-1 tile of the literal V_2 keeps more than
     floor stars; FAIL names the first in lexicographic order that does not."""
-    v11 = words().v11
-    st, lvl1, box = cfg.steps[1], cfg.levels[1], cfg.levels[2].box
-    q, t0, across = lvl1.periods, st.tiles.lows[-1], st.tiles.highs[-1] - st.tiles.lows[-1] + 1
-    origin = box.count_below(cfg.group.identity)
-    cells = [box.count_below(a) - origin for a in lvl1.box.cells()]  # a tile's offsets from its center
+    v2 = words()
+    st, lvl1 = cfg.steps[1], cfg.levels[1]
+    q, t0 = lvl1.periods, st.tiles.lows[-1]
+    rows, across, cells = cfg.tile_rows()  # cells: a tile's offsets from its center
     # stars / |S_1| > rho - 1/|S_1|, in integers: stars above this
     floor = (cfg.rho.numerator * lvl1.volume - cfg.rho.denominator) // cfg.rho.denominator
-    for lead in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(st.tiles.lows[:-1], st.tiles.highs[:-1])]):
-        row = box.count_below(tuple(map(operator.mul, lead + (t0,), q)))  # its first tile's center
+    for lead, row in rows:  # row: the offset of its first tile's center
         # one strided slice per seed offset (the seed stars are a tile's first
         # cells) holds that cell of each tile of the row; a tile's stars there
         # bound its count from below, one less per slice short of stars
-        short = [col for col in (v11[row + d:row + d + across * q[-1]:q[-1]] for d in cells[:lvl1.stars])
+        short = [col for col in (v2[row + d:row + d + across * q[-1]:q[-1]] for d in cells[:lvl1.stars])
                  if col.count(STAR) < across]
         if len(short) < lvl1.stars - floor:
             continue  # every tile of the row keeps more than floor seed stars
@@ -320,7 +320,7 @@ def check_floors(cfg: Construction, words) -> CheckResult:
             # a thinning-zone tile at or below the floor there is recounted
             # over all its cells before it can FAIL
             b = row + k * q[-1]
-            if lead + (t0 + k,) not in st.cand and sum(v11[b + d] is STAR for d in cells) <= floor:
+            if lead + (t0 + k,) not in st.cand and sum(v2[b + d] is STAR for d in cells) <= floor:
                 center = tuple(jj * qq for jj, qq in zip(lead + (t0 + k,), q))
                 return CheckResult(False, f"tile at {center} thinned below its floor")
     return CheckResult(True, "every thinned tile stays above its floor")
@@ -374,7 +374,7 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
     which is freed when the battery returns; ``cfg`` itself is not changed.
     """
     cfg = cfg.with_one_walk()
-    # level 2 is materialized at most once, for the oracle, linking and floor
+    # V_2 is materialized at most once, for the oracle, linking and floor
     # checks; a tile past MATERIALIZE_GUARD walks nothing and reads INCONCLUSIVE
     words = functools.cache(cfg.materialize)
     battery = [

@@ -169,21 +169,6 @@ class StepPlan:
     radix: int
 
 
-@dataclass
-class MaterializedWords:
-    """Literal small-instance words, used as the evaluator's oracle.
-
-    Each word is a flat list of values over ``window`` in ``Box.cells()``
-    order.  The host box of step 1 is never thinned, so ``v11`` on it is the
-    coded word of step 1.
-    """
-
-    window: Box  # the level-2 tile
-    w1: list  # the seed word copied into every level-1 tile
-    v11: list  # the level-2 word (greedy thinning applied)
-    stable: Optional[list]  # v11 with its stars resolved by code tile 0 of step 2
-
-
 class Construction:
     """A fully planned construction with a lazy tile-walk evaluator.
 
@@ -507,75 +492,75 @@ class Construction:
 
     # -- literal materialization (the oracle) --------------------------------
 
-    def materialize(self) -> MaterializedWords:
-        """Execute the first two levels literally, on flat lists.
+    def tile_rows(self) -> tuple:
+        """The level-1 tiles of the level-2 tile as offsets into a flat list
+        over the level-2 tile in ``Box.cells()`` order: ``(rows, across,
+        offsets)``.  ``rows`` has one ``(lead, offset)`` per leading tile
+        index in lexicographic order, ``offset`` being that of the row's
+        first tile center; each row holds ``across`` tiles, q[-1] apart; and
+        ``offsets`` holds each cell of a level-1 tile relative to its center,
+        in ``Box.cells()`` order, so its first ``stars`` are the seed stars.
+        The offset is linear in the cell, so a cell a + c of the tile
+        centered at c sits at c's offset plus a's."""
+        box, tiles, q = self.levels[2].box, self.steps[1].tiles, self.levels[1].periods
+        origin = box.count_below(self.group.identity)
+        offsets = [box.count_below(a) - origin for a in self.levels[1].box.cells()]
+        t0 = tiles.lows[-1]
+        leads = itertools.product(*[range(lo, hi + 1) for lo, hi in zip(tiles.lows[:-1], tiles.highs[:-1])])
+        rows = [(lead, box.count_below(tuple(map(operator.mul, lead + (t0,), q)))) for lead in leads]
+        return rows, tiles.highs[-1] - t0 + 1, offsets
+
+    def materialize(self) -> list:
+        """V_2, executed literally as a flat list in ``Box.cells()`` order
+        over the level-2 tile.
 
         This follows the step definitions directly, with none of the
         arithmetic shortcuts the evaluator uses, and serves as its oracle:
-        every seed star is written into every level-1 tile, and every
-        thinning-zone tile is visited in lexicographic order until the
-        target is reached.  It never walks: the verify battery computes
-        these words at most once and compares them with its one walk
-        (``with_one_walk``), and both live for exactly one
+        every seed star is written into every level-1 tile, the code block
+        replaces the stars of its tiles, and every thinning-zone tile is
+        visited in lexicographic order, each losing its first seed star,
+        until the target is reached.  The host box of step 1 is never
+        thinned, so the word on it is the coded word of step 1.  It never
+        walks: the verify battery computes it at most once and compares it
+        with its one walk (``with_one_walk``), and both live for exactly one
         ``run_verification`` call.
-        A cell g of the level-2 tile sits at offset ``box.count_below(g)`` of
-        each list; the offset is linear in g, so a cell a + c of the tile
-        centered at c sits at c's offset plus a's, and the tiles of one row
-        (one leading tile index) sit q[-1] apart.
         """
         lvl1, lvl2, step1 = self.levels[1], self.levels[2], self.steps[1]
         if lvl2.volume > MATERIALIZE_GUARD:
             raise SizeGuardError(f"level-2 tile has {decimal_text(lvl2.volume)} cells, over the bound")
-        box, q, tiles, cand = lvl2.box, lvl1.periods, step1.tiles, step1.cand
-        # the offsets of the seed stars within a tile, and per leading tile
-        # index, in lexicographic order, the offset of its row's first center
-        origin = box.count_below(self.group.identity)
-        deltas = [box.count_below(a) - origin for a in self.seed_stars]
-        t0, across = tiles.lows[-1], tiles.highs[-1] - tiles.lows[-1] + 1
-        leads = list(itertools.product(*[range(lo, hi + 1) for lo, hi in zip(tiles.lows[:-1], tiles.highs[:-1])]))
-        rows = [box.count_below(tuple(map(operator.mul, lead + (t0,), q))) for lead in leads]
-        # W_1: each seed star written into every tile of a row by one strided slice
-        w1 = [HASH] * lvl2.volume
+        box, q, cand = lvl2.box, lvl1.periods, step1.cand
+        rows, across, offsets = self.tile_rows()
+        deltas = offsets[:lvl1.stars]
+        # each seed star written into every tile of a row by one strided slice
+        word = [HASH] * lvl2.volume
         row_of_stars = [STAR] * across
-        for r in rows:
+        for _, r in rows:
             for d in deltas:
-                w1[r + d:r + d + across * q[-1]:q[-1]] = row_of_stars
-        v11 = list(w1)
+                word[r + d:r + d + across * q[-1]:q[-1]] = row_of_stars
         points = [step1.net.point_at(d) for d in range(step1.radix)]
         for k in range(step1.code_count):
             b = box.count_below(self._cand_at(step1, k))
             for p, d in enumerate(deltas):
-                v11[b + d] = points[self._digit(k, lvl1.stars - 1 - p, step1.radix)]
-        total = v11.count(STAR)
-        target = lvl2.stars
-        floor1 = (self.rho.numerator * lvl1.volume) // self.rho.denominator
+                word[b + d] = points[self._digit(k, lvl1.stars - 1 - p, step1.radix)]
+        total, target = word.count(STAR), lvl2.stars
         # the thinning zone in lexicographic order: a row whose leading index
         # lies in the host (line_base's live flag) skips the host's tiles,
-        # which are never thinned
+        # which are never thinned; a thinning-zone tile holds every seed star
+        t0 = step1.tiles.lows[-1]
         c0, c1 = cand.lows[-1] - t0, cand.highs[-1] - t0 + 1
         zone = (
             r + k * q[-1]
-            for lead, r in zip(leads, rows)
+            for lead, r in rows
             for k in (itertools.chain(range(c0), range(c1, across)) if cand.line_base(lead)[1] else range(across))
         )
         for b in zone:
             if total <= target:
                 break
-            budget = lvl1.stars - floor1
-            for d in deltas:
-                if total <= target or budget == 0:
-                    break
-                if v11[b + d] is STAR:
-                    v11[b + d] = HASH
-                    total -= 1
-                    budget -= 1
+            word[b + deltas[0]] = HASH
+            total -= 1
         if total != target:
             raise CapacityError("literal thinning could not reach the target")
-        stable = None
-        if self.params.depth >= 2:
-            zero = self.steps[2].net.point_at(0)
-            stable = [zero if v is STAR else v for v in v11]
-        return MaterializedWords(box, w1, v11, stable)
+        return word
 
     # -- reporting -----------------------------------------------------------
 

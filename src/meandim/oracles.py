@@ -33,7 +33,7 @@ from itertools import product, repeat
 from typing import Iterable, Optional
 
 from .analysis import FreeSet
-from .construction import HASH, STAR, BuildParams, Construction, MaterializedWords, StepPlan
+from .construction import HASH, STAR, BuildParams, Construction, StepPlan
 from .cube import Net, Polyhedron, net_schedule
 from .errors import DecodeError, ScheduleError
 from .groups import GROUPS, Box, Element, FiniteSubset, LatticeGroup, Z, Z2, is_invariant
@@ -439,15 +439,16 @@ def free_set_elements(fs: FreeSet) -> list:
     return [fs.cfg.group.mul(p, inv) for p in fs.cfg.star_positions(fs.n + 1)]
 
 
-def floors_by_count(cfg: Construction, literal: MaterializedWords) -> CheckResult:
+def floors_by_count(cfg: Construction, word: list) -> CheckResult:
     """The per-tile density floors row by a full count, the oracle of
-    ``analysis.check_floors``: every run of q[-1] cells of the literal V_2
-    is one row of one level-1 tile, so the stars of each tile are counted
-    on every cell, and the first thinning-zone tile in lexicographic order
-    with at most floor stars fails."""
+    ``analysis.check_floors``: every run of q[-1] cells of ``word``, the
+    literal V_2 of ``Construction.materialize``, is one row of one level-1
+    tile, so the stars of each tile are counted on every cell, and the first
+    thinning-zone tile in lexicographic order with at most floor stars
+    fails."""
     st, lvl1, lvl2 = cfg.steps[1], cfg.levels[1], cfg.levels[2]
     q, across = lvl1.periods, st.tiles.highs[-1] - st.tiles.lows[-1] + 1
-    per_row = list(map(operator.countOf, zip(*[iter(literal.v11)] * q[-1]), repeat(STAR)))
+    per_row = list(map(operator.countOf, zip(*[iter(word)] * q[-1]), repeat(STAR)))
     counts = {}  # leading tile index -> star count of each tile along the last axis
     for r, lead in enumerate(product(*[  # the leading tile index of each row
         [(x - lo) // qq for x in range(blo, bhi + 1)]

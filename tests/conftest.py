@@ -1,14 +1,21 @@
 import pytest
 from fractions import Fraction
 
-from meandim import Box, Construction
+from meandim import STAR, Box, Construction
 from meandim.oracles import generate_interval_schedule, toy_params
 
 
 def by_cell(box, values):
-    """A materialized word keyed by cell: ``materialize()`` gives flat lists
+    """A materialized word keyed by cell: ``materialize()`` gives a flat list
     in ``box.cells()`` order."""
     return dict(zip(box.cells(), values))
+
+
+def stabilized(cfg, word):
+    """The literal V_2 with its stars resolved by code tile 0 of step 2: the
+    limit configuration on the level-2 tile, at depth >= 2."""
+    zero = cfg.steps[2].net.point_at(0)
+    return [zero if v is STAR else v for v in word]
 
 
 def value_at(cfg, g, kind="w"):

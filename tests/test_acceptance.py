@@ -41,7 +41,7 @@ from meandim.oracles import (
     verify_syndetic_centers,
 )
 from meandim.tilings import verify_congruent, verify_primely_congruent
-from tests.conftest import TOY_MATRIX, by_cell, make_toy, value_at
+from tests.conftest import TOY_MATRIX, by_cell, make_toy, stabilized, value_at
 
 
 def report(num: int, ok: bool, text: str) -> None:
@@ -62,9 +62,9 @@ def test_criterion_1_oracle_equivalence(toys):
     worst = 0.0
     for key, cfg in toys.items():
         t0 = time.monotonic()
-        words = cfg.materialize()
-        v11, stable = by_cell(words.window, words.v11), by_cell(words.window, words.stable)
-        for g in words.window.cells():
+        word, box = cfg.materialize(), cfg.levels[2].box
+        v11, stable = by_cell(box, word), by_cell(box, stabilized(cfg, word))
+        for g in box.cells():
             assert values_equal(oracles.word(cfg, 2, g), v11[g]), (key, g)
             assert value_at(cfg, g) == stable[g], (key, g)
         worst = max(worst, time.monotonic() - t0)
@@ -83,8 +83,7 @@ def test_criterion_2_density_sandwich(toys):
         step1_density = Fraction(lvl1.stars, lvl1.volume)
         ok &= rho < step1_density <= rho + Fraction(1, lvl1.volume)
         # n = 1: the star count recounted from the literal level-2 word
-        words = cfg.materialize()
-        stars2 = sum(1 for v in words.v11 if v is STAR)
+        stars2 = sum(1 for v in cfg.materialize() if v is STAR)
         vol2 = cfg.levels[2].volume
         ok &= stars2 == cfg.levels[2].stars
         ok &= rho < Fraction(stars2, vol2) <= rho + Fraction(1, vol2)

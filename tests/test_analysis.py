@@ -26,9 +26,9 @@ from meandim.oracles import densities, free_set_elements, generate_interval_sche
 from tests.conftest import by_cell, make_toy
 
 
-def test_densities_seed_tile(toy_cfg, toy_words):
-    w1 = by_cell(toy_words.window, toy_words.w1)
-    tile = {g: w1[g] for g in toy_cfg.levels[1].box.cells()}
+def test_densities_seed_tile(toy_cfg):
+    box = toy_cfg.levels[1].box
+    tile = by_cell(box, toy_cfg.level_values(1, box))
     rep = densities(tile, "seed tile")
     assert rep.star_density == Fraction(3, 4)
     assert rep.hash_density == Fraction(1, 4)
@@ -43,10 +43,12 @@ def test_densities_all_hash():
 
 def test_coded_word_consumes_stars(toy_cfg, toy_words):
     host_box = toy_cfg.steps[1].host_box
-    v11 = by_cell(toy_words.window, toy_words.v11)
-    w1 = by_cell(toy_words.window, toy_words.w1)
+    v11 = by_cell(toy_cfg.levels[2].box, toy_words)
+    st, q = toy_cfg.steps[1], toy_cfg.levels[1].periods
+    # the seed stars in every host tile, before the code block replaces them
+    seeded = {tuple(jj * qq + x for jj, qq, x in zip(j, q, a)) for j in st.cand.cells() for a in toy_cfg.seed_stars}
     host = {g: v11[g] for g in host_box.cells()}  # the host box is never thinned
-    raw = {g: w1[g] for g in host_box.cells()}
+    raw = {g: STAR if g in seeded else HASH for g in host_box.cells()}
     assert densities(host).star_density < densities(raw).star_density
     assert densities(host).star_density == Fraction(3, 36)
 

@@ -580,13 +580,12 @@ def test_planted_literal_mismatch_fails_oracle_and_linking(monkeypatch, depth):
 
     cfg = Construction(cli.load_config(TOY_Z_CFG, argparse.Namespace(depth=depth, mode=None, seed=None)))
     real = Construction.materialize
-    words = real(cfg)
-    cells = list(words.window.cells())
-    victim = next(g for g, v in zip(cells, words.v11) if v is HASH and g[0] > 0)
+    cells = list(cfg.levels[2].box.cells())
+    victim = next(g for g, v in zip(cells, real(cfg)) if v is HASH and g[0] > 0)
 
     def planted(self, *args, **kwargs):
         out = real(self, *args, **kwargs)
-        out.v11[cells.index(victim)] = (Fraction(9, 10),)  # one cell that no net holds
+        out[cells.index(victim)] = (Fraction(9, 10),)  # one cell that no net holds
         return out
 
     monkeypatch.setattr(Construction, "materialize", planted)
@@ -620,14 +619,14 @@ def planted_floor_rows(monkeypatch, config_name, left, spare=0):
 
     def planted(self, *args, **kwargs):
         out = real(self, *args, **kwargs)
-        at = {g: i for i, g in enumerate(out.window.cells())}
-        stars = [g for g in victims if out.v11[at[g]] is STAR]
+        at = {g: i for i, g in enumerate(self.levels[2].box.cells())}
+        stars = [g for g in victims if out[at[g]] is STAR]
         assert len(stars) > left
         for g in stars[left:]:
-            out.v11[at[g]] = HASH
+            out[at[g]] = HASH
         for g in extras:
-            assert out.v11[at[g]] is HASH
-            out.v11[at[g]] = STAR
+            assert out[at[g]] is HASH
+            out[at[g]] = STAR
         planted_words.append(out)
         return out
 
@@ -680,23 +679,27 @@ def test_floors_row_agrees_with_the_full_count(config_name, depth):
 
 
 def test_planted_stable_mismatch_fails_the_oracle(monkeypatch):
+    # one cell of the stabilized window on the level-2 tile changed on the
+    # walk's side: only the oracle's second comparison reads those values
     from fractions import Fraction
 
     from meandim import HASH, cli
 
     cfg = Construction(cli.load_config(TOY_Z_CFG, argparse.Namespace(depth=2, mode=None, seed=None)))
-    real = Construction.materialize
-    words = real(cfg)
-    cells = list(words.window.cells())
-    victim = next(g for g, v in zip(cells, words.stable) if v is HASH and g[0] > 0)
+    tile = cfg.levels[2].box
+    cells = list(tile.cells())
+    victim = next(g for g, v in zip(cells, cfg.window_values(tile, "w")) if v is HASH and g[0] > 0)
+    real = Construction.window_values
 
-    def planted(self, *args, **kwargs):
-        out = real(self, *args, **kwargs)
-        out.stable[cells.index(victim)] = (Fraction(9, 10),)
+    def planted(self, box, kind="w"):
+        out = list(real(self, box, kind))
+        if box == tile and kind == "w":
+            out[cells.index(victim)] = (Fraction(9, 10),)
         return out
 
-    monkeypatch.setattr(Construction, "materialize", planted)
+    monkeypatch.setattr(Construction, "window_values", planted)
     rows = {name: (ok, note) for name, ok, note in cli.run_verification(cfg, 7)}
+    assert {name for name, (ok, _) in rows.items() if not ok} == {"evaluator equals literal materialization"}
     assert rows["evaluator equals literal materialization"] == (False, f"stabilized mismatch at {victim}")
 
 

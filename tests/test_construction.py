@@ -22,7 +22,7 @@ from meandim import (
 from meandim import oracles
 from meandim.groups import Box
 from meandim.oracles import generate_interval_schedule, toy_params
-from tests.conftest import by_cell, make_toy, value_at
+from tests.conftest import by_cell, make_toy, stabilized, value_at
 from tests.test_cli import TOY_Z_CFG, int_str_limit_lifted
 
 
@@ -89,16 +89,16 @@ def test_toy_plan_numbers(toy_cfg):
 
 
 def test_oracle_equivalence_words(matrix_cfg):
-    words = matrix_cfg.materialize()
-    # verify reads the literal words as lists in Box.cells() order
+    word, box = matrix_cfg.materialize(), matrix_cfg.levels[2].box
+    # verify reads the literal V_2 as a list in Box.cells() order
     host_box = matrix_cfg.steps[1].host_box
-    assert len(words.v11) == len(words.stable) == len(words.w1) == words.window.volume
-    v11, stable = by_cell(words.window, words.v11), by_cell(words.window, words.stable)
-    for g in words.window.cells():
+    assert len(word) == box.volume
+    v11, stable = by_cell(box, word), by_cell(box, stabilized(matrix_cfg, word))
+    for g in box.cells():
         assert values_equal(oracles.word(matrix_cfg, 2, g), v11[g])
     for g in host_box.cells():  # the host box is never thinned
         assert values_equal(oracles.coded(matrix_cfg, 1, g), v11[g])
-    for g in words.window.cells():
+    for g in box.cells():
         assert value_at(matrix_cfg, g) == stable[g]
 
 
@@ -106,7 +106,7 @@ def test_code_tiles_enumerate_all_assignments(toy_cfg, toy_words):
     # restrictions of the coded word to the star cells of each code tile
     seen = set()
     st = toy_cfg.steps[1]
-    v11 = by_cell(toy_words.window, toy_words.v11)
+    v11 = by_cell(toy_cfg.levels[2].box, toy_words)
     for k in range(st.code_count):
         c = toy_cfg._cand_at(st, k)
         word = tuple(v11[Z_mul(a, c)] for a in toy_cfg.seed_stars)
@@ -187,7 +187,7 @@ def test_per_tile_floor(toy_cfg, toy_words):
     st = toy_cfg.steps[1]
     q = toy_cfg.schedule.periods(1)[0]
     vol1 = toy_cfg.levels[1].volume
-    v11 = by_cell(toy_words.window, toy_words.v11)
+    v11 = by_cell(toy_cfg.levels[2].box, toy_words)
     for j in st.tiles.cells():
         if j in st.cand:
             continue
@@ -275,10 +275,10 @@ def test_plan_report_shape(toy_cfg):
 def test_z2_construction_oracle():
     sched = generate_interval_schedule(1, 1, 3, group=Z2)
     cfg = Construction(toy_params(sched, Fraction(1, 2), dim=1, depth=1))
-    words = cfg.materialize()
-    assert len(words.v11) == words.window.volume
-    v11 = by_cell(words.window, words.v11)
-    for g in words.window.cells():
+    word, box = cfg.materialize(), cfg.levels[2].box
+    assert len(word) == box.volume
+    v11 = by_cell(box, word)
+    for g in box.cells():
         assert values_equal(oracles.word(cfg, 2, g), v11[g])
     stars = cfg.star_positions(2)
     assert len(stars) == cfg.levels[2].stars
@@ -408,9 +408,9 @@ def test_dim2_cube_points():
     )
     vals = {v for _, v in cfg.window(cfg.levels[1].box, "w") if v is not HASH}
     assert all(len(v) == 2 for v in vals)
-    words = cfg.materialize()
-    v11 = by_cell(words.window, words.v11)
-    for g in words.window.cells():
+    box = cfg.levels[2].box
+    v11 = by_cell(box, cfg.materialize())
+    for g in box.cells():
         assert values_equal(oracles.word(cfg, 2, g), v11[g])
 
 
@@ -689,7 +689,7 @@ def test_one_walk_slices_the_walked_tile_and_copies_repeated_bands(z2_cfgs):
     # copying each band whose piece bounds and runs repeat an earlier one
     for cfg in z2_cfgs.values():
         view, tile = cfg.with_one_walk(), cfg.levels[2].box
-        assert view.level_values(2, tile) == cfg.materialize().v11
+        assert view.level_values(2, tile) == cfg.materialize()
         cases = [(n + 1, box) for n in cfg.steps for box in corner_boxes(cfg, n)]
         if cfg.params.depth >= 2:
             # three bands of level-2 tiles above the step-2 host: the last
@@ -821,7 +821,7 @@ def test_star_positions_follow_pointwise_rank_order(
 
 def assert_sheds_one_star_per_tile(cfg):
     """Every level word holds one star above its density floor, so the literal
-    greedy thinning (``materialize().v11``) takes the first seed star of each
+    greedy thinning (``materialize()``) takes the first seed star of each
     of the first thin_total thinning-zone tiles, in lexicographic order, and
     nothing else."""
     rho = cfg.rho
@@ -829,8 +829,7 @@ def assert_sheds_one_star_per_tile(cfg):
         assert lvl.stars == (rho.numerator * lvl.volume) // rho.denominator + 1
     for step in cfg.steps.values():
         assert step.thin_total <= step.tiles.volume - step.cand.volume
-    words = cfg.materialize()
-    step, lvl1, v11 = cfg.steps[1], cfg.levels[1], by_cell(words.window, words.v11)
+    step, lvl1, v11 = cfg.steps[1], cfg.levels[1], by_cell(cfg.levels[2].box, cfg.materialize())
     zone = [j for j in step.tiles.cells() if j not in step.cand]
     cells1 = list(lvl1.box.cells())
     stars_of = {}  # the star cells of each thinning-zone tile, relative to its center
@@ -862,14 +861,14 @@ def test_z2_depth2_literal_words_match_the_walk(z2_cfgs):
     # the literal V_2 and its stabilized word against the tile walk on the
     # whole level-2 tile, and a sample of cells against one-cell windows
     cfg = z2_cfgs[2]
-    words, box = cfg.materialize(), cfg.levels[2].box
-    assert words.window == box
-    assert words.v11 == cfg.level_values(2, box)
-    assert words.stable == cfg.window_values(box, "w")
+    word, box = cfg.materialize(), cfg.levels[2].box
+    stable = stabilized(cfg, word)
+    assert word == cfg.level_values(2, box)
+    assert stable == cfg.window_values(box, "w")
     cells = list(box.cells())
     sample = sorted(random.Random(2).sample(range(len(cells)), 2000))
     for i in [0, len(cells) - 1] + sample:
-        assert value_at(cfg, cells[i]) == words.stable[i], cells[i]
+        assert value_at(cfg, cells[i]) == stable[i], cells[i]
 
 
 @pytest.mark.parametrize("case,cut_mid_row,host_before_cut", [
@@ -887,12 +886,8 @@ def test_literal_words_match_the_pointwise_oracle(z2_cfgs, case, cut_mid_row, ho
     j = tuple((x - lo) // q for x, lo, q in zip(cut.lows, lvl1.box.lows, lvl1.periods))
     assert (step.tiles.lows[-1] < j[-1] < step.tiles.highs[-1]) is cut_mid_row
     assert (step.cand.count_below(j) > 0) is host_before_cut
-    words, box = cfg.materialize(), cfg.levels[2].box
-    seeded = {tuple(jj * q + x for jj, q, x in zip(jt, lvl1.periods, a))
-              for jt in step.tiles.cells()
-              for a in cfg.seed_stars}
-    assert words.w1 == [STAR if g in seeded else HASH for g in box.cells()]
-    assert all(values_equal(v, oracles.word(cfg, 2, g)) for g, v in zip(box.cells(), words.v11))
+    word, box = cfg.materialize(), cfg.levels[2].box
+    assert all(values_equal(v, oracles.word(cfg, 2, g)) for g, v in zip(box.cells(), word))
 
 
 @pytest.mark.parametrize("balance", ["centered", "left", "right"])
@@ -912,7 +907,7 @@ def test_balances_and_cube_dimensions(group, dim, balance):
     assert rep.rows and all(r.certified_low <= cfg.rho * dim <= r.upper_scaled for r in rep.rows)
     tile = cfg.levels[2].box
     if tile.volume <= construction.MATERIALIZE_GUARD:
-        assert cfg.level_values(2, tile) == cfg.materialize().v11
+        assert cfg.level_values(2, tile) == cfg.materialize()
     else:  # Z^2 with dim 2: a 2187 x 2187 level-2 tile, sampled at the
         # identity code tile and at two random boxes
         rng = random.Random(3)

@@ -16,16 +16,16 @@ from tests.conftest import by_cell
 
 
 def full_check(cfg):
-    words = cfg.materialize()
-    v11 = by_cell(words.window, words.v11)
-    for g in words.window.cells():
+    word, box = cfg.materialize(), cfg.levels[2].box
+    v11 = by_cell(box, word)
+    for g in box.cells():
         a, b = oracles.word(cfg, 2, g), v11[g]
         assert a is b or a == b, g
     rho = cfg.rho
     for n in (1, 2):
         lvl = cfg.levels[n]
         assert rho < Fraction(lvl.stars, lvl.volume) <= rho + Fraction(1, lvl.volume)
-    stars = sum(1 for v in words.v11 if v is STAR)
+    stars = sum(1 for v in word if v is STAR)
     assert stars == cfg.levels[2].stars
 
 
@@ -59,8 +59,7 @@ def test_sparse_seed_single_star():
     sched = generate_interval_schedule(1, 2, 3)
     cfg = Construction(toy_params(sched, Fraction(1, 100), dim=1, depth=2))
     assert cfg.levels[1].stars == 1
-    words = cfg.materialize()
-    assert sum(1 for v in words.v11 if v is STAR) == cfg.levels[2].stars
+    assert sum(1 for v in cfg.materialize() if v is STAR) == cfg.levels[2].stars
 
 
 def test_three_point_alphabet():
@@ -86,9 +85,9 @@ def test_z2_asymmetric_axis_rules():
     rules = (AxisRule.make(1, 1, 3), AxisRule.make(0, 2, 3))
     sched = TilingSchedule(Z2, rules)
     cfg = Construction(toy_params(sched, Fraction(1, 2), dim=1, depth=1))
-    words = cfg.materialize()
-    v11 = by_cell(words.window, words.v11)
-    for g in words.window.cells():
+    box = cfg.levels[2].box
+    v11 = by_cell(box, cfg.materialize())
+    for g in box.cells():
         a, b = oracles.word(cfg, 2, g), v11[g]
         assert a is b or a == b, g
 
