@@ -213,7 +213,7 @@ class MdimRow:
 
 @dataclass
 class MdimReport:
-    rho_dim: Fraction
+    target_rho_dim: Fraction
     rows: list
     gaps_monotone: bool
     brackets_contain_target: bool
@@ -356,7 +356,7 @@ def check_realization(cfg: Construction, words) -> CheckResult:
 def check_bounds(cfg: Construction, words) -> CheckResult:
     rep = mdim_report(cfg)
     return CheckResult(rep.gaps_monotone and rep.brackets_contain_target,
-                       f"{len(rep.rows)} levels, target {rep.rho_dim}")
+                       f"{len(rep.rows)} levels, target {rep.target_rho_dim}")
 
 
 def check_minimality(cfg: Construction, words, seed: int = 0) -> CheckResult:

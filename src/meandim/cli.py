@@ -28,22 +28,28 @@ from .tilings import read_tiling, verify_partition
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
-# config numbers longer than this are refused; it is CPython's default
-# int/str digit limit, past which int() itself would fail
+# numbers in config fields and flags longer than this are refused; it is
+# CPython's default int/str digit limit, past which int() itself would fail
 MAX_LITERAL_CHARS = 4300
 
 
-def _literal(text: str, name: str) -> str:
+def _too_long(text: str) -> Optional[str]:
+    """Why a literal is refused for its length (never its digits), or None."""
     if len(text) > MAX_LITERAL_CHARS:
-        raise ConfigError(
-            f"field {name!r}: a literal of {len(text)} characters is longer "
-            f"than {MAX_LITERAL_CHARS}"
-        )
+        return f"a literal of {len(text)} characters is longer than {MAX_LITERAL_CHARS}"
+    return None
+
+
+def _literal(text: str, what: str) -> str:
+    """``text``, or a ConfigError naming ``what`` (a field or a flag) if it is too long."""
+    why = _too_long(text)
+    if why:
+        raise ConfigError(f"{what}: {why}")
     return text
 
 
 def _fraction(text: str, name: str) -> Fraction:
-    text = _literal(text, name)  # outside the try: a ConfigError is a ValueError
+    text = _literal(text, f"field {name!r}")  # outside the try: a ConfigError is a ValueError
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -51,7 +57,7 @@ def _fraction(text: str, name: str) -> Fraction:
 
 
 def _int(section, name: str, fallback: int) -> int:
-    text = _literal(section.get(name, str(fallback)), name)
+    text = _literal(section.get(name, str(fallback)), f"field {name!r}")
     try:
         return int(text)
     except ValueError:
@@ -81,7 +87,8 @@ def load_config(path: str, overrides) -> BuildParams:
     rho = _fraction(exp.get("rho", ""), "rho")
     cube = Polyhedron(_int(exp, "dim", 1))
     depth = overrides.depth if overrides.depth is not None else _int(exp, "depth", 2)
-    cap = parse_mode(overrides.mode if overrides.mode else exp.get("mode", "exact"))
+    # a field too long to hold a cap literal parse_mode would take is refused as the field
+    cap = parse_mode(overrides.mode or _literal(exp.get("mode", "exact"), "field 'mode'"))
     seed = overrides.seed if overrides.seed is not None else _int(exp, "seed", 0)
 
     sched_sec = parser["schedule"] if parser.has_section("schedule") else {}
@@ -123,6 +130,7 @@ def parse_mode(text: str) -> Optional[int]:
     mode, colon, digits = text.partition(":")
     if mode != "capped":
         raise ConfigError(f"mode must be 'exact' or 'capped:N', got {text!r}")
+    _literal(digits, "--mode")
     try:
         cap = int(digits) if colon else None
     except ValueError:
@@ -134,6 +142,8 @@ def parse_mode(text: str) -> Optional[int]:
 
 def parse_window(spec: str, group) -> Box:
     spec = spec.strip().replace(" ", "")
+    for literal in re.split(r"[][,x]", spec):  # each text between brackets, commas and x
+        _literal(literal, "--window")
     parts = spec.split("x")
     if len(parts) != group.rank:
         raise ConfigError(f"window {spec!r} does not match group rank {group.rank}")
@@ -178,24 +188,24 @@ def emit(text: str, out_path):
 
 
 def _report(payload, fmt: str, out_path) -> None:
+    payload = _to_jsonable(payload)
     if fmt == "json":
-        emit(json.dumps(_to_jsonable(payload), sort_keys=True, indent=2) + "\n", out_path)
-    else:
-        lines = []
+        emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
+        return
+    lines = []
 
-        def walk(prefix, value):
-            value = _to_jsonable(value)
-            if isinstance(value, dict):
-                for k in sorted(value):
-                    walk(f"{prefix}.{k}" if prefix else k, value[k])
-            elif isinstance(value, list):
-                for i, v in enumerate(value):
-                    walk(f"{prefix}[{i}]", v)
-            else:
-                lines.append(f"{prefix} = {value}")
+    def walk(prefix, value):
+        if isinstance(value, dict):
+            for k in sorted(value):
+                walk(f"{prefix}.{k}" if prefix else k, value[k])
+        elif isinstance(value, list):
+            for i, v in enumerate(value):
+                walk(f"{prefix}[{i}]", v)
+        else:
+            lines.append(f"{prefix} = {value}")
 
-        walk("", payload)
-        emit("\n".join(lines) + "\n", out_path)
+    walk("", payload)
+    emit("\n".join(lines) + "\n", out_path)
 
 
 def cmd_gen_tilings(args) -> int:
@@ -287,26 +297,22 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mdim(args) -> int:
-    params = load_config(args.config, args)
-    cfg = Construction(params)
-    rep = analysis.mdim_report(cfg)
-    payload = {
-        "target_rho_dim": rep.rho_dim,
-        "gaps_monotone": rep.gaps_monotone,
-        "brackets_contain_target": rep.brackets_contain_target,
-        "approximate": rep.approximate,
-        "rows": rep.rows,
-    }
-    _report(payload, args.format, args.out)
+    rep = analysis.mdim_report(Construction(load_config(args.config, args)))
+    _report(rep, args.format, args.out)
     return 0 if rep.gaps_monotone and rep.brackets_contain_target else CHECK_ERROR
 
 
-def _levels_arg(text: str) -> int:
+def _int_arg(text: str, levels: bool = False) -> int:
+    """The argparse type of --depth, --seed and (with ``levels``) --levels;
+    argparse names the flag in each error."""
+    why = _too_long(text)
+    if why:
+        raise argparse.ArgumentTypeError(why)
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
+    if levels and value < 1:
         raise argparse.ArgumentTypeError(f"levels are 1-based, got {value}")
     return value
 
@@ -321,16 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
     def common(name, help_text, formats=True):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="experiment config (INI)")
-        sp.add_argument("--depth", type=int, default=None)
+        sp.add_argument("--depth", type=_int_arg, default=None)
         sp.add_argument("--mode", default=None, help="exact | capped:N")
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=_int_arg, default=None)
         sp.add_argument("--out", default=None)
         if formats:  # gen-tilings and window print no report
             sp.add_argument("--format", choices=("text", "json"), default="text")
         return sp
 
     sp = common("gen-tilings", "generate and verify a tiling schedule", formats=False)
-    sp.add_argument("--levels", type=_levels_arg, default=5)
+    sp.add_argument("--levels", type=functools.partial(_int_arg, levels=True), default=5)
     sp.add_argument("--imported", default=None, help="explicit tiling file to verify")
     common("build", "plan a construction and report it")
     sp = common("window", "dump the configuration on a window", formats=False)

@@ -124,8 +124,6 @@ class BuildParams:
         for net in self.nets:
             if net.dim != self.cube.dim:
                 raise ConfigError("net dimension does not match the cube")
-            if net.size < 2:
-                raise ConfigError("nets must have at least two points")
         for a, b in zip(self.nets, self.nets[1:]):
             if not b.is_superset_of(a):
                 raise ConfigError("nets must be nested (each refines the previous)")

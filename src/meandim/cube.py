@@ -10,15 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import product as iter_product
-from typing import Iterator
 
 from .errors import ConfigError
 from .groups import fraction_text
 
-# Refuse nets (code alphabets) of more points: make_net builds each axis point,
-# about 20 us apiece, before any plan check; delta = 1/10**9 would take hours.
+# Refuse nets (code alphabets) of more points: the literal materializer builds
+# every point of step 1's net.
 MAX_NET_POINTS = 2**16
 
 
@@ -39,60 +36,48 @@ class Polyhedron:
 
 @dataclass(frozen=True)
 class Net:
-    """A finite grid in [0,1]^dim: the product of one axis point list per axis."""
+    """The grid {0, 1/k, ..., 1}^dim in [0,1]^dim, its points numbered in
+    lexicographic order: the digits of a base-(k + 1)**dim positional code."""
 
     dim: int
     delta: Fraction
-    axis: tuple  # increasing Fractions in [0,1]
+    k: int  # axis steps: the axis points are j/k for j = 0..k
 
     def __post_init__(self):
         if self.dim < 1:
             raise ConfigError(f"field 'dim': {self.dim} is below 1")
-        if any(not (0 <= p <= 1) for p in self.axis):
-            raise ConfigError("axis points must lie in [0,1]")
-        if tuple(sorted(set(self.axis))) != self.axis:
-            raise ConfigError("axis points must be strictly increasing")
+        if self.k < 1:
+            raise ConfigError(f"a net needs at least one axis step, got {self.k}")
 
     @property
     def size(self) -> int:
-        return len(self.axis) ** self.dim
+        return (self.k + 1) ** self.dim
 
     def point_at(self, index: int) -> tuple:
         """The index-th point in lexicographic order (the digit decoder)."""
         if not 0 <= index < self.size:
             raise ValueError(f"net point index {index} out of range")
-        k = len(self.axis)
         digits = []
         for _ in range(self.dim):
-            index, d = divmod(index, k)
-            digits.append(d)
-        return tuple(self.axis[d] for d in reversed(digits))
-
-    @cached_property
-    def _axis_index(self) -> dict:
-        """Axis position of each coordinate, keyed by (numerator, denominator):
-        a Fraction is always in lowest terms, and int pairs hash faster."""
-        return {(p.numerator, p.denominator): i for i, p in enumerate(self.axis)}
+            index, d = divmod(index, self.k + 1)
+            digits.append(Fraction(d, self.k))
+        return tuple(reversed(digits))
 
     def index_of(self, point: tuple) -> int:
         if len(point) != self.dim:
             raise ValueError("point has wrong dimension")
-        k, pos = len(self.axis), self._axis_index
         index = 0
         for c in point:
             if not isinstance(c, Fraction):
                 c = Fraction(c)
-            i = pos.get((c.numerator, c.denominator))
-            if i is None:
+            i, r = divmod(c.numerator * self.k, c.denominator)
+            if r or not 0 <= i <= self.k:
                 raise ValueError(f"{c} is not a net coordinate")
-            index = index * k + i
+            index = index * (self.k + 1) + i
         return index
 
-    def points(self) -> Iterator[tuple]:
-        return iter_product(*([self.axis] * self.dim))
-
     def is_superset_of(self, other: "Net") -> bool:
-        return self.dim == other.dim and set(other.axis) <= set(self.axis)
+        return self.dim == other.dim and self.k % other.k == 0
 
 
 def make_net(dim: int, delta, name: str = "delta") -> Net:
@@ -100,17 +85,14 @@ def make_net(dim: int, delta, name: str = "delta") -> Net:
 
     Every point of the cube is then within sup-distance delta of a grid
     point, and the point count is (ceil(1/(2*delta)) + 1)^dim, refused past
-    MAX_NET_POINTS before any point is built.  Errors name field ``name``.
+    MAX_NET_POINTS.  Errors name field ``name``.
     """
     delta = Fraction(delta)
-    k = _axis_steps(dim, delta, name)
-    axis = tuple(Fraction(j, k) for j in range(k + 1))
-    return Net(dim, delta, axis)
+    return Net(dim, delta, _axis_steps(dim, delta, name))
 
 
 def _axis_steps(dim: int, delta: Fraction, name: str) -> int:
-    """The axis spacing 1/k of make_net's grid, refused as make_net refuses
-    it; it builds no point."""
+    """The axis spacing 1/k of make_net's grid, refused as make_net refuses it."""
     if not 0 < delta <= 1:
         raise ConfigError(f"field {name!r}: {fraction_text(delta)} outside (0,1]")
     k = math.ceil(1 / (2 * delta))

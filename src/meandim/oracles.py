@@ -468,10 +468,7 @@ def floors_by_count(cfg: Construction, word: list) -> CheckResult:
 def verify_dense(net: Net) -> bool:
     """Check delta-density by covering the dual grid of axis gaps.
 
-    In the sup metric the covering property factorizes per axis: both
-    endpoints present and every gap at most 2*delta.
+    In the sup metric the covering property factorizes per axis; the axis
+    {j/k} holds both endpoints, and every gap, 1/k, must be at most 2*delta.
     """
-    axis = net.axis
-    if not axis or axis[0] != 0 or axis[-1] != 1:
-        return False
-    return all(b - a <= 2 * net.delta for a, b in zip(axis, axis[1:]))
+    return Fraction(1, net.k) <= 2 * net.delta

@@ -9,6 +9,9 @@ only the entries named on its command line::
 
     python tests/golden/record.py ID [ID ...]
 
+CI also replays every entry through the installed script,
+``run_entry(entry, ["meandim"])``.
+
 The corpus is the one record of CLI bytes.  Where and when each entry was
 recorded (its provenance) lives in CHANGES.md, not here; an entry whose
 output changes on purpose is re-recorded here, with the reason stated there.
@@ -21,9 +24,11 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 REPO = Path(__file__).resolve().parents[2]
 CORPUS = Path(__file__).resolve().with_name("cli.json")
@@ -33,15 +38,15 @@ def load() -> list:
     return json.loads(CORPUS.read_text())
 
 
-def run_entry(entry: dict) -> dict:
-    """Run one entry in-process; returns its exit code and the sha256 of its
-    stdout and stderr."""
-    from meandim.cli import main
-
+def run_entry(entry: dict, command: Optional[list] = None) -> dict:
+    """Run one entry; returns its exit code and the sha256 of its stdout and
+    stderr.  Without ``command`` it runs in-process, through
+    ``meandim.cli.main``; with one (``["meandim"]``, the installed script) it
+    runs ``command`` and the entry's argv in a subprocess and hashes the bytes
+    it writes."""
     argv = list(entry["argv"])
     i = argv.index("--config") + 1
     argv[i] = str(REPO / argv[i])
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         if "edit" in entry:
             old, new = entry["edit"]
@@ -50,9 +55,17 @@ def run_entry(entry: dict) -> dict:
                 raise ValueError(f"{entry['id']}: {old!r} is not one line of {argv[i]}")
             argv[i] = os.path.join(tmp, "edited.cfg")
             Path(argv[i]).write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    stdout, stderr = (hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))
+        if command is None:
+            from meandim.cli import main
+
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            stdout, stderr = out.getvalue().encode(), err.getvalue().encode()
+        else:
+            run = subprocess.run([*command, *argv], capture_output=True)
+            code, stdout, stderr = run.returncode, run.stdout, run.stderr
+    stdout, stderr = (hashlib.sha256(b).hexdigest() for b in (stdout, stderr))
     return {"exit": code, "stdout": stdout, "stderr": stderr}
 
 

@@ -191,6 +191,7 @@ CONFIG_ERRORS = [
     ("balance = centered", "balance = middle", "'balance'"),
     ("growth = 3", "growth = 1" + "0" * 5000, "'growth'"),
     ("seed_a = 1", "seed_a = 1" + "0" * 5000, "'seed_a'"),
+    ("mode = exact", "mode = capped:1" + "0" * 5000, "'mode': a literal of 5008 characters is longer than 4300"),
     ("growth = 3", "growth = 1" + "0" * 400 + "1/3", "is not an integer multiple of 4"),
     # refused before a single net point is built
     ("delta1 = 1/2", "delta1 = 1/1000000000", "'delta1': 1/1000000000 needs over 65536 net points"),
@@ -301,6 +302,29 @@ def test_gen_tilings_levels_below_one_is_usage_error(capsys, levels):
     assert "argument --levels: levels are 1-based" in err
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("window", "--window", "[0,{}]"),
+    ("build", "--mode", "capped:{}"),
+    ("build", "--depth", "{}"),
+    ("build", "--seed", "{}"),
+    ("gen-tilings", "--levels", "{}"),
+])
+def test_flag_numbers_follow_the_literal_limit(capsys, command, flag, value):
+    # a 5,000-digit number in a flag is refused as in a config field: exit 2
+    # and one short message naming the flag and the length, not the digits
+    code, out, err = run(capsys, command, "--config", TOY_Z_CFG, flag, value.format("1" * 5000))
+    assert (code, out) == (2, "")
+    assert f"{flag}: a literal of 5000 characters is longer than 4300\n" in err
+    assert "1" * 100 not in err and len(err.encode()) < 1000 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--depth", "--seed", "--levels"])
+def test_int_flags_name_a_bad_value(capsys, flag):
+    code, out, err = run(capsys, "gen-tilings", "--config", TOY_Z_CFG, flag, "x")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: invalid int value: 'x'\n")
+
+
 @pytest.mark.parametrize("argv", [("gen-tilings",), ("window", "--window", "[0,3]")])
 def test_format_is_refused_where_no_report_is_printed(capsys, argv):
     # only build, verify and mdim print a report that --format selects
@@ -349,6 +373,16 @@ CLI_CORPUS = record.load()
 @pytest.mark.parametrize("entry", CLI_CORPUS, ids=[e["id"] for e in CLI_CORPUS])
 def test_cli_run_matches_its_recording(entry):
     assert record.run_entry(entry) == {k: entry[k] for k in ("exit", "stdout", "stderr")}
+
+
+@pytest.mark.parametrize("entry_id", ["window-toy-z-undetermined", "config-dim-abc"])
+def test_cli_run_through_a_script_matches_its_recording(entry_id):
+    # run_entry's subprocess path, the one CI replays the corpus through the
+    # installed script with, on a run that exits 1 and an edited config
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = f"import sys; sys.path.insert(0, {src!r}); from meandim.cli import main; sys.exit(main())"
+    entry = next(e for e in CLI_CORPUS if e["id"] == entry_id)
+    assert record.run_entry(entry, [sys.executable, "-c", script]) == {k: entry[k] for k in ("exit", "stdout", "stderr")}
 
 
 @contextlib.contextmanager

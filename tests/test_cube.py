@@ -8,11 +8,11 @@ from meandim.oracles import verify_dense
 
 def test_make_net_examples():
     n = make_net(1, Fraction(1, 2))
-    assert n.axis == (0, 1) and n.size == 2
+    assert n.k == 1 and n.size == 2
     assert make_net(1, 1).size == 2  # endpoints always included
     n2 = make_net(2, Fraction(1, 4))
     assert n2.size == 9
-    assert set(n2.points()) == {
+    assert {n2.point_at(i) for i in range(n2.size)} == {
         (a, b) for a in (0, Fraction(1, 2), 1) for b in (0, Fraction(1, 2), 1)
     }
 
@@ -36,8 +36,15 @@ def test_size_closed_form():
 def test_verify_dense():
     assert verify_dense(make_net(1, Fraction(1, 2)))
     assert verify_dense(make_net(2, Fraction(1, 8)))
-    gappy = Net(1, Fraction(1, 4), (Fraction(0), Fraction(1)))  # a point removed
-    assert not verify_dense(gappy)
+    coarse = Net(1, Fraction(1, 4), 1)  # the axis {0, 1}: a gap of 1 over 2 * delta
+    assert not verify_dense(coarse)
+
+
+def test_net_needs_an_axis_step():
+    from meandim import ConfigError
+
+    with pytest.raises(ConfigError, match=r"^a net needs at least one axis step, got 0$"):
+        Net(1, Fraction(1, 2), 0)
 
 
 def test_point_order_and_inverse():
@@ -62,7 +69,7 @@ def test_halving_schedule_is_nested():
     ]
     for a, b in zip(nets, nets[1:]):
         assert b.is_superset_of(a)
-        assert set(a.points()) <= set(b.points())
+        assert {a.point_at(i) for i in range(a.size)} <= {b.point_at(i) for i in range(b.size)}
 
 
 
