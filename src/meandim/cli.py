@@ -87,7 +87,7 @@ def load_config(path: str, overrides) -> BuildParams:
     rho = _fraction(exp.get("rho", ""), "rho")
     cube = Polyhedron(_int(exp, "dim", 1))
     depth = overrides.depth if overrides.depth is not None else _int(exp, "depth", 2)
-    # a field too long to hold a cap literal parse_mode would take is refused as the field
+    # parse_mode's length check names --mode, so a long field is refused here, as the field
     cap = parse_mode(overrides.mode or _literal(exp.get("mode", "exact"), "field 'mode'"))
     seed = overrides.seed if overrides.seed is not None else _int(exp, "seed", 0)
 

@@ -57,6 +57,11 @@ def test_point_order_and_inverse():
         assert n2.index_of(n2.point_at(i)) == i
     with pytest.raises(ValueError):
         n.point_at(2)
+    n3 = make_net(1, Fraction(1, 4))  # the axis {0, 1/2, 1}
+    assert n3.index_of((Fraction(1, 2),)) == 1 and n3.index_of((1,)) == 2
+    for c in (Fraction(1, 3), Fraction(3, 2), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="is not a net coordinate"):
+            n3.index_of((c,))
 
 
 def test_halving_schedule_is_nested():
