@@ -31,6 +31,8 @@ CHECK_ERROR = 1
 # numbers in config fields and flags longer than this are refused; it is
 # CPython's default int/str digit limit, past which int() itself would fail
 MAX_LITERAL_CHARS = 4300
+# and exponents past this, as Fraction() writes out 10**exponent (seconds from 10**1000000 on)
+MAX_LITERAL_EXPONENT = 100_000
 
 
 def _too_long(text: str) -> Optional[str]:
@@ -50,6 +52,9 @@ def _literal(text: str, what: str) -> str:
 
 def _fraction(text: str, name: str) -> Fraction:
     text = _literal(text, f"field {name!r}")  # outside the try: a ConfigError is a ValueError
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+    if exponent and abs(int(exponent[1])) > MAX_LITERAL_EXPONENT:
+        raise ConfigError(f"field {name!r}: a literal with an exponent over {MAX_LITERAL_EXPONENT} in magnitude")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -88,7 +93,8 @@ def load_config(path: str, overrides) -> BuildParams:
     cube = Polyhedron(_int(exp, "dim", 1))
     depth = overrides.depth if overrides.depth is not None else _int(exp, "depth", 2)
     # parse_mode's length check names --mode, so a long field is refused here, as the field
-    cap = parse_mode(overrides.mode or _literal(exp.get("mode", "exact"), "field 'mode'"))
+    mode = overrides.mode if overrides.mode is not None else _literal(exp.get("mode", "exact"), "field 'mode'")
+    cap = parse_mode(mode)
     seed = overrides.seed if overrides.seed is not None else _int(exp, "seed", 0)
 
     sched_sec = parser["schedule"] if parser.has_section("schedule") else {}

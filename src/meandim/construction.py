@@ -34,6 +34,7 @@ has no stars anywhere it is defined.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import itertools
 import math
@@ -59,7 +60,7 @@ MAX_CODE_BITS = 1_000_000
 # A refused code count's star-count exponent longer than this many digits is
 # printed as its digit count.
 MAX_EXPONENT_DIGITS = 30
-# Give up scanning schedule levels beyond this index.
+# The deepest schedule level a plan may use as a host or a next level.
 MAX_SCHED_LEVEL = 100_000
 # The one bound, in cells, on a scan that reads a whole level tile literally:
 # the materializer, star ranking, decode confirmation, free-set nesting and
@@ -253,48 +254,50 @@ class Construction:
 
         # Next level: the first level above the host that passes the anchor,
         # star-mass and thinning-capacity tests.
-        g_n = self.group.enumerate_element(n)
-        shift = self.link_shift(n - 1)
+        g_n, shift = self.group.enumerate_element(n), self.link_shift(n - 1)
         anchor = self.group.mul(g_n, self.group.mul(shift, link_center))
+        s = fine.stars
+        d, over = s * den - num * fine.volume, n_cand - code * s - 1
         # The host zone is never thinned, so its surplus stars over rho must
         # fit under the sandwich ceiling no matter how large the next level
-        # is; when rho*|S_n| is an integer this bound does not improve with
-        # the level, so an oversized host is detectably hopeless up front.
-        surplus = (n_cand - code) * fine.stars
-        if (num * fine.volume) % den == 0 and surplus * den > num * host_volume + den:
+        # is; when rho*|S_n| is an integer (d == den) this bound does not
+        # improve with the level, so an oversized host is hopeless up front.
+        if d == den and over > 0:
             raise CapacityError(
                 f"step {n + 1}: the {decimal_text(n_cand - code)} uncoded host tiles hold "
-                f"{decimal_text(surplus)} stars, over the sandwich ceiling "
+                f"{decimal_text((n_cand - code) * s)} stars, over the sandwich ceiling "
                 f"{fraction_text(rho * host_volume + 1)}; "
                 "the schedule jumps too coarsely past the code block"
             )
-        # The walk goes up from the host one extension step at a time, so a
-        # level costs a few linear big-int operations, not a power.
-        reason = ""
-        futile = 0
-        for m, box_next, periods, vol_m in sched.climb(host, MAX_SCHED_LEVEL):
-            n_out = vol_m // fine.volume - n_cand
-            target = self._target_stars(vol_m)
-            ok_anchor = anchor in box_next
-            ok_mass = fine.stars * n_out * den > num * vol_m
-            thin_total = (n_cand - code) * fine.stars + n_out * fine.stars - target
-            # each thinning-zone tile can shed one star; ok_mass makes
-            # stars * n_out at least target, so thin_total >= 0
-            ok_capacity = ok_mass and thin_total <= n_out
-            if ok_anchor and ok_mass and ok_capacity:
-                break
-            reason = (
-                "anchor containment"
-                if not ok_anchor
-                else ("outside star mass" if not ok_mass else "thinning capacity")
-            )
-            futile += 1 if (ok_anchor and ok_mass) else 0
-            if futile > 256:
-                raise CapacityError(f"step {n + 1}: thinning capacity keeps failing past level {m}")
-        else:
-            if not reason:  # the host is at the level cap, so no level was walked
-                raise CapacityError(f"step {n + 1}: no level above host level {host}")
-            raise CapacityError(f"step {n + 1}: {reason} unsatisfiable through level {MAX_SCHED_LEVEL}")
+        top = MAX_SCHED_LEVEL
+        if host >= top:
+            raise CapacityError(f"step {n + 1}: no level above host level {host}")
+        # Each test, once passed, holds above.  With K = vol_m / |S_n| tiles in level
+        # m, n_out = K - n_cand: star mass, s * n_out * den > num * vol_m, holds iff
+        # K * d > s * n_cand * den; capacity, thin_total <= n_out, iff K * (den - d)
+        # >= den * over.  The sandwich puts d in (0, den]; d == den, over > 0 failed
+        # above; d <= 0 (a level planted at density rho) never passes star mass.
+        first = sched.first_level_holding
+        mass = top + 1 if d <= 0 else first((s * n_cand * den // d + 1) * fine.volume, host + 1)
+        capacity = host + 1 if over <= 0 else first(-(-den * over // (den - d)) * fine.volume, host + 1)
+        # The anchor is read at the level those two give; the first level holding
+        # it is searched for only if that one misses it or lies past the cap, or
+        # capacity may trail by over 256 levels.
+        m = max(mass, capacity)
+        if m > top or capacity > mass + 256 or anchor not in sched.level_box(m):
+            held = bisect.bisect_left(range(top + 1), True, host + 1, key=lambda k: anchor in sched.level_box(k))
+            low = max(held, mass)
+            if low + 256 <= top and capacity > low + 256:
+                raise CapacityError(f"step {n + 1}: thinning capacity keeps failing past level {low + 256}")
+            m = max(low, capacity)
+            if m > top:
+                reason = ("anchor containment" if held > top
+                          else "outside star mass" if mass > top else "thinning capacity")
+                raise CapacityError(f"step {n + 1}: {reason} unsatisfiable through level {top}")
+        box_next, periods, vol_m = sched.level_box(m), sched.periods(m), sched.volume(m)
+        target = self._target_stars(vol_m)
+        # one star per thinned tile; star mass makes s * n_out >= target, so thin_total >= 0
+        thin_total = (vol_m // fine.volume - code) * s - target
 
         self.steps[n] = StepPlan(
             n=n,

@@ -16,8 +16,7 @@ Past its prefix a growth rule repeats one multiplier m, so from the last
 prefix level p on, q_n = q_p * m^(n-p) and the ends a_n, b_n are geometric
 sums: any level costs one big-int power per axis, however deep.  For the
 same reason the first level holding a given volume is found in closed form
-(``first_level_holding``), and ``climb`` steps up from a level one level at
-a time without a power.
+(``first_level_holding``).
 
 Z^2 schedules are axis products of Z schedules.
 """
@@ -90,8 +89,7 @@ class TilingSchedule:
         return self._top
 
     def _step(self, ax: int, a: int, b: int, lvl: int) -> tuple:
-        """(a, b) of level lvl + 1 on axis ax from (a, b) of level lvl, and
-        the multiplier the step uses, which it checks."""
+        """(a, b) of level lvl + 1 on axis ax from those of level lvl; checks the multiplier."""
         q = a + b + 1
         m = self.rules[ax].multiplier(lvl)
         # q * m is an integer multiple of q exactly when m is an integer
@@ -111,7 +109,7 @@ class TilingSchedule:
             j = 0
         else:
             j = (m - 1) // 2 + (lvl % 2 if m % 2 == 0 else 0)
-        return a + j * q, b + (m - 1 - j) * q, m
+        return a + j * q, b + (m - 1 - j) * q
 
     def ensure(self, n: int) -> None:
         """Make level n available; each multiplier is checked at the first
@@ -122,7 +120,7 @@ class TilingSchedule:
             return
         p = self._prefix_len
         for lvl in range(self._top, min(n, p + 1)):
-            ends = [self._step(ax, *self._prefix[ax][lvl - 1], lvl)[:2]
+            ends = [self._step(ax, *self._prefix[ax][lvl - 1], lvl)
                     for ax in range(self.group.rank)]
             if lvl < p:  # the step to level p + 1 only checks the repeated multiplier
                 for ax, e in enumerate(ends):
@@ -164,16 +162,13 @@ class TilingSchedule:
         ends = [self._ends(ax, n) for ax in range(self.group.rank)]
         return ends, tuple(a + b + 1 for a, b in ends)
 
-    @staticmethod
-    def _box(ends) -> Box:
-        return Box(tuple(-a for a, _ in ends), tuple(b for _, b in ends))
-
     def _level(self, n: int) -> tuple:
         got = self._levels.get(n)
         if got is None:
             self.ensure(n)
             ends, periods = self._shape(n)
-            got = self._levels[n] = (self._box(ends), periods)
+            box = Box(tuple(-a for a, _ in ends), tuple(b for _, b in ends))
+            got = self._levels[n] = (box, periods)
         return got
 
     def level_box(self, n: int) -> Box:
@@ -219,21 +214,6 @@ class TilingSchedule:
             t += 1
         self._volumes[p + t] = base * power  # one short product, where volume(p + t) multiplies two long sides
         return p + t
-
-    def climb(self, level: int, top: int):
-        """Levels level + 1 .. top as (n, box, periods, volume), each one
-        extension step (_step) up from the one below: a level costs a few
-        linear big-int operations, where level_box costs a power per axis
-        and a volume product.  Each level is made available as it is reached."""
-        vol, box = self.volume(level), self.level_box(level)
-        ends = [(-lo, hi) for lo, hi in zip(box.lows, box.highs)]
-        for n in range(level + 1, top + 1):
-            self.ensure(n)
-            stepped = [self._step(ax, a, b, n - 1) for ax, (a, b) in enumerate(ends)]
-            ends = [(a, b) for a, b, _ in stepped]
-            for _, _, m in stepped:
-                vol *= m
-            yield n, self._box(ends), tuple(a + b + 1 for a, b in ends), vol
 
     def materialize_level(self, n: int) -> GridTiling:
         box = self.level_box(n)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -293,6 +294,41 @@ def test_file_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("old,new", [
+    ("rho = 1/2", "rho = 1e-100000000"),
+    ("growth = 3", "growth = 1e100000000"),
+    ("delta1 = 1/2", "delta1 = 1e-100000000"),
+])
+def test_exponent_past_the_limit_is_refused(tmp_path, capsys, old, new):
+    # Fraction() would write out 10^100000000, which takes minutes; the
+    # exponent is refused up front, in one line that does not echo it
+    path = tmp_path / "exponent.cfg"
+    path.write_text(TOY_Z.replace(f"\n{old}\n", f"\n{new}\n"))
+    start = time.monotonic()
+    code, out, err = run(capsys, "build", "--config", str(path))
+    assert time.monotonic() - start < 1
+    field = old.split()[0]
+    assert (code, out, err) == (2, "", f"error: field '{field}': a literal with an exponent over 100000 in magnitude\n")
+
+
+def test_exponent_notation_within_the_limit_is_read(tmp_path, capsys):
+    path = tmp_path / "exponent.cfg"
+    for rho, expected in [("5e-1", Fraction(1, 2)), ("1e-100000", Fraction(1, 10**100000))]:
+        path.write_text(TOY_Z.replace("\nrho = 1/2\n", f"\nrho = {rho}\n"))
+        assert load_config(str(path), argparse.Namespace(depth=1, mode=None, seed=None)).rho == expected
+    path.write_text(TOY_Z.replace("\nrho = 1/2\n", "\nrho = 5e-1\n"))
+    assert run(capsys, "build", "--config", str(path)) == run(capsys, "build", "--config", TOY_Z_CFG)
+    path.write_text(TOY_Z.replace("\nrho = 1/2\n", "\nrho = 1e-100001\n"))
+    with pytest.raises(ConfigError, match="^field 'rho': a literal with an exponent over 100000 in magnitude$"):
+        load_config(str(path), argparse.Namespace(depth=1, mode=None, seed=None))
+
+
+def test_empty_mode_flag_is_refused(capsys):
+    # an empty --mode is a bad mode text, not an absent flag
+    code, out, err = run(capsys, "build", "--config", TOY_Z_CFG, "--mode", "")
+    assert (code, out, err) == (2, "", "error: mode must be 'exact' or 'capped:N', got ''\n")
 
 
 @pytest.mark.parametrize("levels", ["0", "-3"])
@@ -584,6 +620,15 @@ def test_planner_error_paths(monkeypatch, capsys, cap, message):
     path = Path(__file__).resolve().parents[1] / "perfbench" / "toy-z2.cfg"
     code, out, err = run(capsys, "build", "--config", str(path), "--depth", "2")
     assert (code, out, err) == (1, "", f"error: CapacityError: {message}\n")
+
+
+def test_deep_capped_plan_refuses_a_next_level_past_the_cap(capsys):
+    # on the capped:2 Z toy the next level's schedule index doubles at each
+    # step; step 17's star mass first holds past MAX_SCHED_LEVEL, and the
+    # volume bound finds that without reading the levels below it
+    code, out, err = run(capsys, "build", "--config", TOY_Z_CFG, "--depth", "16", "--mode", "capped:2")
+    assert (code, out) == (1, "")
+    assert err == "error: CapacityError: step 17: outside star mass unsatisfiable through level 100000\n"
 
 
 @pytest.mark.parametrize("exponent,outcome", [

@@ -327,7 +327,7 @@ def test_identical_configs_evaluate_identically():
     assert dump_a == dump_b
 
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
 @st.composite
@@ -448,6 +448,17 @@ def test_plan_invariant_breaks_raise_meandim_errors(monkeypatch, capsys):
     monkeypatch.setattr(construction, "MAX_SCHED_LEVEL", 200)
     with pytest.raises(CapacityError, match="^step 3: outside star mass unsatisfiable through level 200$"):
         make_toy()
+
+
+def test_anchor_outside_every_level_is_refused():
+    # left balance never moves a level's high ends, here (1, 0), so step 4's
+    # anchor, shifted by g_3 = (1, 1), lies in no level of the schedule
+    from meandim import CapacityError
+    from meandim.schedules import AxisRule, TilingSchedule
+
+    sched = TilingSchedule(Z2, (AxisRule.make(0, 1, [6, 2]), AxisRule.make(1, 0, [2, 2])), "left")
+    with pytest.raises(CapacityError, match="^step 4: anchor containment unsatisfiable through level 100000$"):
+        Construction(toy_params(sched, Fraction(3, 4), depth=3, cap=24))
 
 
 # -- tile-batched windows against the pointwise evaluator ---------------------
@@ -938,6 +949,9 @@ def small_plans(draw):
 
 
 @given(small_plans())
+# the capacity bound is a ceiling: here K >= floor(den * over / (den - d))
+# would give step 1 next level 5, one short of 6, and capacity fails at 5
+@example(toy_params(generate_interval_schedule(2, 1, 2), Fraction(1, 22), dim=2, depth=2, cap=7))
 @settings(max_examples=200, deadline=None)
 def test_planned_steps_satisfy_the_identities_the_planner_relies_on(params):
     # the planner does not re-check these at run time: each follows from
@@ -972,3 +986,24 @@ def test_planned_steps_satisfy_the_identities_the_planner_relies_on(params):
                 assert all((o - f) % q == 0 for o, f, q in zip(ends, fine_ends, fine.periods))
         # the default window of the upper bound holds a whole level-n tile
         assert upper_bound_estimate(cfg, n) is not None
+        # the next level is the first above the host where the anchor,
+        # star-mass and capacity tests, run here level by level, all hold
+        assert all(next_level_tests(cfg, n, nxt.sched_level))
+        assert nxt.sched_level - 1 == host or not all(next_level_tests(cfg, n, nxt.sched_level - 1))
+        n_cand, n_out = step.cand.volume, nxt.volume // fine.volume - step.cand.volume
+        target = cfg._target_stars(nxt.volume)
+        assert step.thin_total == (n_cand - step.code_count) * fine.stars + n_out * fine.stars - target
+
+
+def next_level_tests(cfg, n, m):
+    """Whether schedule level m passes step n's anchor, star-mass and
+    thinning-capacity tests, each computed literally from the level's box
+    and volume: the per-level definition the planner's volume bounds solve."""
+    sched, fine, step = cfg.schedule, cfg.levels[n], cfg.steps[n]
+    group, num, den = cfg.group, cfg.rho.numerator, cfg.rho.denominator
+    anchor = group.mul(group.enumerate_element(n), group.mul(cfg.link_shift(n - 1), step.link_center))
+    volume = sched.volume(m)
+    n_cand = step.cand.volume
+    n_out = volume // fine.volume - n_cand
+    thin_total = (n_cand - step.code_count) * fine.stars + n_out * fine.stars - cfg._target_stars(volume)
+    return anchor in sched.level_box(m), fine.stars * n_out * den > num * volume, thin_total <= n_out
