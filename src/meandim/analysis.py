@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .construction import MATERIALIZE_GUARD, Construction, STAR
+from .construction import MATERIALIZE_GUARD, Construction
 from .errors import DepthError, MeandimError, NotRealizedError, SizeGuardError
 from .groups import Box
 from .tilings import CheckResult
@@ -245,12 +245,26 @@ def mdim_report(cfg: Construction) -> MdimReport:
     return MdimReport(target, rows, monotone, contains, cfg.approximate)
 
 
-# -- the verify battery: each check takes the plan and ``words``, the literal
-# V_2 cached once per run, which a check that reads it calls before it walks
+# -- the verify battery: each check takes the plan and ``words``, the literal V_2 in the
+# battery walk's codes, cached once per run, which a check that reads it calls before it walks
 
-def _agreement(box: Box, got: list, want: list, what: str = "mismatch") -> CheckResult:
+def _code(cfg: Construction, n: int, d: int) -> int:
+    """The walk's palette code of net point d of step n, checked by value: a
+    code holding another value gives way to a new code that holds the point."""
+    walk, point = cfg._walk, cfg.steps[n].net.point_at(d)
+    code = walk._point(cfg.steps[n], d)
+    if walk.palette[code] != point:
+        code = len(walk.palette)
+        walk.palette.append(point)
+    return code
+
+
+def _agreement(box: Box, got: list, want: list, what: str = "mismatch", palette=None) -> CheckResult:
     """FAIL at the first cell of ``box`` where two lists in ``Box.cells()``
-    order differ, else PASS over the whole box."""
+    order differ, else PASS over the whole box; codes into a ``palette`` that
+    differ are compared by value, as two codes may hold equal values."""
+    if got != want and palette is not None:
+        got, want = [palette[c] for c in got], [palette[c] for c in want]
     if got == want:
         return CheckResult(True, f"{box.volume} cells")
     bad = next(g for g, a, b in zip(box.cells(), got, want) if a != b)
@@ -271,25 +285,28 @@ def check_no_star(cfg: Construction, words) -> CheckResult:
     # depth d determines the whole level-d tile; the window raises a
     # DepthError at its first star
     box = cfg.levels[min(2, cfg.params.depth)].box
-    cfg.window_values(box, "w")
+    cfg.window_codes(box)
     return CheckResult(True, f"{box.volume} cells")
 
 
 def check_oracle(cfg: Construction, words) -> CheckResult:
     literal, box = words(), cfg.levels[2].box
-    res = _agreement(box, cfg.level_values(2, box), literal)
+    codes, palette = cfg.level_codes(2, box)
+    res = _agreement(box, codes, literal, palette=palette)
     if res and cfg.params.depth >= 2:
         # the literal V_2 with its stars resolved by code tile 0 of step 2
-        zero = cfg.steps[2].net.point_at(0)
-        stable = [zero if v is STAR else v for v in literal]
-        return _agreement(box, cfg.window_values(box, "w"), stable, "stabilized mismatch")
+        zero = _code(cfg, 2, 0)
+        codes, palette = cfg.window_codes(box)
+        stable = [zero if c == 0 else c for c in literal]
+        return _agreement(box, codes, stable, "stabilized mismatch", palette)
     return res
 
 
 def check_linking(cfg: Construction, words) -> CheckResult:
     # V_3 on the link tile against the literal V_2
     literal, box = words(), cfg.levels[2].box
-    return _agreement(box, cfg.level_values(3, box.translate(cfg.steps[2].link_center)), literal)
+    codes, palette = cfg.level_codes(3, box.translate(cfg.steps[2].link_center))
+    return _agreement(box, codes, literal, palette=palette)
 
 
 def check_nesting(cfg: Construction, words) -> CheckResult:
@@ -298,7 +315,7 @@ def check_nesting(cfg: Construction, words) -> CheckResult:
 
 def check_floors(cfg: Construction, words) -> CheckResult:
     """Every thinning-zone level-1 tile of the literal V_2 keeps more than
-    floor stars; FAIL names the first in lexicographic order that does not."""
+    floor stars (code 0); FAIL names the first in lexicographic order that does not."""
     v2 = words()
     st, lvl1 = cfg.steps[1], cfg.levels[1]
     q, t0 = lvl1.periods, st.tiles.lows[-1]
@@ -310,17 +327,17 @@ def check_floors(cfg: Construction, words) -> CheckResult:
         # cells) holds that cell of each tile of the row; a tile's stars there
         # bound its count from below, one less per slice short of stars
         short = [col for col in (v2[row + d:row + d + across * q[-1]:q[-1]] for d in cells[:lvl1.stars])
-                 if col.count(STAR) < across]
+                 if col.count(0) < across]
         if len(short) < lvl1.stars - floor:
             continue  # every tile of the row keeps more than floor seed stars
         low = [lvl1.stars] * across
         for col in short:
-            low = list(map(operator.sub, low, map(operator.is_not, col, itertools.repeat(STAR))))
+            low = list(map(operator.sub, low, map(bool, col)))  # one less at each non-star
         for k in (k for k, c in enumerate(low) if c <= floor):
             # a thinning-zone tile at or below the floor there is recounted
             # over all its cells before it can FAIL
             b = row + k * q[-1]
-            if lead + (t0 + k,) not in st.cand and sum(v2[b + d] is STAR for d in cells) <= floor:
+            if lead + (t0 + k,) not in st.cand and [v2[b + d] for d in cells].count(0) <= floor:
                 center = tuple(jj * qq for jj, qq in zip(lead + (t0 + k,), q))
                 return CheckResult(False, f"tile at {center} thinned below its floor")
     return CheckResult(True, "every thinned tile stays above its floor")
@@ -374,9 +391,9 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
     which is freed when the battery returns; ``cfg`` itself is not changed.
     """
     cfg = cfg.with_one_walk()
-    # V_2 is materialized at most once, for the oracle, linking and floor
-    # checks; a tile past MATERIALIZE_GUARD walks nothing and reads INCONCLUSIVE
-    words = functools.cache(cfg.materialize)
+    # V_2 is materialized at most once, for the oracle, linking and floor checks, in the
+    # walk's codes; a tile past MATERIALIZE_GUARD walks nothing and reads INCONCLUSIVE
+    words = functools.cache(lambda: cfg.materialize((0, 1, *(_code(cfg, 1, d) for d in range(cfg.steps[1].radix)))))
     battery = [
         ("density sandwich", check_sandwich),
         ("no star in the limit", check_no_star),

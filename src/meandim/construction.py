@@ -385,12 +385,17 @@ class Construction:
         """The values of ``window(box, kind)`` alone, in ``Box.cells()``
         order, from one tile walk; no cell tuples are built.  Raises the
         same ``DepthError`` for the first undetermined cell."""
-        codes, palette = self._walk_box(box)
-        if 0 in codes:
-            raise self._undetermined_in(box, codes)
+        codes, palette = self.window_codes(box)
         if kind != "w":  # the basepoint at code 1, in a copy of the palette
             palette = [STAR, self.params.cube.basepoint, *palette[2:]]
         return [palette[c] for c in codes]
+
+    def window_codes(self, box: Box) -> tuple:
+        """``window_values(box)`` as the walk's ``(codes, palette)``, with the same ``DepthError``."""
+        codes, palette = self._walk_box(box)
+        if 0 in codes:
+            raise self._undetermined_in(box, codes)
+        return codes, palette
 
     def _walk_box(self, box: Box) -> tuple:
         """V_top on a box as ``(codes, palette)``: one palette code per cell
@@ -463,8 +468,9 @@ class Construction:
 
         ``assignment`` lists one net point per star of V_n in canonical star
         order; the inverse positional code gives the tile index, and a walk
-        of that code tile confirms it.  A level-n tile past MATERIALIZE_GUARD
-        cells raises SizeGuardError before any walk.
+        of that code tile confirms it at each star's cell, found once per
+        walk.  A level-n tile past MATERIALIZE_GUARD cells raises
+        SizeGuardError before any walk.
         """
         if n not in self.steps:
             raise DepthError(f"step {n + 1} not planned")
@@ -481,14 +487,14 @@ class Construction:
                 f"assignment index {decimal_text(index)} beyond the capped code block "
                 f"({decimal_text(step.code_count)})"
             )
-        center = self._cand_at(step, index)
-        stars = self.star_positions(n)  # the size guard, before any walk
-        # one walk of the code tile, read at the offset of each star
-        coded = self.level_values(n + 1, lvl.box.translate(center))
-        for rank, pos in enumerate(stars):
-            got = coded[lvl.box.count_below(pos)]
-            if got != assignment[rank]:
-                raise DecodeError(f"decode confirmation failed at star {pos}")
+        center, walk = self._cand_at(step, index), self._tile_walk()
+        at = walk.star_cells.get(n)
+        if at is None:  # star_positions holds the size guard, before any walk
+            at = walk.star_cells[n] = [lvl.box.count_below(pos) for pos in self.star_positions(n)]
+        codes, palette = self.level_codes(n + 1, lvl.box.translate(center))
+        for i, want in zip(at, assignment):
+            if palette[codes[i]] != want:
+                raise DecodeError(f"decode confirmation failed at star {lvl.box.cell_at(i)}")
         return center
 
     # -- literal materialization (the oracle) --------------------------------
@@ -511,9 +517,10 @@ class Construction:
         rows = [(lead, box.count_below(tuple(map(operator.mul, lead + (t0,), q)))) for lead in leads]
         return rows, tiles.highs[-1] - t0 + 1, offsets
 
-    def materialize(self) -> list:
+    def materialize(self, labels: Optional[tuple] = None) -> list:
         """V_2, executed literally as a flat list in ``Box.cells()`` order
-        over the level-2 tile.
+        over the level-2 tile, written in ``labels``: a star, a hash, then each
+        net point of step 1 by digit; by default ``STAR``, ``HASH`` and the points.
 
         This follows the step definitions directly, with none of the
         arithmetic shortcuts the evaluator uses, and serves as its oracle:
@@ -522,43 +529,39 @@ class Construction:
         visited in lexicographic order, each losing its first seed star,
         until the target is reached.  The host box of step 1 is never
         thinned, so the word on it is the coded word of step 1.  It never
-        walks: the verify battery computes it at most once and compares it
-        with its one walk (``with_one_walk``), and both live for exactly one
+        walks: the verify battery computes it at most once, in the codes of
+        its one walk (``with_one_walk``), and both live for exactly one
         ``run_verification`` call.
         """
         lvl1, lvl2, step1 = self.levels[1], self.levels[2], self.steps[1]
         if lvl2.volume > MATERIALIZE_GUARD:
             raise SizeGuardError(f"level-2 tile has {decimal_text(lvl2.volume)} cells, over the bound")
-        box, q, cand = lvl2.box, lvl1.periods, step1.cand
+        star, hash_, *points = labels or (STAR, HASH, *map(step1.net.point_at, range(step1.radix)))
+        box, q, cand = lvl2.box, lvl1.periods[-1], step1.cand
         rows, across, offsets = self.tile_rows()
         deltas = offsets[:lvl1.stars]
         # each seed star written into every tile of a row by one strided slice
-        word = [HASH] * lvl2.volume
-        row_of_stars = [STAR] * across
+        word = [hash_] * lvl2.volume
+        row_of_stars = [star] * across
         for _, r in rows:
             for d in deltas:
-                word[r + d:r + d + across * q[-1]:q[-1]] = row_of_stars
-        points = [step1.net.point_at(d) for d in range(step1.radix)]
+                word[r + d:r + d + across * q:q] = row_of_stars
         for k in range(step1.code_count):
             b = box.count_below(self._cand_at(step1, k))
             for p, d in enumerate(deltas):
                 word[b + d] = points[self._digit(k, lvl1.stars - 1 - p, step1.radix)]
-        total, target = word.count(STAR), lvl2.stars
-        # the thinning zone in lexicographic order: a row whose leading index
-        # lies in the host (line_base's live flag) skips the host's tiles,
-        # which are never thinned; a thinning-zone tile holds every seed star
+        total, target = word.count(star), lvl2.stars
+        # the thinning zone in lexicographic order, one strided slice per
+        # stretch of a row: a row whose leading index lies in the host
+        # (line_base's live flag) skips the host's tiles, which are never
+        # thinned; a thinning-zone tile holds every seed star
         t0 = step1.tiles.lows[-1]
         c0, c1 = cand.lows[-1] - t0, cand.highs[-1] - t0 + 1
-        zone = (
-            r + k * q[-1]
-            for lead, r in rows
-            for k in (itertools.chain(range(c0), range(c1, across)) if cand.line_base(lead)[1] else range(across))
-        )
-        for b in zone:
-            if total <= target:
-                break
-            word[b + deltas[0]] = HASH
-            total -= 1
+        for lead, r in rows:
+            for k0, k1 in ((0, c0), (c1, across)) if cand.line_base(lead)[1] else ((0, across),):
+                k, b = max(min(k1 - k0, total - target), 0), r + k0 * q + deltas[0]
+                word[b:b + k * q:q] = [hash_] * k
+                total -= k
         if total != target:
             raise CapacityError("literal thinning could not reach the target")
         return word
@@ -644,6 +647,7 @@ class _TileWalk:
         self.templates: dict = {}  # (n, lows, highs) -> [digit-0 codes, star index by rank]
         self.palette: list = [STAR, HASH]  # code -> value
         self.points: dict = {}  # (step, digit) -> palette code of the net point
+        self.star_cells: dict = {}  # n -> cell index of each star of V_n, in rank order
 
     def _point(self, step: StepPlan, d: int) -> int:
         """The palette code of net point d of a step's net, added to the

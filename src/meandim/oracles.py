@@ -15,7 +15,9 @@ engine to.  No engine module imports this one (a test enforces it), so
   centers, irreducibility witnesses, the factor map of a primely congruent
   pair, and ``to_explicit``, a grid tiling's center table on a window.
 * ``verify_invariance_profile``, the materializing scan that
-  ``TilingSchedule.first_invariant_level`` does in closed form.
+  ``TilingSchedule.first_invariant_level`` does in closed form, and
+  ``verify_nesting_by_scan``, the per-element level scan that
+  ``TilingSchedule.verify_nesting`` does from one bounding box.
 * Toy constructors, explicit intervals and boxes, the schedule parser
   (the inverse of ``TilingSchedule.serialize``), exact word densities,
   free-set enumeration and the net density check.
@@ -37,7 +39,7 @@ from .construction import HASH, STAR, BuildParams, Construction, StepPlan
 from .cube import Net, Polyhedron, net_schedule
 from .errors import DecodeError, ScheduleError
 from .groups import GROUPS, Box, Element, FiniteSubset, LatticeGroup, Z, Z2, is_invariant
-from .schedules import AxisRule, TilingSchedule
+from .schedules import MAX_SEARCH_LEVEL, AxisRule, TilingSchedule
 from .tilings import (
     CheckResult,
     ExplicitTiling,
@@ -323,6 +325,21 @@ def verify_invariance_profile(schedule: TilingSchedule, K_list, eps_list) -> Che
         if not is_invariant(S, K, eps):
             return CheckResult(False, f"level {k} is not ({K!r}, {eps})-invariant", [k])
     return CheckResult(True, f"levels 1..{len(K_list)} pass")
+
+
+def verify_nesting_by_scan(schedule: TilingSchedule, N: int, max_level: int = MAX_SEARCH_LEVEL) -> CheckResult:
+    """``TilingSchedule.verify_nesting`` element by element: the first level
+    through max_level covering each of g_1..g_N, the worst of them, or the
+    first element no such level covers."""
+    worst = 0
+    it = schedule.group.spiral()
+    for i in range(1, N + 1):
+        g = next(it)
+        level = next((n for n in range(1, max_level + 1) if g in schedule.level_box(n)), None)
+        if level is None:
+            return CheckResult(False, f"g_{i} = {g} uncovered through level {max_level}", [g])
+        worst = max(worst, level)
+    return CheckResult(True, f"g_1..g_{N} covered by level {worst}", [worst])
 
 
 def generate_interval_schedule(

@@ -237,19 +237,18 @@ class TilingSchedule:
     def verify_nesting(self, N: int, max_level: int = MAX_SEARCH_LEVEL) -> CheckResult:
         """Check that g_1..g_N are covered by some level.  S_n is inside
         S_{n+1} by construction: each step adds j*q_n to a_n and
-        (m-1-j)*q_n to b_n with 0 <= j <= m-1."""
-        worst = 0
+        (m-1-j)*q_n to b_n with 0 <= j <= m-1.  So the worst element's
+        level is the first whose box holds the bounding box of g_1..g_N,
+        and an element no level covers lies outside level max_level."""
         it = self.group.spiral()
-        for i in range(1, N + 1):
-            g = next(it)
-            level = None
-            for n in range(1, max_level + 1):
-                if g in self.level_box(n):
-                    level = n
-                    break
-            if level is None:
-                return CheckResult(False, f"g_{i} = {g} uncovered through level {max_level}", [g])
-            worst = max(worst, level)
+        gs = [next(it) for _ in range(N)]
+        worst = 0
+        if gs:
+            hull = Box(map(min, zip(*gs)), map(max, zip(*gs)))
+            worst = next((n for n in range(1, max_level + 1) if self.level_box(n).contains_box(hull)), None)
+        if worst is None:
+            i, g = next((i, g) for i, g in enumerate(gs, 1) if max_level < 1 or g not in self.level_box(max_level))
+            return CheckResult(False, f"g_{i} = {g} uncovered through level {max_level}", [g])
         return CheckResult(True, f"g_1..g_{N} covered by level {worst}", [worst])
 
     # -- serialization -----------------------------------------------------

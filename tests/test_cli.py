@@ -661,9 +661,12 @@ def test_planted_literal_mismatch_fails_oracle_and_linking(monkeypatch, depth):
     cells = list(cfg.levels[2].box.cells())
     victim = next(g for g, v in zip(cells, real(cfg)) if v is HASH and g[0] > 0)
 
-    def planted(self, *args, **kwargs):
-        out = real(self, *args, **kwargs)
-        out[cells.index(victim)] = (Fraction(9, 10),)  # one cell that no net holds
+    def planted(self, labels):
+        # the battery asks for the literal in its walk's codes: the victim
+        # gets a new code of the walk's palette, holding a value no net holds
+        out = real(self, labels)
+        out[cells.index(victim)] = len(self._walk.palette)
+        self._walk.palette.append((Fraction(9, 10),))
         return out
 
     monkeypatch.setattr(Construction, "materialize", planted)
@@ -695,22 +698,25 @@ def planted_floor_rows(monkeypatch, config_name, left, spare=0):
     real = Construction.materialize
     planted_words = []
 
-    def planted(self, *args, **kwargs):
-        out = real(self, *args, **kwargs)
+    def planted(self, labels=None):
+        # the battery asks for the literal in its walk's codes (0 a star, 1
+        # a hash); the oracle below reads the same word in values
+        out = real(self, labels)
+        star, hash_ = labels[:2] if labels else (STAR, HASH)
         at = {g: i for i, g in enumerate(self.levels[2].box.cells())}
-        stars = [g for g in victims if out[at[g]] is STAR]
+        stars = [g for g in victims if out[at[g]] == star]
         assert len(stars) > left
         for g in stars[left:]:
-            out[at[g]] = HASH
+            out[at[g]] = hash_
         for g in extras:
-            assert out[at[g]] is HASH
-            out[at[g]] = STAR
+            assert out[at[g]] == hash_
+            out[at[g]] = star
         planted_words.append(out)
         return out
 
     monkeypatch.setattr(Construction, "materialize", planted)
     rows = {name: (ok, note) for name, ok, note in cli.run_verification(cfg, 7)}
-    oracle = oracles.floors_by_count(cfg, planted_words[0])
+    oracle = oracles.floors_by_count(cfg, planted(cfg))
     return rows, center, (oracle.ok, oracle.detail)
 
 
@@ -751,8 +757,9 @@ def test_floors_row_agrees_with_the_full_count(config_name, depth):
 
     path = Path(__file__).resolve().parents[1] / config_name
     cfg = Construction(load_config(str(path), argparse.Namespace(depth=depth, mode=None, seed=None)))
-    words = cfg.materialize()
-    assert analysis.check_floors(cfg, lambda: words) == oracles.floors_by_count(cfg, words)
+    # the row reads the literal in codes (0 a star), the oracle in values
+    codes, words = cfg.materialize((0, 1, *range(2, 2 + cfg.steps[1].radix))), cfg.materialize()
+    assert analysis.check_floors(cfg, lambda: codes) == oracles.floors_by_count(cfg, words)
     assert oracles.floors_by_count(cfg, words).ok
 
 
@@ -767,18 +774,85 @@ def test_planted_stable_mismatch_fails_the_oracle(monkeypatch):
     tile = cfg.levels[2].box
     cells = list(tile.cells())
     victim = next(g for g, v in zip(cells, cfg.window_values(tile, "w")) if v is HASH and g[0] > 0)
-    real = Construction.window_values
+    real = Construction.window_codes
 
-    def planted(self, box, kind="w"):
-        out = list(real(self, box, kind))
-        if box == tile and kind == "w":
-            out[cells.index(victim)] = (Fraction(9, 10),)
-        return out
+    def planted(self, box):
+        # the victim gets a new code of the walk's palette, holding a value no net holds
+        codes, palette = real(self, box)
+        if box == tile:
+            codes = list(codes)
+            codes[cells.index(victim)] = len(palette)
+            palette.append((Fraction(9, 10),))
+        return codes, palette
 
-    monkeypatch.setattr(Construction, "window_values", planted)
+    monkeypatch.setattr(Construction, "window_codes", planted)
     rows = {name: (ok, note) for name, ok, note in cli.run_verification(cfg, 7)}
     assert {name for name, (ok, _) in rows.items() if not ok} == {"evaluator equals literal materialization"}
     assert rows["evaluator equals literal materialization"] == (False, f"stabilized mismatch at {victim}")
+
+
+@pytest.mark.parametrize("equal", [True, False], ids=["equal-value", "other-value"])
+@pytest.mark.parametrize("seam,row,what", [
+    ("level_codes 2", "evaluator equals literal materialization", "mismatch"),
+    ("window_codes", "evaluator equals literal materialization", "stabilized mismatch"),
+    ("level_codes 3", "level words reappear at the link tile", "mismatch"),
+])
+def test_walk_codes_that_differ_are_compared_by_value(monkeypatch, seam, row, what, equal):
+    # the first net-point cell of one walk the literal rows read gets a new
+    # palette code: holding an equal value it passes, as the row compares
+    # codes that differ by value; holding another value it fails there
+    from meandim import cli
+
+    cfg = Construction(cli.load_config(TOY_Z_CFG, argparse.Namespace(depth=2, mode=None, seed=None)))
+    unplanted = cli.run_verification(cfg, 7)
+    method, *level = seam.split()
+    tile = cfg.levels[2].box
+    box = tile.translate(cfg.steps[2].link_center) if level == ["3"] else tile
+    real, victims = getattr(Construction, method), []
+
+    def planted(self, *args):
+        codes, palette = real(self, *args)
+        if args == (*map(int, level), box):
+            i = next(i for i, c in enumerate(codes) if c > 1)  # codes 0 and 1 are STAR and HASH
+            value = tuple(palette[codes[i]]) if equal else (Fraction(9, 10),)  # an equal copy, or no net's point
+            codes = list(codes)
+            codes[i] = len(palette)
+            palette.append(value)
+            victims.append(tile.cell_at(i))
+        return codes, palette
+
+    monkeypatch.setattr(Construction, method, planted)
+    rows = cli.run_verification(cfg, 7)
+    assert len(set(victims)) == 1
+    if equal:
+        assert rows == unplanted
+    else:
+        assert [(name, ok, note) for name, ok, note in rows if not ok] == [(row, False, f"{what} at {victims[0]}")]
+
+
+def test_walk_code_holding_the_wrong_net_point_fails_the_oracle(monkeypatch):
+    # the walk's code of step 1's net point 1 holds point 0: the literal's
+    # labels are checked by value, so it is written with a code of its own
+    # there, and the oracle row fails at the first cell of that point; the
+    # decode confirmation reads the walk's values and fails too
+    from meandim import cli, construction
+
+    cfg = Construction(cli.load_config(TOY_Z_CFG, argparse.Namespace(depth=1, mode=None, seed=None)))
+    net, tile = cfg.steps[1].net, cfg.levels[2].box
+    victim = next(g for g, v in zip(tile.cells(), cfg.materialize()) if v == net.point_at(1))
+    real = construction._TileWalk._point
+
+    def planted(self, step, d):
+        code = real(self, step, d)
+        if (step.n, d) == (1, 1):
+            self.palette[code] = step.net.point_at(0)
+        return code
+
+    monkeypatch.setattr(construction._TileWalk, "_point", planted)
+    assert [row for row in cli.run_verification(cfg, 7) if not row[1]] == [
+        ("evaluator equals literal materialization", False, f"mismatch at {victim}"),
+        ("level-1 assignments all realized", False, "DecodeError: decode confirmation failed at star (1,)"),
+    ]
 
 
 @pytest.mark.parametrize("error,ok", [(SizeGuardError, None), (CapacityError, False)])
@@ -792,7 +866,7 @@ def test_planted_materialize_error_labels_the_literal_checks(monkeypatch, error,
 
     cfg = Construction(cli.load_config(TOY_Z_CFG, argparse.Namespace(depth=2, mode=None, seed=None)))
     walks = Counter()
-    real_walk = Construction.level_values
+    real_walk = Construction.level_codes
 
     def counted(self, n, box):
         walks[n, box.lows, box.highs] += 1
@@ -801,7 +875,7 @@ def test_planted_materialize_error_labels_the_literal_checks(monkeypatch, error,
     def planted(self, *args, **kwargs):
         raise error("planted")
 
-    monkeypatch.setattr(Construction, "level_values", counted)
+    monkeypatch.setattr(Construction, "level_codes", counted)
     cli.run_verification(cfg, 7)
     unplanted, walks = walks, Counter()
     monkeypatch.setattr(Construction, "materialize", planted)

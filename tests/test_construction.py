@@ -886,12 +886,17 @@ def test_z2_depth2_literal_words_match_the_walk(z2_cfgs):
     ("Z2", True, True),  # the cut row crosses the host, whose rows come first
     ("Z left", True, False),  # thinning stops before the host
     ("Z right", True, True),  # the one row crosses the host before the cut
+    ("Z2 left", True, False),  # the host is the last 9 x 9 tiles, after the cut
+    ("Z2 right", True, True),  # the host is the first 9 x 9 tiles, before the cut
 ])
 def test_literal_words_match_the_pointwise_oracle(z2_cfgs, case, cut_mid_row, host_before_cut):
-    # the materializer writes W_1 a row of tiles at a time and thins row by
-    # row; every cell of its words against the pointwise resolvers
+    # the materializer writes W_1 a row of tiles at a time and thins a row
+    # one stretch of tiles at a time; every cell of its words against the
+    # pointwise resolvers
+    group, balance = case.split() if " " in case else (case, "centered")
+    seed_b, depth = (1, 1) if group == "Z2" else (2, 2)
     cfg = z2_cfgs[1] if case == "Z2" else Construction(toy_params(
-        generate_interval_schedule(1, 2, 3, case.split()[1]), Fraction(1, 2), dim=1, depth=2))
+        generate_interval_schedule(1, seed_b, 3, balance, group=GROUPS[group]), Fraction(1, 2), dim=1, depth=depth))
     step, lvl1 = cfg.steps[1], cfg.levels[1]
     cut = thinning_cut_tile(cfg, 1)
     j = tuple((x - lo) // q for x, lo, q in zip(cut.lows, lvl1.box.lows, lvl1.periods))

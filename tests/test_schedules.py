@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from meandim import (
     Construction,
+    GROUPS,
     FiniteSubset,
     ScheduleError,
     TilingSchedule,
@@ -18,8 +19,15 @@ from meandim import (
 )
 from meandim.cli import load_config
 from meandim.groups import Box, is_invariant
-from meandim.oracles import box2, generate_interval_schedule, interval, parse_schedule, verify_invariance_profile
-from meandim.schedules import BALANCES, AxisRule
+from meandim.oracles import (
+    box2,
+    generate_interval_schedule,
+    interval,
+    parse_schedule,
+    verify_invariance_profile,
+    verify_nesting_by_scan,
+)
+from meandim.schedules import BALANCES, MAX_SEARCH_LEVEL, AxisRule
 from meandim.tilings import verify_congruent, verify_primely_congruent
 
 
@@ -290,6 +298,20 @@ def test_nesting_coverage():
     res = s.verify_nesting(100)
     assert res.ok and res.violations[0] <= 5
     assert s.verify_nesting(1).violations[0] == 1  # g_1 = 0 sits in level 1
+
+
+@pytest.mark.parametrize("seeds,growth", [((1, 2), (3,)), ((0, 1), (2, 5, 3)), ((2, 0), (4, 2))])
+@pytest.mark.parametrize("balance", BALANCES)
+@pytest.mark.parametrize("group", ["Z", "Z2"])
+def test_nesting_from_the_bounding_box_matches_the_scan(group, balance, seeds, growth):
+    # the first level holding the bounding box of g_1..g_N against the first
+    # level holding each element; max_level 1 is too low for N = 100 on
+    # every schedule, so each also fails, naming the same first element
+    s = generate_interval_schedule(*seeds, growth, balance, group=GROUPS[group])
+    for max_level in (1, 2, MAX_SEARCH_LEVEL):
+        for N in range(1, 101):
+            assert s.verify_nesting(N, max_level) == verify_nesting_by_scan(s, N, max_level), (max_level, N)
+    assert s.verify_nesting(100, 1).ok is False
 
 
 def test_nesting_one_sided_failure():
