@@ -305,11 +305,12 @@ def test_nesting_coverage():
 @pytest.mark.parametrize("group", ["Z", "Z2"])
 def test_nesting_from_the_bounding_box_matches_the_scan(group, balance, seeds, growth):
     # the first level holding the bounding box of g_1..g_N against the first
-    # level holding each element; max_level 1 is too low for N = 100 on
-    # every schedule, so each also fails, naming the same first element
+    # level holding each element, N = 0 and max_level 0 included; max_level
+    # 1 is too low for N = 100 on every schedule, so each also fails,
+    # naming the same first element
     s = generate_interval_schedule(*seeds, growth, balance, group=GROUPS[group])
-    for max_level in (1, 2, MAX_SEARCH_LEVEL):
-        for N in range(1, 101):
+    for max_level in (0, 1, 2, MAX_SEARCH_LEVEL):
+        for N in range(101):
             assert s.verify_nesting(N, max_level) == verify_nesting_by_scan(s, N, max_level), (max_level, N)
     assert s.verify_nesting(100, 1).ok is False
 
