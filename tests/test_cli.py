@@ -696,7 +696,6 @@ def planted_floor_rows(monkeypatch, config_name, left, spare=0):
     extras = [cfg.group.mul(a, center) for a in cfg.levels[1].box.cells() if a not in cfg.seed_stars][:spare]
     assert len(extras) == spare
     real = Construction.materialize
-    planted_words = []
 
     def planted(self, labels=None):
         # the battery asks for the literal in its walk's codes (0 a star, 1
@@ -711,7 +710,6 @@ def planted_floor_rows(monkeypatch, config_name, left, spare=0):
         for g in extras:
             assert out[at[g]] == hash_
             out[at[g]] = star
-        planted_words.append(out)
         return out
 
     monkeypatch.setattr(Construction, "materialize", planted)
