@@ -33,8 +33,7 @@ SPAN = 10**6
 class FreeSet:
     """The level-n free coordinates: stars of V_{n+1}, pulled back along the
     link shifts.  Kept implicit: the exact size and density are closed form,
-    and ``members`` reads the membership of a box's cells from one tile
-    walk."""
+    and ``codes`` reads a box's cells from one tile walk."""
 
     def __init__(self, cfg: Construction, n: int):
         if n < 0:
@@ -47,13 +46,15 @@ class FreeSet:
         self.size = 0 if n == 0 else cfg.levels[n + 1].stars
         self.window_box = cfg.follower_box(n) if n >= 1 else None
 
+    def codes(self, box: Box) -> list:
+        """V_{n+1} on a box that pulls back into the level-(n+1) tile, as walk
+        codes in ``Box.cells()`` order: code 0 (STAR) marks a member."""
+        if self.n == 0:  # J_0 is empty: every cell reads HASH (code 1)
+            return [1] * box.volume
+        return self.cfg.level_codes(self.n + 1, box.translate(self.shift))[0]
+
     def members(self, box: Box) -> list:
-        """Membership of each cell of a box that pulls back into the
-        level-(n+1) tile, in ``Box.cells()`` order, from one tile walk."""
-        if self.n == 0:
-            return [False] * box.volume
-        codes, _ = self.cfg.level_codes(self.n + 1, box.translate(self.shift))
-        return [c == 0 for c in codes]  # code 0 is STAR
+        return [c == 0 for c in self.codes(box)]
 
     @property
     def density(self) -> Fraction:
@@ -67,6 +68,7 @@ def verify_free_nesting(cfg: Construction, n: int) -> CheckResult:
 
     J_{n-1} lies in its follower box, so two walks of that box decide it:
     V_n on the level-n tile and V_{n+1} on the level-n link tile of step n.
+    Code 0 is STAR in every walk, so equal codes pass unscanned.
     """
     if n < 1:
         raise ValueError("nesting starts at n = 1")
@@ -77,11 +79,11 @@ def verify_free_nesting(cfg: Construction, n: int) -> CheckResult:
     box = smaller.window_box
     if box.volume > MATERIALIZE_GUARD:
         raise SizeGuardError(f"J_{n-1} too large to enumerate")
-    inner, outer = smaller.members(box), larger.members(box)
-    missing = [g for g, a, b in zip(box.cells(), inner, outer) if a and not b]
-    if missing:
-        return CheckResult(False, f"J_{n-1} not within J_{n}", missing[:10])
-    return CheckResult(True, f"all {sum(inner)} elements of J_{n-1} lie in J_{n}")
+    inner, outer = smaller.codes(box), larger.codes(box)
+    missing = [] if inner == outer else [i for i, (a, b) in enumerate(zip(inner, outer)) if a == 0 and b]
+    if missing:  # only the reported elements get their cells
+        return CheckResult(False, f"J_{n-1} not within J_{n}", list(map(box.cell_at, missing[:10])))
+    return CheckResult(True, f"all {inner.count(0)} elements of J_{n-1} lie in J_{n}")
 
 
 def lower_bound_estimate(cfg: Construction, n: int) -> Fraction:

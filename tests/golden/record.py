@@ -9,8 +9,11 @@ only the entries named on its command line::
 
     python tests/golden/record.py ID [ID ...]
 
-CI also replays every entry through the installed script,
-``run_entry(entry, ["meandim"])``.
+With ``--check`` it records nothing: it replays every entry, in-process or,
+given a COMMAND (``meandim``, the installed script), through it, prints the
+ids whose exit code or digests differ and exits 1 if any do::
+
+    python tests/golden/record.py --check [COMMAND ...]
 
 The corpus is the one record of CLI bytes.  Where and when each entry was
 recorded (its provenance) lives in CHANGES.md, not here; an entry whose
@@ -69,12 +72,20 @@ def run_entry(entry: dict, command: Optional[list] = None) -> dict:
     return {"exit": code, "stdout": stdout, "stderr": stderr}
 
 
+def check(command: Optional[list]) -> int:
+    bad = [e["id"] for e in load() if run_entry(e, command) != {k: e[k] for k in ("exit", "stdout", "stderr")}]
+    print("entries differing from tests/golden/cli.json:", *bad or ["none"])
+    return 1 if bad else 0
+
+
 def main(ids: list) -> int:
+    if ids[:1] == ["--check"]:
+        return check(ids[1:] or None)
     corpus = load()
     known = {e["id"] for e in corpus}
     unknown = [i for i in ids if i not in known]
     if unknown or not ids:
-        sys.stderr.write(f"usage: record.py ID [ID ...]; unknown ids: {unknown}\n")
+        sys.stderr.write(f"usage: record.py ID [ID ...] | --check [COMMAND ...]; unknown ids: {unknown}\n")
         return 2
     for entry in corpus:
         if entry["id"] in ids:

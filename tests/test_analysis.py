@@ -92,17 +92,18 @@ def test_free_set_members_match_pointwise(toy_cfg):
 
 
 def test_free_set_nesting_names_a_missing_element(toy_cfg, monkeypatch):
-    # J_2 on the follower box of level 1 is exactly J_1; dropping its first
-    # element from J_2 must fail the check and name that element
-    real = FreeSet.members
+    # J_2 on the follower box of level 1 is exactly J_1; turning its first
+    # element's star (code 0) to a hash (code 1) in J_2's walk codes must
+    # fail the check and name that element
+    real = FreeSet.codes
 
     def dropped(self, box):
         out = list(real(self, box))
         if self.n == 2:
-            out[out.index(True)] = False
+            out[out.index(0)] = 1
         return out
 
-    monkeypatch.setattr(FreeSet, "members", dropped)
+    monkeypatch.setattr(FreeSet, "codes", dropped)
     res = verify_free_nesting(toy_cfg, 2)
     assert res.ok is False and res.detail == "J_1 not within J_2"
     assert res.violations == [min(free_set_elements(FreeSet(toy_cfg, 1)))]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -692,6 +693,39 @@ def test_tile_walk_words_and_ranks_match_pointwise(toy_cfg, deep_capped_cfg, z2_
         words = [walk.palette[c] for c in codes]
         assert words == want, (n, box)
         assert ranks == [oracles.stars_below(cfg, n, g) for g in box.cells()], (n, box)
+
+
+@given(
+    st.sampled_from([("Z", 2), ("Z", 3), ("Z capped", 2), ("Z capped", 3), ("Z capped", 4), ("Z2 depth 1", 2),
+                     ("Z2 depth 2", 2)]),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_tile_walk_ranks_match_pointwise_on_random_boxes(toy_cfg, deep_capped_cfg, z2_cfgs, case, data):
+    # random boxes of V_n inside the level-n tile, n >= 2; on Z^2 each box
+    # spans at least three level-(n-1) tiles on the leading axis, so it
+    # crosses bands, and every box holds at most about 600 cells; a Z^2
+    # level-3 box that tall has over 486 cells at 1-2 ms each in the
+    # pointwise oracle, so level 3 of the Z^2 toy keeps its corner boxes
+    from meandim.construction import _TileWalk
+
+    name, n = case
+    cfg = {"Z": toy_cfg, "Z capped": deep_capped_cfg, "Z2 depth 1": z2_cfgs[1], "Z2 depth 2": z2_cfgs[2]}[name]
+    tile, q = cfg.levels[n].box, cfg.levels[n - 1].periods
+    sizes = [data.draw(st.integers(2 * q[0] + 1, 3 * q[0]))] if len(q) == 2 else []
+    width = tile.highs[-1] - tile.lows[-1] + 1
+    sizes.append(data.draw(st.integers(1, min(max(1, 600 // math.prod(sizes)), width))))
+    lows = tuple(data.draw(st.integers(lo, hi - size + 1)) for lo, hi, size in zip(tile.lows, tile.highs, sizes))
+    box = Box(lows, tuple(lo + size - 1 for lo, size in zip(lows, sizes)))
+    want = [oracles.word(cfg, n, g) for g in box.cells()]
+    walk = _TileWalk(cfg)
+    codes, ranks = walk.values(n, box.lows, box.highs, False)
+    assert ranks is None
+    assert [walk.palette[c] for c in codes] == want
+    walk = _TileWalk(cfg)
+    codes, ranks = walk.values(n, box.lows, box.highs, True)
+    assert [walk.palette[c] for c in codes] == want
+    assert ranks == [oracles.stars_below(cfg, n, g) for g in box.cells()]
 
 
 def test_one_walk_slices_the_walked_tile_and_copies_repeated_bands(z2_cfgs):
