@@ -2,7 +2,8 @@
 
 Everything here is exact: densities and bound estimates are Fractions,
 window comparisons are symbol-by-symbol equality, and the free-coordinate
-sets are read from tile walks of the level words rather than materialized.
+sets J_n are read from the plan: their size and density from the level-(n+1)
+star count, their nesting from one tile walk of two level-word boxes.
 
 The dimension bounds are certified window estimates along the
 construction's own Folner windows, not suprema over all Folner sequences.
@@ -30,71 +31,47 @@ from .tilings import CheckResult
 SPAN = 10**6
 
 
-class FreeSet:
-    """The level-n free coordinates: stars of V_{n+1}, pulled back along the
-    link shifts.  Kept implicit: the exact size and density are closed form,
-    and ``codes`` reads a box's cells from one tile walk."""
-
-    def __init__(self, cfg: Construction, n: int):
-        if n < 0:
-            raise ValueError(f"free set level {n} is negative")
-        if n > cfg.params.depth:
-            raise DepthError(f"free set level {n} needs depth >= {n}")
-        self.cfg = cfg
-        self.n = n
-        self.shift = cfg.link_shift(n)  # J_n + shift = stars of V_{n+1}
-        self.size = 0 if n == 0 else cfg.levels[n + 1].stars
-        self.window_box = cfg.follower_box(n) if n >= 1 else None
-
-    def codes(self, box: Box) -> list:
-        """V_{n+1} on a box that pulls back into the level-(n+1) tile, as walk
-        codes in ``Box.cells()`` order: code 0 (STAR) marks a member."""
-        if self.n == 0:  # J_0 is empty: every cell reads HASH (code 1)
-            return [1] * box.volume
-        return self.cfg.level_codes(self.n + 1, box.translate(self.shift))[0]
-
-    def members(self, box: Box) -> list:
-        return [c == 0 for c in self.codes(box)]
-
-    @property
-    def density(self) -> Fraction:
-        if self.n == 0:
-            return Fraction(0)
-        return Fraction(self.size, self.cfg.levels[self.n + 1].volume)
-
 def verify_free_nesting(cfg: Construction, n: int) -> CheckResult:
-    """Exact set inclusion J_{n-1} within J_n, exhaustive: a follower box past
+    """Exact set inclusion J_{n-1} within J_n, exhaustive: a level-n tile past
     MATERIALIZE_GUARD raises SizeGuardError.
 
-    J_{n-1} lies in its follower box, so two walks of that box decide it:
-    V_n on the level-n tile and V_{n+1} on the level-n link tile of step n.
-    Code 0 is STAR in every walk, so equal codes pass unscanned.
+    J_n is the stars of V_(n+1) pulled back along the link shifts of steps
+    1..n, so one walk of two boxes decides it: V_n on the level-n tile and
+    V_(n+1) on step n's link tile.  Code 0 is STAR in every walk, so equal
+    codes pass unscanned; a missing element is named in J coordinates.
     """
     if n < 1:
         raise ValueError("nesting starts at n = 1")
-    smaller = FreeSet(cfg, n - 1)
-    larger = FreeSet(cfg, n)
-    if smaller.n == 0:
+    for m in (n - 1, n):  # J_m reads V_(m+1); the smaller set is named first
+        if m > cfg.params.depth:
+            raise DepthError(f"free set level {m} needs depth >= {m}")
+    if n == 1:
         return CheckResult(True, "J_0 is empty")
-    box = smaller.window_box
-    if box.volume > MATERIALIZE_GUARD:
+    tile = cfg.levels[n].box
+    if tile.volume > MATERIALIZE_GUARD:
         raise SizeGuardError(f"J_{n-1} too large to enumerate")
-    inner, outer = smaller.codes(box), larger.codes(box)
+    view = cfg.with_one_walk()
+    inner = view.level_codes(n, tile)[0]
+    outer = view.level_codes(n + 1, tile.translate(cfg.steps[n].link_center))[0]
     missing = [] if inner == outer else [i for i, (a, b) in enumerate(zip(inner, outer)) if a == 0 and b]
     if missing:  # only the reported elements get their cells
-        return CheckResult(False, f"J_{n-1} not within J_{n}", list(map(box.cell_at, missing[:10])))
+        return CheckResult(False, f"J_{n-1} not within J_{n}", list(map(cfg.follower_box(n - 1).cell_at, missing[:10])))
     return CheckResult(True, f"all {inner.count(0)} elements of J_{n-1} lie in J_{n}")
 
 
 def lower_bound_estimate(cfg: Construction, n: int) -> Fraction:
-    """Free-coordinate density of the level-n Folner window, times dim P.
+    """Free-coordinate density of the level-n Folner window, times dim P:
+    J_n has one element per star of V_(n+1), and the window as many cells
+    as the level-(n+1) tile.
 
     Exceeds rho * dim P by at most dim P / |window|; a certified estimate of
     the mean-dimension lower bound along these windows.
     """
     if n < 1:
         raise ValueError("estimates start at n = 1")
-    return FreeSet(cfg, n).density * cfg.params.cube.dim
+    if n > cfg.params.depth:
+        raise DepthError(f"free set level {n} needs depth >= {n}")
+    return Fraction(cfg.levels[n + 1].stars, cfg.levels[n + 1].volume) * cfg.params.cube.dim
 
 
 @dataclass(frozen=True)
@@ -177,12 +154,15 @@ def minimality_check(
     Syndeticity of the center lattice q Z^r needs no scan: F = [0, q)
     covers every g from the center q * floor(g / q).
     """
+    if n < 1:
+        raise ValueError("minimality starts at n = 1")
     if n + 1 > cfg.params.depth + 1:
         raise DepthError(f"minimality at level {n} needs depth >= {n}")
     group = cfg.group
     base_box = cfg.levels[n].box
     if base_box.volume > MATERIALIZE_GUARD:
         raise SizeGuardError("comparison window too large")
+    cfg = cfg.with_one_walk()  # every window through one walk
     base = cfg.window_values(base_box, "x")
     q = cfg.levels[n + 1].periods
     rng = random.Random(seed)

@@ -175,8 +175,8 @@ class Construction:
     each evaluation call makes its own ``_TileWalk``, so instances are safe
     to share across threads and hold no memory that grows with what they
     have evaluated.  The one exception is the view ``with_one_walk`` makes
-    for the verify battery: a copy whose evaluations share one walk, which
-    lives for exactly one ``analysis.run_verification`` call.
+    for one multi-box call (the verify battery, a decode): a copy whose
+    evaluations share one walk and which lives for exactly that call.
     """
 
     _walk: Optional["_TileWalk"] = None  # set only on a with_one_walk view
@@ -359,11 +359,13 @@ class Construction:
     def with_one_walk(self) -> "Construction":
         """A view of this plan whose evaluations all go through one tile
         walk, so that pieces, templates and net points computed by one call
-        are reused by the next.  The plan itself is shared and untouched;
-        the walk's memory is held by the view and freed with it, so a view
-        should live for one batch of evaluations (``run_verification``
-        makes one per call).  The walk's lists are memoized: callers must
-        not mutate what the view returns."""
+        are reused by the next; a view is returned as it is.  The plan
+        itself is shared and untouched; the walk's memory is held by the
+        view and freed with it, so a view lives for one call that reads
+        several boxes.  The walk's lists are memoized: callers must not
+        mutate what the view returns."""
+        if self._walk is not None:
+            return self
         view = copy.copy(self)
         view._walk = _TileWalk(self)
         return view
@@ -443,6 +445,8 @@ class Construction:
 
     def star_positions(self, n: int) -> list:
         """Stars of V_n in canonical rank order (walks the whole tile)."""
+        if not 1 <= n <= self.params.depth + 1:
+            raise DepthError(f"level {n} not planned")
         box = self.levels[n].box
         if box.volume > MATERIALIZE_GUARD:
             raise SizeGuardError(f"level-{n} tile too large to scan")
@@ -488,11 +492,11 @@ class Construction:
                 f"assignment index {decimal_text(index)} beyond the capped code block "
                 f"({decimal_text(step.code_count)})"
             )
-        center, walk = self._cand_at(step, index), self._tile_walk()
-        at = walk.star_cells.get(n)
+        center, view = self._cand_at(step, index), self.with_one_walk()
+        at = view._walk.star_cells.get(n)
         if at is None:  # star_positions holds the size guard, before any walk
-            at = walk.star_cells[n] = [lvl.box.count_below(pos) for pos in self.star_positions(n)]
-        codes, palette = self.level_codes(n + 1, lvl.box.translate(center))
+            at = view._walk.star_cells[n] = [lvl.box.count_below(pos) for pos in view.star_positions(n)]
+        codes, palette = view.level_codes(n + 1, lvl.box.translate(center))
         for i, want in zip(at, assignment):
             if palette[codes[i]] != want:
                 raise DecodeError(f"decode confirmation failed at star {lvl.box.cell_at(i)}")
@@ -636,9 +640,9 @@ class _TileWalk:
     memoized list itself, so a window read through code tile 0 where the
     stars are already resolved is neither copied nor ranked.  The memos,
     templates and palette belong to the walk, not the construction.  A walk
-    lives for one evaluation call, except the verify battery's:
-    ``with_one_walk`` gives it to a view that lives for exactly one
-    ``run_verification`` call, so its memos are bounded by the battery's
+    lives for one evaluation call, or for the one multi-box call (the verify
+    battery, a decode, a nesting or minimality check) whose view
+    ``with_one_walk`` gives it, so its memos are bounded by that call's
     tiles.  The lists it returns are memoized and must not be mutated.
     """
 

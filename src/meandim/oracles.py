@@ -34,7 +34,6 @@ from fractions import Fraction
 from itertools import product, repeat
 from typing import Iterable, Optional
 
-from .analysis import FreeSet
 from .construction import HASH, STAR, BuildParams, Construction, StepPlan
 from .cube import Net, Polyhedron, net_schedule
 from .errors import DecodeError, ScheduleError
@@ -448,12 +447,13 @@ def densities(word, window_id: str = "") -> DensityReport:
     return DensityReport(window_id, total, Fraction(stars, total), Fraction(hashes, total))
 
 
-def free_set_elements(fs: FreeSet) -> list:
-    """Every element of a free set, from the star positions of V_{n+1}."""
-    if fs.n == 0:
+def free_set_elements(cfg: Construction, n: int) -> list:
+    """Every element of J_n, the level-n free coordinates: the stars of
+    V_{n+1}, pulled back along the link shifts of steps 1..n (J_0 is empty)."""
+    if n == 0:
         return []
-    inv = fs.cfg.group.inv(fs.shift)
-    return [fs.cfg.group.mul(p, inv) for p in fs.cfg.star_positions(fs.n + 1)]
+    inv = cfg.group.inv(cfg.link_shift(n))
+    return [cfg.group.mul(p, inv) for p in cfg.star_positions(n + 1)]
 
 
 def floors_by_count(cfg: Construction, word: list) -> CheckResult:

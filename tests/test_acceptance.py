@@ -22,7 +22,6 @@ from meandim import (
     verify_partition,
 )
 from meandim.analysis import (
-    FreeSet,
     lower_bound_estimate,
     mdim_report,
     minimality_check,
@@ -103,9 +102,10 @@ def test_criterion_3_free_set_nesting_and_lower_bound(toys):
     for (a, b, rho), cfg in toys.items():
         res = verify_free_nesting(cfg, 2)  # J_1 within J_2, exhaustively
         ok &= res.ok is True
-        J1 = FreeSet(cfg, 1)
-        box = J1.window_box
-        ok &= {g for g, m in zip(box.cells(), J1.members(box)) if m} == set(free_set_elements(J1))
+        # the walk's stars of V_2 on the follower box of level 1 are J_1
+        box = cfg.follower_box(1)
+        codes = cfg.level_codes(2, box.translate(cfg.link_shift(1)))[0]
+        ok &= {g for g, c in zip(box.cells(), codes) if c == 0} == set(free_set_elements(cfg, 1))
         for n in (1, 2):
             lo = lower_bound_estimate(cfg, n)
             vol = cfg.levels[n + 1].volume

@@ -7,11 +7,10 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from meandim import HASH, STAR, Z2, BuildParams, Construction, Polyhedron
+from meandim import GROUPS, HASH, STAR, Z2, BuildParams, Construction, DepthError, MeandimError, Polyhedron
 from meandim.analysis import (
-    FreeSet,
     check_sandwich,
     lower_bound_estimate,
     mdim_report,
@@ -54,17 +53,18 @@ def test_coded_word_consumes_stars(toy_cfg, toy_words):
 
 
 def test_free_set_level1(toy_cfg):
-    J1 = FreeSet(toy_cfg, 1)
-    assert J1.size == 163
-    assert J1.density == Fraction(163, 324) > toy_cfg.rho
-    elems = free_set_elements(J1)
-    assert len(elems) == 163
-    box = J1.window_box
-    assert [g for g, m in zip(box.cells(), J1.members(box)) if m] == sorted(elems)
-    # the shift is the level-1 link center
-    assert J1.shift == toy_cfg.steps[1].link_center
+    # J_1 is the 163 stars of V_2, pulled back along the level-1 link center
+    elems = free_set_elements(toy_cfg, 1)
+    assert len(elems) == toy_cfg.levels[2].stars == 163
+    assert lower_bound_estimate(toy_cfg, 1) == Fraction(163, 324) > toy_cfg.rho
+    shift = toy_cfg.link_shift(1)
+    assert shift == toy_cfg.steps[1].link_center
+    # the walk's stars on the follower box are J_1, in Box.cells() order
+    box = toy_cfg.follower_box(1)
+    codes = toy_cfg.level_codes(2, box.translate(shift))[0]
+    assert [g for g, c in zip(box.cells(), codes) if c == 0] == sorted(elems)
     stars = toy_cfg.star_positions(2)
-    assert sorted(elems) == sorted((p[0] - J1.shift[0],) for p in stars)
+    assert sorted(elems) == sorted((p[0] - shift[0],) for p in stars)
 
 
 def test_free_set_nesting(toy_cfg):
@@ -74,39 +74,43 @@ def test_free_set_nesting(toy_cfg):
 
 
 def test_free_set_members_match_pointwise(toy_cfg):
-    # the walked membership of a box against the pointwise level word
-    def pointwise(fs, box):
-        moved = (toy_cfg.group.mul(g, fs.shift) for g in box.cells())
-        return [oracles.word(toy_cfg, fs.n + 1, h) is STAR for h in moved]
+    # J_n's members on a box of its follower box, read as stars of the
+    # walked V_(n+1) on the box pulled forward, against the pointwise word
+    def members(n, box):
+        return [c == 0 for c in toy_cfg.level_codes(n + 1, box.translate(toy_cfg.link_shift(n)))[0]]
+
+    def pointwise(n, box):
+        moved = (toy_cfg.group.mul(g, toy_cfg.link_shift(n)) for g in box.cells())
+        return [oracles.word(toy_cfg, n + 1, h) is STAR for h in moved]
 
     for n in (1, 2):
-        fs = FreeSet(toy_cfg, n)
-        w = fs.window_box
+        w = toy_cfg.follower_box(n)
         for lo in (w.lows[0], w.lows[0] + 100, w.highs[0] - 60):
             box = Box((lo,), (lo + 60,))
-            assert fs.members(box) == pointwise(fs, box), (n, box)
+            assert members(n, box) == pointwise(n, box), (n, box)
         with pytest.raises(ValueError):
-            fs.members(Box((w.lows[0] - 1,), (w.lows[0] + 60,)))
-    J1 = FreeSet(toy_cfg, 1)
-    assert J1.members(J1.window_box) == pointwise(J1, J1.window_box)
+            members(n, Box((w.lows[0] - 1,), (w.lows[0] + 60,)))
+    w = toy_cfg.follower_box(1)
+    assert members(1, w) == pointwise(1, w)
 
 
 def test_free_set_nesting_names_a_missing_element(toy_cfg, monkeypatch):
     # J_2 on the follower box of level 1 is exactly J_1; turning its first
-    # element's star (code 0) to a hash (code 1) in J_2's walk codes must
-    # fail the check and name that element
-    real = FreeSet.codes
+    # element's star (code 0) to a hash (code 1) in the walk codes of V_3,
+    # which J_2 reads, must fail the check and name that element
+    real = Construction.level_codes
 
-    def dropped(self, box):
-        out = list(real(self, box))
-        if self.n == 2:
-            out[out.index(0)] = 1
-        return out
+    def dropped(self, n, box):
+        codes, palette = real(self, n, box)
+        if n == 3:
+            codes = list(codes)
+            codes[codes.index(0)] = 1
+        return codes, palette
 
-    monkeypatch.setattr(FreeSet, "codes", dropped)
+    monkeypatch.setattr(Construction, "level_codes", dropped)
     res = verify_free_nesting(toy_cfg, 2)
     assert res.ok is False and res.detail == "J_1 not within J_2"
-    assert res.violations == [min(free_set_elements(FreeSet(toy_cfg, 1)))]
+    assert res.violations == [min(free_set_elements(toy_cfg, 1))]
 
 
 def test_lower_bound_estimates(matrix_cfg):
@@ -123,8 +127,6 @@ def test_negative_levels_are_refused(toy_cfg):
     # a ValueError from the level check itself, not a DepthError about depth
     with pytest.raises(ValueError, match="estimates start at n = 1"):
         lower_bound_estimate(toy_cfg, -1)
-    with pytest.raises(ValueError, match="free set level -1 is negative"):
-        FreeSet(toy_cfg, -1)
 
 
 def test_sandwich_refuses_a_level_at_rho():
@@ -157,7 +159,7 @@ def test_lower_bound_scales_with_dimension():
         )
     )
     # the estimate is the free-coordinate density times the cube dimension
-    density = FreeSet(cfg2, 1).density
+    density = Fraction(len(free_set_elements(cfg2, 1)), cfg2.follower_box(1).volume)
     assert lower_bound_estimate(cfg2, 1) == 2 * density
     assert cfg2.rho < density <= cfg2.rho + Fraction(1, cfg2.levels[2].volume)
 
@@ -355,3 +357,95 @@ def test_verify_battery_runs_on_one_walk_and_frees_it(monkeypatch, config):
     cfg.level_values(1, cfg.levels[1].box)
     cfg.star_positions(1)
     assert len(walks) == 3
+
+
+@pytest.mark.parametrize("config", ["configs/toy-z.cfg", "perfbench/toy-z2.cfg"])
+def test_multi_box_calls_each_run_on_one_walk(monkeypatch, config):
+    # on a plain depth-2 plan, a decode, a nesting check and a minimality
+    # check each read several boxes through one tile walk, held by a view
+    # the call frees; a view given to them is used as it is
+    from meandim import cli, construction
+
+    path = Path(__file__).resolve().parents[1] / config
+    cfg = Construction(cli.load_config(str(path), argparse.Namespace(depth=2, mode=None, seed=None)))
+    walks = []
+
+    class CountedWalk(construction._TileWalk):
+        def __init__(self, plan):
+            super().__init__(plan)
+            walks.append(weakref.ref(self))
+
+    monkeypatch.setattr(construction, "_TileWalk", CountedWalk)
+    assignment = [cfg.steps[1].net.point_at(1)] * cfg.levels[1].stars
+    calls = [
+        lambda plan: plan.realization_decode(1, assignment),
+        lambda plan: verify_free_nesting(plan, 2),
+        lambda plan: minimality_check(plan, 1, sample_size=20, seed=3),
+    ]
+    for call in calls:
+        walks.clear()
+        call(cfg)
+        assert len(walks) == 1 and walks[0]() is None
+        assert cfg._walk is None
+    view = cfg.with_one_walk()
+    assert view.with_one_walk() is view
+    walks.clear()
+    for call in calls:
+        call(view)
+    assert walks == []
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda cfg: minimality_check(cfg, 0), ValueError, "minimality starts at n = 1"),
+    (lambda cfg: minimality_check(cfg, -1), ValueError, "minimality starts at n = 1"),
+    (lambda cfg: cfg.star_positions(0), DepthError, "level 0 not planned"),
+    (lambda cfg: cfg.star_positions(-1), DepthError, "level -1 not planned"),
+    (lambda cfg: cfg.star_positions(4), DepthError, "level 4 not planned"),
+    # the siblings they now match
+    (lambda cfg: cfg.level_codes(0, cfg.levels[1].box), DepthError, "level 0 not planned"),
+    (lambda cfg: upper_bound_estimate(cfg, 4), DepthError, "level 4 not planned"),
+    (lambda cfg: lower_bound_estimate(cfg, 0), ValueError, "estimates start at n = 1"),
+    (lambda cfg: lower_bound_estimate(cfg, 3), DepthError, "free set level 3 needs depth >= 3"),
+    (lambda cfg: verify_free_nesting(cfg, 0), ValueError, "nesting starts at n = 1"),
+    (lambda cfg: verify_free_nesting(cfg, 3), DepthError, "free set level 3 needs depth >= 3"),
+    # the smaller set J_(n-1) is named first
+    (lambda cfg: verify_free_nesting(cfg, 4), DepthError, "free set level 3 needs depth >= 3"),
+    (lambda cfg: verify_free_nesting(cfg, 5), DepthError, "free set level 4 needs depth >= 4"),
+    (lambda cfg: minimality_check(cfg, 3), DepthError, "minimality at level 3 needs depth >= 3"),
+])
+def test_out_of_range_levels_raise_the_package_errors(toy_cfg, call, error, text):
+    # the Z toy at depth 2 plans levels 1..3
+    with pytest.raises(error) as exc:
+        call(toy_cfg)
+    assert type(exc.value) is error and str(exc.value) == text
+
+
+@given(st.sampled_from(["Z", "Z2"]), st.sampled_from(["centered", "left", "right"]),
+       st.sampled_from([(0, 1), (1, 1), (1, 2)]), st.integers(2, 3),
+       st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]), st.integers(1, 2), st.integers(1, 3))
+# Z^2 plans whose level-3 tile (16,384 cells) holds J_2: about one Z^2 draw
+# in fourteen reaches them
+@example("Z2", "left", (0, 1), 2, Fraction(1, 2), 1, 2)
+@example("Z2", "right", (0, 1), 2, Fraction(1, 3), 2, 3)
+@settings(max_examples=60, deadline=None)
+def test_free_set_rows_match_the_enumerated_sets(group, balance, seed, growth, rho, dim, depth):
+    # the nesting verdict and count, and the lower bound, against J_n
+    # enumerated from the star positions of V_(n+1) (oracles.free_set_elements),
+    # on capped:2 plans, at each level whose level-(n+1) tile has at most
+    # 30,000 cells
+    sched = generate_interval_schedule(*seed, growth, balance, group=GROUPS[group])
+    try:
+        cfg = Construction(toy_params(sched, rho, dim=dim, depth=depth, cap=2))
+    except MeandimError:
+        return
+    smaller = []  # J_0
+    for n in range(1, depth + 1):
+        if cfg.levels[n + 1].volume > 30_000:
+            break
+        larger = free_set_elements(cfg, n)
+        res = verify_free_nesting(cfg, n)
+        assert res.ok is (set(smaller) <= set(larger))
+        if n > 1:
+            assert res.detail == f"all {len(smaller)} elements of J_{n - 1} lie in J_{n}"
+        assert lower_bound_estimate(cfg, n) == Fraction(len(larger), cfg.follower_box(n).volume) * dim
+        smaller = larger
