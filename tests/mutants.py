@@ -4,13 +4,14 @@ Each entry of ``MUTANTS`` plants one defect: in ``file`` (relative to the
 repository root), the text ``old``, which must occur there exactly once,
 becomes ``new``; ``why`` says what the defect breaks.  For each mutant the
 harness copies the checkout (without ``.git`` and caches) to a temporary
-directory, applies the mutant, runs ``python -m pytest -x -q`` there (all
-but ``SELF_CHECK``) under a time cap, and prints one JSON line: ``killed``
-(the suite failed), ``survived`` (it passed) or ``timeout``.  An unmutated
-copy runs first and must pass.  A mutant marked ``equivalent`` changes no behaviour, for the
-reason given; it is run and reported, but the score leaves it out::
+directory, applies the mutant, runs ``python -m pytest -x -q`` there under
+a cap of ``TIMEOUT`` seconds, and prints one JSON line: ``killed`` (the suite
+failed), ``survived`` (it passed) or ``timeout``.  Every mutant must apply
+before any suite runs, and an unmutated copy runs first and must pass.  A
+mutant marked ``equivalent`` changes no behaviour, for the reason given; it is
+run and reported, but the score leaves it out::
 
-    python tests/mutants.py [--timeout SECONDS] [NAME ...]
+    python tests/mutants.py
 
 The last line is the score, killed over the mutants not marked equivalent,
 with the wall time; the exit code is 1 if any of those survived or timed
@@ -22,7 +23,6 @@ data selection*, IEEE Computer 11(4) (1978).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -34,9 +34,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 REPO = Path(__file__).resolve().parents[1]
-# the suite's check that every mutant applies fails on any mutated copy, as
-# the mutant's old text is gone from it; it checks this list, not the program
-SELF_CHECK = "tests/test_cli.py::test_every_mutant_of_the_harness_applies"
+TIMEOUT = 300  # seconds per suite run
 ANALYSIS, CONSTRUCTION = "src/meandim/analysis.py", "src/meandim/construction.py"
 
 
@@ -88,7 +86,7 @@ def applied(mutant: Mutant, root: Path) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
-def run_suite(mutant: Optional[Mutant], timeout: float) -> tuple:
+def run_suite(mutant: Optional[Mutant]) -> tuple:
     """Run ``pytest -x -q`` on a copy of the checkout with the mutant applied;
     returns (status, seconds)."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -100,34 +98,26 @@ def run_suite(mutant: Optional[Mutant], timeout: float) -> tuple:
         env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
         start = time.monotonic()
         try:
-            run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                                  "--deselect", SELF_CHECK], cwd=root, env=env, capture_output=True, timeout=timeout)
+            run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+                                 cwd=root, env=env, capture_output=True, timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             return "timeout", time.monotonic() - start
         status = "survived" if run.returncode == 0 else "killed"
         return status, time.monotonic() - start
 
 
-def main(argv: list) -> int:
-    parser = argparse.ArgumentParser(description="Run tier-1 against each planted defect.")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per suite run (default 300)")
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {sorted(unknown)}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-    for mutant in chosen:  # every mutant applies before any suite runs
+def main() -> int:
+    for mutant in MUTANTS:  # every mutant applies before any suite runs
         applied(mutant, REPO)
     start = time.monotonic()
-    status, seconds = run_suite(None, args.timeout)
+    status, seconds = run_suite(None)
     print(json.dumps({"name": None, "status": "passed" if status == "survived" else status,
                       "seconds": round(seconds, 1)}), flush=True)
     if status != "survived":
         return 1
     survivors, killed = [], 0
-    for mutant in chosen:
-        status, seconds = run_suite(mutant, args.timeout)
+    for mutant in MUTANTS:
+        status, seconds = run_suite(mutant)
         print(json.dumps({"name": mutant.name, "file": mutant.file, "status": status,
                           "seconds": round(seconds, 1), "why": mutant.why,
                           "equivalent": mutant.equivalent}), flush=True)
@@ -135,11 +125,11 @@ def main(argv: list) -> int:
             killed += status == "killed"
             if status != "killed":
                 survivors.append(mutant.name)
-    counted = sum(m.equivalent is None for m in chosen)
+    counted = sum(m.equivalent is None for m in MUTANTS)
     print(json.dumps({"score": f"{killed}/{counted}", "survivors": survivors,
                       "seconds": round(time.monotonic() - start, 1)}))
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -420,15 +420,6 @@ def test_cli_run_through_a_script_matches_its_recording(entry_id):
     assert record.run_entry(entry, [sys.executable, "-c", script]) == {k: entry[k] for k in ("exit", "stdout", "stderr")}
 
 
-def test_every_mutant_of_the_harness_applies():
-    # tests/mutants.py plants each defect by replacing text that occurs once
-    # in its file, so an edit that moves the text must move the mutant too
-    from tests import mutants
-
-    for mutant in mutants.MUTANTS:
-        assert mutants.applied(mutant, mutants.REPO) != (mutants.REPO / mutant.file).read_text(), mutant.name
-
-
 @contextlib.contextmanager
 def int_str_limit_lifted():
     """Lift CPython's int->str digit limit (3.11+, 3.10.7+) for one block."""
