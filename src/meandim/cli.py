@@ -83,6 +83,14 @@ def load_config(path: str, overrides) -> BuildParams:
     except configparser.Error as exc:  # its message names the file and line
         raise ConfigError(" ".join(str(exc).split()))
     try:
+        return _read_fields(parser, overrides)
+    except configparser.InterpolationError as exc:  # a '%' in a value: the error get raises
+        raise ConfigError(f"field {exc.option!r}: {' '.join(str(exc).split())}")
+
+
+def _read_fields(parser: configparser.ConfigParser, overrides) -> BuildParams:
+    """``load_config`` past the INI syntax: every field, read and checked."""
+    try:
         exp = parser["experiment"]
     except KeyError:
         raise ConfigError("config needs an [experiment] section")

@@ -41,6 +41,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .cube import Net, Polyhedron
@@ -161,20 +162,27 @@ class StepPlan:
     code_count: int
     code_exact: Optional[int]  # None when too large to represent
     approximate: bool
-    link_center: Element
+    periods: tuple  # q_n, the level-n tile periods
     tiles: Box  # j of the level-n tiles inside the level-(n+1) tile
     thin_total: int  # the first thin_total thinning-zone tiles shed their first star
     net: Net
     radix: int
 
+    @cached_property
+    def link_center(self) -> Element:
+        """Center of the link tile, the candidate after the code block.  Its
+        index has as many bits as the code count (46,797 at step 2 of the Z^2
+        toy), so it is divided out on first read, once per step."""
+        return Construction._cand_at(self, self.code_count)
+
 
 class Construction:
     """A fully planned construction with a lazy tile-walk evaluator.
 
-    Plans are immutable after construction and evaluation keeps no state:
-    each evaluation call makes its own ``_TileWalk``, so instances are safe
-    to share across threads and hold no memory that grows with what they
-    have evaluated.  The one exception is the view ``with_one_walk`` makes
+    Plans are immutable after construction (a step derives its link center
+    on first read) and evaluation keeps no state: each evaluation call makes
+    its own ``_TileWalk``, so instances are safe to share across threads and
+    hold no memory that grows with what they have evaluated.  The one exception is the view ``with_one_walk`` makes
     for one multi-box call (the verify battery, a decode): a copy whose
     evaluations share one walk and which lives for exactly that call.
     """
@@ -249,13 +257,11 @@ class Construction:
         cand = self._tile_jrange(fine, host_box)
         n_cand = host_volume // fine.volume  # at least code + 1
         e_lexrank = cand.count_below(self.group.identity)
-        link_j = self._cand_at_raw(code, cand, e_lexrank)
-        link_center = tuple(jj * qq for jj, qq in zip(link_j, q))
 
         # Next level: the first level above the host that passes the anchor,
-        # star-mass and thinning-capacity tests.
-        g_n, shift = self.group.enumerate_element(n), self.link_shift(n - 1)
-        anchor = self.group.mul(g_n, self.group.mul(shift, link_center))
+        # star-mass and thinning-capacity tests.  The anchor is the link center
+        # moved by g_n * link_shift(n - 1).
+        shift = self.group.mul(self.group.enumerate_element(n), self.link_shift(n - 1))
         s = fine.stars
         d, over = s * den - num * fine.volume, n_cand - code * s - 1
         # The host zone is never thinned, so its surplus stars over rho must
@@ -282,18 +288,23 @@ class Construction:
         capacity = host + 1 if over <= 0 else first(-(-den * over // (den - d)) * fine.volume, host + 1)
         # The anchor is read at the level those two give; the first level holding
         # it is searched for only if that one misses it or lies past the cap, or
-        # capacity may trail by over 256 levels.
+        # capacity may trail by over 256 levels.  The link tile lies in the host,
+        # so a level holding the host moved by the shift holds the anchor: the
+        # link center is divided out here only when that test fails.
         m = max(mass, capacity)
-        if m > top or capacity > mass + 256 or anchor not in sched.level_box(m):
-            held = bisect.bisect_left(range(top + 1), True, host + 1, key=lambda k: anchor in sched.level_box(k))
-            low = max(held, mass)
-            if low + 256 <= top and capacity > low + 256:
-                raise CapacityError(f"step {n + 1}: thinning capacity keeps failing past level {low + 256}")
-            m = max(low, capacity)
-            if m > top:
-                reason = ("anchor containment" if held > top
-                          else "outside star mass" if mass > top else "thinning capacity")
-                raise CapacityError(f"step {n + 1}: {reason} unsatisfiable through level {top}")
+        far = m > top or capacity > mass + 256
+        if far or not sched.level_box(m).contains_box(host_box.translate(shift)):
+            anchor = self.group.mul(shift, tuple(map(operator.mul, self._cand_at_raw(code, cand, e_lexrank), q)))
+            if far or anchor not in sched.level_box(m):
+                held = bisect.bisect_left(range(top + 1), True, host + 1, key=lambda k: anchor in sched.level_box(k))
+                low = max(held, mass)
+                if low + 256 <= top and capacity > low + 256:
+                    raise CapacityError(f"step {n + 1}: thinning capacity keeps failing past level {low + 256}")
+                m = max(low, capacity)
+                if m > top:
+                    reason = ("anchor containment" if held > top
+                              else "outside star mass" if mass > top else "thinning capacity")
+                    raise CapacityError(f"step {n + 1}: {reason} unsatisfiable through level {top}")
         box_next, periods, vol_m = sched.level_box(m), sched.periods(m), sched.volume(m)
         target = self._target_stars(vol_m)
         # one star per thinned tile; star mass makes s * n_out >= target, so thin_total >= 0
@@ -308,7 +319,7 @@ class Construction:
             code_count=code,
             code_exact=code_exact,
             approximate=approximate,
-            link_center=link_center,
+            periods=q,
             tiles=self._tile_jrange(fine, box_next),
             thin_total=thin_total,
             net=net,
@@ -332,9 +343,10 @@ class Construction:
             return (0,) * cand.rank
         return cand.cell_at(rank - 1 if rank - 1 < e_lexrank else rank)
 
-    def _cand_at(self, step: StepPlan, rank: int) -> Element:
-        j = self._cand_at_raw(rank, step.cand, step.e_lexrank)
-        return tuple(jj * qq for jj, qq in zip(j, self.levels[step.n].periods))
+    @staticmethod
+    def _cand_at(step: StepPlan, rank: int) -> Element:
+        j = Construction._cand_at_raw(rank, step.cand, step.e_lexrank)
+        return tuple(map(operator.mul, j, step.periods))
 
     def _coded_before(self, step: StepPlan, lex_count: int) -> int:
         """How many code tiles sit lexicographically before a given rank."""
@@ -714,27 +726,34 @@ class _TileWalk:
         V_m (a window's top level).  Each combination of leading-axis tile
         pieces is a band, written in one pass: each row appends that row of
         every run's piece, repeated over the run's tiles, with its ranks only
-        in a ranks walk."""
+        in a ranks walk.  A values-only walk copies a band whose piece bounds
+        and runs repeat an earlier band's; a band off the host is keyed by
+        its thinning cut (``_band_cut``), so only the bands laid resolve
+        their runs."""
         lvl = self.cfg.levels[m]
         *lead_axes, last = [  # per axis: (j, piece lo, piece hi), in tile coordinates
             [(j, max(lo - j * q, tlo), min(hi - j * q, thi)) for j in range((lo - tlo) // q, (hi - tlo) // q + 1)]
             for lo, hi, tlo, thi, q in zip(lows, highs, lvl.box.lows, lvl.box.highs, lvl.periods)
         ]
+        ja, jb = last[0][0], last[-1][0]
         vals, rks = [], []
         bands = list(itertools.product(*lead_axes))
-        # in a values-only walk, a band with an earlier band's piece bounds and runs copies it
-        laid = {} if not ranks and len(bands) > 1 else None  # (bounds, runs) -> span of vals
+        laid = {} if not ranks and len(bands) > 1 else None  # (bounds, cut or runs) -> span of vals
         for band in bands:
             lead, plows, phighs = (tuple(t) for t in zip(*band)) if band else ((), (), ())
-            runs = list(self._runs(step, lead, last[0][0], last[-1][0]))
+            runs = None
             if laid is not None:
-                kind = (plows, phighs, tuple(run[:4] for run in runs))
+                cut = self._band_cut(step, lead, ja, jb)
+                if cut is None:  # a band on the host is keyed by its runs
+                    runs = list(self._runs(step, lead, ja, jb, ranks))
+                    cut = tuple(run[:4] for run in runs)
+                kind = (plows, phighs, cut)
                 if kind in laid:
                     vals += vals[laid[kind]]
                     continue
                 start = len(vals)
             parts = []  # per run: (piece, its ranks or None, row width, tiles, rank offset, rank gain)
-            for s, e, code, thinned, off in runs:
+            for s, e, code, thinned, off in runs or self._runs(step, lead, ja, jb, ranks):
                 _, plo, phi = last[s - last[0][0]]
                 key = (m, plows + (plo,), phighs + (phi,))
                 if code is None:
@@ -754,9 +773,23 @@ class _TileWalk:
                 laid[kind] = slice(start, len(vals))
         return vals, rks if ranks else None
 
-    def _runs(self, step: Optional[StepPlan], lead: tuple, ja: int, jb: int):
+    @staticmethod
+    def _band_cut(step: Optional[StepPlan], lead: tuple, ja: int, jb: int) -> Optional[int]:
+        """Where the thinning cut falls in a band off the host, clamped to
+        its tiles ja..jb + 1: tile s of the band is thinned exactly when s
+        lies below it, so with the piece bounds it fixes what the band lays.
+        None for a band on the host."""
+        if step is None:  # a window's top level: no thinning
+            return ja
+        c_base, live = step.cand.line_base(lead)
+        if live:
+            return None
+        cut = step.thin_total + c_base - step.tiles.line_base(lead)[0] + step.tiles.lows[-1]
+        return min(max(cut, ja), jb + 1)
+
+    def _runs(self, step: Optional[StepPlan], lead: tuple, ja: int, jb: int, ranks: bool):
         """Tiles ja..jb of a band in runs [s, e) of one class: (s, e, code
-        index or None, thinned, rank offset of tile s).
+        index or None, thinned, rank offset of tile s, 0 unless ``ranks``).
 
         A class changes only at the boundary pieces, the host edges, the end
         of the code block, the identity tile and the thinning cut (thinning
@@ -783,7 +816,8 @@ class _TileWalk:
                 continue
             lc = c_base + min(max(s - c0, 0), c1 - c0) if live else c_base
             lt = t_base + s - t0 - lc  # thinning-zone tiles before tile s
-            off = (lc - cfg._coded_before(step, lc)) * stars + lt * stars - min(lt, step.thin_total)
+            off = ((lc - cfg._coded_before(step, lc)) * stars + lt * stars - min(lt, step.thin_total)
+                   if ranks else 0)
             if not (live and c0 <= s < c1):
                 yield s, e, None, lt < step.thin_total, off
             elif lc == le or lc < code_end:

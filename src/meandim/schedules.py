@@ -16,7 +16,8 @@ Past its prefix a growth rule repeats one multiplier m, so from the last
 prefix level p on, q_n = q_p * m^(n-p) and the ends a_n, b_n are geometric
 sums: any level costs one big-int power per axis, however deep.  For the
 same reason the first level holding a given volume is found in closed form
-(``first_level_holding``).
+(``first_level_holding``).  Each base keeps its highest power, which a
+deeper level extends, so a plan raises each base once.
 
 Z^2 schedules are axis products of Z schedules.
 """
@@ -80,6 +81,7 @@ class TilingSchedule:
         self._top = 1  # deepest level asked for
         self._levels = {}  # level -> (box, periods), for the levels asked for
         self._volumes = {}  # level -> volume, for the levels asked for or found by the level search
+        self._powers = {}  # base -> (exponent, base**exponent), the highest power of it computed
 
     def __repr__(self) -> str:
         return f"TilingSchedule({self.group}, levels={self.levels_built}, balance={self.balance})"
@@ -128,6 +130,17 @@ class TilingSchedule:
             self._top = lvl + 1
         self._top = n
 
+    def _power(self, base: int, e: int) -> int:
+        """base**e; at or above the base's highest power computed so far,
+        that power is extended to e and kept in its place."""
+        top, value = self._powers.get(base, (0, 1))
+        if e < top:
+            return base**e
+        if e > top:
+            value *= base ** (e - top)
+            self._powers[base] = e, value
+        return value
+
     def _ends(self, ax: int, n: int) -> tuple:
         """(a_n, b_n) on axis ax; level n must be ensured."""
         p = self._prefix_len
@@ -137,7 +150,7 @@ class TilingSchedule:
         q = a + b + 1
         m = int(self.rules[ax].growth[-1])
         k = n - p
-        mk = m**k
+        mk = self._power(m, k)
         g = q * (mk - 1) // (m - 1)  # q_p + q_{p+1} + ... + q_{n-1}
         # the steps from level p on add the blocks _step would, each step's
         # q_L = q_p * m^(L-p) summed as a geometric series
@@ -208,7 +221,7 @@ class TilingSchedule:
         ratio = -(-need // base)
         k = ratio.bit_length() // big_m.bit_length() ** 2 + 1
         t = max((ratio.bit_length() - 1) * k // (big_m**k).bit_length(), start - p)
-        power = big_m**t
+        power = self._power(big_m, t)
         while power < ratio:  # level p + t holds need once this loop ends
             power *= big_m
             t += 1

@@ -36,6 +36,7 @@ from typing import NamedTuple, Optional
 REPO = Path(__file__).resolve().parents[1]
 TIMEOUT = 300  # seconds per suite run
 ANALYSIS, CONSTRUCTION = "src/meandim/analysis.py", "src/meandim/construction.py"
+SCHEDULES = "src/meandim/schedules.py"
 
 
 class Mutant(NamedTuple):
@@ -68,6 +69,14 @@ MUTANTS = [
            '(walks the whole tile)."""\n        if not 1 <= n <= self.params.depth + 1:',
            '(walks the whole tile)."""\n        if not 1 <= n <= self.params.depth + 2:',
            "star_positions past the top planned level raises a bare KeyError"),
+    Mutant("band-cut-unclamped", CONSTRUCTION, "        return min(max(cut, ja), jb + 1)\n", "        return cut\n",
+           "bands off the host are keyed by their raw thinning cut, so every band thinned whole is laid afresh"),
+    Mutant("power-extension", SCHEDULES, "value *= base ** (e - top)", "value *= base ** (e - top + 1)",
+           "a base's highest power is extended one exponent too far"),
+    Mutant("anchor-unshifted-host", CONSTRUCTION, "contains_box(host_box.translate(shift))", "contains_box(host_box)",
+           "the anchor test reads the host box in place, which every level above the host holds"),
+    Mutant("rank-offset-skipped", CONSTRUCTION, "                   if ranks else 0)", "                   if False else 0)",
+           "a ranks walk skips each run's rank offset too, so every run's ranks start at 0"),
     Mutant("nesting-scan-forced", ANALYSIS, "missing = [] if inner == outer else [", "missing = [",
            "equal code lists are scanned too",
            equivalent="equal lists hold no index where one is 0 and the other is not, so the scan finds nothing"),

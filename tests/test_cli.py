@@ -1110,7 +1110,7 @@ MUTATION_FIELDS = [
     for i, line in enumerate(path.read_text().splitlines())
     if re.match(r"\w+\s*=", line)
 ]
-MUTATION_TOKENS = ["", "0", "-1", "1/0", "abc", "1e5000", "3 0", "1" * 5000, "capped:1"]
+MUTATION_TOKENS = ["", "0", "-1", "1/0", "abc", "1e5000", "3 0", "1" * 5000, "capped:1", "1/2%", "%(seed)s"]
 
 
 def run_captured(argv):
@@ -1128,6 +1128,7 @@ def mutation_field(name):
 @given(st.sampled_from(MUTATION_FIELDS), st.sampled_from(MUTATION_TOKENS))
 @example(mutation_field("rho"), "1e5000")  # once a ValueError from str(Fraction)
 @example(mutation_field("growth"), "1e5000")  # once a CapacityError traceback
+@example(mutation_field("rho"), "1/2%")  # once an InterpolationSyntaxError traceback
 @settings(max_examples=300, deadline=timedelta(seconds=2))
 def test_mutated_config_exits_cleanly_and_deterministically(field, token):
     # one field value of a checked-in config replaced by a hostile token; no

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -653,14 +654,16 @@ def test_evaluation_keeps_no_state_on_the_construction():
     assert {name: len(planned[name]) for name in sizes} == sizes
 
 
-def corner_boxes(cfg, n):
+def corner_boxes(cfg, n, lead=6):
     """Boxes of V_(n+1) across each corner of the host of step n and of
-    its thinning-cut tile, clipped to the level-(n+1) tile."""
+    its thinning-cut tile, clipped to the level-(n+1) tile: ``lead`` cells
+    each way along the first axis, 6 along the others."""
     outer, host = cfg.levels[n + 1].box, cfg.steps[n].host_box
     cut = thinning_cut_tile(cfg, n)
     for corner in (host.lows, host.highs) + ((cut.lows, cut.highs) if cut else ()):
-        lows = tuple(max(x - 6, lo) for x, lo in zip(corner, outer.lows))
-        highs = tuple(min(x + 6, hi) for x, hi in zip(corner, outer.highs))
+        reach = (lead,) + (6,) * (len(corner) - 1)
+        lows = tuple(max(x - r, lo) for x, r, lo in zip(corner, reach, outer.lows))
+        highs = tuple(min(x + r, hi) for x, r, hi in zip(corner, reach, outer.highs))
         yield Box(lows, highs)
 
 
@@ -744,6 +747,64 @@ def test_one_walk_slices_the_walked_tile_and_copies_repeated_bands(z2_cfgs):
             cases.append((3, Box((top - 2 * q - 3, left - 1), (top - q + 2, left + 1))))
         for n, box in cases:
             assert view.level_values(n, box) == [oracles.word(cfg, n, g) for g in box.cells()], (n, box)
+
+
+@pytest.mark.parametrize("case", ["centered", "left", "right", "early cut"])
+def test_values_only_walk_copies_bands_as_a_ranks_walk_lays_them(monkeypatch, case):
+    # a ranks walk lays every band; a values-only walk copies a band off the
+    # host by its piece bounds and its thinning cut clamped to the band, and
+    # one on the host by its runs.  Boxes of V_(n+1) two level-n tiles each
+    # way across each host corner and thinning-cut tile cross the cut band
+    # and the host bands; the early-cut config puts its cut before the host
+    from meandim.construction import _TileWalk
+
+    if case == "early cut":
+        cfgs = [Construction(toy_params(
+            generate_interval_schedule(0, 1, 3, group=Z2), Fraction(1, 5), dim=1, depth=1))]
+    else:
+        sched = generate_interval_schedule(1, 1, 3, case, group=Z2)
+        cfgs = [Construction(toy_params(sched, Fraction(1, 2), dim=1, depth=depth)) for depth in (1, 2)]
+    for cfg in cfgs:
+        cases = [(2, cfg.levels[2].box)]
+        cases += [(n + 1, box) for n in cfg.steps for box in corner_boxes(cfg, n, 2 * cfg.levels[n].periods[0])]
+        for n, box in cases:
+            walk = _TileWalk(cfg)
+            codes, _ = walk.values(n, box.lows, box.highs, True)
+            want = [walk.palette[c] for c in codes]
+            walk = _TileWalk(cfg)
+            codes, _ = walk.values(n, box.lows, box.highs, False)
+            assert [walk.palette[c] for c in codes] == want, (n, box)
+        # on the level-2 tile only the bands laid resolve their runs: one per
+        # host row at most, and off the host one all thinned, one cut inside
+        # and one not thinned
+        bands = []
+        runs = _TileWalk._runs
+        monkeypatch.setattr(_TileWalk, "_runs", lambda self, step, lead, *rest: bands.append(lead) or runs(
+            self, step, lead, *rest))
+        tile, host = cfg.levels[2].box, cfg.steps[1].cand
+        _TileWalk(cfg).values(2, tile.lows, tile.highs, False)
+        monkeypatch.undo()
+        assert len(bands) == len(set(bands)) <= host.highs[0] - host.lows[0] + 1 + 3
+
+
+def test_long_link_index_is_divided_once_and_only_when_read(monkeypatch):
+    # step 2 of the Z^2 toy at depth 2 puts its link tile at a 46,797-bit
+    # index of its candidates: planning and a window never divide it out, as
+    # the anchor test reads the host box moved by the shift, and the plan
+    # report divides it out once, however often it is read
+    from types import SimpleNamespace
+    from meandim.cli import load_config
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "toy-z2.cfg"
+    params = load_config(str(path), SimpleNamespace(depth=2, mode=None, seed=None))
+    long_indices, cell_at = [], Box.cell_at
+    monkeypatch.setattr(Box, "cell_at", lambda self, i: (i.bit_length() > 64 and long_indices.append(i)) or cell_at(
+        self, i))
+    cfg = Construction(params)
+    assert len(cfg.window_values(Box((-40, -40), (40, 40)))) == 81 * 81
+    assert long_indices == []
+    assert cfg.plan_report() == cfg.plan_report()
+    assert [i.bit_length() for i in long_indices] == [46_797]
 
 
 def test_tile_walk_palette_codes_each_net_point_once(deep_capped_cfg, z2_cfgs):
@@ -1032,6 +1093,8 @@ def test_planned_steps_satisfy_the_identities_the_planner_relies_on(params):
         n_cand, n_out = step.cand.volume, nxt.volume // fine.volume - step.cand.volume
         target = cfg._target_stars(nxt.volume)
         assert step.thin_total == (n_cand - step.code_count) * fine.stars + n_out * fine.stars - target
+        # the link tile, derived on first read, is the candidate after the code block
+        assert step.link_center == cfg._cand_at(step, step.code_count)
 
 
 def next_level_tests(cfg, n, m):

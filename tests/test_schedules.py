@@ -242,6 +242,37 @@ def test_level_search_matches_the_schedule(group, seeds, growths, balance, start
         assert fresh.levels_built <= max(len(g) for g in growths[: group.rank]) + 1
 
 
+@given(
+    group=st.sampled_from([Z, Z2]),
+    seeds=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=2),
+    growths=st.lists(st.lists(st.integers(2, 6), min_size=1, max_size=3), min_size=2, max_size=2),
+    balance=st.sampled_from(BALANCES),
+    deep=st.integers(200, 1500),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_powers_raised_once_serve_levels_asked_in_any_order(group, seeds, growths, balance, deep, data):
+    # one schedule keeps each base's highest power and extends it; asked deep,
+    # then shallow, then deeper, it answers as a fresh schedule per query and
+    # as the recurrence, for levels and for the level search alike
+    assume(all(a + b >= 1 for a, b in seeds))
+    rules = tuple(AxisRule.make(a, b, g) for (a, b), g in zip(seeds, growths))[: group.rank]
+    sched, oracle = TilingSchedule(group, rules, balance), RecurrenceSchedule(group, rules, balance)
+    order = [deep, data.draw(st.integers(1, deep - 1)), data.draw(st.integers(deep + 1, deep + 400))]
+    for level in order:
+        want = (oracle.level_box(level), oracle.periods(level), oracle.volume(level))
+        fresh = TilingSchedule(group, rules, balance)
+        assert (sched.level_box(level), sched.periods(level), sched.volume(level)) == want
+        assert (fresh.level_box(level), fresh.periods(level), fresh.volume(level)) == want
+        # the first level holding one cell more than the level below it
+        need = oracle.volume(level - 1) + 1 if level > 1 else 1
+        found = TilingSchedule(group, rules, balance).first_level_holding(need)
+        assert sched.first_level_holding(need) == found == oracle.first_level_holding(need) == level
+    deeper = order[2] + data.draw(st.integers(1, 50))
+    need = oracle.volume(deeper)
+    assert sched.first_level_holding(need, 2) == deeper and sched.volume(deeper) == need
+
+
 def test_deep_level_checks_multipliers_first():
     # asking for a deep level first still fails at the first level that
     # uses a bad multiplier, and leaves the schedule usable below it
