@@ -85,7 +85,8 @@ def load_config(path: str, overrides) -> BuildParams:
     try:
         return _read_fields(parser, overrides)
     except configparser.InterpolationError as exc:  # a '%' in a value: the error get raises
-        raise ConfigError(f"field {exc.option!r}: {' '.join(str(exc).split())}")
+        why = _too_long(parser.get(exc.section, exc.option, raw=True))  # its message quotes the value
+        raise ConfigError(f"field {exc.option!r}: {why or ' '.join(str(exc).split())}")
 
 
 def _read_fields(parser: configparser.ConfigParser, overrides) -> BuildParams:

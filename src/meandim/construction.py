@@ -170,9 +170,8 @@ class StepPlan:
 
     @cached_property
     def link_center(self) -> Element:
-        """Center of the link tile, the candidate after the code block.  Its
-        index has as many bits as the code count (46,797 at step 2 of the Z^2
-        toy), so it is divided out on first read, once per step."""
+        """Center of the link tile, the candidate after the code block; its index
+        has as many bits as the code count, so it is divided out on first read."""
         return Construction._cand_at(self, self.code_count)
 
 
@@ -182,9 +181,10 @@ class Construction:
     Plans are immutable after construction (a step derives its link center
     on first read) and evaluation keeps no state: each evaluation call makes
     its own ``_TileWalk``, so instances are safe to share across threads and
-    hold no memory that grows with what they have evaluated.  The one exception is the view ``with_one_walk`` makes
-    for one multi-box call (the verify battery, a decode): a copy whose
-    evaluations share one walk and which lives for exactly that call.
+    hold no memory that grows with what they have evaluated.  The one
+    exception is the view ``with_one_walk`` makes for one multi-box call
+    (the verify battery, a decode): a copy whose evaluations share one walk
+    and which lives for exactly that call.
     """
 
     _walk: Optional["_TileWalk"] = None  # set only on a with_one_walk view
@@ -727,9 +727,8 @@ class _TileWalk:
         pieces is a band, written in one pass: each row appends that row of
         every run's piece, repeated over the run's tiles, with its ranks only
         in a ranks walk.  A values-only walk copies a band whose piece bounds
-        and runs repeat an earlier band's; a band off the host is keyed by
-        its thinning cut (``_band_cut``), so only the bands laid resolve
-        their runs."""
+        and runs, or off the host its thinning cut (``_band_cut``), repeat an
+        earlier band's."""
         lvl = self.cfg.levels[m]
         *lead_axes, last = [  # per axis: (j, piece lo, piece hi), in tile coordinates
             [(j, max(lo - j * q, tlo), min(hi - j * q, thi)) for j in range((lo - tlo) // q, (hi - tlo) // q + 1)]
@@ -754,7 +753,7 @@ class _TileWalk:
                 start = len(vals)
             parts = []  # per run: (piece, its ranks or None, row width, tiles, rank offset, rank gain)
             for s, e, code, thinned, off in runs or self._runs(step, lead, ja, jb, ranks):
-                _, plo, phi = last[s - last[0][0]]
+                _, plo, phi = last[s - ja]
                 key = (m, plows + (plo,), phighs + (phi,))
                 if code is None:
                     piece, sub = self.values(*key, ranks, thinned)
@@ -775,10 +774,8 @@ class _TileWalk:
 
     @staticmethod
     def _band_cut(step: Optional[StepPlan], lead: tuple, ja: int, jb: int) -> Optional[int]:
-        """Where the thinning cut falls in a band off the host, clamped to
-        its tiles ja..jb + 1: tile s of the band is thinned exactly when s
-        lies below it, so with the piece bounds it fixes what the band lays.
-        None for a band on the host."""
+        """The thinning cut of a band off the host, clamped to its tiles ja..jb + 1:
+        tile s is thinned exactly when s lies below it.  None on the host."""
         if step is None:  # a window's top level: no thinning
             return ja
         c_base, live = step.cand.line_base(lead)

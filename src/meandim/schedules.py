@@ -136,9 +136,8 @@ class TilingSchedule:
         top, value = self._powers.get(base, (0, 1))
         if e < top:
             return base**e
-        if e > top:
-            value *= base ** (e - top)
-            self._powers[base] = e, value
+        value *= base ** (e - top)
+        self._powers[base] = e, value
         return value
 
     def _ends(self, ax: int, n: int) -> tuple:

@@ -193,6 +193,9 @@ CONFIG_ERRORS = [
     ("growth = 3", "growth = 1" + "0" * 5000, "'growth'"),
     ("seed_a = 1", "seed_a = 1" + "0" * 5000, "'seed_a'"),
     ("mode = exact", "mode = capped:1" + "0" * 5000, "'mode': a literal of 5008 characters is longer than 4300"),
+    # interpolation stays on: a bad '%' is the field's error, and a long value is not quoted
+    ("rho = 1/2", "rho = 1/2%", "'rho': '%' must be followed by '%' or '(', found: '%'"),
+    ("rho = 1/2", "rho = 1/2%" + "0" * 5000, "'rho': a literal of 5004 characters is longer than 4300"),
     ("growth = 3", "growth = 1" + "0" * 400 + "1/3", "is not an integer multiple of 4"),
     # refused before a single net point is built
     ("delta1 = 1/2", "delta1 = 1/1000000000", "'delta1': 1/1000000000 needs over 65536 net points"),

@@ -774,13 +774,16 @@ def test_values_only_walk_copies_bands_as_a_ranks_walk_lays_them(monkeypatch, ca
             walk = _TileWalk(cfg)
             codes, _ = walk.values(n, box.lows, box.highs, False)
             assert [walk.palette[c] for c in codes] == want, (n, box)
-        # on the level-2 tile only the bands laid resolve their runs: one per
-        # host row at most, and off the host one all thinned, one cut inside
-        # and one not thinned
-        bands = []
-        runs = _TileWalk._runs
-        monkeypatch.setattr(_TileWalk, "_runs", lambda self, step, lead, *rest: bands.append(lead) or runs(
-            self, step, lead, *rest))
+        # on the level-2 tile each band resolves its runs at most once, and a
+        # band off the host only if it is laid: one thinned whole, one cut
+        # inside and one not thinned at most
+        bands, runs = [], _TileWalk._runs
+
+        def counted(self, step, lead, *rest):
+            bands.append(lead)
+            return runs(self, step, lead, *rest)
+
+        monkeypatch.setattr(_TileWalk, "_runs", counted)
         tile, host = cfg.levels[2].box, cfg.steps[1].cand
         _TileWalk(cfg).values(2, tile.lows, tile.highs, False)
         monkeypatch.undo()
@@ -798,8 +801,13 @@ def test_long_link_index_is_divided_once_and_only_when_read(monkeypatch):
     path = Path(__file__).resolve().parents[1] / "perfbench" / "toy-z2.cfg"
     params = load_config(str(path), SimpleNamespace(depth=2, mode=None, seed=None))
     long_indices, cell_at = [], Box.cell_at
-    monkeypatch.setattr(Box, "cell_at", lambda self, i: (i.bit_length() > 64 and long_indices.append(i)) or cell_at(
-        self, i))
+
+    def counted(self, index):
+        if index.bit_length() > 64:
+            long_indices.append(index)
+        return cell_at(self, index)
+
+    monkeypatch.setattr(Box, "cell_at", counted)
     cfg = Construction(params)
     assert len(cfg.window_values(Box((-40, -40), (40, 40)))) == 81 * 81
     assert long_indices == []
