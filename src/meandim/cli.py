@@ -254,6 +254,8 @@ def cmd_gen_tilings(args) -> int:
                 tiling = read_tiling(fh.read())
         except (OSError, ValueError) as exc:
             raise ConfigError(f"--imported {args.imported!r}: {exc}")
+        if tiling.group is not sched.group:
+            raise ConfigError(f"--imported {args.imported!r}: a {tiling.group} tiling for a {sched.group} config")
         W = tiling.support.to_subset(sched.group)
         res = verify_partition(tiling, W)
         if not res:

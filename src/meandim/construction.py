@@ -456,15 +456,15 @@ class Construction:
         return walk.values(n, box.lows, box.highs, False)[0], walk.palette
 
     def star_positions(self, n: int) -> list:
-        """Stars of V_n in canonical rank order (walks the whole tile)."""
+        """Stars of V_n in canonical rank order, read from the star index of
+        a walk of the whole tile."""
         if not 1 <= n <= self.params.depth + 1:
             raise DepthError(f"level {n} not planned")
         box = self.levels[n].box
         if box.volume > MATERIALIZE_GUARD:
             raise SizeGuardError(f"level-{n} tile too large to scan")
-        codes, ranks = self._tile_walk().values(n, box.lows, box.highs, True)
-        stars = sorted((r, g) for g, v, r in zip(box.cells(), codes, ranks) if v == 0)
-        return [g for _, g in stars]
+        cells, index = list(box.cells()), self._tile_walk().values(n, box.lows, box.highs, True)[1]
+        return [cells[index[r]] for r in range(len(index))]
 
     def link_shift(self, n: int) -> Element:
         """Product of the link centers of steps 1..n."""
@@ -485,9 +485,10 @@ class Construction:
 
         ``assignment`` lists one net point per star of V_n in canonical star
         order; the inverse positional code gives the tile index, and a walk
-        of that code tile confirms it at each star's cell, found once per
-        walk.  A level-n tile past MATERIALIZE_GUARD cells raises
-        SizeGuardError before any walk.
+        of that code tile confirms it at each star's cell, read from the
+        walk's star index of the level-n tile, ranked once per walk.  A
+        level-n tile past MATERIALIZE_GUARD cells raises SizeGuardError
+        before any walk.
         """
         if n not in self.steps:
             raise DepthError(f"step {n + 1} not planned")
@@ -504,14 +505,14 @@ class Construction:
                 f"assignment index {decimal_text(index)} beyond the capped code block "
                 f"({decimal_text(step.code_count)})"
             )
-        center, view = self._cand_at(step, index), self.with_one_walk()
-        at = view._walk.star_cells.get(n)
-        if at is None:  # star_positions holds the size guard, before any walk
-            at = view._walk.star_cells[n] = [lvl.box.count_below(pos) for pos in view.star_positions(n)]
-        codes, palette = view.level_codes(n + 1, lvl.box.translate(center))
-        for i, want in zip(at, assignment):
-            if palette[codes[i]] != want:
-                raise DecodeError(f"decode confirmation failed at star {lvl.box.cell_at(i)}")
+        if lvl.volume > MATERIALIZE_GUARD:
+            raise SizeGuardError(f"level-{n} tile too large to scan")
+        center, view, box = self._cand_at(step, index), self.with_one_walk(), lvl.box
+        at = view._walk.values(n, box.lows, box.highs, True)[1]
+        codes, palette = view.level_codes(n + 1, box.translate(center))
+        for r, want in enumerate(assignment):
+            if palette[codes[at[r]]] != want:
+                raise DecodeError(f"decode confirmation failed at star {box.cell_at(at[r])}")
         return center
 
     # -- literal materialization (the oracle) --------------------------------
@@ -642,29 +643,32 @@ class _TileWalk:
     level-n tile coordinates, row-major, as codes into the walk's
     ``palette`` (0 is STAR, 1 is HASH, and each net point gets the next code
     once per walk, so at most 2 + the sum of the net sizes), and with
-    ``ranks`` also each cell's star rank (``meandim.oracles.stars_below``).
-    The level-(n-1) tiles that meet the box come in runs of one class along
-    the last axis (``_runs``), each laid down row by row by repeating one
-    piece of V_(n-1).  A thinned tile (one of the first ``thin_total`` of the
-    thinning zone) lays the piece with its first star turned to a hash, and
-    a code tile patches the digit-0 template of its piece at its non-zero
-    digits.  A piece without a star is its own digit-0 template, the
-    memoized list itself, so a window read through code tile 0 where the
-    stars are already resolved is neither copied nor ranked.  The memos,
-    templates and palette belong to the walk, not the construction.  A walk
-    lives for one evaluation call, or for the one multi-box call (the verify
-    battery, a decode, a nesting or minimality check) whose view
-    ``with_one_walk`` gives it, so its memos are bounded by that call's
-    tiles.  The lists it returns are memoized and must not be mutated.
+    ``ranks`` also the box's star index: each star rank of V_n
+    (``meandim.oracles.stars_below``) that the box holds, mapped to that
+    star's cell index in the box.  Code templates, thinned tiles,
+    ``star_positions`` and decode read it.  The level-(n-1) tiles that meet
+    the box come in runs of one class along the last axis (``_runs``), each
+    laid down row by row by repeating one piece of V_(n-1).  A thinned tile
+    (one of the first ``thin_total`` of the thinning zone) lays the piece
+    with its star of rank 0 turned to a hash, and a code tile patches the
+    digit-0 template of its piece at its non-zero digits.  A piece without a
+    star is its own digit-0 template, the memoized list itself, so a window
+    read through code tile 0 where the stars are already resolved is
+    neither copied nor ranked.  The memos, templates and palette belong to
+    the walk, not the construction.  A walk lives for one evaluation call,
+    or for the one multi-box call (the verify battery, a decode, a nesting
+    or minimality check) whose view ``with_one_walk`` gives it, so its memos
+    are bounded by that call's tiles.  The lists and star indexes it returns
+    are memoized and must not be mutated.
     """
 
     def __init__(self, cfg: Construction):
         self.cfg = cfg
-        self.memo: dict = {}  # (n, lows, highs, thinned) -> (codes, ranks or None)
-        self.templates: dict = {}  # (n, lows, highs) -> [digit-0 codes, star index by rank]
+        self.memo: dict = {}  # (n, lows, highs) -> (codes, star index or None)
+        self.templates: dict = {}  # (n, lows, highs) -> [digit-0 codes, star index or None]
+        self.shed: dict = {}  # (n, lows, highs) -> codes with the star of rank 0 a hash
         self.palette: list = [STAR, HASH]  # code -> value
         self.points: dict = {}  # (step, digit) -> palette code of the net point
-        self.star_cells: dict = {}  # n -> cell index of each star of V_n, in rank order
 
     def _point(self, step: StepPlan, d: int) -> int:
         """The palette code of net point d of a step's net, added to the
@@ -676,26 +680,20 @@ class _TileWalk:
             self.palette.append(step.net.point_at(d))
         return code
 
-    def values(self, n: int, lows: tuple, highs: tuple, ranks: bool, thinned: bool = False) -> tuple:
-        """With ``thinned``, V_n with its first star turned to a hash, and
-        each cell's rank among the stars left (a thinned tile's piece)."""
-        key = (n, lows, highs, thinned)
+    def values(self, n: int, lows: tuple, highs: tuple, ranks: bool) -> tuple:
+        key = (n, lows, highs)
         hit = self.memo.get(key)
         if hit is not None and (hit[1] is not None or not ranks):
             return hit
         tile = self.cfg.levels[n].box
-        whole = None if ranks or thinned else self.memo.get((n, tile.lows, tile.highs, False))
+        whole = None if ranks else self.memo.get((n, tile.lows, tile.highs))
         if whole is not None:  # the box's rows, sliced from the walked tile
             vals, w = [], highs[-1] - lows[-1] + 1
             for i in self._row_starts(tile, lows, highs):
                 vals += whole[0][i:i + w]
             out = vals, None
-        elif thinned:
-            vals, sub = self.values(n, lows, highs, True)
-            out = ([1 if v == 0 and p == 0 else v for v, p in zip(vals, sub)],
-                   [p - 1 if p else 0 for p in sub])
         elif n == 1:
-            out = self._seed_word(lows, highs)
+            out = self._seed_word(lows, highs, ranks)
         else:
             out = self.lay(n - 1, lows, highs, ranks, self.cfg.steps[n - 1])
         self.memo[key] = out
@@ -707,102 +705,102 @@ class _TileWalk:
         for lead in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows[:-1], highs[:-1]))):
             yield tile.count_below(lead + (lows[-1],))
 
-    def _seed_word(self, lows: tuple, highs: tuple) -> tuple:
-        """V_1 and its star ranks: the seed stars are the first cells of
-        the level-1 tile in lexicographic order, so a cell's lexicographic
-        index is its rank until the stars run out."""
+    def _seed_word(self, lows: tuple, highs: tuple, ranks: bool) -> tuple:
+        """V_1 and, with ``ranks``, its star index: the seed stars are the
+        first cells of the level-1 tile in lexicographic order, so a star's
+        lexicographic index is its rank."""
         box, stars = self.cfg.levels[1].box, self.cfg.levels[1].stars
         width = highs[-1] - lows[-1] + 1
-        vals, rks = [], []
+        vals, index = [], {} if ranks else None
         for start in self._row_starts(box, lows, highs):
-            row = range(start, start + width)
-            vals += [0 if i < stars else 1 for i in row]
-            rks += [i if i < stars else stars for i in row]
-        return vals, rks
+            k = min(max(stars - start, 0), width)  # the row's seed stars
+            if ranks:
+                index.update(zip(range(start, start + k), range(len(vals), len(vals) + k)))
+            vals += [0] * k + [1] * (width - k)
+        return vals, index
 
     def lay(self, m: int, lows: tuple, highs: tuple, ranks: bool, step: Optional[StepPlan]) -> tuple:
         """Row-major cells of a box from the level-m tiles that meet it:
         V_(m+1) on a box of its tile when ``step`` is step m, else copies of
         V_m (a window's top level).  Each combination of leading-axis tile
         pieces is a band, written in one pass: each row appends that row of
-        every run's piece, repeated over the run's tiles, with its ranks only
-        in a ranks walk.  A values-only walk copies a band whose piece bounds
-        and runs, or off the host its thinning cut (``_band_cut``), repeat an
-        earlier band's."""
+        every run's piece, repeated over the run's tiles.  A ranks walk adds
+        the stars of every tile that is not a code tile to the box's star
+        index.  A band's line terms are worked out once, and a values-only
+        walk copies a band whose piece bounds and runs, or off the host its
+        thinning cut clamped to the band, repeat an earlier band's."""
         lvl = self.cfg.levels[m]
         *lead_axes, last = [  # per axis: (j, piece lo, piece hi), in tile coordinates
             [(j, max(lo - j * q, tlo), min(hi - j * q, thi)) for j in range((lo - tlo) // q, (hi - tlo) // q + 1)]
             for lo, hi, tlo, thi, q in zip(lows, highs, lvl.box.lows, lvl.box.highs, lvl.periods)
         ]
-        ja, jb = last[0][0], last[-1][0]
-        vals, rks = [], []
+        ja, jb, width = last[0][0], last[-1][0], highs[-1] - lows[-1] + 1
+        vals, index = [], {} if ranks else None
         bands = list(itertools.product(*lead_axes))
         laid = {} if not ranks and len(bands) > 1 else None  # (bounds, cut or runs) -> span of vals
         for band in bands:
             lead, plows, phighs = (tuple(t) for t in zip(*band)) if band else ((), (), ())
-            runs = None
+            terms, live, cut = None, False, ja  # a window's top level: no host and no thinning
+            if step is not None:  # the band's line terms, and its thinning cut before the host
+                (t_base, _), (c_base, live) = step.tiles.line_base(lead), step.cand.line_base(lead)
+                cut = step.thin_total + c_base - t_base + step.tiles.lows[-1]
+                terms = t_base, c_base, live, cut
+            runs, start = None, len(vals)
             if laid is not None:
-                cut = self._band_cut(step, lead, ja, jb)
-                if cut is None:  # a band on the host is keyed by its runs
-                    runs = list(self._runs(step, lead, ja, jb, ranks))
-                    cut = tuple(run[:4] for run in runs)
-                kind = (plows, phighs, cut)
+                if not live:  # off the host, tile s is thinned exactly when s lies below the cut
+                    kind = (plows, phighs, min(max(cut, ja), jb + 1))
+                else:  # a band on the host is keyed by its runs
+                    runs = list(self._runs(step, terms, ja, jb, ranks))
+                    kind = (plows, phighs, tuple(run[:4] for run in runs))
                 if kind in laid:
                     vals += vals[laid[kind]]
                     continue
-                start = len(vals)
-            parts = []  # per run: (piece, its ranks or None, row width, tiles, rank offset, rank gain)
-            for s, e, code, thinned, off in runs or self._runs(step, lead, ja, jb, ranks):
+            parts, col = [], 0  # per run: (piece, row width, tiles); col, its first column in the box
+            for s, e, code, thinned, off in runs or self._runs(step, terms, ja, jb, ranks):
                 _, plo, phi = last[s - ja]
-                key = (m, plows + (plo,), phighs + (phi,))
-                if code is None:
-                    piece, sub = self.values(*key, ranks, thinned)
-                else:  # code tiles come one to a run, and all their stars rank alike
-                    piece, sub = self._coded(step, key, code), None
-                parts.append((piece, sub, phi - plo + 1, e - s, off, lvl.stars - thinned))
+                key, w = (m, plows + (plo,), phighs + (phi,)), phi - plo + 1
+                if code is not None:  # code tiles come one to a run, and hold no star
+                    piece = self._coded(step, key, code)
+                else:
+                    piece, sub = self.values(*key, ranks or thinned)
+                    if thinned:  # the piece with its star of rank 0 a hash, patched once per walk
+                        if key not in self.shed:
+                            first = sub.get(0)
+                            self.shed[key] = piece if first is None else [*piece[:first], 1, *piece[first + 1:]]
+                        piece = self.shed[key]
+                    if ranks:  # star p of tile t ranks off + t * gain + p - thinned; rank 0 is shed
+                        at = [(p - thinned, start + i // w * width + col + i % w)
+                              for p, i in sub.items() if p or not thinned]
+                        gain, tiles = lvl.stars - thinned, range(e - s)
+                        index.update(zip([off + t * gain + p for t in tiles for p, _ in at],
+                                         [t * w + i for t in tiles for _, i in at]))
+                parts.append((piece, w, e - s))
+                col += (e - s) * w
             for r in range(math.prod(b - a + 1 for _, a, b in band)):
-                for piece, sub, w, k, off, gain in parts:
+                for piece, w, k in parts:
                     part = piece if len(piece) == w else piece[r * w:(r + 1) * w]
                     vals += part if k == 1 else part * k
-                    if ranks:
-                        part = [0] * w if sub is None else sub[r * w:(r + 1) * w]
-                        for t in range(k):
-                            rks += map((off + t * gain).__add__, part)
             if laid is not None:
                 laid[kind] = slice(start, len(vals))
-        return vals, rks if ranks else None
+        return vals, index
 
-    @staticmethod
-    def _band_cut(step: Optional[StepPlan], lead: tuple, ja: int, jb: int) -> Optional[int]:
-        """The thinning cut of a band off the host, clamped to its tiles ja..jb + 1:
-        tile s is thinned exactly when s lies below it.  None on the host."""
-        if step is None:  # a window's top level: no thinning
-            return ja
-        c_base, live = step.cand.line_base(lead)
-        if live:
-            return None
-        cut = step.thin_total + c_base - step.tiles.line_base(lead)[0] + step.tiles.lows[-1]
-        return min(max(cut, ja), jb + 1)
-
-    def _runs(self, step: Optional[StepPlan], lead: tuple, ja: int, jb: int, ranks: bool):
+    def _runs(self, step: Optional[StepPlan], terms: Optional[tuple], ja: int, jb: int, ranks: bool):
         """Tiles ja..jb of a band in runs [s, e) of one class: (s, e, code
         index or None, thinned, rank offset of tile s, 0 unless ``ranks``).
 
         A class changes only at the boundary pieces, the host edges, the end
         of the code block, the identity tile and the thinning cut (thinning
-        rank ``thin_total``, before or after the host); the band's
-        lexicographic line terms (``Box.line_base``) place those cuts without
-        visiting the tiles between them.
+        rank ``thin_total``, before or after the host); the band's line terms
+        from ``lay`` (``Box.line_base`` of the tiles and the candidates, and
+        the cut) place those cuts without visiting the tiles between them.
         """
         cuts = {ja, ja + 1, jb, jb + 1}
         if step is not None:
             cfg, stars = self.cfg, self.cfg.levels[step.n].stars
-            t_base, _ = step.tiles.line_base(lead)
-            c_base, live = step.cand.line_base(lead)
+            t_base, c_base, live, cut = terms
             t0, c0, c1, le = step.tiles.lows[-1], step.cand.lows[-1], step.cand.highs[-1] + 1, step.e_lexrank
             # the code tiles other than the identity rank below code_end in the host
             code_end = step.code_count - (le >= step.code_count)
-            cut = step.thin_total + c_base - t_base + t0  # the thinning cut before the host
             cuts |= {cut, cut + c1 - c0}
             if live:
                 cuts |= {c0, c1, c0 + code_end - c_base, c0 + le - c_base, c0 + le - c_base + 1}
@@ -844,8 +842,7 @@ class _TileWalk:
             code, d = divmod(code, step.radix)
             if d:
                 if template[1] is None:  # built only once a non-zero digit needs it
-                    vals, sub = self.values(*key, True)
-                    template[1] = {r: i for i, (v, r) in enumerate(zip(vals, sub)) if v == 0}
+                    template[1] = self.values(*key, True)[1]
                 i = template[1].get(p)
                 if i is not None:
                     out = list(out) if out is template[0] else out

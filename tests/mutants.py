@@ -17,8 +17,10 @@ The last line is the score, killed over the mutants not marked equivalent,
 with the wall time; the exit code is 1 if any of those survived or timed
 out.  Stdlib only; pytest does not collect this file (its name has no
 ``test_`` prefix).  A survivor costs one full tier-1 run, so the harness is
-run by hand, not in CI.  Grounding: DeMillo-Lipton-Sayward, *Hints on test
-data selection*, IEEE Computer 11(4) (1978).
+run by hand; CI only checks that every mutant still applies, so that a
+change which rewrites an anchored line re-anchors its mutant.  Grounding:
+DeMillo-Lipton-Sayward, *Hints on test data selection*, IEEE Computer
+11(4) (1978).
 """
 
 from __future__ import annotations
@@ -59,17 +61,17 @@ MUTANTS = [
            "the lower bound counts the stars of V_n, not the free coordinates J_n (the stars of V_(n+1))"),
     Mutant("one-walk-reuse", CONSTRUCTION, "        if self._walk is not None:\n            return self\n", "",
            "a view makes a new walk for each multi-box call it is given, so the battery walks once per row"),
-    Mutant("decode-view", CONSTRUCTION, "for pos in view.star_positions(n)]", "for pos in self.star_positions(n)]",
+    Mutant("decode-view", CONSTRUCTION, "at = view._walk.values(", "at = self._tile_walk().values(",
            "a decode on a plain plan ranks its stars on a walk of their own"),
     Mutant("minimality-view", ANALYSIS, "    cfg = cfg.with_one_walk()  # every window through one walk\n", "",
            "a minimality check on a plain plan walks every window afresh, 21 walks a call"),
     Mutant("minimality-level-check", ANALYSIS, '    if n < 1:\n        raise ValueError("minimality starts at n = 1")\n',
            "", "minimality_check(cfg, 0) raises a bare KeyError"),
     Mutant("star-positions-level-check", CONSTRUCTION,
-           '(walks the whole tile)."""\n        if not 1 <= n <= self.params.depth + 1:',
-           '(walks the whole tile)."""\n        if not 1 <= n <= self.params.depth + 2:',
+           'a walk of the whole tile."""\n        if not 1 <= n <= self.params.depth + 1:',
+           'a walk of the whole tile."""\n        if not 1 <= n <= self.params.depth + 2:',
            "star_positions past the top planned level raises a bare KeyError"),
-    Mutant("band-cut-unclamped", CONSTRUCTION, "        return min(max(cut, ja), jb + 1)\n", "        return cut\n",
+    Mutant("band-cut-unclamped", CONSTRUCTION, "min(max(cut, ja), jb + 1)", "cut",
            "bands off the host are keyed by their raw thinning cut, so every band thinned whole is laid afresh"),
     Mutant("power-extension", SCHEDULES, "value *= base ** (e - top)", "value *= base ** (e - top + 1)",
            "a base's highest power is extended one exponent too far"),
@@ -77,6 +79,16 @@ MUTANTS = [
            "the anchor test reads the host box in place, which every level above the host holds"),
     Mutant("rank-offset-skipped", CONSTRUCTION, "                   if ranks else 0)", "                   if False else 0)",
            "a ranks walk skips each run's rank offset too, so every run's ranks start at 0"),
+    Mutant("index-thinned-shift", CONSTRUCTION, "at = [(p - thinned, ", "at = [(p, ",
+           "the stars of a thinned tile keep their ranks in the piece, though its star of rank 0 is shed"),
+    Mutant("index-row-stride", CONSTRUCTION, "i // w * width", "i // w * w",
+           "a star's row in its piece is strided by the piece's width, not the box's"),
+    Mutant("index-run-column", CONSTRUCTION, "col += (e - s) * w", "col += w",
+           "the next run's first column skips one tile of the run before it, not all of them"),
+    Mutant("index-seed-offset", CONSTRUCTION, "range(len(vals), len(vals) + k)", "range(k)",
+           "every row's seed stars are indexed as if the row were the box's first"),
+    Mutant("index-thinned-hash", CONSTRUCTION, "first = sub.get(0)", "first = sub.get(1)",
+           "a thinned tile turns its star of rank 1 to a hash, not its first"),
     Mutant("nesting-scan-forced", ANALYSIS, "missing = [] if inner == outer else [", "missing = [",
            "equal code lists are scanned too",
            equivalent="equal lists hold no index where one is 0 and the other is not, so the scan finds nothing"),

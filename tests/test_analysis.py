@@ -395,6 +395,35 @@ def test_multi_box_calls_each_run_on_one_walk(monkeypatch, config):
     assert walks == []
 
 
+@pytest.mark.parametrize("config", ["configs/toy-z.cfg", "perfbench/toy-z2.cfg"])
+def test_battery_decodes_rank_the_level_1_tile_once(monkeypatch, config):
+    # on one battery view, every decode of the realization row reads its
+    # star cells from the walk's star index of the level-1 tile, which the
+    # walk ranks once across all of them
+    from meandim import analysis, cli, construction
+
+    path = Path(__file__).resolve().parents[1] / config
+    cfg = Construction(cli.load_config(str(path), argparse.Namespace(depth=None, mode=None, seed=None)))
+    tile, ranked, decodes = cfg.levels[1].box, [], []
+    seed_word, decode = construction._TileWalk._seed_word, Construction.realization_decode
+
+    def counted_seed_word(self, lows, highs, ranks):
+        if ranks and (lows, highs) == (tile.lows, tile.highs):
+            ranked.append(lows)
+        return seed_word(self, lows, highs, ranks)
+
+    def counted_decode(self, n, assignment):
+        decodes.append(n)
+        return decode(self, n, assignment)
+
+    monkeypatch.setattr(construction._TileWalk, "_seed_word", counted_seed_word)
+    monkeypatch.setattr(Construction, "realization_decode", counted_decode)
+    step = cfg.steps[1]
+    result = analysis.check_realization(cfg.with_one_walk(), None)
+    assert result.ok and len(decodes) == step.radix ** cfg.levels[1].stars > 1
+    assert len(ranked) == 1
+
+
 @pytest.mark.parametrize("call, error, text", [
     (lambda cfg: minimality_check(cfg, 0), ValueError, "minimality starts at n = 1"),
     (lambda cfg: minimality_check(cfg, -1), ValueError, "minimality starts at n = 1"),

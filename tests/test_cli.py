@@ -280,6 +280,7 @@ FILE_ERRORS = [
     ("imported-one-line", ("gen-tilings", "--imported", "{tmp}/one-line.tiling")),
     ("imported-truncated", ("gen-tilings", "--imported", "{tmp}/truncated.tiling")),
     ("imported-not-utf8", ("gen-tilings", "--imported", "{tmp}/binary.tiling")),
+    ("imported-other-group", ("gen-tilings", "--imported", "{tmp}/z2.tiling")),
     ("build-out-missing-dir", ("build", "--out", "{tmp}/missing/x.json")),
     ("build-out-directory", ("build", "--out", "{tmp}")),
     ("gen-tilings-out-missing-dir", ("gen-tilings", "--out", "{tmp}/missing/schedule.txt")),
@@ -292,6 +293,7 @@ def test_file_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     (tmp_path / "one-line.tiling").write_text("group Z\n")
     (tmp_path / "truncated.tiling").write_text("group Z\nsupport 0 7\nshapes 1\nshape 1 0 1\ntiles 4\n0 1\n")
     (tmp_path / "binary.tiling").write_bytes(b"\xffgroup Z\n")
+    (tmp_path / "z2.tiling").write_text("group Z2\nsupport -1 2 -1 2\nshapes 1\nshape 1 0,0\ntiles 0\n")
     command, *rest = (a.format(tmp=tmp_path) for a in argv)
     code, out, err = run(capsys, command, "--config", TOY_Z_CFG, *rest)
     assert (code, out) == (2, "")
@@ -890,16 +892,26 @@ def test_planted_materialize_error_labels_the_literal_checks(monkeypatch, error,
     assert walks - unplanted == Counter()
 
 
-def test_planted_star_order_fails_the_realization(monkeypatch, capsys):
-    # a wrong canonical star order makes the decode confirmation read the
-    # wrong cells of the code tile: a DecodeError, one FAIL row and exit 1
-    real = Construction.star_positions
-    monkeypatch.setattr(Construction, "star_positions", lambda self, n: real(self, n)[::-1])
+def test_planted_star_order_fails_the_oracle_and_linking(monkeypatch, capsys):
+    # a reversed level-1 star index puts each code digit on the wrong seed
+    # star: the walk's V_2 leaves the literal one, which no longer reappears
+    # at the link tile either; encode and decode read the one index, so
+    # every assignment still decodes to its own code tile
+    from meandim.construction import _TileWalk
+
+    real = _TileWalk._seed_word
+
+    def planted(self, lows, highs, ranks):
+        vals, index = real(self, lows, highs, ranks)
+        return vals, index and dict(zip(index, reversed(index.values())))
+
+    monkeypatch.setattr(_TileWalk, "_seed_word", planted)
     code, out, err = run(capsys, "verify", "--config", TOY_Z_CFG)
     assert (code, err) == (1, "")
-    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert len(failed) == 1
-    assert failed[0].startswith("FAIL level-1 assignments all realized: DecodeError: decode confirmation failed")
+    rows = {line.split(":")[0]: line for line in out.splitlines()}
+    assert [row for row in rows if row.startswith("FAIL")] == [
+        "FAIL evaluator equals literal materialization", "FAIL level words reappear at the link tile"]
+    assert rows["PASS level-1 assignments all realized"].endswith(": 8 distinct centers")
 
 
 def toy_z_plan():

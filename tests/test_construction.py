@@ -667,6 +667,12 @@ def corner_boxes(cfg, n, lead=6):
         yield Box(lows, highs)
 
 
+def pointwise_star_index(cfg, n, box, word):
+    """The walk's star index of a box of V_n from the pointwise oracles: the
+    rank of each star the box holds, mapped to its cell index in the box."""
+    return {oracles.stars_below(cfg, n, g): i for i, (g, v) in enumerate(zip(box.cells(), word)) if v is STAR}
+
+
 def test_tile_walk_words_and_ranks_match_pointwise(toy_cfg, deep_capped_cfg, z2_cfgs):
     from meandim.construction import _TileWalk
 
@@ -688,14 +694,14 @@ def test_tile_walk_words_and_ranks_match_pointwise(toy_cfg, deep_capped_cfg, z2_
     for cfg, n, box in cases:
         want = [oracles.word(cfg, n, g) for g in box.cells()]
         walk = _TileWalk(cfg)
-        codes, ranks = walk.values(n, box.lows, box.highs, False)
+        codes, index = walk.values(n, box.lows, box.highs, False)
         words = [walk.palette[c] for c in codes]
-        assert (words, ranks) == (want, None), (n, box)
+        assert (words, index) == (want, None), (n, box)
         walk = _TileWalk(cfg)
-        codes, ranks = walk.values(n, box.lows, box.highs, True)
+        codes, index = walk.values(n, box.lows, box.highs, True)
         words = [walk.palette[c] for c in codes]
         assert words == want, (n, box)
-        assert ranks == [oracles.stars_below(cfg, n, g) for g in box.cells()], (n, box)
+        assert index == pointwise_star_index(cfg, n, box, want), (n, box)
 
 
 @given(
@@ -722,13 +728,13 @@ def test_tile_walk_ranks_match_pointwise_on_random_boxes(toy_cfg, deep_capped_cf
     box = Box(lows, tuple(lo + size - 1 for lo, size in zip(lows, sizes)))
     want = [oracles.word(cfg, n, g) for g in box.cells()]
     walk = _TileWalk(cfg)
-    codes, ranks = walk.values(n, box.lows, box.highs, False)
-    assert ranks is None
+    codes, index = walk.values(n, box.lows, box.highs, False)
+    assert index is None
     assert [walk.palette[c] for c in codes] == want
     walk = _TileWalk(cfg)
-    codes, ranks = walk.values(n, box.lows, box.highs, True)
+    codes, index = walk.values(n, box.lows, box.highs, True)
     assert [walk.palette[c] for c in codes] == want
-    assert ranks == [oracles.stars_below(cfg, n, g) for g in box.cells()]
+    assert index == pointwise_star_index(cfg, n, box, want)
 
 
 def test_one_walk_slices_the_walked_tile_and_copies_repeated_bands(z2_cfgs):
@@ -776,12 +782,12 @@ def test_values_only_walk_copies_bands_as_a_ranks_walk_lays_them(monkeypatch, ca
             assert [walk.palette[c] for c in codes] == want, (n, box)
         # on the level-2 tile each band resolves its runs at most once, and a
         # band off the host only if it is laid: one thinned whole, one cut
-        # inside and one not thinned at most
+        # inside and one not thinned at most; each band's line terms differ
         bands, runs = [], _TileWalk._runs
 
-        def counted(self, step, lead, *rest):
-            bands.append(lead)
-            return runs(self, step, lead, *rest)
+        def counted(self, step, terms, *rest):
+            bands.append(terms)
+            return runs(self, step, terms, *rest)
 
         monkeypatch.setattr(_TileWalk, "_runs", counted)
         tile, host = cfg.levels[2].box, cfg.steps[1].cand
@@ -856,10 +862,10 @@ def test_starless_piece_is_its_own_digit_zero_template(deep_capped_cfg):
     walk = _TileWalk(cfg)
     key = (3, (-20621,), (19379,))
     coded = walk._coded(cfg.steps[3], key, 0)
-    assert coded is walk.memo[key + (False,)][0] and 0 not in coded
+    assert coded is walk.memo[key][0] and 0 not in coded
     assert (3, 0) not in walk.points
     assert walk._coded(cfg.steps[3], key, cfg.steps[3].code_count - 1) is coded
-    assert walk.memo[key + (False,)][1] is None  # no star ranks were walked
+    assert walk.memo[key][1] is None  # no star ranks were walked
     tile = cfg.levels[2].box
     key = (2, tile.lows, tile.highs)
     memo = walk.values(*key, False)[0]
@@ -867,7 +873,7 @@ def test_starless_piece_is_its_own_digit_zero_template(deep_capped_cfg):
     coded = walk._coded(cfg.steps[2], key, 0)
     assert coded is not memo and coded == [zero if v == 0 else v for v in memo]
     last = walk._coded(cfg.steps[2], key, cfg.steps[2].code_count - 1)
-    assert last != coded and walk.memo[key + (False,)][0] is memo and memo.count(0) == cfg.levels[2].stars
+    assert last != coded and walk.memo[key][0] is memo and memo.count(0) == cfg.levels[2].stars
 
 
 @pytest.mark.parametrize("case", ["Z", "Z dim 2", "Z2"])
