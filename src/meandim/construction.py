@@ -402,19 +402,18 @@ class Construction:
         codes, palette = self.window_codes(box)
         if kind != "w":  # the basepoint at code 1, in a copy of the palette
             palette = [STAR, self.params.cube.basepoint, *palette[2:]]
-        return [palette[c] for c in codes]
+        *values, _ = operator.itemgetter(*codes, 0)(palette)  # one index more keeps one cell a tuple
+        return values
 
     def window_codes(self, box: Box) -> tuple:
         """``window_values(box)`` as the walk's ``(codes, palette)``, with the same ``DepthError``."""
-        codes, palette = self._walk_box(box)
-        if 0 in codes:
-            raise self._undetermined_in(box, codes)
-        return codes, palette
+        return self._walk_box(box, strict=True)
 
-    def _walk_box(self, box: Box) -> tuple:
+    def _walk_box(self, box: Box, strict: bool = False) -> tuple:
         """V_top on a box as ``(codes, palette)``: one palette code per cell
         in ``Box.cells()`` order (``_TileWalk.palette``), code 0 (STAR) at
-        every cell the planned depth leaves undetermined.
+        every cell the planned depth leaves undetermined, or with ``strict``
+        the ``DepthError`` of the first, sought only in a word not known starless.
 
         Inside the level-n tile (n <= depth) the top level word is the coded
         word of step n, reached through code tile 0 at every level above, so
@@ -428,8 +427,11 @@ class Construction:
         walk = self._tile_walk()
         for n in range(1, self.params.depth + 1):
             if self.levels[n].box.contains_box(box):
-                return walk._coded(self.steps[n], (n, box.lows, box.highs), 0), walk.palette
-        return walk.lay(self.params.depth + 1, box.lows, box.highs, False, None)[0], walk.palette
+                return walk._coded(self.steps[n], (n, box.lows, box.highs), 0), walk.palette  # starless
+        codes, _, clean = walk.lay(self.params.depth + 1, box.lows, box.highs, False, None)
+        if strict and not clean and 0 in codes:
+            raise self._undetermined_in(box, codes)
+        return codes, walk.palette
 
     def _undetermined_in(self, box: Box, codes: list) -> DepthError:
         """The DepthError for the first STAR (code 0) of ``_walk_box(box)``;
@@ -648,18 +650,21 @@ class _TileWalk:
     star's cell index in the box.  Code templates, thinned tiles,
     ``star_positions`` and decode read it.  The level-(n-1) tiles that meet
     the box come in runs of one class along the last axis (``_runs``), each
-    laid down row by row by repeating one piece of V_(n-1).  A thinned tile
-    (one of the first ``thin_total`` of the thinning zone) lays the piece
-    with its star of rank 0 turned to a hash, and a code tile patches the
-    digit-0 template of its piece at its non-zero digits.  A piece without a
-    star is its own digit-0 template, the memoized list itself, so a window
-    read through code tile 0 where the stars are already resolved is
-    neither copied nor ranked.  The memos, templates and palette belong to
-    the walk, not the construction.  A walk lives for one evaluation call,
-    or for the one multi-box call (the verify battery, a decode, a nesting
-    or minimality check) whose view ``with_one_walk`` gives it, so its memos
-    are bounded by that call's tiles.  The lists and star indexes it returns
-    are memoized and must not be mutated.
+    laid down row by row by repeating one piece of V_(n-1); a box inside one
+    tile is that piece, uncopied.  A thinned tile (one of the first
+    ``thin_total`` of the thinning zone) lays the piece with its star of
+    rank 0 turned to a hash, and a code tile patches the digit-0 template
+    of its piece at its non-zero digits, from the walk's ``digits`` table.
+    A word laid only from code tiles and pieces already in ``clean`` holds
+    no star and joins ``clean``; only a word outside it is scanned for one.
+    A starless piece is its own digit-0 template, the memoized list itself,
+    so a window read through code tile 0 is neither copied nor ranked.  The
+    memos, templates and palette belong to the walk, not the construction.
+    A walk lives for one evaluation call, or for the one multi-box call (the
+    verify battery, a decode, a nesting or minimality check) whose view
+    ``with_one_walk`` gives it, so its memos are bounded by that call's
+    tiles.  The lists and star indexes it returns are memoized and must not
+    be mutated.
     """
 
     def __init__(self, cfg: Construction):
@@ -669,6 +674,8 @@ class _TileWalk:
         self.shed: dict = {}  # (n, lows, highs) -> codes with the star of rank 0 a hash
         self.palette: list = [STAR, HASH]  # code -> value
         self.points: dict = {}  # (step, digit) -> palette code of the net point
+        self.digits: dict = {}  # step -> [palette code of each digit, 0 until a code tile lays it]
+        self.clean: set = set()  # keys of memoized words laid only from starless pieces
 
     def _point(self, step: StepPlan, d: int) -> int:
         """The palette code of net point d of a step's net, added to the
@@ -695,7 +702,10 @@ class _TileWalk:
         elif n == 1:
             out = self._seed_word(lows, highs, ranks)
         else:
-            out = self.lay(n - 1, lows, highs, ranks, self.cfg.steps[n - 1])
+            vals, index, clean = self.lay(n - 1, lows, highs, ranks, self.cfg.steps[n - 1])
+            out = vals, index
+            if clean:
+                self.clean.add(key)
         self.memo[key] = out
         return out
 
@@ -735,7 +745,7 @@ class _TileWalk:
             for lo, hi, tlo, thi, q in zip(lows, highs, lvl.box.lows, lvl.box.highs, lvl.periods)
         ]
         ja, jb, width = last[0][0], last[-1][0], highs[-1] - lows[-1] + 1
-        vals, index = [], {} if ranks else None
+        vals, index, clean = [], {} if ranks else None, True
         bands = list(itertools.product(*lead_axes))
         laid = {} if not ranks and len(bands) > 1 else None  # (bounds, cut or runs) -> span of vals
         for band in bands:
@@ -763,6 +773,7 @@ class _TileWalk:
                     piece = self._coded(step, key, code)
                 else:
                     piece, sub = self.values(*key, ranks or thinned)
+                    clean = clean and key in self.clean  # a thinned starless piece is the piece itself
                     if thinned:  # the piece with its star of rank 0 a hash, patched once per walk
                         if key not in self.shed:
                             first = sub.get(0)
@@ -776,13 +787,15 @@ class _TileWalk:
                                          [t * w + i for t in tiles for _, i in at]))
                 parts.append((piece, w, e - s))
                 col += (e - s) * w
+            if len(bands) == len(parts) == e - s == 1:  # a box inside one tile is its piece, uncopied
+                return piece, index, clean
             for r in range(math.prod(b - a + 1 for _, a, b in band)):
                 for piece, w, k in parts:
                     part = piece if len(piece) == w else piece[r * w:(r + 1) * w]
                     vals += part if k == 1 else part * k
             if laid is not None:
                 laid[kind] = slice(start, len(vals))
-        return vals, index
+        return vals, index, clean
 
     def _runs(self, step: Optional[StepPlan], terms: Optional[tuple], ja: int, jb: int, ranks: bool):
         """Tiles ja..jb of a band in runs [s, e) of one class: (s, e, code
@@ -822,22 +835,24 @@ class _TileWalk:
                 yield s, e, None, False, off
 
     def _coded(self, step: StepPlan, key: tuple, code: int) -> list:
-        """V_(n+1) on a piece of code tile ``code``: the star of rank p takes
-        the net point of digit radix**(stars - 1 - p) of the code index.
+        """V_(n+1) on a piece of code tile ``code``, which holds no star: the
+        star of rank p takes the net point (read from the step's digit table)
+        of digit radix**(stars - 1 - p) of the code index.
 
-        A piece without a star is its own digit-0 template: the walk's
-        memoized list of V_n, uncopied, with an empty star index, so no code
-        adds a net point to it or ranks its cells."""
+        A piece without a star (one in ``clean`` is not scanned) is its own
+        digit-0 template: the walk's memoized list of V_n, uncopied, with an
+        empty star index, so no code adds a net point to it or ranks it."""
         template = self.templates.get(key)
         if template is None:
             vals, _ = self.values(*key, False)
-            if 0 in vals:
+            if key not in self.clean and 0 in vals:
                 zero = self._point(step, 0)
                 template = [[zero if v == 0 else v for v in vals], None]
             else:
                 template = [vals, {}]
             self.templates[key] = template
         out, p = template[0], self.cfg.levels[step.n].stars - 1
+        digits = self.digits.get(step.n) or self.digits.setdefault(step.n, [0] * step.radix)
         while code:
             code, d = divmod(code, step.radix)
             if d:
@@ -846,6 +861,8 @@ class _TileWalk:
                 i = template[1].get(p)
                 if i is not None:
                     out = list(out) if out is template[0] else out
-                    out[i] = self._point(step, d)
+                    if not digits[d]:  # codes are at least 2, so 0 marks a digit not laid yet
+                        digits[d] = self._point(step, d)
+                    out[i] = digits[d]
             p -= 1
         return out

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -874,6 +875,63 @@ def test_starless_piece_is_its_own_digit_zero_template(deep_capped_cfg):
     assert coded is not memo and coded == [zero if v == 0 else v for v in memo]
     last = walk._coded(cfg.steps[2], key, cfg.steps[2].code_count - 1)
     assert last != coded and walk.memo[key][0] is memo and memo.count(0) == cfg.levels[2].stars
+    # the near window's top word is laid from step-2 code tiles alone, so the
+    # walk marks it starless and _coded takes it as its template unscanned;
+    # the level-2 tile, which holds stars, is not marked
+    walk, near = _TileWalk(cfg), (3, (-20621,), (19379,))
+    ScanCounted.scans = 0
+    vals, index = walk.values(*near, False)
+    assert near in walk.clean and key not in walk.clean
+    walk.memo[near] = ScanCounted(vals), index
+    assert walk._coded(cfg.steps[3], near, 0) is walk.memo[near][0]
+    assert ScanCounted.scans == 0
+    # the same word reached as copies of V_4, shifted by the top period, is
+    # that word itself: a box inside one tile is laid as its piece, uncopied
+    view = cfg.with_one_walk()
+    far = Box(*near[1:]).translate((10**80 // cfg.levels[4].periods[0] * cfg.levels[4].periods[0],))
+    codes, _ = view.window_codes(far)
+    assert codes is view._walk.memo[near][0] and (4, *near[1:]) in view._walk.clean
+
+
+class ScanCounted(list):
+    """A list that counts the membership tests made on any instance."""
+
+    scans = 0
+
+    def __contains__(self, value):
+        ScanCounted.scans += 1
+        return super().__contains__(value)
+
+
+def assert_clean_words_hold_no_star(walk):
+    """Every word the walk marks starless holds no star code, and every
+    digit-table entry of the walk is the palette code of its net point."""
+    for key in walk.clean:
+        codes, index = walk.memo[key]
+        assert 0 not in codes and index in (None, {}), key
+    for n, table in walk.digits.items():
+        assert all(code in (0, walk.points.get((n, d))) for d, code in enumerate(table)), n
+
+
+def test_words_marked_starless_hold_no_star(toy_cfg, deep_capped_cfg, z2_cfgs):
+    # the star flag is sound: a word laid only from code-tile pieces and
+    # pieces already known to be starless never holds code 0, whichever
+    # boxes, levels and windows one walk has laid
+    marked = 0
+    for cfg in (toy_cfg, deep_capped_cfg, z2_cfgs[1], z2_cfgs[2]):
+        view = cfg.with_one_walk()
+        tile = cfg.levels[2].box
+        boxes = [(2, tile)] + [(n + 1, box) for n in cfg.steps for box in corner_boxes(cfg, n)]
+        for n, box in boxes:
+            view.level_codes(n, box)
+        top = cfg.levels[cfg.params.depth + 1].periods
+        for box in (tile, Box((-40,) * len(top), (40,) * len(top))):
+            for shift in ((0,) * len(top), tuple(10**80 // q * q for q in top)):
+                with contextlib.suppress(DepthError):
+                    view.window_codes(box.translate(shift))
+        assert_clean_words_hold_no_star(view._walk)
+        marked += len(view._walk.clean)
+    assert marked
 
 
 @pytest.mark.parametrize("case", ["Z", "Z dim 2", "Z2"])
@@ -1123,3 +1181,38 @@ def next_level_tests(cfg, n, m):
     n_out = volume // fine.volume - n_cand
     thin_total = (n_cand - step.code_count) * fine.stars + n_out * fine.stars - cfg._target_stars(volume)
     return anchor in sched.level_box(m), fine.stars * n_out * den > num * volume, thin_total <= n_out
+
+
+@given(small_plans())
+@settings(max_examples=40, deadline=None)
+def test_words_marked_starless_hold_no_star_on_small_plans(params):
+    # on drawn plans, every word marked starless holds no star, and the
+    # strict window, which scans only words not marked, raises exactly when
+    # the plain one holds a star
+    from meandim import CapacityError
+
+    try:
+        cfg = Construction(params)
+    except (CapacityError, DepthError):
+        return
+    view = cfg.with_one_walk()
+    # V_(n+1) on code tiles 0 and 1 of step n is laid from one code tile
+    # (before any whole tile is walked, as a slice of one is not marked)
+    coded = [(n + 1, cfg.levels[n].box.translate(cfg._cand_at(step, k)))
+             for n, step in cfg.steps.items() for k in range(min(step.code_count, 2))]
+    for n, box in coded:
+        if box.volume <= 5000:
+            view.level_codes(n, box)
+            assert (n, box.lows, box.highs) in view._walk.clean
+    for n in range(2, cfg.params.depth + 2):
+        tile = cfg.levels[n].box
+        if tile.volume <= 5000:
+            view.level_codes(n, tile)
+    rank = cfg.group.rank
+    for box in (Box((-30,) * rank, (30,) * rank), cfg.levels[1].box):
+        codes, _ = view._walk_box(box)
+        try:
+            assert view.window_codes(box)[0] == codes and 0 not in codes
+        except DepthError:
+            assert 0 in codes
+    assert_clean_words_hold_no_star(view._walk)
