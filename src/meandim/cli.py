@@ -12,7 +12,6 @@ import argparse
 import configparser
 import functools
 import json
-import operator
 import re
 import sys
 from fractions import Fraction
@@ -278,9 +277,9 @@ def cmd_build(args) -> int:
 
 def cmd_window(args) -> int:
     """Print a window row by row, '?' at each undetermined cell: the walk lays
-    palette codes (``Construction._walk_box``), each rendered once and the
-    whole window looked up in one call.  A '?' in the text means exit 1, and
-    only then are the codes scanned again, to name the first and count them."""
+    palette codes (``Construction._walk_box``), each rendered once.  The exit
+    code comes from the printed text (a '?' in it means exit 1), so the codes
+    are scanned again only to name the first undetermined cell and count them."""
     params = load_config(args.config, args)
     cfg = Construction(params)
     box = parse_window(args.window, cfg.group)
@@ -289,11 +288,9 @@ def cmd_window(args) -> int:
     if args.what == "x":
         shown[1] = render_value(cfg.params.cube.basepoint)
     # codes come in Box.cells() order, so each run of `width` of them is one
-    # printed row (the whole window on Z, one first coordinate on Z^2); the index
-    # past the last cell keeps a one-cell window a tuple, and no row reaches it
+    # printed row (the whole window on Z, one first coordinate on Z^2)
     width = box.highs[-1] - box.lows[-1] + 1
-    tokens = operator.itemgetter(*codes, 0)(shown)
-    lines = [" ".join(tokens[i:i + width]) for i in range(0, len(codes), width)]
+    lines = [" ".join(map(shown.__getitem__, codes[i:i + width])) for i in range(0, len(codes), width)]
     text = "\n".join(lines) + "\n"
     emit(text, args.out)
     # no rendered palette entry but shown[0] holds a "?" ('#', net points and

@@ -402,18 +402,19 @@ class Construction:
         codes, palette = self.window_codes(box)
         if kind != "w":  # the basepoint at code 1, in a copy of the palette
             palette = [STAR, self.params.cube.basepoint, *palette[2:]]
-        *values, _ = operator.itemgetter(*codes, 0)(palette)  # one index more keeps one cell a tuple
-        return values
+        return [palette[c] for c in codes]
 
     def window_codes(self, box: Box) -> tuple:
         """``window_values(box)`` as the walk's ``(codes, palette)``, with the same ``DepthError``."""
-        return self._walk_box(box, strict=True)
+        codes, palette = self._walk_box(box)
+        if 0 in codes:
+            raise self._undetermined_in(box, codes)
+        return codes, palette
 
-    def _walk_box(self, box: Box, strict: bool = False) -> tuple:
+    def _walk_box(self, box: Box) -> tuple:
         """V_top on a box as ``(codes, palette)``: one palette code per cell
         in ``Box.cells()`` order (``_TileWalk.palette``), code 0 (STAR) at
-        every cell the planned depth leaves undetermined, or with ``strict``
-        the ``DepthError`` of the first, sought only in a word not known starless.
+        every cell the planned depth leaves undetermined.
 
         Inside the level-n tile (n <= depth) the top level word is the coded
         word of step n, reached through code tile 0 at every level above, so
@@ -427,11 +428,8 @@ class Construction:
         walk = self._tile_walk()
         for n in range(1, self.params.depth + 1):
             if self.levels[n].box.contains_box(box):
-                return walk._coded(self.steps[n], (n, box.lows, box.highs), 0), walk.palette  # starless
-        codes, _, clean = walk.lay(self.params.depth + 1, box.lows, box.highs, False, None)
-        if strict and not clean and 0 in codes:
-            raise self._undetermined_in(box, codes)
-        return codes, walk.palette
+                return walk._coded(self.steps[n], (n, box.lows, box.highs), 0), walk.palette
+        return walk.lay(self.params.depth + 1, box.lows, box.highs, False, None)[0], walk.palette
 
     def _undetermined_in(self, box: Box, codes: list) -> DepthError:
         """The DepthError for the first STAR (code 0) of ``_walk_box(box)``;
@@ -654,7 +652,7 @@ class _TileWalk:
     tile is that piece, uncopied.  A thinned tile (one of the first
     ``thin_total`` of the thinning zone) lays the piece with its star of
     rank 0 turned to a hash, and a code tile patches the digit-0 template
-    of its piece at its non-zero digits, from the walk's ``digits`` table.
+    of its piece at its non-zero digits, from the walk's ``points`` table.
     A word laid only from code tiles and pieces already in ``clean`` holds
     no star and joins ``clean``; only a word outside it is scanned for one.
     A starless piece is its own digit-0 template, the memoized list itself,
@@ -673,19 +671,24 @@ class _TileWalk:
         self.templates: dict = {}  # (n, lows, highs) -> [digit-0 codes, star index or None]
         self.shed: dict = {}  # (n, lows, highs) -> codes with the star of rank 0 a hash
         self.palette: list = [STAR, HASH]  # code -> value
-        self.points: dict = {}  # (step, digit) -> palette code of the net point
-        self.digits: dict = {}  # step -> [palette code of each digit, 0 until a code tile lays it]
+        self.points: dict = {}  # step -> [palette code of each digit's net point, 0 until laid]
         self.clean: set = set()  # keys of memoized words laid only from starless pieces
 
     def _point(self, step: StepPlan, d: int) -> int:
         """The palette code of net point d of a step's net, added to the
         palette the first time the walk needs it."""
-        key = (step.n, d)
-        code = self.points.get(key)
-        if code is None:
-            code = self.points[key] = len(self.palette)
+        codes = self._points(step)
+        if not codes[d]:  # palette codes of points are at least 2
+            codes[d] = len(self.palette)
             self.palette.append(step.net.point_at(d))
-        return code
+        return codes[d]
+
+    def _points(self, step: StepPlan) -> list:
+        """The step's row of ``points``, made the first time the walk needs it."""
+        codes = self.points.get(step.n)
+        if codes is None:
+            codes = self.points[step.n] = [0] * step.radix
+        return codes
 
     def values(self, n: int, lows: tuple, highs: tuple, ranks: bool) -> tuple:
         key = (n, lows, highs)
@@ -836,8 +839,8 @@ class _TileWalk:
 
     def _coded(self, step: StepPlan, key: tuple, code: int) -> list:
         """V_(n+1) on a piece of code tile ``code``, which holds no star: the
-        star of rank p takes the net point (read from the step's digit table)
-        of digit radix**(stars - 1 - p) of the code index.
+        star of rank p takes the net point (read from the step's row of
+        ``points``) of digit radix**(stars - 1 - p) of the code index.
 
         A piece without a star (one in ``clean`` is not scanned) is its own
         digit-0 template: the walk's memoized list of V_n, uncopied, with an
@@ -852,7 +855,7 @@ class _TileWalk:
                 template = [vals, {}]
             self.templates[key] = template
         out, p = template[0], self.cfg.levels[step.n].stars - 1
-        digits = self.digits.get(step.n) or self.digits.setdefault(step.n, [0] * step.radix)
+        points = self._points(step)
         while code:
             code, d = divmod(code, step.radix)
             if d:
@@ -861,8 +864,6 @@ class _TileWalk:
                 i = template[1].get(p)
                 if i is not None:
                     out = list(out) if out is template[0] else out
-                    if not digits[d]:  # codes are at least 2, so 0 marks a digit not laid yet
-                        digits[d] = self._point(step, d)
-                    out[i] = digits[d]
+                    out[i] = points[d] or self._point(step, d)
             p -= 1
         return out

@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional
 REPO = Path(__file__).resolve().parents[1]
 TIMEOUT = 300  # seconds per suite run
 ANALYSIS, CONSTRUCTION = "src/meandim/analysis.py", "src/meandim/construction.py"
-SCHEDULES, CLI = "src/meandim/schedules.py", "src/meandim/cli.py"
+SCHEDULES = "src/meandim/schedules.py"
 
 
 class Mutant(NamedTuple):
@@ -91,10 +91,8 @@ MUTANTS = [
            "a thinned tile turns its star of rank 1 to a hash, not its first"),
     Mutant("plain-piece-starless", CONSTRUCTION, "clean = clean and key in self.clean", "clean = clean",
            "a piece that is not a code tile is taken as starless, so a word holding stars skips its star scan"),
-    Mutant("digit-table-shift", CONSTRUCTION, "digits[d] = self._point(step, d)", "digits[d] = self._point(step, d - 1)",
-           "a code tile's digit d lays the net point of digit d - 1"),
-    Mutant("render-row-slice", CLI, "tokens[i:i + width]", "tokens[i:i + width + 1]",
-           "each printed row takes one token of the next row, or the lookup's extra index after the last"),
+    Mutant("digit-table-shift", CONSTRUCTION, "out[i] = points[d] or", "out[i] = points[d - 1] or",
+           "a code tile's digit d lays the net point of digit d - 1 once that point is in the palette"),
     Mutant("nesting-scan-forced", ANALYSIS, "missing = [] if inner == outer else [", "missing = [",
            "equal code lists are scanned too",
            equivalent="equal lists hold no index where one is 0 and the other is not, so the scan finds nothing"),

@@ -360,6 +360,22 @@ def test_verify_battery_runs_on_one_walk_and_frees_it(monkeypatch, config):
 
 
 @pytest.mark.parametrize("config", ["configs/toy-z.cfg", "perfbench/toy-z2.cfg"])
+def test_no_star_row_fails_when_code_tile_zero_keeps_its_stars(monkeypatch, config):
+    # the no-star row reads its tile through code tile 0 of a step, the walk's
+    # coded branch: if that branch left the piece's stars in place, the row
+    # must name the first one and FAIL rather than pass unscanned
+    from meandim import analysis, cli, construction
+
+    path = Path(__file__).resolve().parents[1] / config
+    cfg = Construction(cli.load_config(str(path), argparse.Namespace(depth=None, mode=None, seed=None)))
+    assert analysis.check_no_star(cfg.with_one_walk(), None).ok
+    monkeypatch.setattr(construction._TileWalk, "_coded", lambda walk, step, key, code: walk.values(*key, False)[0])
+    rows = {name: (ok, detail) for name, ok, detail in analysis.run_verification(cfg, cfg.params.seed)}
+    ok, detail = rows["no star in the limit"]
+    assert ok is False and detail.startswith("DepthError: value at (")
+
+
+@pytest.mark.parametrize("config", ["configs/toy-z.cfg", "perfbench/toy-z2.cfg"])
 def test_multi_box_calls_each_run_on_one_walk(monkeypatch, config):
     # on a plain depth-2 plan, a decode, a nesting check and a minimality
     # check each read several boxes through one tile walk, held by a view

@@ -845,8 +845,9 @@ def test_tile_walk_palette_codes_each_net_point_once(deep_capped_cfg, z2_cfgs):
         # laying the same windows again adds no code
         assert sizes[len(boxes):] == [sizes[len(boxes) - 1]] * len(boxes)
         assert sizes[-1] > 2
-        assert sorted(walk.points.values()) == list(range(2, len(walk.palette)))
-        for (n, d), code in walk.points.items():
+        laid = [(n, d, code) for n, codes in walk.points.items() for d, code in enumerate(codes) if code]
+        assert sorted(code for _, _, code in laid) == list(range(2, len(walk.palette)))
+        for n, d, code in laid:
             assert walk._point(cfg.steps[n], d) == code
             assert walk.palette[code] == cfg.steps[n].net.point_at(d)
         assert len(walk.palette) == sizes[-1]
@@ -864,7 +865,7 @@ def test_starless_piece_is_its_own_digit_zero_template(deep_capped_cfg):
     key = (3, (-20621,), (19379,))
     coded = walk._coded(cfg.steps[3], key, 0)
     assert coded is walk.memo[key][0] and 0 not in coded
-    assert (3, 0) not in walk.points
+    assert not walk.points[3][0]
     assert walk._coded(cfg.steps[3], key, cfg.steps[3].code_count - 1) is coded
     assert walk.memo[key][1] is None  # no star ranks were walked
     tile = cfg.levels[2].box
@@ -904,13 +905,10 @@ class ScanCounted(list):
 
 
 def assert_clean_words_hold_no_star(walk):
-    """Every word the walk marks starless holds no star code, and every
-    digit-table entry of the walk is the palette code of its net point."""
+    """Every word the walk marks starless holds no star code."""
     for key in walk.clean:
         codes, index = walk.memo[key]
         assert 0 not in codes and index in (None, {}), key
-    for n, table in walk.digits.items():
-        assert all(code in (0, walk.points.get((n, d))) for d, code in enumerate(table)), n
 
 
 def test_words_marked_starless_hold_no_star(toy_cfg, deep_capped_cfg, z2_cfgs):
@@ -1186,9 +1184,8 @@ def next_level_tests(cfg, n, m):
 @given(small_plans())
 @settings(max_examples=40, deadline=None)
 def test_words_marked_starless_hold_no_star_on_small_plans(params):
-    # on drawn plans, every word marked starless holds no star, and the
-    # strict window, which scans only words not marked, raises exactly when
-    # the plain one holds a star
+    # on drawn plans, every word marked starless holds no star, and
+    # window_codes raises exactly when the walked codes hold a star
     from meandim import CapacityError
 
     try:
