@@ -639,40 +639,42 @@ class Construction:
 class _TileWalk:
     """One tile-by-tile evaluation of a window, level by level.
 
-    ``values(n, lows, highs, ranks)`` gives the level word V_n on a box in
-    level-n tile coordinates, row-major, as codes into the walk's
+    ``values(n, lows, highs, ranks)`` gives a box's record: V_n on the box
+    in level-n tile coordinates, row-major, as codes into the walk's
     ``palette`` (0 is STAR, 1 is HASH, and each net point gets the next code
     once per walk, so at most 2 + the sum of the net sizes), and with
     ``ranks`` also the box's star index: each star rank of V_n
     (``meandim.oracles.stars_below``) that the box holds, mapped to that
-    star's cell index in the box.  Code templates, thinned tiles,
-    ``star_positions`` and decode read it.  The level-(n-1) tiles that meet
-    the box come in runs of one class along the last axis (``_runs``), each
-    laid down row by row by repeating one piece of V_(n-1); a box inside one
+    star's cell index in the box.  The level-(n-1) tiles that meet the box
+    come in runs of one class along the last axis (``_runs``), each laid
+    down row by row by repeating one piece of V_(n-1); a box inside one
     tile is that piece, uncopied.  A thinned tile (one of the first
     ``thin_total`` of the thinning zone) lays the piece with its star of
     rank 0 turned to a hash, and a code tile patches the digit-0 template
     of its piece at its non-zero digits, from the walk's ``points`` table.
-    A word laid only from code tiles and pieces already in ``clean`` holds
-    no star and joins ``clean``; only a word outside it is scanned for one.
-    A starless piece is its own digit-0 template, the memoized list itself,
-    so a window read through code tile 0 is neither copied nor ranked.  The
-    memos, templates and palette belong to the walk, not the construction.
-    A walk lives for one evaluation call, or for the one multi-box call (the
-    verify battery, a decode, a nesting or minimality check) whose view
-    ``with_one_walk`` gives it, so its memos are bounded by that call's
-    tiles.  The lists and star indexes it returns are memoized and must not
-    be mutated.
+    All the walk learns about a piece is in its one ``memo`` record: its
+    codes, star index, digit-0 template and thinned copy, the last three
+    ``None`` until needed.  A ranks walk of a piece laid values-only fills
+    in the index and keeps the codes list, so the template and thinned copy
+    stay valid.  An index ``{}`` means the piece holds no star: a word laid
+    only from code tiles and pieces indexed ``{}`` gets it unscanned, as
+    does a piece ``_coded`` scans and finds starless; any other word is
+    scanned for a star.  A starless piece is its own digit-0 template, the
+    memoized list itself, so a window read through code tile 0 is neither
+    copied nor ranked.  The memo and palette belong to the walk, not the
+    construction.  A walk lives for one evaluation call, or for the one
+    multi-box call (the verify battery, a decode, a nesting or minimality
+    check) whose view ``with_one_walk`` gives it, so its memo is bounded by
+    that call's tiles.  The records, lists and star indexes it returns are
+    memoized and must not be mutated.
     """
 
     def __init__(self, cfg: Construction):
         self.cfg = cfg
-        self.memo: dict = {}  # (n, lows, highs) -> (codes, star index or None)
-        self.templates: dict = {}  # (n, lows, highs) -> [digit-0 codes, star index or None]
-        self.shed: dict = {}  # (n, lows, highs) -> codes with the star of rank 0 a hash
+        # (n, lows, highs) -> [codes, star index, digit-0 template, codes with the star of rank 0 a hash]
+        self.memo: dict = {}
         self.palette: list = [STAR, HASH]  # code -> value
         self.points: dict = {}  # step -> [palette code of each digit's net point, 0 until laid]
-        self.clean: set = set()  # keys of memoized words laid only from starless pieces
 
     def _point(self, step: StepPlan, d: int) -> int:
         """The palette code of net point d of a step's net, added to the
@@ -690,27 +692,26 @@ class _TileWalk:
             codes = self.points[step.n] = [0] * step.radix
         return codes
 
-    def values(self, n: int, lows: tuple, highs: tuple, ranks: bool) -> tuple:
+    def values(self, n: int, lows: tuple, highs: tuple, ranks: bool) -> list:
         key = (n, lows, highs)
-        hit = self.memo.get(key)
-        if hit is not None and (hit[1] is not None or not ranks):
-            return hit
+        rec = self.memo.get(key)
+        if rec is not None and (rec[1] is not None or not ranks):
+            return rec
         tile = self.cfg.levels[n].box
         whole = None if ranks else self.memo.get((n, tile.lows, tile.highs))
         if whole is not None:  # the box's rows, sliced from the walked tile
-            vals, w = [], highs[-1] - lows[-1] + 1
+            vals, index, w = [], None, highs[-1] - lows[-1] + 1
             for i in self._row_starts(tile, lows, highs):
                 vals += whole[0][i:i + w]
-            out = vals, None
         elif n == 1:
-            out = self._seed_word(lows, highs, ranks)
+            vals, index = self._seed_word(lows, highs, ranks)
         else:
-            vals, index, clean = self.lay(n - 1, lows, highs, ranks, self.cfg.steps[n - 1])
-            out = vals, index
-            if clean:
-                self.clean.add(key)
-        self.memo[key] = out
-        return out
+            vals, index = self.lay(n - 1, lows, highs, ranks, self.cfg.steps[n - 1])
+        if rec is None:
+            rec = self.memo[key] = [vals, index, None, None]
+        else:  # ranked now: the codes list, and so its template and thinned copy, stay
+            rec[1] = index
+        return rec
 
     @staticmethod
     def _row_starts(tile: Box, lows: tuple, highs: tuple):
@@ -775,13 +776,14 @@ class _TileWalk:
                 if code is not None:  # code tiles come one to a run, and hold no star
                     piece = self._coded(step, key, code)
                 else:
-                    piece, sub = self.values(*key, ranks or thinned)
-                    clean = clean and key in self.clean  # a thinned starless piece is the piece itself
+                    rec = self.values(*key, ranks or thinned)
+                    piece, sub = rec[0], rec[1]
+                    clean = clean and sub == {}  # a thinned starless piece is the piece itself
                     if thinned:  # the piece with its star of rank 0 a hash, patched once per walk
-                        if key not in self.shed:
+                        if rec[3] is None:
                             first = sub.get(0)
-                            self.shed[key] = piece if first is None else [*piece[:first], 1, *piece[first + 1:]]
-                        piece = self.shed[key]
+                            rec[3] = piece if first is None else [*piece[:first], 1, *piece[first + 1:]]
+                        piece = rec[3]
                     if ranks:  # star p of tile t ranks off + t * gain + p - thinned; rank 0 is shed
                         at = [(p - thinned, start + i // w * width + col + i % w)
                               for p, i in sub.items() if p or not thinned]
@@ -791,14 +793,14 @@ class _TileWalk:
                 parts.append((piece, w, e - s))
                 col += (e - s) * w
             if len(bands) == len(parts) == e - s == 1:  # a box inside one tile is its piece, uncopied
-                return piece, index, clean
+                return piece, {} if clean else index
             for r in range(math.prod(b - a + 1 for _, a, b in band)):
                 for piece, w, k in parts:
                     part = piece if len(piece) == w else piece[r * w:(r + 1) * w]
                     vals += part if k == 1 else part * k
             if laid is not None:
                 laid[kind] = slice(start, len(vals))
-        return vals, index, clean
+        return vals, {} if clean else index
 
     def _runs(self, step: Optional[StepPlan], terms: Optional[tuple], ja: int, jb: int, ranks: bool):
         """Tiles ja..jb of a band in runs [s, e) of one class: (s, e, code
@@ -840,30 +842,24 @@ class _TileWalk:
     def _coded(self, step: StepPlan, key: tuple, code: int) -> list:
         """V_(n+1) on a piece of code tile ``code``, which holds no star: the
         star of rank p takes the net point (read from the step's row of
-        ``points``) of digit radix**(stars - 1 - p) of the code index.
-
-        A piece without a star (one in ``clean`` is not scanned) is its own
-        digit-0 template: the walk's memoized list of V_n, uncopied, with an
-        empty star index, so no code adds a net point to it or ranks it."""
-        template = self.templates.get(key)
-        if template is None:
-            vals, _ = self.values(*key, False)
-            if key not in self.clean and 0 in vals:
+        ``points``) of digit radix**(stars - 1 - p) of the code index."""
+        rec = self.memo.get(key) or self.values(*key, False)
+        if rec[2] is None:
+            if rec[1] != {} and 0 in rec[0]:
                 zero = self._point(step, 0)
-                template = [[zero if v == 0 else v for v in vals], None]
+                rec[2] = [zero if v == 0 else v for v in rec[0]]
             else:
-                template = [vals, {}]
-            self.templates[key] = template
-        out, p = template[0], self.cfg.levels[step.n].stars - 1
+                rec[1], rec[2] = {}, rec[0]
+        out, p = rec[2], self.cfg.levels[step.n].stars - 1
         points = self._points(step)
         while code:
             code, d = divmod(code, step.radix)
             if d:
-                if template[1] is None:  # built only once a non-zero digit needs it
-                    template[1] = self.values(*key, True)[1]
-                i = template[1].get(p)
+                if rec[1] is None:  # ranked only once a non-zero digit needs it
+                    self.values(*key, True)
+                i = rec[1].get(p)
                 if i is not None:
-                    out = list(out) if out is template[0] else out
+                    out = list(out) if out is rec[2] else out
                     out[i] = points[d] or self._point(step, d)
             p -= 1
         return out

@@ -89,8 +89,12 @@ MUTANTS = [
            "every row's seed stars are indexed as if the row were the box's first"),
     Mutant("index-thinned-hash", CONSTRUCTION, "first = sub.get(0)", "first = sub.get(1)",
            "a thinned tile turns its star of rank 1 to a hash, not its first"),
-    Mutant("plain-piece-starless", CONSTRUCTION, "clean = clean and key in self.clean", "clean = clean",
+    Mutant("plain-piece-starless", CONSTRUCTION, "clean = clean and sub == {}", "clean = clean",
            "a piece that is not a code tile is taken as starless, so a word holding stars skips its star scan"),
+    Mutant("values-only-starless", CONSTRUCTION, "return vals, {} if clean else index",
+           "return vals, {} if clean or not ranks else index",
+           "every word a values-only walk lays is indexed {}, known starless, so a word holding stars skips its "
+           "star scan"),
     Mutant("digit-table-shift", CONSTRUCTION, "out[i] = points[d] or", "out[i] = points[d - 1] or",
            "a code tile's digit d lays the net point of digit d - 1 once that point is in the palette"),
     Mutant("nesting-scan-forced", ANALYSIS, "missing = [] if inner == outer else [", "missing = [",

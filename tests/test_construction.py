@@ -695,11 +695,12 @@ def test_tile_walk_words_and_ranks_match_pointwise(toy_cfg, deep_capped_cfg, z2_
     for cfg, n, box in cases:
         want = [oracles.word(cfg, n, g) for g in box.cells()]
         walk = _TileWalk(cfg)
-        codes, index = walk.values(n, box.lows, box.highs, False)
+        codes, index = walk.values(n, box.lows, box.highs, False)[:2]
         words = [walk.palette[c] for c in codes]
-        assert (words, index) == (want, None), (n, box)
+        assert words == want, (n, box)
+        assert index is None or index == {} and STAR not in want, (n, box)  # {}: known to hold no star
         walk = _TileWalk(cfg)
-        codes, index = walk.values(n, box.lows, box.highs, True)
+        codes, index = walk.values(n, box.lows, box.highs, True)[:2]
         words = [walk.palette[c] for c in codes]
         assert words == want, (n, box)
         assert index == pointwise_star_index(cfg, n, box, want), (n, box)
@@ -729,11 +730,11 @@ def test_tile_walk_ranks_match_pointwise_on_random_boxes(toy_cfg, deep_capped_cf
     box = Box(lows, tuple(lo + size - 1 for lo, size in zip(lows, sizes)))
     want = [oracles.word(cfg, n, g) for g in box.cells()]
     walk = _TileWalk(cfg)
-    codes, index = walk.values(n, box.lows, box.highs, False)
-    assert index is None
+    codes, index = walk.values(n, box.lows, box.highs, False)[:2]
+    assert index is None or index == {} and STAR not in want  # {}: known to hold no star
     assert [walk.palette[c] for c in codes] == want
     walk = _TileWalk(cfg)
-    codes, index = walk.values(n, box.lows, box.highs, True)
+    codes, index = walk.values(n, box.lows, box.highs, True)[:2]
     assert [walk.palette[c] for c in codes] == want
     assert index == pointwise_star_index(cfg, n, box, want)
 
@@ -776,10 +777,10 @@ def test_values_only_walk_copies_bands_as_a_ranks_walk_lays_them(monkeypatch, ca
         cases += [(n + 1, box) for n in cfg.steps for box in corner_boxes(cfg, n, 2 * cfg.levels[n].periods[0])]
         for n, box in cases:
             walk = _TileWalk(cfg)
-            codes, _ = walk.values(n, box.lows, box.highs, True)
+            codes = walk.values(n, box.lows, box.highs, True)[0]
             want = [walk.palette[c] for c in codes]
             walk = _TileWalk(cfg)
-            codes, _ = walk.values(n, box.lows, box.highs, False)
+            codes = walk.values(n, box.lows, box.highs, False)[0]
             assert [walk.palette[c] for c in codes] == want, (n, box)
         # on the level-2 tile each band resolves its runs at most once, and a
         # band off the host only if it is laid: one thinned whole, one cut
@@ -853,21 +854,36 @@ def test_tile_walk_palette_codes_each_net_point_once(deep_capped_cfg, z2_cfgs):
         assert len(walk.palette) == sizes[-1]
 
 
-def test_starless_piece_is_its_own_digit_zero_template(deep_capped_cfg):
+def test_starless_piece_is_its_own_digit_zero_template(monkeypatch, deep_capped_cfg):
     # the capped depth-3 window near the origin is V_3 read through code tile
     # 0 of step 3 and holds no star: _coded returns the walk's memoized list
     # itself, adds no digit-0 net point, and a non-zero code ranks nothing;
     # a piece with stars still gets a substituted copy of its memoized list
     from meandim.construction import _TileWalk
 
+    ranked, values = [], _TileWalk.values
+
+    def counted(self, n, lows, highs, ranks):
+        if ranks:
+            ranked.append((n, lows, highs))
+        return values(self, n, lows, highs, ranks)
+
+    monkeypatch.setattr(_TileWalk, "values", counted)
     cfg = deep_capped_cfg
     walk = _TileWalk(cfg)
     key = (3, (-20621,), (19379,))
     coded = walk._coded(cfg.steps[3], key, 0)
     assert coded is walk.memo[key][0] and 0 not in coded
     assert not walk.points[3][0]
+    assert key not in ranked  # only the step-2 code pieces it was laid from
+    ranked.clear()
     assert walk._coded(cfg.steps[3], key, cfg.steps[3].code_count - 1) is coded
-    assert walk.memo[key][1] is None  # no star ranks were walked
+    assert ranked == [] and walk.memo[key][1] == {}  # no star ranks were walked
+    # a starless piece that no lay marks, the last cell of V_1 past its seed
+    # stars, is scanned once and indexed {}: a non-zero code ranks it neither
+    piece = (1, cfg.levels[1].box.highs, cfg.levels[1].box.highs)
+    assert walk._coded(cfg.steps[1], piece, cfg.steps[1].code_count - 1) is walk.memo[piece][0]
+    assert ranked == [] and walk.memo[piece][1] == {}
     tile = cfg.levels[2].box
     key = (2, tile.lows, tile.highs)
     memo = walk.values(*key, False)[0]
@@ -877,21 +893,45 @@ def test_starless_piece_is_its_own_digit_zero_template(deep_capped_cfg):
     last = walk._coded(cfg.steps[2], key, cfg.steps[2].code_count - 1)
     assert last != coded and walk.memo[key][0] is memo and memo.count(0) == cfg.levels[2].stars
     # the near window's top word is laid from step-2 code tiles alone, so the
-    # walk marks it starless and _coded takes it as its template unscanned;
-    # the level-2 tile, which holds stars, is not marked
+    # walk indexes it {} and _coded takes it as its template unscanned; the
+    # level-2 tile, which holds stars, is not indexed {}
     walk, near = _TileWalk(cfg), (3, (-20621,), (19379,))
     ScanCounted.scans = 0
-    vals, index = walk.values(*near, False)
-    assert near in walk.clean and key not in walk.clean
-    walk.memo[near] = ScanCounted(vals), index
-    assert walk._coded(cfg.steps[3], near, 0) is walk.memo[near][0]
+    rec = walk.values(*near, False)
+    assert rec[1] == {} and walk.memo[key][1] != {}
+    rec[0] = ScanCounted(rec[0])
+    assert walk._coded(cfg.steps[3], near, 0) is rec[0]
     assert ScanCounted.scans == 0
     # the same word reached as copies of V_4, shifted by the top period, is
     # that word itself: a box inside one tile is laid as its piece, uncopied
     view = cfg.with_one_walk()
     far = Box(*near[1:]).translate((10**80 // cfg.levels[4].periods[0] * cfg.levels[4].periods[0],))
     codes, _ = view.window_codes(far)
-    assert codes is view._walk.memo[near][0] and (4, *near[1:]) in view._walk.clean
+    assert codes is view._walk.memo[near][0] and view._walk.memo[(4, *near[1:])][1] == {}
+
+
+def test_ranking_a_memoized_piece_keeps_its_record(toy_cfg):
+    # the level-2 tile laid values-only and given its digit-0 template, then
+    # ranked by the thinned tile that opens step 2's thinning zone, keeps one
+    # record: the ranks walk fills in its index and leaves its codes list and
+    # template as they were, and the thinned copy joins the same record
+    from meandim.construction import _TileWalk
+
+    cfg, walk = toy_cfg, _TileWalk(toy_cfg)
+    step, tile = cfg.steps[2], cfg.levels[2].box
+    key = (2, tile.lows, tile.highs)
+    rec = walk.values(*key, False)
+    codes, template = rec[0], walk._coded(step, key, 0)
+    assert rec[1] is None and rec[2] is template and template is not codes
+    assert step.tiles.lows[0] < step.cand.lows[0] and step.thin_total > 0  # tile tiles.lows is thinned
+    thinned = tile.translate((step.tiles.lows[0] * step.periods[0],))
+    laid = walk.values(3, thinned.lows, thinned.highs, False)[0]
+    assert walk.memo[key] is rec and rec[0] is codes and rec[2] is template
+    word = [walk.palette[c] for c in codes]
+    assert rec[1] == pointwise_star_index(cfg, 2, tile, word)
+    first = rec[1][0]
+    assert laid is rec[3] and laid == [*codes[:first], 1, *codes[first + 1:]]
+    assert walk._coded(step, key, 0) is template
 
 
 class ScanCounted(list):
@@ -905,16 +945,19 @@ class ScanCounted(list):
 
 
 def assert_clean_words_hold_no_star(walk):
-    """Every word the walk marks starless holds no star code."""
-    for key in walk.clean:
-        codes, index = walk.memo[key]
-        assert 0 not in codes and index in (None, {}), key
+    """Every record the walk indexes ``{}`` (known starless) holds no star
+    code; returns how many there are."""
+    clean = [(key, rec[0]) for key, rec in walk.memo.items() if rec[1] == {}]
+    for key, codes in clean:
+        assert 0 not in codes, key
+    return len(clean)
 
 
 def test_words_marked_starless_hold_no_star(toy_cfg, deep_capped_cfg, z2_cfgs):
-    # the star flag is sound: a word laid only from code-tile pieces and
-    # pieces already known to be starless never holds code 0, whichever
-    # boxes, levels and windows one walk has laid
+    # the empty star index is sound: a record indexed {} (a word laid only
+    # from code-tile pieces and pieces already indexed {}, or one found
+    # starless) never holds code 0, whichever boxes, levels and windows one
+    # walk has laid
     marked = 0
     for cfg in (toy_cfg, deep_capped_cfg, z2_cfgs[1], z2_cfgs[2]):
         view = cfg.with_one_walk()
@@ -927,8 +970,7 @@ def test_words_marked_starless_hold_no_star(toy_cfg, deep_capped_cfg, z2_cfgs):
             for shift in ((0,) * len(top), tuple(10**80 // q * q for q in top)):
                 with contextlib.suppress(DepthError):
                     view.window_codes(box.translate(shift))
-        assert_clean_words_hold_no_star(view._walk)
-        marked += len(view._walk.clean)
+        marked += assert_clean_words_hold_no_star(view._walk)
     assert marked
 
 
@@ -1200,7 +1242,7 @@ def test_words_marked_starless_hold_no_star_on_small_plans(params):
     for n, box in coded:
         if box.volume <= 5000:
             view.level_codes(n, box)
-            assert (n, box.lows, box.highs) in view._walk.clean
+            assert view._walk.memo[n, box.lows, box.highs][1] == {}
     for n in range(2, cfg.params.depth + 2):
         tile = cfg.levels[n].box
         if tile.volume <= 5000:
