@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .construction import MATERIALIZE_GUARD, Construction
+from .construction import HASH_TOKEN, MATERIALIZE_GUARD, STAR_TOKEN, Construction
 from .errors import DepthError, MeandimError, NotRealizedError, SizeGuardError
 from .groups import Box
 from .tilings import CheckResult
@@ -37,8 +37,8 @@ def verify_free_nesting(cfg: Construction, n: int) -> CheckResult:
 
     J_n is the stars of V_(n+1) pulled back along the link shifts of steps
     1..n, so one walk of two boxes decides it: V_n on the level-n tile and
-    V_(n+1) on step n's link tile.  Code 0 is STAR in every walk, so equal
-    codes pass unscanned; a missing element is named in J coordinates.
+    V_(n+1) on step n's link tile.  A star is ``STAR_TOKEN`` in every walk,
+    so equal words pass unscanned; a missing element is named in J coordinates.
     """
     if n < 1:
         raise ValueError("nesting starts at n = 1")
@@ -53,10 +53,10 @@ def verify_free_nesting(cfg: Construction, n: int) -> CheckResult:
     view = cfg.with_one_walk()
     inner = view.level_codes(n, tile)[0]
     outer = view.level_codes(n + 1, tile.translate(cfg.steps[n].link_center))[0]
-    missing = [] if inner == outer else [i for i, (a, b) in enumerate(zip(inner, outer)) if a == 0 and b]
+    missing = [] if inner == outer else [i for i, (a, b) in enumerate(zip(inner, outer)) if a == STAR_TOKEN != b]
     if missing:  # only the reported elements get their cells
         return CheckResult(False, f"J_{n-1} not within J_{n}", list(map(cfg.follower_box(n - 1).cell_at, missing[:10])))
-    return CheckResult(True, f"all {inner.count(0)} elements of J_{n-1} lie in J_{n}")
+    return CheckResult(True, f"all {inner.count(STAR_TOKEN)} elements of J_{n-1} lie in J_{n}")
 
 
 def lower_bound_estimate(cfg: Construction, n: int) -> Fraction:
@@ -228,25 +228,11 @@ def mdim_report(cfg: Construction) -> MdimReport:
 
 
 # -- the verify battery: each check takes the plan and ``words``, the literal V_2 in the
-# battery walk's codes, cached once per run, which a check that reads it calls before it walks
+# battery walk's tokens, cached once per run, which a check that reads it calls before it walks
 
-def _code(cfg: Construction, n: int, d: int) -> int:
-    """The walk's palette code of net point d of step n, checked by value: a
-    code holding another value gives way to a new code that holds the point."""
-    walk, point = cfg._walk, cfg.steps[n].net.point_at(d)
-    code = walk._point(cfg.steps[n], d)
-    if walk.palette[code] != point:
-        code = len(walk.palette)
-        walk.palette.append(point)
-    return code
-
-
-def _agreement(box: Box, got: list, want: list, what: str = "mismatch", palette=None) -> CheckResult:
+def _agreement(box: Box, got: list, want: list, what: str = "mismatch") -> CheckResult:
     """FAIL at the first cell of ``box`` where two lists in ``Box.cells()``
-    order differ, else PASS over the whole box; codes into a ``palette`` that
-    differ are compared by value, as two codes may hold equal values."""
-    if got != want and palette is not None:
-        got, want = [palette[c] for c in got], [palette[c] for c in want]
+    order differ, else PASS over the whole box."""
     if got == want:
         return CheckResult(True, f"{box.volume} cells")
     bad = next(g for g, a, b in zip(box.cells(), got, want) if a != b)
@@ -273,22 +259,19 @@ def check_no_star(cfg: Construction, words) -> CheckResult:
 
 def check_oracle(cfg: Construction, words) -> CheckResult:
     literal, box = words(), cfg.levels[2].box
-    codes, palette = cfg.level_codes(2, box)
-    res = _agreement(box, codes, literal, palette=palette)
+    res = _agreement(box, cfg.level_codes(2, box)[0], literal)
     if res and cfg.params.depth >= 2:
         # the literal V_2 with its stars resolved by code tile 0 of step 2
-        zero = _code(cfg, 2, 0)
-        codes, palette = cfg.window_codes(box)
-        stable = [zero if c == 0 else c for c in literal]
-        return _agreement(box, codes, stable, "stabilized mismatch", palette)
+        zero = cfg._walk.token(cfg.steps[2].net.point_at(0))
+        stable = [zero if c == STAR_TOKEN else c for c in literal]
+        return _agreement(box, cfg.window_codes(box)[0], stable, "stabilized mismatch")
     return res
 
 
 def check_linking(cfg: Construction, words) -> CheckResult:
     # V_3 on the link tile against the literal V_2
     literal, box = words(), cfg.levels[2].box
-    codes, palette = cfg.level_codes(3, box.translate(cfg.steps[2].link_center))
-    return _agreement(box, codes, literal, palette=palette)
+    return _agreement(box, cfg.level_codes(3, box.translate(cfg.steps[2].link_center))[0], literal)
 
 
 def check_nesting(cfg: Construction, words) -> CheckResult:
@@ -297,29 +280,30 @@ def check_nesting(cfg: Construction, words) -> CheckResult:
 
 def check_floors(cfg: Construction, words) -> CheckResult:
     """Every thinning-zone level-1 tile of the literal V_2 keeps more than
-    floor stars (code 0); FAIL names the first in lexicographic order that does not."""
+    floor stars (``STAR_TOKEN``); FAIL names the first in lexicographic order that does not."""
     v2 = words()
     st, lvl1 = cfg.steps[1], cfg.levels[1]
     q, t0 = lvl1.periods, st.tiles.lows[-1]
-    rows, across, cells = cfg.tile_rows()  # cells: a tile's offsets from its center
+    rows, across, cells = cfg.tile_rows  # cells: a tile's offsets from its center
     # stars / |S_1| > rho - 1/|S_1|, in integers: stars above this
     floor = (cfg.rho.numerator * lvl1.volume - cfg.rho.denominator) // cfg.rho.denominator
+    full = [STAR_TOKEN] * across
     for lead, row in rows:  # row: the offset of its first tile's center
         # one strided slice per seed offset (the seed stars are a tile's first
         # cells) holds that cell of each tile of the row; a tile's stars there
         # bound its count from below, one less per slice short of stars
         short = [col for col in (v2[row + d:row + d + across * q[-1]:q[-1]] for d in cells[:lvl1.stars])
-                 if col.count(0) < across]
+                 if col != full]
         if len(short) < lvl1.stars - floor:
             continue  # every tile of the row keeps more than floor seed stars
         low = [lvl1.stars] * across
         for col in short:
-            low = list(map(operator.sub, low, map(bool, col)))  # one less at each non-star
+            low = list(map(operator.sub, low, map(operator.ne, col, full)))  # one less at each non-star
         for k in (k for k, c in enumerate(low) if c <= floor):
             # a thinning-zone tile at or below the floor there is recounted
             # over all its cells before it can FAIL
             b = row + k * q[-1]
-            if lead + (t0 + k,) not in st.cand and [v2[b + d] for d in cells].count(0) <= floor:
+            if lead + (t0 + k,) not in st.cand and [v2[b + d] for d in cells].count(STAR_TOKEN) <= floor:
                 center = tuple(jj * qq for jj, qq in zip(lead + (t0 + k,), q))
                 return CheckResult(False, f"tile at {center} thinned below its floor")
     return CheckResult(True, "every thinned tile stays above its floor")
@@ -373,9 +357,11 @@ def run_verification(cfg: Construction, seed: int = 0) -> list:
     which is freed when the battery returns; ``cfg`` itself is not changed.
     """
     cfg = cfg.with_one_walk()
-    # V_2 is materialized at most once, for the oracle, linking and floor checks, in the
-    # walk's codes; a tile past MATERIALIZE_GUARD walks nothing and reads INCONCLUSIVE
-    words = functools.cache(lambda: cfg.materialize((0, 1, *(_code(cfg, 1, d) for d in range(cfg.steps[1].radix)))))
+    # V_2 is materialized at most once, for the oracle, linking and floor checks, labelled by the
+    # walk's tokens of the points' values; a tile past MATERIALIZE_GUARD walks nothing: INCONCLUSIVE
+    net = cfg.steps[1].net
+    words = functools.cache(lambda: cfg.materialize(
+        (STAR_TOKEN, HASH_TOKEN, *(cfg._walk.token(net.point_at(d)) for d in range(net.size)))))
     battery = [
         ("density sandwich", check_sandwich),
         ("no star in the limit", check_no_star),

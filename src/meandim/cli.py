@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import analysis
 from .analysis import run_verification
-from .construction import BuildParams, Construction, render_value
+from .construction import HASH_TOKEN, STAR_TOKEN, BuildParams, Construction, render_value
 from .cube import Polyhedron, net_schedule
 from .errors import ConfigError, DepthError, MeandimError, ScheduleError
 from .groups import GROUPS, Box, decimal_text
@@ -277,27 +277,27 @@ def cmd_build(args) -> int:
 
 def cmd_window(args) -> int:
     """Print a window row by row, '?' at each undetermined cell: the walk lays
-    palette codes (``Construction._walk_box``), each rendered once.  The exit
-    code comes from the printed text (a '?' in it means exit 1), so the codes
-    are scanned again only to name the first undetermined cell and count them."""
+    each cell's printed token (``Construction._walk_box``), so a row is one
+    join, and ``--what x`` puts the basepoint's text for the hash token's.
+    The exit code comes from the printed text (a '?' in it means exit 1), so
+    the tokens are scanned again only to name the first undetermined cell
+    and count them."""
     params = load_config(args.config, args)
     cfg = Construction(params)
     box = parse_window(args.window, cfg.group)
-    codes, palette = cfg._walk_box(box)
-    shown = ["?", *map(render_value, palette[1:])]
-    if args.what == "x":
-        shown[1] = render_value(cfg.params.cube.basepoint)
+    codes = cfg._walk_box(box)[0]
     # codes come in Box.cells() order, so each run of `width` of them is one
     # printed row (the whole window on Z, one first coordinate on Z^2)
     width = box.highs[-1] - box.lows[-1] + 1
-    lines = [" ".join(map(shown.__getitem__, codes[i:i + width])) for i in range(0, len(codes), width)]
-    text = "\n".join(lines) + "\n"
+    text = "\n".join(" ".join(codes[i:i + width]) for i in range(0, len(codes), width)) + "\n"
+    # only the hash token holds a '#', and only STAR_TOKEN a '?' (net points
+    # and the basepoint are digits, '/', ',' and '-')
+    if args.what == "x":
+        text = text.replace(HASH_TOKEN, render_value(cfg.params.cube.basepoint))
     emit(text, args.out)
-    # no rendered palette entry but shown[0] holds a "?" ('#', net points and
-    # the basepoint are digits, '/', ',' and '-')
-    if "?" in text:
+    if STAR_TOKEN in text:
         first = cfg._undetermined_in(box, codes)
-        raise DepthError(f"{first} ({codes.count(0)} of {len(codes)} cells shown as ?)")
+        raise DepthError(f"{first} ({codes.count(STAR_TOKEN)} of {len(codes)} cells shown as ?)")
     return 0
 
 

@@ -83,6 +83,7 @@ class Symbol:
 
 STAR = Symbol("*")
 HASH = Symbol("#")
+STAR_TOKEN, HASH_TOKEN = "?", HASH.label  # the walk's tokens of the symbols; a window prints '?' at a star
 
 
 def render_value(v) -> str:
@@ -178,13 +179,13 @@ class StepPlan:
 class Construction:
     """A fully planned construction with a lazy tile-walk evaluator.
 
-    Plans are immutable after construction (a step derives its link center
-    on first read) and evaluation keeps no state: each evaluation call makes
-    its own ``_TileWalk``, so instances are safe to share across threads and
-    hold no memory that grows with what they have evaluated.  The one
-    exception is the view ``with_one_walk`` makes for one multi-box call
-    (the verify battery, a decode): a copy whose evaluations share one walk
-    and which lives for exactly that call.
+    Plans are immutable after construction (a step derives its link center,
+    and a plan its ``tile_rows``, on first read) and evaluation keeps no
+    state: each evaluation call makes its own ``_TileWalk``, so instances
+    are safe to share across threads and hold no memory that grows with what
+    they have evaluated.  The one exception is the view ``with_one_walk``
+    makes for one multi-box call (the verify battery, a decode): a copy
+    whose evaluations share one walk and which lives for exactly that call.
     """
 
     _walk: Optional["_TileWalk"] = None  # set only on a with_one_walk view
@@ -400,21 +401,21 @@ class Construction:
         order, from one tile walk; no cell tuples are built.  Raises the
         same ``DepthError`` for the first undetermined cell."""
         codes, palette = self.window_codes(box)
-        if kind != "w":  # the basepoint at code 1, in a copy of the palette
-            palette = [STAR, self.params.cube.basepoint, *palette[2:]]
+        if kind != "w":  # the basepoint at the hash token, in a copy of the palette
+            palette = {**palette, HASH_TOKEN: self.params.cube.basepoint}
         return [palette[c] for c in codes]
 
     def window_codes(self, box: Box) -> tuple:
         """``window_values(box)`` as the walk's ``(codes, palette)``, with the same ``DepthError``."""
         codes, palette = self._walk_box(box)
-        if 0 in codes:
+        if STAR_TOKEN in codes:
             raise self._undetermined_in(box, codes)
         return codes, palette
 
     def _walk_box(self, box: Box) -> tuple:
-        """V_top on a box as ``(codes, palette)``: one palette code per cell
-        in ``Box.cells()`` order (``_TileWalk.palette``), code 0 (STAR) at
-        every cell the planned depth leaves undetermined.
+        """V_top on a box as ``(codes, palette)``: one token per cell in
+        ``Box.cells()`` order (``_TileWalk``), ``STAR_TOKEN`` at every cell
+        the planned depth leaves undetermined.
 
         Inside the level-n tile (n <= depth) the top level word is the coded
         word of step n, reached through code tile 0 at every level above, so
@@ -432,9 +433,9 @@ class Construction:
         return walk.lay(self.params.depth + 1, box.lows, box.highs, False, None)[0], walk.palette
 
     def _undetermined_in(self, box: Box, codes: list) -> DepthError:
-        """The DepthError for the first STAR (code 0) of ``_walk_box(box)``;
+        """The DepthError for the first ``STAR_TOKEN`` of ``_walk_box(box)``;
         its cell comes from its index, so no cell is built before the error."""
-        g = box.cell_at(codes.index(0))
+        g = box.cell_at(codes.index(STAR_TOKEN))
         # str(g) would refuse coordinates past the int->str digit limit
         coords = ", ".join(map(decimal_text, g)) + ("," if len(g) == 1 else "")
         return DepthError(f"value at ({coords}) is not determined at depth {self.params.depth}")
@@ -446,7 +447,7 @@ class Construction:
         return [palette[c] for c in codes]
 
     def level_codes(self, n: int, box: Box) -> tuple:
-        """``level_values(n, box)`` as the walk's ``(codes, palette)``; code 0 is STAR."""
+        """``level_values(n, box)`` as the walk's ``(codes, palette)``, a star at ``STAR_TOKEN``."""
         if not 1 <= n <= self.params.depth + 1:
             raise DepthError(f"level {n} not planned")
         if not self.levels[n].box.contains_box(box):
@@ -517,6 +518,7 @@ class Construction:
 
     # -- literal materialization (the oracle) --------------------------------
 
+    @cached_property
     def tile_rows(self) -> tuple:
         """The level-1 tiles of the level-2 tile as offsets into a flat list
         over the level-2 tile in ``Box.cells()`` order: ``(rows, across,
@@ -556,7 +558,7 @@ class Construction:
             raise SizeGuardError(f"level-2 tile has {decimal_text(lvl2.volume)} cells, over the bound")
         star, hash_, *points = labels or (STAR, HASH, *map(step1.net.point_at, range(step1.radix)))
         box, q, cand = lvl2.box, lvl1.periods[-1], step1.cand
-        rows, across, offsets = self.tile_rows()
+        rows, across, offsets = self.tile_rows
         deltas = offsets[:lvl1.stars]
         # each seed star written into every tile of a row by one strided slice
         word = [hash_] * lvl2.volume
@@ -640,10 +642,8 @@ class _TileWalk:
     """One tile-by-tile evaluation of a window, level by level.
 
     ``values(n, lows, highs, ranks)`` gives a box's record: V_n on the box
-    in level-n tile coordinates, row-major, as codes into the walk's
-    ``palette`` (0 is STAR, 1 is HASH, and each net point gets the next code
-    once per walk, so at most 2 + the sum of the net sizes), and with
-    ``ranks`` also the box's star index: each star rank of V_n
+    in level-n tile coordinates, row-major, as tokens, and with ``ranks``
+    also the box's star index: each star rank of V_n
     (``meandim.oracles.stars_below``) that the box holds, mapped to that
     star's cell index in the box.  The level-(n-1) tiles that meet the box
     come in runs of one class along the last axis (``_runs``), each laid
@@ -652,6 +652,12 @@ class _TileWalk:
     ``thin_total`` of the thinning zone) lays the piece with its star of
     rank 0 turned to a hash, and a code tile patches the digit-0 template
     of its piece at its non-zero digits, from the walk's ``points`` table.
+    A token is its value's printed text (``token``): ``STAR_TOKEN`` for
+    STAR, ``HASH_TOKEN`` for HASH and ``render_value(point)`` for a net
+    point; as ``render_value`` is injective, tokens are equal exactly when
+    their values are.  The walk hands out one str object per token (its
+    ``tokens``), so equal lists compare by identity, and its ``palette``
+    maps each token back to its value.
     All the walk learns about a piece is in its one ``memo`` record: its
     codes, star index, digit-0 template and thinned copy, the last three
     ``None`` until needed.  A ranks walk of a piece laid values-only fills
@@ -673,24 +679,32 @@ class _TileWalk:
         self.cfg = cfg
         # (n, lows, highs) -> [codes, star index, digit-0 template, codes with the star of rank 0 a hash]
         self.memo: dict = {}
-        self.palette: list = [STAR, HASH]  # code -> value
-        self.points: dict = {}  # step -> [palette code of each digit's net point, 0 until laid]
+        self.palette: dict = {STAR_TOKEN: STAR, HASH_TOKEN: HASH}  # token -> value
+        self.tokens: dict = {}  # net point -> its token
+        self.points: dict = {}  # step -> [token of each digit's net point, None until laid]
 
-    def _point(self, step: StepPlan, d: int) -> int:
-        """The palette code of net point d of a step's net, added to the
-        palette the first time the walk needs it."""
-        codes = self._points(step)
-        if not codes[d]:  # palette codes of points are at least 2
-            codes[d] = len(self.palette)
-            self.palette.append(step.net.point_at(d))
-        return codes[d]
+    def token(self, point: tuple) -> str:
+        """The token of a net point, made and put in the palette the first
+        time the walk needs it; a point of several steps' nets has one."""
+        token = self.tokens.get(point)
+        if token is None:
+            token = self.tokens[point] = render_value(point)
+            self.palette[token] = point
+        return token
+
+    def _point(self, step: StepPlan, d: int) -> str:
+        """The token of net point d of a step's net, filed in the step's row of ``points``."""
+        row = self._points(step)
+        if row[d] is None:
+            row[d] = self.token(step.net.point_at(d))
+        return row[d]
 
     def _points(self, step: StepPlan) -> list:
         """The step's row of ``points``, made the first time the walk needs it."""
-        codes = self.points.get(step.n)
-        if codes is None:
-            codes = self.points[step.n] = [0] * step.radix
-        return codes
+        row = self.points.get(step.n)
+        if row is None:
+            row = self.points[step.n] = [None] * step.radix
+        return row
 
     def values(self, n: int, lows: tuple, highs: tuple, ranks: bool) -> list:
         key = (n, lows, highs)
@@ -730,7 +744,7 @@ class _TileWalk:
             k = min(max(stars - start, 0), width)  # the row's seed stars
             if ranks:
                 index.update(zip(range(start, start + k), range(len(vals), len(vals) + k)))
-            vals += [0] * k + [1] * (width - k)
+            vals += [STAR_TOKEN] * k + [HASH_TOKEN] * (width - k)
         return vals, index
 
     def lay(self, m: int, lows: tuple, highs: tuple, ranks: bool, step: Optional[StepPlan]) -> tuple:
@@ -782,7 +796,7 @@ class _TileWalk:
                     if thinned:  # the piece with its star of rank 0 a hash, patched once per walk
                         if rec[3] is None:
                             first = sub.get(0)
-                            rec[3] = piece if first is None else [*piece[:first], 1, *piece[first + 1:]]
+                            rec[3] = piece if first is None else [*piece[:first], HASH_TOKEN, *piece[first + 1:]]
                         piece = rec[3]
                     if ranks:  # star p of tile t ranks off + t * gain + p - thinned; rank 0 is shed
                         at = [(p - thinned, start + i // w * width + col + i % w)
@@ -845,9 +859,9 @@ class _TileWalk:
         ``points``) of digit radix**(stars - 1 - p) of the code index."""
         rec = self.memo.get(key) or self.values(*key, False)
         if rec[2] is None:
-            if rec[1] != {} and 0 in rec[0]:
+            if rec[1] != {} and STAR_TOKEN in rec[0]:
                 zero = self._point(step, 0)
-                rec[2] = [zero if v == 0 else v for v in rec[0]]
+                rec[2] = [zero if v == STAR_TOKEN else v for v in rec[0]]
             else:
                 rec[1], rec[2] = {}, rec[0]
         out, p = rec[2], self.cfg.levels[step.n].stars - 1

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import product, repeat
 from typing import Iterable, Optional
 
-from .construction import HASH, STAR, BuildParams, Construction, StepPlan
+from .construction import HASH, STAR, STAR_TOKEN, BuildParams, Construction, StepPlan
 from .cube import Net, Polyhedron, net_schedule
 from .errors import DecodeError, ScheduleError
 from .groups import GROUPS, Box, Element, FiniteSubset, LatticeGroup, Z, Z2, is_invariant
@@ -142,7 +142,7 @@ def eval_w(cfg: Construction, g: Element):
     c = _grid_center(cfg, top, g)
     val = word(cfg, top, tuple(x - y for x, y in zip(g, c)))
     if val is STAR:
-        raise cfg._undetermined_in(Box(g, g), [0])
+        raise cfg._undetermined_in(Box(g, g), [STAR_TOKEN])
     return val
 
 

@@ -51,7 +51,7 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    Mutant("nesting-comparison", ANALYSIS, "if a == 0 and b]", "if a == 0 and not b]",
+    Mutant("nesting-comparison", ANALYSIS, "if a == STAR_TOKEN != b]", "if a == STAR_TOKEN == b]",
            "the nesting row names the elements of J_(n-1) that J_n holds, not those it misses"),
     Mutant("nesting-link-tile", ANALYSIS, "view.level_codes(n + 1, tile.translate(cfg.steps[n].link_center))",
            "view.level_codes(n + 1, tile)",
@@ -97,6 +97,9 @@ MUTANTS = [
            "star scan"),
     Mutant("digit-table-shift", CONSTRUCTION, "out[i] = points[d] or", "out[i] = points[d - 1] or",
            "a code tile's digit d lays the net point of digit d - 1 once that point is in the palette"),
+    Mutant("floors-recount-hash", ANALYSIS, "[v2[b + d] for d in cells].count(STAR_TOKEN) <= floor",
+           "[v2[b + d] for d in cells].count(HASH_TOKEN) <= floor",
+           "a tile at or below its floor is recounted by its hashes, not its stars, so a thinned-out tile passes"),
     Mutant("nesting-scan-forced", ANALYSIS, "missing = [] if inner == outer else [", "missing = [",
            "equal code lists are scanned too",
            equivalent="equal lists hold no index where one is 0 and the other is not, so the scan finds nothing"),

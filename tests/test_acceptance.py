@@ -29,6 +29,7 @@ from meandim.analysis import (
     verify_free_nesting,
 )
 from meandim import oracles
+from meandim.construction import STAR_TOKEN
 from meandim.groups import Box, is_invariant
 from meandim.oracles import (
     check_irreducibility_witness,
@@ -105,7 +106,7 @@ def test_criterion_3_free_set_nesting_and_lower_bound(toys):
         # the walk's stars of V_2 on the follower box of level 1 are J_1
         box = cfg.follower_box(1)
         codes = cfg.level_codes(2, box.translate(cfg.link_shift(1)))[0]
-        ok &= {g for g, c in zip(box.cells(), codes) if c == 0} == set(free_set_elements(cfg, 1))
+        ok &= {g for g, c in zip(box.cells(), codes) if c == STAR_TOKEN} == set(free_set_elements(cfg, 1))
         for n in (1, 2):
             lo = lower_bound_estimate(cfg, n)
             vol = cfg.levels[n + 1].volume

@@ -19,6 +19,7 @@ from meandim.analysis import (
     verify_free_nesting,
 )
 from meandim import oracles
+from meandim.construction import HASH_TOKEN, STAR_TOKEN
 from meandim.cube import net_schedule
 from meandim.groups import Box
 from meandim.oracles import densities, free_set_elements, generate_interval_schedule, toy_params
@@ -62,7 +63,7 @@ def test_free_set_level1(toy_cfg):
     # the walk's stars on the follower box are J_1, in Box.cells() order
     box = toy_cfg.follower_box(1)
     codes = toy_cfg.level_codes(2, box.translate(shift))[0]
-    assert [g for g, c in zip(box.cells(), codes) if c == 0] == sorted(elems)
+    assert [g for g, c in zip(box.cells(), codes) if c == STAR_TOKEN] == sorted(elems)
     stars = toy_cfg.star_positions(2)
     assert sorted(elems) == sorted((p[0] - shift[0],) for p in stars)
 
@@ -77,7 +78,7 @@ def test_free_set_members_match_pointwise(toy_cfg):
     # J_n's members on a box of its follower box, read as stars of the
     # walked V_(n+1) on the box pulled forward, against the pointwise word
     def members(n, box):
-        return [c == 0 for c in toy_cfg.level_codes(n + 1, box.translate(toy_cfg.link_shift(n)))[0]]
+        return [c == STAR_TOKEN for c in toy_cfg.level_codes(n + 1, box.translate(toy_cfg.link_shift(n)))[0]]
 
     def pointwise(n, box):
         moved = (toy_cfg.group.mul(g, toy_cfg.link_shift(n)) for g in box.cells())
@@ -96,7 +97,7 @@ def test_free_set_members_match_pointwise(toy_cfg):
 
 def test_free_set_nesting_names_a_missing_element(toy_cfg, monkeypatch):
     # J_2 on the follower box of level 1 is exactly J_1; turning its first
-    # element's star (code 0) to a hash (code 1) in the walk codes of V_3,
+    # element's star to a hash in the walk's tokens of V_3,
     # which J_2 reads, must fail the check and name that element
     real = Construction.level_codes
 
@@ -104,7 +105,7 @@ def test_free_set_nesting_names_a_missing_element(toy_cfg, monkeypatch):
         codes, palette = real(self, n, box)
         if n == 3:
             codes = list(codes)
-            codes[codes.index(0)] = 1
+            codes[codes.index(STAR_TOKEN)] = HASH_TOKEN
         return codes, palette
 
     monkeypatch.setattr(Construction, "level_codes", dropped)

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from meandim import oracles
 from meandim.cli import load_config, main, parse_mode, parse_window
-from meandim.construction import Construction, render_value
+from meandim.construction import HASH_TOKEN, STAR_TOKEN, Construction, render_value
 from meandim.errors import CapacityError, ConfigError, DepthError, NotRealizedError, SizeGuardError
 from meandim.groups import DECIMAL_CHUNK, Box, Z, Z2, decimal_text
 from tests.golden import record
@@ -667,11 +667,10 @@ def test_planted_literal_mismatch_fails_oracle_and_linking(monkeypatch, depth):
     victim = next(g for g, v in zip(cells, real(cfg)) if v is HASH and g[0] > 0)
 
     def planted(self, labels):
-        # the battery asks for the literal in its walk's codes: the victim
-        # gets a new code of the walk's palette, holding a value no net holds
+        # the battery asks for the literal in its walk's tokens: the victim
+        # gets the token of a value no net holds
         out = real(self, labels)
-        out[cells.index(victim)] = len(self._walk.palette)
-        self._walk.palette.append((Fraction(9, 10),))
+        out[cells.index(victim)] = self._walk.token((Fraction(9, 10),))
         return out
 
     monkeypatch.setattr(Construction, "materialize", planted)
@@ -703,8 +702,8 @@ def planted_floor_rows(monkeypatch, config_name, left, spare=0):
     real = Construction.materialize
 
     def planted(self, labels=None):
-        # the battery asks for the literal in its walk's codes (0 a star, 1
-        # a hash); the oracle below reads the same word in values
+        # the battery asks for the literal in its walk's tokens; the oracle
+        # below reads the same word in values
         out = real(self, labels)
         star, hash_ = labels[:2] if labels else (STAR, HASH)
         at = {g: i for i, g in enumerate(self.levels[2].box.cells())}
@@ -760,8 +759,10 @@ def test_floors_row_agrees_with_the_full_count(config_name, depth):
 
     path = Path(__file__).resolve().parents[1] / config_name
     cfg = Construction(load_config(str(path), argparse.Namespace(depth=depth, mode=None, seed=None)))
-    # the row reads the literal in codes (0 a star), the oracle in values
-    codes, words = cfg.materialize((0, 1, *range(2, 2 + cfg.steps[1].radix))), cfg.materialize()
+    # the row reads the literal in tokens, the oracle in values
+    net = cfg.steps[1].net
+    codes = cfg.materialize((STAR_TOKEN, HASH_TOKEN, *(render_value(net.point_at(d)) for d in range(net.size))))
+    words = cfg.materialize()
     assert analysis.check_floors(cfg, lambda: codes) == oracles.floors_by_count(cfg, words)
     assert oracles.floors_by_count(cfg, words).ok
 
@@ -780,12 +781,11 @@ def test_planted_stable_mismatch_fails_the_oracle(monkeypatch):
     real = Construction.window_codes
 
     def planted(self, box):
-        # the victim gets a new code of the walk's palette, holding a value no net holds
+        # the victim gets the token of a value no net holds
         codes, palette = real(self, box)
         if box == tile:
             codes = list(codes)
-            codes[cells.index(victim)] = len(palette)
-            palette.append((Fraction(9, 10),))
+            codes[cells.index(victim)] = self._walk.token((Fraction(9, 10),))
         return codes, palette
 
     monkeypatch.setattr(Construction, "window_codes", planted)
@@ -794,20 +794,19 @@ def test_planted_stable_mismatch_fails_the_oracle(monkeypatch):
     assert rows["evaluator equals literal materialization"] == (False, f"stabilized mismatch at {victim}")
 
 
-@pytest.mark.parametrize("equal", [True, False], ids=["equal-value", "other-value"])
+@pytest.mark.parametrize("value", [(Fraction(9, 10),)], ids=["other-value"])
 @pytest.mark.parametrize("seam,row,what", [
     ("level_codes 2", "evaluator equals literal materialization", "mismatch"),
     ("window_codes", "evaluator equals literal materialization", "stabilized mismatch"),
     ("level_codes 3", "level words reappear at the link tile", "mismatch"),
 ])
-def test_walk_codes_that_differ_are_compared_by_value(monkeypatch, seam, row, what, equal):
-    # the first net-point cell of one walk the literal rows read gets a new
-    # palette code: holding an equal value it passes, as the row compares
-    # codes that differ by value; holding another value it fails there
+def test_walk_codes_that_differ_are_compared_by_value(monkeypatch, seam, row, what, value):
+    # the first net-point cell of one walk the literal rows read gets the
+    # token of another value, one no net holds: the row fails there.  A
+    # token is its value's text, so no two tokens hold equal values
     from meandim import cli
 
     cfg = Construction(cli.load_config(TOY_Z_CFG, argparse.Namespace(depth=2, mode=None, seed=None)))
-    unplanted = cli.run_verification(cfg, 7)
     method, *level = seam.split()
     tile = cfg.levels[2].box
     box = tile.translate(cfg.steps[2].link_center) if level == ["3"] else tile
@@ -816,28 +815,24 @@ def test_walk_codes_that_differ_are_compared_by_value(monkeypatch, seam, row, wh
     def planted(self, *args):
         codes, palette = real(self, *args)
         if args == (*map(int, level), box):
-            i = next(i for i, c in enumerate(codes) if c > 1)  # codes 0 and 1 are STAR and HASH
-            value = tuple(palette[codes[i]]) if equal else (Fraction(9, 10),)  # an equal copy, or no net's point
+            i = next(i for i, c in enumerate(codes) if c not in (STAR_TOKEN, HASH_TOKEN))
             codes = list(codes)
-            codes[i] = len(palette)
-            palette.append(value)
+            codes[i] = self._walk.token(value)
             victims.append(tile.cell_at(i))
         return codes, palette
 
     monkeypatch.setattr(Construction, method, planted)
     rows = cli.run_verification(cfg, 7)
     assert len(set(victims)) == 1
-    if equal:
-        assert rows == unplanted
-    else:
-        assert [(name, ok, note) for name, ok, note in rows if not ok] == [(row, False, f"{what} at {victims[0]}")]
+    assert [(name, ok, note) for name, ok, note in rows if not ok] == [(row, False, f"{what} at {victims[0]}")]
 
 
 def test_walk_code_holding_the_wrong_net_point_fails_the_oracle(monkeypatch):
-    # the walk's code of step 1's net point 1 holds point 0: the literal's
-    # labels are checked by value, so it is written with a code of its own
-    # there, and the oracle row fails at the first cell of that point; the
-    # decode confirmation reads the walk's values and fails too
+    # the walk files step 1's net point 1 under point 0's token: the
+    # literal's labels are made from their values, not from the walk's rows
+    # of points, so it holds point 1's token there, and the oracle row fails
+    # at the first cell of that point; the decode confirmation reads the
+    # walk's values and fails too
     from meandim import cli, construction
 
     cfg = Construction(cli.load_config(TOY_Z_CFG, argparse.Namespace(depth=1, mode=None, seed=None)))
@@ -846,10 +841,9 @@ def test_walk_code_holding_the_wrong_net_point_fails_the_oracle(monkeypatch):
     real = construction._TileWalk._point
 
     def planted(self, step, d):
-        code = real(self, step, d)
         if (step.n, d) == (1, 1):
-            self.palette[code] = step.net.point_at(0)
-        return code
+            self._points(step)[d] = real(self, step, 0)
+        return real(self, step, d)
 
     monkeypatch.setattr(construction._TileWalk, "_point", planted)
     assert [row for row in cli.run_verification(cfg, 7) if not row[1]] == [

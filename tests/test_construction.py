@@ -23,6 +23,7 @@ from meandim import (
     render_value,
 )
 from meandim import oracles
+from meandim.construction import HASH_TOKEN, STAR_TOKEN
 from meandim.groups import Box
 from meandim.oracles import generate_interval_schedule, toy_params
 from tests.conftest import by_cell, make_toy, stabilized, value_at
@@ -704,6 +705,7 @@ def test_tile_walk_words_and_ranks_match_pointwise(toy_cfg, deep_capped_cfg, z2_
         words = [walk.palette[c] for c in codes]
         assert words == want, (n, box)
         assert index == pointwise_star_index(cfg, n, box, want), (n, box)
+        assert_tokens_sound(walk)
 
 
 @given(
@@ -737,6 +739,7 @@ def test_tile_walk_ranks_match_pointwise_on_random_boxes(toy_cfg, deep_capped_cf
     codes, index = walk.values(n, box.lows, box.highs, True)[:2]
     assert [walk.palette[c] for c in codes] == want
     assert index == pointwise_star_index(cfg, n, box, want)
+    assert_tokens_sound(walk)
 
 
 def test_one_walk_slices_the_walked_tile_and_copies_repeated_bands(z2_cfgs):
@@ -824,9 +827,10 @@ def test_long_link_index_is_divided_once_and_only_when_read(monkeypatch):
 
 
 def test_tile_walk_palette_codes_each_net_point_once(deep_capped_cfg, z2_cfgs):
-    # the walk lays int codes into its palette: 0 is STAR, 1 is HASH, and each
-    # (step, digit) gets one code the first time a code tile needs it, so the
-    # palette is bounded by the nets, however many windows the walk lays
+    # the walk lays tokens, which its palette maps back to values: STAR_TOKEN
+    # to STAR, HASH_TOKEN to HASH, and each net point gets its token the first
+    # time a code tile needs it, so the palette is bounded by the nets,
+    # however many windows the walk lays
     cases = [
         (deep_capped_cfg, [Box((-20621,), (19379,)), Box((-3000,), (3000,)), Box((10**80,), (10**80 + 500,))]),
         (make_toy(dim=2), [Box((-300,), (300,))]),
@@ -840,18 +844,24 @@ def test_tile_walk_palette_codes_each_net_point_once(deep_capped_cfg, z2_cfgs):
         for box in boxes * 2:
             codes, palette = view._walk_box(box)
             assert palette is walk.palette
-            assert palette[0] is STAR and palette[1] is HASH
-            assert 0 <= min(codes) and max(codes) < len(palette) <= bound
+            assert palette[STAR_TOKEN] is STAR and palette[HASH_TOKEN] is HASH
+            assert set(codes) <= palette.keys() and len(palette) <= bound
             sizes.append(len(palette))
         # laying the same windows again adds no code
         assert sizes[len(boxes):] == [sizes[len(boxes) - 1]] * len(boxes)
         assert sizes[-1] > 2
-        laid = [(n, d, code) for n, codes in walk.points.items() for d, code in enumerate(codes) if code]
-        assert sorted(code for _, _, code in laid) == list(range(2, len(walk.palette)))
-        for n, d, code in laid:
-            assert walk._point(cfg.steps[n], d) == code
-            assert walk.palette[code] == cfg.steps[n].net.point_at(d)
+        laid = [(n, d, token) for n, row in walk.points.items() for d, token in enumerate(row) if token is not None]
+        assert {token for _, _, token in laid} == walk.palette.keys() - {STAR_TOKEN, HASH_TOKEN}
+        for n, d, token in laid:
+            assert walk._point(cfg.steps[n], d) is token
+            assert walk.palette[token] == cfg.steps[n].net.point_at(d)
         assert len(walk.palette) == sizes[-1]
+        assert_tokens_sound(walk)
+        # a point filed under another point's token breaks the rule
+        n, d, token = laid[0]
+        walk.points[n][d] = next(t for _, _, t in laid if t != token)
+        with pytest.raises(AssertionError):
+            assert_tokens_sound(walk)
 
 
 def test_starless_piece_is_its_own_digit_zero_template(monkeypatch, deep_capped_cfg):
@@ -873,8 +883,8 @@ def test_starless_piece_is_its_own_digit_zero_template(monkeypatch, deep_capped_
     walk = _TileWalk(cfg)
     key = (3, (-20621,), (19379,))
     coded = walk._coded(cfg.steps[3], key, 0)
-    assert coded is walk.memo[key][0] and 0 not in coded
-    assert not walk.points[3][0]
+    assert coded is walk.memo[key][0] and STAR_TOKEN not in coded
+    assert walk.points[3][0] is None
     assert key not in ranked  # only the step-2 code pieces it was laid from
     ranked.clear()
     assert walk._coded(cfg.steps[3], key, cfg.steps[3].code_count - 1) is coded
@@ -889,9 +899,9 @@ def test_starless_piece_is_its_own_digit_zero_template(monkeypatch, deep_capped_
     memo = walk.values(*key, False)[0]
     zero = walk._point(cfg.steps[2], 0)
     coded = walk._coded(cfg.steps[2], key, 0)
-    assert coded is not memo and coded == [zero if v == 0 else v for v in memo]
+    assert coded is not memo and coded == [zero if v == STAR_TOKEN else v for v in memo]
     last = walk._coded(cfg.steps[2], key, cfg.steps[2].code_count - 1)
-    assert last != coded and walk.memo[key][0] is memo and memo.count(0) == cfg.levels[2].stars
+    assert last != coded and walk.memo[key][0] is memo and memo.count(STAR_TOKEN) == cfg.levels[2].stars
     # the near window's top word is laid from step-2 code tiles alone, so the
     # walk indexes it {} and _coded takes it as its template unscanned; the
     # level-2 tile, which holds stars, is not indexed {}
@@ -908,6 +918,8 @@ def test_starless_piece_is_its_own_digit_zero_template(monkeypatch, deep_capped_
     far = Box(*near[1:]).translate((10**80 // cfg.levels[4].periods[0] * cfg.levels[4].periods[0],))
     codes, _ = view.window_codes(far)
     assert codes is view._walk.memo[near][0] and view._walk.memo[(4, *near[1:])][1] == {}
+    assert_tokens_sound(walk)
+    assert_tokens_sound(view._walk)
 
 
 def test_ranking_a_memoized_piece_keeps_its_record(toy_cfg):
@@ -930,7 +942,7 @@ def test_ranking_a_memoized_piece_keeps_its_record(toy_cfg):
     word = [walk.palette[c] for c in codes]
     assert rec[1] == pointwise_star_index(cfg, 2, tile, word)
     first = rec[1][0]
-    assert laid is rec[3] and laid == [*codes[:first], 1, *codes[first + 1:]]
+    assert laid is rec[3] and laid == [*codes[:first], HASH_TOKEN, *codes[first + 1:]]
     assert walk._coded(step, key, 0) is template
 
 
@@ -945,19 +957,37 @@ class ScanCounted(list):
 
 
 def assert_clean_words_hold_no_star(walk):
-    """Every record the walk indexes ``{}`` (known starless) holds no star
-    code; returns how many there are."""
+    """Every record the walk indexes ``{}`` (known starless) holds no
+    ``STAR_TOKEN``; returns how many there are."""
     clean = [(key, rec[0]) for key, rec in walk.memo.items() if rec[1] == {}]
     for key, codes in clean:
-        assert 0 not in codes, key
+        assert STAR_TOKEN not in codes, key
     return len(clean)
+
+
+def assert_tokens_sound(walk):
+    """The walk's token rule: each palette entry renders back to its own
+    token, each point laid in ``points`` is filed under its own token, and
+    every list in the memo holds only the palette's str objects, so equal
+    values share one object."""
+    for token, value in walk.palette.items():
+        assert token == (STAR_TOKEN if value is STAR else HASH_TOKEN if value is HASH else render_value(value))
+    assert all(walk.tokens[value] is token for token, value in walk.palette.items() if value not in (STAR, HASH))
+    for n, row in walk.points.items():
+        for d, token in enumerate(row):
+            assert token is None or walk.palette[token] == walk.cfg.steps[n].net.point_at(d), (n, d)
+    ids = set(map(id, walk.palette))
+    assert {id(t) for row in walk.points.values() for t in row if t is not None} <= ids
+    for key, rec in walk.memo.items():
+        for codes in (rec[0], rec[2], rec[3]):
+            assert codes is None or set(map(id, codes)) <= ids, key
 
 
 def test_words_marked_starless_hold_no_star(toy_cfg, deep_capped_cfg, z2_cfgs):
     # the empty star index is sound: a record indexed {} (a word laid only
     # from code-tile pieces and pieces already indexed {}, or one found
-    # starless) never holds code 0, whichever boxes, levels and windows one
-    # walk has laid
+    # starless) never holds STAR_TOKEN, whichever boxes, levels and windows
+    # one walk has laid; and every token the walk lays keeps the token rule
     marked = 0
     for cfg in (toy_cfg, deep_capped_cfg, z2_cfgs[1], z2_cfgs[2]):
         view = cfg.with_one_walk()
@@ -971,6 +1001,7 @@ def test_words_marked_starless_hold_no_star(toy_cfg, deep_capped_cfg, z2_cfgs):
                 with contextlib.suppress(DepthError):
                     view.window_codes(box.translate(shift))
         marked += assert_clean_words_hold_no_star(view._walk)
+        assert_tokens_sound(view._walk)
     assert marked
 
 
@@ -1227,7 +1258,8 @@ def next_level_tests(cfg, n, m):
 @settings(max_examples=40, deadline=None)
 def test_words_marked_starless_hold_no_star_on_small_plans(params):
     # on drawn plans, every word marked starless holds no star, and
-    # window_codes raises exactly when the walked codes hold a star
+    # window_codes raises exactly when the walked codes hold a star; every
+    # token the walk lays keeps the token rule
     from meandim import CapacityError
 
     try:
@@ -1251,7 +1283,8 @@ def test_words_marked_starless_hold_no_star_on_small_plans(params):
     for box in (Box((-30,) * rank, (30,) * rank), cfg.levels[1].box):
         codes, _ = view._walk_box(box)
         try:
-            assert view.window_codes(box)[0] == codes and 0 not in codes
+            assert view.window_codes(box)[0] == codes and STAR_TOKEN not in codes
         except DepthError:
-            assert 0 in codes
+            assert STAR_TOKEN in codes
     assert_clean_words_hold_no_star(view._walk)
+    assert_tokens_sound(view._walk)
