@@ -287,7 +287,7 @@ def check_floors(cfg: Construction, words) -> CheckResult:
     rows, across, cells = cfg.tile_rows  # cells: a tile's offsets from its center
     # stars / |S_1| > rho - 1/|S_1|, in integers: stars above this
     floor = (cfg.rho.numerator * lvl1.volume - cfg.rho.denominator) // cfg.rho.denominator
-    full = [STAR_TOKEN] * across
+    full = [STAR_TOKEN] * across  # a slice in which every tile of the row keeps that star
     for lead, row in rows:  # row: the offset of its first tile's center
         # one strided slice per seed offset (the seed stars are a tile's first
         # cells) holds that cell of each tile of the row; a tile's stars there
