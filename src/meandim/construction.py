@@ -495,7 +495,7 @@ class Construction:
             raise DepthError(f"step {n + 1} not planned")
         step = self.steps[n]
         lvl = self.levels[n]
-        assignment = [tuple(Fraction(c) for c in p) for p in assignment]
+        assignment = [tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p) for p in assignment]
         if len(assignment) != lvl.stars:
             raise ValueError(f"assignment needs {decimal_text(lvl.stars)} entries")
         index = 0
@@ -547,11 +547,13 @@ class Construction:
         every seed star is written into every level-1 tile, the code block
         replaces the stars of its tiles, and every thinning-zone tile is
         visited in lexicographic order, each losing its first seed star,
-        until the target is reached.  The host box of step 1 is never
-        thinned, so the word on it is the coded word of step 1.  It never
-        walks: the verify battery computes it at most once, in the codes of
-        its one walk (``with_one_walk``), and both live for exactly one
-        ``run_verification`` call.
+        until the target is reached.  The stars are counted as they are
+        written, not by a scan of the word: one per tile and seed star, less
+        one for each code write that finds a star in its cell.  The host box
+        of step 1 is never thinned, so the word on it is the coded word of
+        step 1.  It never walks: the verify battery computes it at most
+        once, in the codes of its one walk (``with_one_walk``), and both
+        live for exactly one ``run_verification`` call.
         """
         lvl1, lvl2, step1 = self.levels[1], self.levels[2], self.steps[1]
         if lvl2.volume > MATERIALIZE_GUARD:
@@ -566,11 +568,12 @@ class Construction:
         for _, r in rows:
             for d in deltas:
                 word[r + d:r + d + across * q:q] = row_of_stars
+        total, target = len(rows) * across * len(deltas), lvl2.stars
         for k in range(step1.code_count):
             b = box.count_below(self._cand_at(step1, k))
             for p, d in enumerate(deltas):
+                total -= word[b + d] is star
                 word[b + d] = points[self._digit(k, lvl1.stars - 1 - p, step1.radix)]
-        total, target = word.count(star), lvl2.stars
         # the thinning zone in lexicographic order, one strided slice per
         # stretch of a row: a row whose leading index lies in the host
         # (line_base's live flag) skips the host's tiles, which are never
@@ -756,7 +759,14 @@ class _TileWalk:
         the stars of every tile that is not a code tile to the box's star
         index.  A band's line terms are worked out once, and a values-only
         walk copies a band whose piece bounds and runs, or off the host its
-        thinning cut clamped to the band, repeat an earlier band's."""
+        thinning cut clamped to the band, repeat an earlier band's.  Off the
+        host it also adds the run of like bands that follows in one list
+        multiply: while the candidates' line term holds (up to the host's
+        first leading index), each band's cut lies one row of tiles below
+        the one before, so a band thinned whole or not thinned keeps its key
+        for a run worked out in closed form.  A run starts past the first
+        band and stops short of the last, either of which may be a partial
+        piece; a ranks walk lays every band."""
         lvl = self.cfg.levels[m]
         *lead_axes, last = [  # per axis: (j, piece lo, piece hi), in tile coordinates
             [(j, max(lo - j * q, tlo), min(hi - j * q, thi)) for j in range((lo - tlo) // q, (hi - tlo) // q + 1)]
@@ -766,22 +776,34 @@ class _TileWalk:
         vals, index, clean = [], {} if ranks else None, True
         bands = list(itertools.product(*lead_axes))
         laid = {} if not ranks and len(bands) > 1 else None  # (bounds, cut or runs) -> span of vals
-        for band in bands:
+        pos = 0
+        while pos < len(bands):
+            band = bands[pos]
             lead, plows, phighs = (tuple(t) for t in zip(*band)) if band else ((), (), ())
             terms, live, cut = None, False, ja  # a window's top level: no host and no thinning
             if step is not None:  # the band's line terms, and its thinning cut before the host
                 (t_base, _), (c_base, live) = step.tiles.line_base(lead), step.cand.line_base(lead)
                 cut = step.thin_total + c_base - t_base + step.tiles.lows[-1]
                 terms = t_base, c_base, live, cut
-            runs, start = None, len(vals)
+            runs, start, repeat = None, len(vals), 1
             if laid is not None:
                 if not live:  # off the host, tile s is thinned exactly when s lies below the cut
                     kind = (plows, phighs, min(max(cut, ja), jb + 1))
+                    if 0 < pos:  # the run of bands with this key, whole pieces short of the last band
+                        repeat = len(bands) - 1 - pos
+                        if step is not None:  # Z^2: c_base holds up to the host, so the cut falls a row a band
+                            if lead[0] < step.cand.lows[0]:
+                                repeat = min(repeat, step.cand.lows[0] - lead[0])
+                            if cut > ja:  # thinned whole while the cut reaches jb + 1; cut inside, 0
+                                row = step.tiles.highs[-1] - step.tiles.lows[-1] + 1
+                                repeat = min(repeat, (cut - jb - 1) // row + 1)
+                        repeat = max(repeat, 1)
                 else:  # a band on the host is keyed by its runs
                     runs = list(self._runs(step, terms, ja, jb, ranks))
                     kind = (plows, phighs, tuple(run[:4] for run in runs))
                 if kind in laid:
-                    vals += vals[laid[kind]]
+                    vals += vals[laid[kind]] * repeat
+                    pos += repeat
                     continue
             parts, col = [], 0  # per run: (piece, row width, tiles); col, its first column in the box
             for s, e, code, thinned, off in runs or self._runs(step, terms, ja, jb, ranks):
@@ -814,6 +836,9 @@ class _TileWalk:
                     vals += part if k == 1 else part * k
             if laid is not None:
                 laid[kind] = slice(start, len(vals))
+                if repeat > 1:
+                    vals += vals[start:] * (repeat - 1)
+            pos += repeat
         return vals, {} if clean else index
 
     def _runs(self, step: Optional[StepPlan], terms: Optional[tuple], ja: int, jb: int, ranks: bool):

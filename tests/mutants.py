@@ -73,6 +73,12 @@ MUTANTS = [
            "star_positions past the top planned level raises a bare KeyError"),
     Mutant("band-cut-unclamped", CONSTRUCTION, "min(max(cut, ja), jb + 1)", "cut",
            "bands off the host are keyed by their raw thinning cut, so every band thinned whole is laid afresh"),
+    Mutant("band-run-partial-edge", CONSTRUCTION, "if 0 < pos:", "if 0 <= pos:",
+           "a run of like bands may start at the first band, copying a partial first piece over whole ones"),
+    Mutant("band-run-thinned-length", CONSTRUCTION, "(cut - jb - 1) // row + 1", "(cut - jb) // row + 1",
+           "a run of bands thinned whole reaches one band past the last whose cut reaches jb + 1"),
+    Mutant("literal-code-uncounted", CONSTRUCTION, "                total -= word[b + d] is star\n", "",
+           "the literal materializer counts the stars a code write takes, so it thins too many tiles"),
     Mutant("power-extension", SCHEDULES, "value *= base ** (e - top)", "value *= base ** (e - top + 1)",
            "a base's highest power is extended one exponent too far"),
     Mutant("anchor-unshifted-host", CONSTRUCTION, "contains_box(host_box.translate(shift))", "contains_box(host_box)",

@@ -1061,6 +1061,32 @@ def test_gen_tilings_builds_schedule_text_only_for_out():
     assert lines[0] == f"schedule levels = {levels}" and lines[-1] == "checks failed = 0"
 
 
+def test_side_by_side_times_a_tree_against_itself(tmp_path):
+    # tests/side_by_side.py on src against src: one small op, one round, in
+    # a child process, as it purges meandim from sys.modules; a tree whose
+    # window prints other text is refused before any timing
+    root = Path(__file__).resolve().parents[1]
+    script, src = str(root / "tests" / "side_by_side.py"), str(root / "src")
+    op = "window-z=window --config configs/toy-z.cfg --window [-3,3]"
+    flags = ["-O"] if sys.flags.optimize else []
+    proc = subprocess.run([sys.executable, *flags, script, src, src, op, "--rounds", "1", "--calls", "1"],
+                          cwd=root, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    *lines, last = proc.stdout.splitlines()
+    assert re.fullmatch(r"window-z: [\d.]+ -> [\d.]+ ms \([+-][\d.]+%\), second lower in [01] of 1", lines[0])
+    report = json.loads(last)["window-z"]
+    assert report["rounds"] == 1 and len(report["first_rounds_ms"]) == len(report["second_rounds_ms"]) == 1
+    other = tmp_path / "src"
+    (other / "meandim").mkdir(parents=True)
+    for path in (root / "src" / "meandim").glob("*.py"):
+        text = path.read_text()
+        (other / "meandim" / path.name).write_text(text.replace('" ".join(', '",".join(') if path.name == "cli.py"
+                                                    else text)
+    proc = subprocess.run([sys.executable, *flags, script, src, str(other), op, "--rounds", "1", "--calls", "1"],
+                          cwd=root, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout.startswith("window-z: the trees differ")
+
+
 def test_importing_the_command_leaves_the_oracles_out():
     # the engine evaluates through the tile walk alone, and the pointwise
     # resolvers and scanners are test oracles: neither the package nor a

@@ -236,6 +236,32 @@ def test_realization_decode_capped():
         cfg.realization_decode(1, [net.point_at(d) for d in (1, 0, 1)])  # index 5
 
 
+def test_realization_decode_converts_only_coordinates_that_are_not_fractions(toy_cfg, monkeypatch):
+    # int coordinates (and lists for points) decode to the same centers as
+    # the net's Fraction points; Fraction coordinates reach the net's
+    # check as the very objects given, so none is rebuilt
+    from meandim.cube import Net
+
+    net, stars = toy_cfg.steps[1].net, toy_cfg.levels[1].stars
+    seen, index_of = [], Net.index_of
+
+    def recorded(self, point):
+        seen.extend(point)
+        return index_of(self, point)
+
+    monkeypatch.setattr(Net, "index_of", recorded)
+    for combo in product(range(net.size), repeat=stars):
+        points = [net.point_at(d) for d in combo]
+        center = toy_cfg.realization_decode(1, points)
+        assert all(got is want for got, want in zip(seen, (c for p in points for c in p)))
+        plain = [[int(c) for c in p] for p in points]
+        assert all(type(c) is int for p in plain for c in p)
+        assert toy_cfg.realization_decode(1, plain) == center
+        seen.clear()
+    with pytest.raises(ValueError, match="not a net coordinate"):
+        toy_cfg.realization_decode(1, [(2,)] * stars)
+
+
 def test_depth_error_for_exact_deep_plan():
     sched = generate_interval_schedule(1, 2, 3)
     with pytest.raises(DepthError, match="capped"):
@@ -669,6 +695,29 @@ def corner_boxes(cfg, n, lead=6):
         yield Box(lows, highs)
 
 
+def band_boxes(cfg, n, whole_rows=False):
+    """Boxes of V_(n+1) on the Z^2 toys whose first and last bands (rows of
+    level-n tiles) are partial pieces, one row short at each end, and whose
+    inner bands run across the thinning cut's band, up to the host's first
+    band and on from its last.  Their columns end in the cut's tile, start
+    in it, or end in the host's first column, two cells into each end tile,
+    or with ``whole_rows`` take the whole row; all clipped to the
+    level-(n+1) tile."""
+    outer, step, cut = cfg.levels[n + 1].box, cfg.steps[n], thinning_cut_tile(cfg, n)
+    (tlo, tlo1), (thi, thi1), (q, q1) = cfg.levels[n].box.lows, cfg.levels[n].box.highs, cfg.levels[n].periods
+    (jc, kc), (h0, c0), h1 = ((x - lo) // p for x, lo, p in zip(cut.lows, (tlo, tlo1), (q, q1))), step.cand.lows, \
+        step.cand.highs[0]
+    columns = [(kc - 1, kc), (kc, kc + 1), (c0 - 1, c0)]
+    spans = [(k0 * q1 + thi1 - 1, k1 * q1 + tlo1 + 1) for k0, k1 in columns]
+    if whole_rows:
+        spans.append((outer.lows[1] + 1, outer.highs[1] - 1))
+    for j0, j1 in ((jc - 3, jc + 3), (h0 - 4, h0 + 1), (h1 - 1, h1 + 4)):
+        j0, j1 = max(j0, step.tiles.lows[0]), min(j1, step.tiles.highs[0])
+        for lo1, hi1 in spans:
+            lows, highs = (j0 * q + tlo + 1, lo1), (j1 * q + thi - 1, hi1)
+            yield Box(tuple(map(max, lows, outer.lows)), tuple(map(min, highs, outer.highs)))
+
+
 def pointwise_star_index(cfg, n, box, word):
     """The walk's star index of a box of V_n from the pointwise oracles: the
     rank of each star the box holds, mapped to its cell index in the box."""
@@ -764,9 +813,13 @@ def test_one_walk_slices_the_walked_tile_and_copies_repeated_bands(z2_cfgs):
 def test_values_only_walk_copies_bands_as_a_ranks_walk_lays_them(monkeypatch, case):
     # a ranks walk lays every band; a values-only walk copies a band off the
     # host by its piece bounds and its thinning cut clamped to the band, and
-    # one on the host by its runs.  Boxes of V_(n+1) two level-n tiles each
-    # way across each host corner and thinning-cut tile cross the cut band
-    # and the host bands; the early-cut config puts its cut before the host
+    # one on the host by its runs, and adds each run of like bands off the
+    # host at once.  Boxes of V_(n+1) two level-n tiles each way across each
+    # host corner and thinning-cut tile cross the cut band and the host
+    # bands, and band boxes with partial first and last bands run across
+    # the cut and beside the host; the thinning cut lies in a host band on
+    # the centered config, before the host on the left and early-cut ones
+    # and after it on the right one
     from meandim.construction import _TileWalk
 
     if case == "early cut":
@@ -778,6 +831,7 @@ def test_values_only_walk_copies_bands_as_a_ranks_walk_lays_them(monkeypatch, ca
     for cfg in cfgs:
         cases = [(2, cfg.levels[2].box)]
         cases += [(n + 1, box) for n in cfg.steps for box in corner_boxes(cfg, n, 2 * cfg.levels[n].periods[0])]
+        cases += [(n + 1, box) for n in cfg.steps for box in band_boxes(cfg, n, n == 1)]
         for n, box in cases:
             walk = _TileWalk(cfg)
             codes = walk.values(n, box.lows, box.highs, True)[0]
@@ -787,18 +841,28 @@ def test_values_only_walk_copies_bands_as_a_ranks_walk_lays_them(monkeypatch, ca
             assert [walk.palette[c] for c in codes] == want, (n, box)
         # on the level-2 tile each band resolves its runs at most once, and a
         # band off the host only if it is laid: one thinned whole, one cut
-        # inside and one not thinned at most; each band's line terms differ
-        bands, runs = [], _TileWalk._runs
+        # inside and one not thinned at most; each band's line terms differ.
+        # Off the host only the first band, the first of each run and the
+        # last band work out their line terms: at most 4 bands on each side
+        bands, runs, keyed, line_base = [], _TileWalk._runs, [], Box.line_base
+        tile, host, tiles = cfg.levels[2].box, cfg.steps[1].cand, cfg.steps[1].tiles
 
         def counted(self, step, terms, *rest):
             bands.append(terms)
             return runs(self, step, terms, *rest)
 
+        def counted_line_base(self, lead):
+            if self is tiles:
+                keyed.append(lead)
+            return line_base(self, lead)
+
         monkeypatch.setattr(_TileWalk, "_runs", counted)
-        tile, host = cfg.levels[2].box, cfg.steps[1].cand
+        monkeypatch.setattr(Box, "line_base", counted_line_base)
         _TileWalk(cfg).values(2, tile.lows, tile.highs, False)
         monkeypatch.undo()
-        assert len(bands) == len(set(bands)) <= host.highs[0] - host.lows[0] + 1 + 3
+        host_rows = host.highs[0] - host.lows[0] + 1
+        assert len(bands) == len(set(bands)) <= host_rows + 3
+        assert len(keyed) == len(set(keyed)) <= host_rows + 8
 
 
 def test_long_link_index_is_divided_once_and_only_when_read(monkeypatch):
