@@ -77,6 +77,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--calls", type=int, default=11, help="calls per op, side and round")
     args = parser.parse_args(argv)
+    if args.rounds < 1 or args.calls < 1:
+        parser.error("--rounds and --calls must be at least 1")
     mains = [load_main(args.first), load_main(args.second)]
     ops = [parse_op(text) for text in args.ops]
     for name, op in ops:

@@ -701,12 +701,12 @@ def band_boxes(cfg, n, whole_rows=False):
     inner bands run across the thinning cut's band, up to the host's first
     band and on from its last.  Their columns end in the cut's tile, start
     in it, or end in the host's first column, two cells into each end tile,
-    or with ``whole_rows`` take the whole row; all clipped to the
-    level-(n+1) tile."""
+    or with ``whole_rows`` take the whole row but a cell at each end; all
+    clipped to the level-(n+1) tile."""
     outer, step, cut = cfg.levels[n + 1].box, cfg.steps[n], thinning_cut_tile(cfg, n)
     (tlo, tlo1), (thi, thi1), (q, q1) = cfg.levels[n].box.lows, cfg.levels[n].box.highs, cfg.levels[n].periods
-    (jc, kc), (h0, c0), h1 = ((x - lo) // p for x, lo, p in zip(cut.lows, (tlo, tlo1), (q, q1))), step.cand.lows, \
-        step.cand.highs[0]
+    jc, kc = ((x - lo) // p for x, lo, p in zip(cut.lows, (tlo, tlo1), (q, q1)))  # the cut tile's j
+    (h0, c0), h1 = step.cand.lows, step.cand.highs[0]
     columns = [(kc - 1, kc), (kc, kc + 1), (c0 - 1, c0)]
     spans = [(k0 * q1 + thi1 - 1, k1 * q1 + tlo1 + 1) for k0, k1 in columns]
     if whole_rows:
